@@ -84,11 +84,8 @@ let create ?(capacity = 0) eng name =
     mx = None;
   }
 
-let name ch = ch.name
 let length ch = max 0 (Atomic.get ch.qlen)
-let is_empty ch = length ch = 0
 let total_sent ch = Atomic.get ch.sent
-let total_received ch = Atomic.get ch.received
 
 (* ------------------------------------------------------------------ *)
 (* The lock-free core.                                                 *)
@@ -341,17 +338,6 @@ let force_send ch v =
   note_send ch 1 false 0;
   emit_send ch seq
 
-let try_send ch v =
-  if not (has_room ch) then false
-  else begin
-    hb_send ch;
-    let seq = enqueue ch v in
-    wake_recv ch ~all:false;
-    note_send ch 1 false 0;
-    emit_send ch seq;
-    true
-  end
-
 let recv ch =
   match try_dequeue ch with
   | Some (v, seq) ->
@@ -376,16 +362,6 @@ let recv ch =
       tl_wait ch true t0;
       emit_recv ch seq;
       v
-
-let try_recv ch =
-  match try_dequeue ch with
-  | Some (v, seq) ->
-      hb_recv ch;
-      wake_send ch ~all:false;
-      note_recv ch 1 false 0;
-      emit_recv ch seq;
-      Some v
-  | None -> None
 
 let send_batch ch vs =
   if vs <> [] then begin

@@ -18,20 +18,14 @@ val create : ?capacity:int -> Engine.t -> string -> 'a t
 (** [create eng name] makes an unbounded channel; [capacity > 0] bounds
     it (senders block when full). *)
 
-val name : 'a t -> string
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val total_sent : 'a t -> int
-val total_received : 'a t -> int
 
 val send : 'a t -> 'a -> unit
 val recv : 'a t -> 'a
 
 val force_send : 'a t -> 'a -> unit
 (** Enqueue regardless of capacity; sentinel re-enqueue must never block. *)
-
-val try_recv : 'a t -> 'a option
-val try_send : 'a t -> 'a -> bool
 
 val send_batch : 'a t -> 'a list -> unit
 (** Enqueue a whole batch with one CAS per capacity-limited chunk (a

@@ -12,12 +12,12 @@
 
    There is no big runtime lock.  The engine's own shared state is a set
    of atomics (live/spawned/completed counters, shutdown flag, steal
-   statistics) plus three small mutexes with disjoint footprints: the
-   global injection queue (spawns and wake-ups from outside the pool), the
-   timer list, and the live-task registry.  Synchronisation *between*
-   tasks lives in the structures that need it — each channel, lock,
-   barrier and region carries its own [Monitor] — so the data plane of one
-   structure never contends with another's.
+   statistics) plus two small mutexes with disjoint footprints: the
+   global injection queue (spawns and wake-ups from outside the pool) and
+   the timer list.  Synchronisation *between* tasks lives in the
+   structures that need it — each channel, lock and region carries its
+   own [Monitor] — so the data plane of one structure never contends with
+   another's.
 
    Consequence for client code: unlike the PR-4 big-lock engine, task code
    is NOT serialized between blocking points.  Shared mutable state must
@@ -66,15 +66,11 @@ and t = {
   live : int Atomic.t;
   spawned : int Atomic.t;
   completed : int Atomic.t;
-  computing : int Atomic.t;
   online : int Atomic.t;
   next_tid : int Atomic.t;
   steals : int Atomic.t;
   steal_attempts : int Atomic.t;
   failure : (string * exn) option Atomic.t;  (* first failure wins, via CAS *)
-  (* Registry of live tasks, for [live_thread_names]. *)
-  tasks_mu : Mutex.t;
-  tasks : (int, task) Hashtbl.t;
   (* External waiters ([run] on a system thread). *)
   drain_mu : Mutex.t;
   drain_cv : Condition.t;
@@ -218,9 +214,6 @@ let finish_task task outcome =
   Condition.broadcast task.jcv;
   Mutex.unlock task.jmu;
   (match outcome with Some e -> record_failure eng task.tname e | None -> ());
-  Mutex.lock eng.tasks_mu;
-  Hashtbl.remove eng.tasks task.tid;
-  Mutex.unlock eng.tasks_mu;
   Atomic.incr eng.completed;
   List.iter (fun resume -> resume ()) joiners;
   let was_last = Atomic.fetch_and_add eng.live (-1) = 1 in
@@ -437,14 +430,11 @@ let create ?pool () =
       live = Atomic.make 0;
       spawned = Atomic.make 0;
       completed = Atomic.make 0;
-      computing = Atomic.make 0;
       online = Atomic.make pool;
       next_tid = Atomic.make 0;
       steals = Atomic.make 0;
       steal_attempts = Atomic.make 0;
       failure = Atomic.make None;
-      tasks_mu = Mutex.create ();
-      tasks = Hashtbl.create 32;
       drain_mu = Mutex.create ();
       drain_cv = Condition.create ();
       t0 = Calibrate.now_ns ();
@@ -485,9 +475,6 @@ let spawn eng ~name body =
      match self_opt () with
      | Some p -> Hb.on_spawn ~parent:p.tid ~child:tid
      | None -> ());
-  Mutex.lock eng.tasks_mu;
-  Hashtbl.replace eng.tasks tid task;
-  Mutex.unlock eng.tasks_mu;
   schedule eng { rtask = task; exec = run_fiber task body };
   task
 
@@ -537,10 +524,7 @@ let yield_quantum_ns = 200_000
 
 let compute task n =
   if n > 0 then begin
-    let eng = task.eng in
-    Atomic.incr eng.computing;
     let dt = Calibrate.spin_ns n in
-    Atomic.decr eng.computing;
     task.busy_ns <- task.busy_ns + dt;
     task.unyielded_ns <- task.unyielded_ns + dt;
     if task.unyielded_ns >= yield_quantum_ns && in_fiber () then begin
@@ -670,14 +654,8 @@ end
 (* ------------------------------------------------------------------ *)
 
 let task_engine task = task.eng
-let task_name task = task.tname
 let task_id task = task.tid
 let task_busy_ns task = task.busy_ns
-let busy_cores eng = Atomic.get eng.computing
-
-let runnable_count eng =
-  Array.fold_left (fun acc d -> acc + Deque.size d) (Atomic.get eng.inj_len) eng.deques
-
 let online_cores eng = Atomic.get eng.online
 let live_threads eng = Atomic.get eng.live
 let spawned_threads eng = Atomic.get eng.spawned
@@ -687,11 +665,5 @@ let instant_power _ = 0.0
 let energy_joules _ = 0.0
 
 let set_online_cores eng n = Atomic.set eng.online (max 1 (min eng.pool n))
-
-let live_thread_names eng =
-  Mutex.lock eng.tasks_mu;
-  let names = Hashtbl.fold (fun _ t acc -> t.tname :: acc) eng.tasks [] in
-  Mutex.unlock eng.tasks_mu;
-  List.sort compare names
 
 let seconds_of_ns ns = float_of_int ns /. 1e9

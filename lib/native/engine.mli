@@ -90,7 +90,7 @@ val self_opt : unit -> task option
 (** {1 Monitors}
 
     The sharded replacement for the PR-4 big lock: each concurrent
-    structure (channel, lock, barrier, region control-plane) owns one
+    structure (channel, lock, region control-plane) owns one
     small monitor guarding only its own state.  [wait] is fiber-aware —
     a fiber waiter suspends and frees its domain; a system-thread waiter
     blocks on a host condition variable.  Mesa semantics: waiters re-check
@@ -123,7 +123,6 @@ module Monitor : sig
 end
 
 val task_engine : task -> t
-val task_name : task -> string
 
 val task_id : task -> int
 (** The engine-unique task id stamped into [Task_spawn]/[Task_done] and
@@ -140,14 +139,6 @@ val task_busy_ns : task -> int
 (** {1 Introspection} *)
 
 val time : t -> int
-
-val busy_cores : t -> int
-(** Tasks currently inside a [compute] spin. *)
-
-val runnable_count : t -> int
-(** Tasks sitting in the run queues (all deques plus the injection
-    queue), ready but not yet executing. *)
-
 val online_cores : t -> int
 val live_threads : t -> int
 val spawned_threads : t -> int
@@ -167,5 +158,4 @@ val set_online_cores : t -> int -> unit
     OS cores; mechanisms that model resource-availability changes only
     have real effect on the simulator. *)
 
-val live_thread_names : t -> string list
 val seconds_of_ns : int -> float

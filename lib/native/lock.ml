@@ -1,10 +1,10 @@
 (* Mutual exclusion between native tasks: a per-structure monitor (no
    shared engine lock), with the same owner bookkeeping as the
    simulator's Lock — owner identity, recursive-acquire and
-   stranger-release checks, contention counters.  The owner is the
-   *fiber* (task handle), so ownership survives a migration between
-   domains while blocked elsewhere is impossible: lock holders never
-   suspend inside acquire/release. *)
+   stranger-release checks.  The owner is the *fiber* (task handle), so
+   ownership survives a migration between domains while blocked
+   elsewhere is impossible: lock holders never suspend inside
+   acquire/release. *)
 
 module Monitor = Engine.Monitor
 module Hb = Parcae_obs.Hb
@@ -14,13 +14,11 @@ type t = {
   mon : Monitor.m;
   free : Monitor.c;
   mutable owner : Engine.task option;  (* guarded by mon *)
-  mutable acquisitions : int;  (* guarded by mon *)
-  mutable contended : int;  (* guarded by mon *)
 }
 
 let create _eng name =
   let mon = Monitor.create () in
-  { name; mon; free = Monitor.cond mon; owner = None; acquisitions = 0; contended = 0 }
+  { name; mon; free = Monitor.cond mon; owner = None }
 
 let acquire lk =
   Monitor.locked lk.mon (fun () ->
@@ -34,21 +32,12 @@ let acquire lk =
       | Some o when o == me ->
           invalid_arg (Printf.sprintf "Lock.acquire %s: recursive acquisition" lk.name)
       | _ -> ());
-      let waited = ref false in
-      let rec loop () =
-        match lk.owner with
-        | Some _ ->
-            waited := true;
-            Monitor.wait lk.free;
-            loop ()
-        | None -> ()
-      in
-      loop ();
+      while Option.is_some lk.owner do
+        Monitor.wait lk.free
+      done;
       lk.owner <- Some me;
       if Hb.enabled () then
-        Hb.on_acquire ~task:(Engine.task_id me) ~key:("lock:" ^ lk.name);
-      lk.acquisitions <- lk.acquisitions + 1;
-      if !waited then lk.contended <- lk.contended + 1)
+        Hb.on_acquire ~task:(Engine.task_id me) ~key:("lock:" ^ lk.name))
 
 let release lk =
   Monitor.locked lk.mon (fun () ->
@@ -67,6 +56,3 @@ let release lk =
 let with_lock lk f =
   acquire lk;
   Fun.protect ~finally:(fun () -> release lk) f
-
-let acquisitions lk = lk.acquisitions
-let contended lk = lk.contended

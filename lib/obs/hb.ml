@@ -3,7 +3,7 @@
    Vector clocks are sparse hashtables keyed by task id; each task also
    keeps a scalar release clock.  A task's logical clock vector is its
    table plus the implicit binding [tid -> clk].  Release-type events
-   (lock release, channel send, barrier arrival, park, spawn, completion)
+   (lock release, channel send, park, spawn, completion)
    publish that vector into a sync object and then bump the scalar, so an
    access epoch [(tid, c)] happens-before a task iff the task has acquired
    a publication with [vc(tid) >= c].
@@ -85,8 +85,9 @@ let get () = !current
 let enabled () = match !current with Some _ -> true | None -> false
 
 let with_tracker tr f =
+  let prev = !current in
   set tr;
-  Fun.protect ~finally:clear f
+  Fun.protect ~finally:(fun () -> current := prev) f
 
 let locked tr f =
   Mutex.lock tr.mu;

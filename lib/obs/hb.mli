@@ -4,7 +4,7 @@
     per IR array cell (last-write epoch plus a read set).  Backends report
     the causal events the critical-path analysis already consumes — task
     spawn/completion, channel send→recv pairs, lock acquire/release,
-    barrier arrivals, region park/resume — and the Flex interpreter
+    region park/resume — and the Flex interpreter
     reports every [load]/[store] with its IR node id.  Two accesses to the
     same cell, at least one a write, with no happens-before path between
     them constitute a race.
@@ -27,7 +27,8 @@ val get : unit -> t option
 val enabled : unit -> bool
 
 val with_tracker : t -> (unit -> 'a) -> 'a
-(** Install [t] for the duration of the callback (always uninstalls). *)
+(** Install [t] for the duration of the callback, then restore the
+    previously installed tracker (also on exception), so scopes nest. *)
 
 (** {1 Causal-event hooks} — no-ops unless a tracker is installed.
     [task] is the engine task id of the acting thread. *)
@@ -42,10 +43,10 @@ val on_join : task:int -> joined:int -> unit
 (** [task] returned from joining task [joined]. *)
 
 val on_release : task:int -> key:string -> unit
-(** Generic release: lock release, region-worker park, barrier arrival. *)
+(** Generic release: lock release, region-worker park. *)
 
 val on_acquire : task:int -> key:string -> unit
-(** Generic acquire: lock acquisition, region pause/await, barrier exit. *)
+(** Generic acquire: lock acquisition, region pause/await. *)
 
 val on_send : task:int -> chan:string -> seq:int -> unit
 (** Channel send.  [seq >= 0] snapshots the sender's clock under

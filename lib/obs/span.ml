@@ -180,8 +180,9 @@ let get () = Atomic.get cell
 let enabled () = Atomic.get cell <> None
 
 let with_collector t f =
+  let prev = Atomic.get cell in
   set t;
-  Fun.protect ~finally:clear f
+  Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
 
 let configure_slo t ~target_ns ~budget =
   t.slo_target_ns <- target_ns;

@@ -99,7 +99,8 @@ val get : unit -> t option
 val enabled : unit -> bool
 
 val with_collector : t -> (unit -> 'a) -> 'a
-(** Install [t], run [f], uninstall (also on exception). *)
+(** Install [t], run [f], then restore the previously installed collector
+    (also on exception), so scopes nest. *)
 
 val configure_slo : t -> target_ns:int -> budget:float -> unit
 (** Arm the SLO tracker: requests slower than [target_ns] consume error

@@ -10,34 +10,32 @@
    doctor and the dashboard both tolerate that).
 
    Attribution ([attribute]) is the retroactive channel: measured waits
-   (GC pauses, channel blocks, barrier parks, reconfiguration phases) are
-   *explanations* of time the live stream already recorded as Run or as
-   idle.  They are applied only at breakdown time as zero-sum transfers
-   out of donor states, clamped at what the donors hold, so the partition
-   invariant — per-lane state time sums to wall time — survives arbitrary
+   (GC pauses, channel blocks, reconfiguration phases) are *explanations*
+   of time the live stream already recorded as Run or as idle.  They are
+   applied only at breakdown time as zero-sum transfers out of donor
+   states, clamped at what the donors hold, so the partition invariant —
+   per-lane state time sums to wall time — survives arbitrary
    over-reporting by the explaining instruments. *)
 
-type state = Run | Steal_search | Park | Gc | Barrier_wait | Chan_wait | Reconfig
+type state = Run | Steal_search | Park | Gc | Chan_wait | Reconfig
 
-let n_states = 7
+let n_states = 6
 
 let state_index = function
   | Run -> 0
   | Steal_search -> 1
   | Park -> 2
   | Gc -> 3
-  | Barrier_wait -> 4
-  | Chan_wait -> 5
-  | Reconfig -> 6
+  | Chan_wait -> 4
+  | Reconfig -> 5
 
-let all_states = [ Run; Steal_search; Park; Gc; Barrier_wait; Chan_wait; Reconfig ]
+let all_states = [ Run; Steal_search; Park; Gc; Chan_wait; Reconfig ]
 
 let state_name = function
   | Run -> "run"
   | Steal_search -> "steal_search"
   | Park -> "park"
   | Gc -> "gc"
-  | Barrier_wait -> "barrier_wait"
   | Chan_wait -> "chan_wait"
   | Reconfig -> "reconfig"
 
@@ -46,7 +44,6 @@ let state_of_string = function
   | "steal_search" -> Steal_search
   | "park" -> Park
   | "gc" -> Gc
-  | "barrier_wait" -> Barrier_wait
   | "chan_wait" -> Chan_wait
   | "reconfig" -> Reconfig
   | s -> invalid_arg ("Timeline.state_of_string: " ^ s)
@@ -54,17 +51,17 @@ let state_of_string = function
 let state_of_index i = List.nth all_states i
 
 (* Donor order for attribution.  A GC pause happens inside running code,
-   so it displaces Run first.  A channel or barrier wait only ever
-   displaces idle time: while a fiber waits, its domain either ran other
-   fibers (real compute, not the wait's to claim) or idled — so waits
-   draw from Park/Steal_search only, and on a saturated lane the clamp
-   correctly reports ~zero wait even if many fibers blocked concurrently.
+   so it displaces Run first.  A channel wait only ever displaces idle
+   time: while a fiber waits, its domain either ran other fibers (real
+   compute, not the wait's to claim) or idled — so waits draw from
+   Park/Steal_search only, and on a saturated lane the clamp correctly
+   reports ~zero wait even if many fibers blocked concurrently.
    Reconfiguration is control-plane code that executes on the lane, so it
    may claim Run after the idle states.  States not listed keep what the
    live stream gave them. *)
 let donors = function
   | Gc -> [ Run; Park; Steal_search ]
-  | Chan_wait | Barrier_wait -> [ Park; Steal_search ]
+  | Chan_wait -> [ Park; Steal_search ]
   | Reconfig -> [ Park; Steal_search; Run ]
   | Run | Steal_search | Park -> []
 

@@ -15,16 +15,16 @@
       transitions partition the lane's wall time exactly: closing span [n]
       opens span [n+1] at the same instant.
     - {!attribute} — retroactive {e explanation} of time already recorded:
-      a GC pause measured by {!Runtime_ev}, a channel wait, a barrier
-      wait, a reconfiguration phase.  Attribution is a zero-sum transfer
-      in {!breakdown} — the explained nanoseconds move out of donor states
+      a GC pause measured by {!Runtime_ev}, a channel wait, a
+      reconfiguration phase.  Attribution is a zero-sum transfer in
+      {!breakdown} — the explained nanoseconds move out of donor states
       into the explaining state, clamped at what the donors actually hold
       — so per-lane shares always sum to 1 regardless of how much was
       attributed.  GC displaces [Run] first (pauses happen inside running
-      code); channel and barrier waits displace idle states only (a
-      blocked fiber's domain either ran other work or idled — the wait
-      never consumed compute), so on a saturated lane over-reported waits
-      clamp to ~zero instead of eating [Run].
+      code); channel waits displace idle states only (a blocked fiber's
+      domain either ran other work or idled — the wait never consumed
+      compute), so on a saturated lane over-reported waits clamp to ~zero
+      instead of eating [Run].
 
     Like {!Trace} and {!Metrics} there is one globally installed timeline
     ({!set}/{!get}/{!with_timeline}); emitters guard with {!enabled} so a
@@ -35,7 +35,6 @@ type state =
   | Steal_search  (** idle: sweeping victim deques / spinning for work *)
   | Park  (** idle: sleeping (exponential backoff), or a core with no thread *)
   | Gc  (** attributed: minor/major GC pause (from {!Runtime_ev}) *)
-  | Barrier_wait  (** attributed: blocked at a barrier *)
   | Chan_wait  (** attributed: blocked on an empty/full channel *)
   | Reconfig  (** attributed: executing the pause/reconfigure/resume protocol *)
 

@@ -5,34 +5,22 @@
 module Sc = Parcae_sim.Chan
 module Nc = Parcae_native.Chan
 
-type 'a t = { cname : string; repr : 'a repr }
-and 'a repr = S of 'a Sc.t | N of 'a Nc.t
+type 'a t = S of 'a Sc.t | N of 'a Nc.t
 
 let create ?capacity ?op_cost eng name =
   match Engine.sim_engine eng with
-  | Some se -> { cname = name; repr = S (Sc.create ?capacity ?op_cost se name) }
+  | Some se -> S (Sc.create ?capacity ?op_cost se name)
   | None -> (
       match Engine.native_engine eng with
-      | Some ne -> { cname = name; repr = N (Nc.create ?capacity ne name) }
+      | Some ne -> N (Nc.create ?capacity ne name)
       | None -> assert false)
 
-let name ch = ch.cname
-let length ch = match ch.repr with S c -> Sc.length c | N c -> Nc.length c
-let is_empty ch = match ch.repr with S c -> Sc.is_empty c | N c -> Nc.is_empty c
-let total_sent ch = match ch.repr with S c -> Sc.total_sent c | N c -> Nc.total_sent c
-
-let total_received ch =
-  match ch.repr with S c -> Sc.total_received c | N c -> Nc.total_received c
-
-let send ch v = match ch.repr with S c -> Sc.send c v | N c -> Nc.send c v
-let recv ch = match ch.repr with S c -> Sc.recv c | N c -> Nc.recv c
-let force_send ch v = match ch.repr with S c -> Sc.force_send c v | N c -> Nc.force_send c v
-let try_recv ch = match ch.repr with S c -> Sc.try_recv c | N c -> Nc.try_recv c
-let try_send ch v = match ch.repr with S c -> Sc.try_send c v | N c -> Nc.try_send c v
-let send_batch ch vs = match ch.repr with S c -> Sc.send_batch c vs | N c -> Nc.send_batch c vs
-
-let recv_batch ?max ch =
-  match ch.repr with S c -> Sc.recv_batch ?max c | N c -> Nc.recv_batch ?max c
-
-let filter ch keep = match ch.repr with S c -> Sc.filter c keep | N c -> Nc.filter c keep
-let drain ch = match ch.repr with S c -> Sc.drain c | N c -> Nc.drain c
+let length = function S c -> Sc.length c | N c -> Nc.length c
+let total_sent = function S c -> Sc.total_sent c | N c -> Nc.total_sent c
+let send ch v = match ch with S c -> Sc.send c v | N c -> Nc.send c v
+let recv = function S c -> Sc.recv c | N c -> Nc.recv c
+let force_send ch v = match ch with S c -> Sc.force_send c v | N c -> Nc.force_send c v
+let send_batch ch vs = match ch with S c -> Sc.send_batch c vs | N c -> Nc.send_batch c vs
+let recv_batch ?max = function S c -> Sc.recv_batch ?max c | N c -> Nc.recv_batch ?max c
+let filter ch keep = match ch with S c -> Sc.filter c keep | N c -> Nc.filter c keep
+let drain = function S c -> Sc.drain c | N c -> Nc.drain c

@@ -13,16 +13,11 @@ val create : ?capacity:int -> ?op_cost:int -> Engine.t -> string -> 'a t
     it.  [op_cost] overrides the sim machine's per-operation cost and is
     ignored on native (real costs are measured, not modelled). *)
 
-val name : 'a t -> string
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val total_sent : 'a t -> int
-val total_received : 'a t -> int
 val send : 'a t -> 'a -> unit
 val recv : 'a t -> 'a
 val force_send : 'a t -> 'a -> unit
-val try_recv : 'a t -> 'a option
-val try_send : 'a t -> 'a -> bool
 
 val send_batch : 'a t -> 'a list -> unit
 (** Amortized communication: one [chan_op] charge (sim) or one monitor

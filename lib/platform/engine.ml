@@ -26,7 +26,6 @@ exception Thread_failure of string * exn
 
 let create m = S (Sim.create m)
 let create_native ?pool () = N (Nat.create ?pool ())
-let backend = function S _ -> "sim" | N _ -> "native"
 let is_native = function S _ -> false | N _ -> true
 let sim_engine = function S e -> Some e | N _ -> None
 let native_engine = function S _ -> None | N e -> Some e
@@ -95,14 +94,6 @@ let spawn_thread ~name body =
   | Some task -> Nt (Nat.spawn (Nat.task_engine task) ~name body)
   | None -> St (Sim.spawn_thread ~name body)
 
-let self () =
-  match Nat.self_opt () with Some task -> Nt task | None -> St (Sim.self ())
-
-let self_busy_ns () =
-  match Nat.self_opt () with
-  | Some task -> Nat.task_busy_ns task
-  | None -> (Sim.self ()).Sim.busy_ns
-
 (* Deferred cost accounting: on the simulator the cost accumulates on the
    calling thread and folds into a later burst (bounded skew); on native
    virtual costs are real spins, so charge immediately. *)
@@ -119,8 +110,8 @@ let compute_in eng n =
   | S e -> Sim.compute_in e n
   | N _ -> ( match Nat.self_opt () with Some task -> Nat.compute task n | None -> ())
 
-(* Busy time of the calling context, without the [Self] effect the
-   ambient [self_busy_ns] pays on the simulator. *)
+(* Busy time of the calling context, read from the engine's current turn
+   rather than through a [Self] effect. *)
 let busy_ns_in eng =
   match eng with
   | S e -> Sim.current_busy e
@@ -148,14 +139,8 @@ let current_task_id () =
   | Some task -> Some (Nat.task_id task)
   | None -> ( match Sim.self () with th -> Some th.Sim.tid | exception _ -> None)
 
-let engine () =
-  match Nat.self_opt () with
-  | Some task -> N (Nat.task_engine task)
-  | None -> S (Sim.engine ())
-
 let monitor_create = function S _ -> Sm | N _ -> Nm (Nat.Monitor.create ())
 let locked m f = match m with Sm -> f () | Nm m -> Nat.Monitor.locked m f
-let monitor_held = function Sm -> true | Nm m -> Nat.Monitor.held m
 
 let cond_in = function
   | Sm -> Sc (Sim.cond_create ())
@@ -171,7 +156,6 @@ let wait_on = function
       if Nat.Monitor.held m then Nat.Monitor.wait c
       else Nat.Monitor.locked m (fun () -> Nat.Monitor.wait c)
 
-let signal = function Sc c -> Sim.signal c | Nc c -> Nat.Monitor.signal c
 let broadcast = function Sc c -> Sim.broadcast c | Nc c -> Nat.Monitor.broadcast c
 let join th =
   let joined_tid = match th with St th -> th.Sim.tid | Nt task -> Nat.task_id task in
@@ -183,15 +167,7 @@ let join th =
     | Some me -> Parcae_obs.Hb.on_join ~task:me ~joined:joined_tid
     | None -> ()
 
-let cond_create = function
-  | S _ -> Sc (Sim.cond_create ())
-  | N _ -> Nc (Nat.Monitor.cond (Nat.Monitor.create ()))
-
-let thread_name = function St th -> th.Sim.tname | Nt task -> Nat.task_name task
-let thread_busy_ns = function St th -> th.Sim.busy_ns | Nt task -> Nat.task_busy_ns task
 let time = function S e -> Sim.time e | N e -> Nat.time e
-let busy_cores = function S e -> Sim.busy_cores e | N e -> Nat.busy_cores e
-let runnable_count = function S e -> Sim.runnable_count e | N e -> Nat.runnable_count e
 let online_cores = function S e -> Sim.online_cores e | N e -> Nat.online_cores e
 let live_threads = function S e -> Sim.live_threads e | N e -> Nat.live_threads e
 let spawned_threads = function S e -> Sim.spawned_threads e | N e -> Nat.spawned_threads e
@@ -202,9 +178,5 @@ let set_online_cores t n =
   match t with S e -> Sim.set_online_cores e n | N e -> Nat.set_online_cores e n
 
 let hook_cost = function S e -> (Sim.machine e).Machine.hook | N _ -> 0
-
-let live_thread_names = function
-  | S e -> Sim.live_thread_names e
-  | N e -> Nat.live_thread_names e
 
 let seconds_of_ns = Sim.seconds_of_ns

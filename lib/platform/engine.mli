@@ -9,10 +9,15 @@
     Engines, threads and conditions are tagged values, so operations that
     receive one dispatch directly.  The ambient operations ({!compute},
     {!now}, {!yield}, ...) have no argument to dispatch on; they resolve
-    the calling context through the native backend's thread registry — an
-    O(1) atomic check when no native task is live — and otherwise fall
-    through to the simulator's effect handlers.  Sim behaviour is
-    therefore bit-identical to calling {!Parcae_sim.Engine} directly. *)
+    the calling context through the native backend's domain-local worker
+    slot — an O(1) lookup that answers [None] on any non-pool domain —
+    and otherwise fall through to the simulator's effect handlers.  Sim
+    behaviour is therefore bit-identical to calling {!Parcae_sim.Engine}
+    directly.
+
+    These dispatch modules are the whole backend contract: each operation
+    calls both backends, so a backend that drifts fails to compile.  An
+    operation is added here when a caller needs it. *)
 
 type t
 type thread
@@ -32,9 +37,6 @@ val create : Parcae_sim.Machine.t -> t
 val create_native : ?pool:int -> unit -> t
 (** A native engine over [pool] OCaml 5 domains (default: the host's
     recommended domain count minus one, at least 1). *)
-
-val backend : t -> string
-(** ["sim"] or ["native"] — used as a metrics label. *)
 
 val is_native : t -> bool
 
@@ -67,11 +69,6 @@ val yield : unit -> unit
 val sleep : int -> unit
 val sleep_until : int -> unit
 val spawn_thread : name:string -> (unit -> unit) -> thread
-val self : unit -> thread
-
-val self_busy_ns : unit -> int
-(** Total CPU consumed by the calling thread — virtual ns on sim, measured
-    spin ns on native.  What Decima's begin/end hooks read. *)
 
 val charge : t -> int -> unit
 (** Consume [n] ns of CPU with deferred accounting on the simulator: the
@@ -88,12 +85,9 @@ val compute_in : t -> int -> unit
     stage bursts use this. *)
 
 val busy_ns_in : t -> int
-(** {!self_busy_ns} for the calling thread of [eng], without the [Self]
-    effect the ambient read pays on the simulator; includes any cost
-    deferred by {!charge}.  Hot monitor hooks use this. *)
-
-val engine : unit -> t
-(** The engine of the calling thread. *)
+(** Total CPU consumed by the calling thread of [eng] — virtual ns on sim,
+    including any cost deferred by {!charge}; measured spin ns on native.
+    What Decima's begin/end hooks read. *)
 
 val current_lane : unit -> int option
 (** The timeline lane of the calling context: the worker-domain index on
@@ -117,7 +111,6 @@ val current_task_id : unit -> int option
 
 val monitor_create : t -> monitor
 val locked : monitor -> (unit -> 'a) -> 'a
-val monitor_held : monitor -> bool
 
 val cond_in : monitor -> cond
 (** A condition tied to [monitor]: check-then-wait protocols hold the
@@ -131,23 +124,12 @@ val wait_on : cond -> unit
     the monitor first when the caller does not already hold it.  Mesa
     semantics on both backends: re-check the predicate in a loop. *)
 
-val signal : cond -> unit
 val broadcast : cond -> unit
 val join : thread -> unit
-
-val cond_create : t -> cond
-(** A condition on a fresh private monitor (native) or a plain
-    cooperative condition (sim).  Prefer {!cond_in} when the waiter's
-    predicate involves shared state. *)
-
-val thread_name : thread -> string
-val thread_busy_ns : thread -> int
 
 (** {1 Introspection} *)
 
 val time : t -> int
-val busy_cores : t -> int
-val runnable_count : t -> int
 val online_cores : t -> int
 val live_threads : t -> int
 val spawned_threads : t -> int
@@ -162,5 +144,4 @@ val hook_cost : t -> int
 (** Virtual cost of one Decima begin/end hook: the machine's [hook] on
     sim, 0 on native (the real hook cost is measured, not modelled). *)
 
-val live_thread_names : t -> string list
 val seconds_of_ns : int -> float

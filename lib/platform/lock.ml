@@ -8,8 +8,4 @@ let create ?op_cost eng name =
   | None -> S (Sl.create ?op_cost name)
   | Some ne -> N (Nl.create ne name)
 
-let acquire = function S l -> Sl.acquire l | N l -> Nl.acquire l
-let release = function S l -> Sl.release l | N l -> Nl.release l
 let with_lock t f = match t with S l -> Sl.with_lock l f | N l -> Nl.with_lock l f
-let acquisitions = function S l -> Sl.acquisitions l | N l -> Nl.acquisitions l
-let contended = function S l -> Sl.contended l | N l -> Nl.contended l

@@ -7,8 +7,5 @@ type t
 val create : ?op_cost:int -> Engine.t -> string -> t
 (** [op_cost] overrides the sim machine's lock cost; ignored on native. *)
 
-val acquire : t -> unit
-val release : t -> unit
 val with_lock : t -> (unit -> 'a) -> 'a
-val acquisitions : t -> int
-val contended : t -> int
+(** Run the function holding the lock; releases even on exception. *)

@@ -3,13 +3,14 @@
    Morta owns the worker threads of every region.  Each worker runs the
    task-instance loop of Algorithm 2: invoke the task functor; on
    [task_iterating] count the instance and continue; on [task_paused] or
-   [task_complete] run the task's fini callback, wait for the region's other
-   workers at a barrier, and exit.  Reconfiguration (Section 6.2) pauses the
-   region at a consistent state, applies a new configuration — possibly a
-   different parallelization scheme — and relaunches workers. *)
+   [task_complete] run the task's fini callback, park, and exit.  Parking
+   decrements the region's active-worker count under the region monitor;
+   the last worker out broadcasts [parked], which a pause waits on.
+   Reconfiguration (Section 6.2) pauses the region at a consistent state,
+   applies a new configuration — possibly a different parallelization
+   scheme — and relaunches workers. *)
 
 module Engine = Parcae_platform.Engine
-module Barrier = Parcae_platform.Barrier
 module Config = Parcae_core.Config
 module Task = Parcae_core.Task
 module Task_status = Parcae_core.Task_status

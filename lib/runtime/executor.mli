@@ -2,10 +2,11 @@
 
     Each worker runs the task-instance loop of Algorithm 2: invoke the
     functor; on [task_iterating] count the instance and continue; on
-    [task_paused]/[task_complete] run the fini callback, wait for the
-    region's other workers at a barrier, and exit.  Reconfiguration pauses
-    the region at a consistent state, applies a new configuration —
-    possibly a different parallelization scheme — and relaunches. *)
+    [task_paused]/[task_complete] run the fini callback, park (a count
+    under the region monitor that a pause waits out), and exit.
+    Reconfiguration pauses the region at a consistent state, applies a new
+    configuration — possibly a different parallelization scheme — and
+    relaunches. *)
 
 val run_subregion :
   Parcae_platform.Engine.t -> Parcae_core.Task.par_descriptor -> Parcae_core.Config.t -> unit

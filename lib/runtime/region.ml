@@ -8,7 +8,6 @@
    emits, Section 3.2); [config.choice] selects among them. *)
 
 module Engine = Parcae_platform.Engine
-module Barrier = Parcae_platform.Barrier
 module Config = Parcae_core.Config
 module Task = Parcae_core.Task
 module Trace = Parcae_obs.Trace

@@ -36,7 +36,7 @@ type 'a t = {
   nonfull : Engine.cond;
   op_cost : int;  (* resolved against the machine at creation *)
   mutable total_sent : int;
-  mutable total_received : int;
+  mutable total_received : int;  (* receive sequence number *)
   mutable mx : (Metrics.t * chan_metrics) option;
 }
 
@@ -147,9 +147,7 @@ let emit_recv ch seq =
   end
 
 let length ch = Ring.length ch.q
-let is_empty ch = Ring.is_empty ch.q
 let total_sent ch = ch.total_sent
-let total_received ch = ch.total_received
 
 (* The blocking operations share a discipline: the op cost is computed
    immediately ([compute_in]) — a channel operation is a synchronization
@@ -270,43 +268,6 @@ let force_send ch v =
   end;
   emit_send ch seq;
   Engine.signal ch.nonempty
-
-(* Non-blocking receive. *)
-let try_recv ch =
-  match Ring.pop_opt ch.q with
-  | Some v ->
-      Engine.charge ch.eng ch.op_cost;
-      let seq = ch.total_received in
-      ch.total_received <- seq + 1;
-      hb_recv ch seq;
-      if Metrics.enabled () then begin
-        let h = handles ch in
-        Metrics.inc h.cm_recvs;
-        Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q))
-      end;
-      emit_recv ch seq;
-      Engine.signal ch.nonfull;
-      Some v
-  | None -> None
-
-(* Non-blocking send; [false] if the channel is full. *)
-let try_send ch v =
-  if ch.capacity > 0 && Ring.length ch.q >= ch.capacity then false
-  else begin
-    Engine.compute_in ch.eng ch.op_cost;
-    let seq = ch.total_sent in
-    Ring.push ch.q v;
-    ch.total_sent <- seq + 1;
-    hb_send ch seq;
-    if Metrics.enabled () then begin
-      let h = handles ch in
-      Metrics.inc h.cm_sends;
-      Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q))
-    end;
-    emit_send ch seq;
-    Engine.signal ch.nonempty;
-    true
-  end
 
 (* Enqueue a whole batch for a single [chan_op] charge — the amortized
    communication of Section 2.3.  Blocks (after the charge) whenever the

@@ -18,10 +18,7 @@ val create : ?capacity:int -> ?op_cost:int -> Engine.t -> string -> 'a t
     pay an effect suspension. *)
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
-
 val total_sent : 'a t -> int
-val total_received : 'a t -> int
 
 val send : 'a t -> 'a -> unit
 (** Enqueue, blocking while the channel is at capacity.  Must be called
@@ -34,12 +31,6 @@ val force_send : 'a t -> 'a -> unit
 (** Enqueue regardless of capacity.  Control sentinels use this: a lane
     re-enqueueing a sentinel it just consumed must never block, or the
     pause/flush protocol could deadlock on a full channel. *)
-
-val try_recv : 'a t -> 'a option
-(** Non-blocking receive. *)
-
-val try_send : 'a t -> 'a -> bool
-(** Non-blocking send; [false] if the channel is full. *)
 
 val send_batch : 'a t -> 'a list -> unit
 (** Enqueue the whole batch for a single [chan_op] charge (amortized

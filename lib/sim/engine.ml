@@ -107,7 +107,6 @@ let kont_nil : Obj.t = Obj.repr 0
 
 type t = {
   machine : Machine.t;
-  mutable all_threads : thread list;  (* every thread ever spawned *)
   events : event Pqueue.t;
   mutable now : time;
   run_queue : thread Ring.t;
@@ -182,7 +181,6 @@ exception Thread_failure of string * exn
 let create machine =
   {
     machine;
-    all_threads = [];
     events = Pqueue.create ();
     now = 0;
     run_queue = Ring.create ();
@@ -523,7 +521,6 @@ and spawn eng ~name body : thread =
     Metrics.inc m.m_spawned;
     Metrics.set_gauge m.m_live_threads (float_of_int eng.live)
   end;
-  eng.all_threads <- th :: eng.all_threads;
   if Trace.enabled () then begin
     let parent = match eng.current with Some p -> p.tid | None -> -1 in
     Trace.emit ~t:eng.now (Event.Task_spawn { task = th.tid; parent; name })
@@ -607,11 +604,6 @@ let run ?until eng =
 (* ------------------------------------------------------------------ *)
 
 let time eng = eng.now
-let busy_cores eng = eng.busy
-
-(* Threads ready to run but not on a core; together with [busy_cores] this
-   measures oversubscription pressure. *)
-let runnable_count eng = Ring.length eng.run_queue
 let online_cores eng = eng.online
 let live_threads eng = eng.live
 let spawned_threads eng = eng.spawned
@@ -641,20 +633,3 @@ let machine eng = eng.machine
 
 (* Convert virtual ns to seconds for reporting. *)
 let seconds_of_ns ns = float_of_int ns *. 1e-9
-
-(* Names and states of the threads still alive — the diagnostic of choice
-   for a simulation that fails to drain. *)
-let live_thread_names eng =
-  List.filter_map
-    (fun th ->
-      if th.state = Finished then None
-      else
-        Some
-          (Printf.sprintf "%s[%s]" th.tname
-             (match th.state with
-             | Created -> "created"
-             | Runnable -> "runnable"
-             | Running -> "running"
-             | Blocked -> "blocked"
-             | Finished -> "finished")))
-    eng.all_threads

@@ -146,12 +146,6 @@ val cond_create : unit -> cond
 (** {1 Introspection} *)
 
 val time : t -> time
-val busy_cores : t -> int
-
-val runnable_count : t -> int
-(** Threads ready to run but not on a core; together with {!busy_cores}
-    this measures oversubscription pressure. *)
-
 val online_cores : t -> int
 val live_threads : t -> int
 val spawned_threads : t -> int
@@ -171,7 +165,3 @@ val machine : t -> Machine.t
 
 val seconds_of_ns : int -> float
 (** Convert virtual ns to seconds for reporting. *)
-
-val live_thread_names : t -> string list
-(** Names and states of the threads still alive — the diagnostic of choice
-    for a simulation that fails to drain. *)

@@ -19,21 +19,11 @@ type t = {
   mutable held_by : Engine.thread option;
   available : Engine.cond;
   op_cost : int;
-  mutable acquisitions : int;
-  mutable contended : int;  (* acquisitions that had to wait *)
   mutable mx : (Metrics.t * lock_metrics) option;
 }
 
 let create ?(op_cost = -1) name =
-  {
-    name;
-    held_by = None;
-    available = Engine.cond_create ();
-    op_cost;
-    acquisitions = 0;
-    contended = 0;
-    mx = None;
-  }
+  { name; held_by = None; available = Engine.cond_create (); op_cost; mx = None }
 
 let handles l =
   let reg = Metrics.current () in
@@ -66,10 +56,7 @@ let acquire l =
   let t0 = if Metrics.enabled () then Engine.now () else 0 in
   let rec loop () =
     match l.held_by with
-    | None ->
-        l.held_by <- Some me;
-        l.acquisitions <- l.acquisitions + 1;
-        if !waited then l.contended <- l.contended + 1
+    | None -> l.held_by <- Some me
     | Some owner when owner == me -> invalid_arg (l.name ^ ": recursive acquire")
     | Some _ ->
         waited := true;
@@ -108,6 +95,3 @@ let with_lock l f =
   | exception e ->
       release l;
       raise e
-
-let acquisitions l = l.acquisitions
-let contended l = l.contended

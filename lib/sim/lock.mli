@@ -19,9 +19,3 @@ val release : t -> unit
 val with_lock : t -> (unit -> 'a) -> 'a
 (** Run the function with the lock held; always releases, even on
     exception. *)
-
-val acquisitions : t -> int
-(** Total successful acquisitions. *)
-
-val contended : t -> int
-(** Acquisitions that had to wait. *)

@@ -9,7 +9,6 @@ open Parcae_sim
 module Engine = Parcae_platform.Engine
 module Chan = Parcae_platform.Chan
 module Lock = Parcae_platform.Lock
-module Barrier = Parcae_platform.Barrier
 open Parcae_nona
 module R = Parcae_runtime
 

@@ -104,6 +104,16 @@ let test_hb_write_reset () =
       Hb.on_access ~task:2 ~arr:"a" ~idx:0 ~node:3 ~write:false);
   check_int "reader races only with the latest write" 1 (Hb.race_count tr)
 
+(* An inner tracker scope restores the outer tracker on exit. *)
+let test_hb_nested_trackers () =
+  let outer = Hb.create () and inner = Hb.create () in
+  let installed t = match Hb.get () with Some c -> c == t | None -> false in
+  Hb.with_tracker outer (fun () ->
+      Hb.with_tracker inner (fun () ->
+          check_bool "inner installed" true (installed inner));
+      check_bool "outer restored" true (installed outer));
+  check_bool "nothing installed after the outer scope" false (Hb.enabled ())
+
 (* ------------------------- builder locs (satellite) ------------------- *)
 
 (* Every node the builder emits carries a source location, synthetic
@@ -270,6 +280,7 @@ let suite =
     Alcotest.test_case "hb: cumulative channel clock" `Quick test_hb_cumulative_channel;
     Alcotest.test_case "hb: lock and join edges" `Quick test_hb_lock_and_join;
     Alcotest.test_case "hb: write resets read set" `Quick test_hb_write_reset;
+    Alcotest.test_case "hb: tracker scopes nest" `Quick test_hb_nested_trackers;
     Alcotest.test_case "builder: every node has a loc" `Quick test_builder_locs;
     Alcotest.test_case "clean kernels sanitize clean" `Slow test_clean_kernels;
     Alcotest.test_case "sanitizer counters registered" `Quick test_sanitizer_counters;

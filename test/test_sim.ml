@@ -1,6 +1,6 @@
 (* Tests for the discrete-event multicore simulator: clock behaviour,
-   scheduling and preemption, channels, locks, barriers, power accounting,
-   and determinism. *)
+   scheduling and preemption, channels, locks, power accounting, thread
+   retention and determinism. *)
 
 open Parcae_sim
 
@@ -96,6 +96,29 @@ let test_spawn_from_thread_and_join () =
   ignore (Engine.run eng);
   check_int "parent observed child" 43 !result
 
+(* Finished threads must not stay reachable from their engine: a serving
+   run spawns several threads per request, so per-thread retention grows
+   the heap with the request count. *)
+let test_spawn_join_retains_nothing () =
+  let retained n =
+    let eng = Engine.create (exact_machine ()) in
+    let _ =
+      Engine.spawn eng ~name:"parent" (fun () ->
+          for _ = 1 to n do
+            Engine.join (Engine.spawn_thread ~name:"child" (fun () -> Engine.compute 10))
+          done)
+    in
+    ignore (Engine.run eng);
+    Gc.full_major ();
+    Obj.reachable_words (Obj.repr eng)
+  in
+  let small = retained 1_000 in
+  let large = retained 20_000 in
+  check_bool
+    (Printf.sprintf "retained words independent of spawn count (%d vs %d)" small large)
+    true
+    (abs (large - small) < 1_000)
+
 let test_cond_signal_wakes_fifo () =
   let eng = Engine.create (exact_machine ()) in
   let order = ref [] in
@@ -174,19 +197,6 @@ let test_chan_capacity_blocks_sender () =
   ignore (Engine.run eng);
   check_bool "third send blocked on capacity" true (!sent_all_at >= 5000)
 
-let test_chan_try_ops () =
-  let eng = Engine.create (exact_machine ()) in
-  let ch = Chan.create ~capacity:1 eng "c" in
-  let _ =
-    Engine.spawn eng ~name:"t" (fun () ->
-        Alcotest.(check (option int)) "empty try_recv" None (Chan.try_recv ch);
-        check_bool "try_send ok" true (Chan.try_send ch 1);
-        check_bool "try_send full" false (Chan.try_send ch 2);
-        Alcotest.(check (option int)) "try_recv" (Some 1) (Chan.try_recv ch))
-  in
-  ignore (Engine.run eng);
-  ()
-
 let test_chan_drain () =
   let eng = Engine.create (exact_machine ()) in
   let ch = Chan.create eng "c" in
@@ -223,39 +233,6 @@ let test_lock_mutual_exclusion () =
   ignore (Engine.run eng);
   check_int "all increments" 200 !counter;
   check_int "never two inside" 1 !max_inside
-
-let test_barrier () =
-  let eng = Engine.create (exact_machine ~cores:4 ()) in
-  let b = Barrier.create ~parties:3 "b" in
-  let after = ref [] in
-  for i = 1 to 3 do
-    ignore
-      (Engine.spawn eng
-         ~name:(Printf.sprintf "w%d" i)
-         (fun () ->
-           Engine.compute (i * 1000);
-           ignore (Barrier.wait b);
-           after := Engine.now () :: !after))
-  done;
-  ignore (Engine.run eng);
-  List.iter (fun t -> check_int "released together at slowest" 3000 t) !after
-
-let test_barrier_reusable () =
-  let eng = Engine.create (exact_machine ~cores:2 ()) in
-  let b = Barrier.create ~parties:2 "b" in
-  let rounds = ref 0 in
-  for i = 1 to 2 do
-    ignore
-      (Engine.spawn eng
-         ~name:(Printf.sprintf "w%d" i)
-         (fun () ->
-           for _ = 1 to 3 do
-             Engine.compute 100;
-             if Barrier.wait b then incr rounds
-           done))
-  done;
-  ignore (Engine.run eng);
-  check_int "three rounds, one serial thread each" 3 !rounds
 
 let test_energy_accounting () =
   (* One core busy for 1 second of virtual time on the test machine:
@@ -364,15 +341,13 @@ let suite =
     Alcotest.test_case "engine: preemption" `Quick test_preemption_interleaves;
     Alcotest.test_case "engine: sleep" `Quick test_sleep;
     Alcotest.test_case "engine: spawn/join" `Quick test_spawn_from_thread_and_join;
+    Alcotest.test_case "engine: spawn/join retains nothing" `Quick test_spawn_join_retains_nothing;
     Alcotest.test_case "engine: cond FIFO" `Quick test_cond_signal_wakes_fifo;
     Alcotest.test_case "chan: fifo" `Quick test_chan_fifo;
     Alcotest.test_case "chan: blocking recv" `Quick test_chan_blocking_recv;
     Alcotest.test_case "chan: capacity" `Quick test_chan_capacity_blocks_sender;
-    Alcotest.test_case "chan: try ops" `Quick test_chan_try_ops;
     Alcotest.test_case "chan: drain" `Quick test_chan_drain;
     Alcotest.test_case "lock: mutual exclusion" `Quick test_lock_mutual_exclusion;
-    Alcotest.test_case "barrier: releases together" `Quick test_barrier;
-    Alcotest.test_case "barrier: reusable" `Quick test_barrier_reusable;
     Alcotest.test_case "power: energy accounting" `Quick test_energy_accounting;
     Alcotest.test_case "power: sensor sampling" `Quick test_power_sensor_sampling;
     Alcotest.test_case "engine: set_online_cores" `Quick test_set_online_cores;

@@ -262,6 +262,17 @@ let test_null_span_inert () =
         (sp.Span.s_queue_ns + sp.Span.s_chan_ns + sp.Span.s_compute_ns);
       check_bool "null span stays closed" false sp.Span.s_open)
 
+(* ---- collector scopes nest ---- *)
+
+let test_nested_collectors () =
+  let outer = Span.create () and inner = Span.create () in
+  let installed t = match Span.get () with Some c -> c == t | None -> false in
+  Span.with_collector outer (fun () ->
+      Span.with_collector inner (fun () ->
+          check_bool "inner installed" true (installed inner));
+      check_bool "outer restored" true (installed outer));
+  check_bool "nothing installed after the outer scope" false (Span.enabled ())
+
 (* ---- ring overflow never corrupts the quantiles ---- *)
 
 let test_overflow_keeps_quantiles () =
@@ -419,6 +430,7 @@ let suite =
     Alcotest.test_case "span: exactly-once with pooled reuse" `Quick test_exactly_once_reuse;
     Alcotest.test_case "span: null span is inert under a collector" `Quick
       test_null_span_inert;
+    Alcotest.test_case "span: collector scopes nest" `Quick test_nested_collectors;
     Alcotest.test_case "span: ring overflow keeps quantiles exact" `Quick
       test_overflow_keeps_quantiles;
     Alcotest.test_case "httpd: golden responses" `Quick test_http_endpoint_golden;
