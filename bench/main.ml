@@ -5,7 +5,9 @@
    Usage:
      dune exec bench/main.exe            # run everything
      dune exec bench/main.exe fig8_1 ... # run selected experiments
-     dune exec bench/main.exe --list     # list experiment names *)
+     dune exec bench/main.exe --list     # list experiment names
+
+   An unknown experiment name exits 2 before anything runs. *)
 
 let experiments =
   [
@@ -26,7 +28,6 @@ let experiments =
     ("tab_platforms", "controller speedups on both Table 8.1 platforms", Exp_nona.tab_platforms);
     ("tab7_ablation", "Chapter 7 overhead-optimization ablations", Exp_nona.tab7_ablation);
     ("microbench", "host-time micro-benchmarks of runtime primitives", Microbench.run);
-    ("bechamel", "alias of microbench (historical name)", Microbench.run);
     ("allocs", "minor words per request on the serve path -> BENCH_alloc.json", Exp_allocs.run);
     ("native_speedup", "native-backend pipeline wall-clock speedup vs DoP", Exp_native.native_speedup);
     ("headline", "headline simulated numbers -> BENCH_sim.json", Exp_native.sim_headline);
@@ -40,20 +41,23 @@ let () =
   | [] ->
       List.iter
         (fun (name, desc, f) ->
-          (* "bechamel" is an alias of "microbench"; don't run it twice. *)
-          if name <> "bechamel" then begin
-            Printf.printf "\n### %s | %s\n\n%!" name desc;
-            let t0 = Sys.time () in
-            f ();
-            Printf.printf "[%s finished in %.1fs cpu]\n%!" name (Sys.time () -. t0)
-          end)
+          Printf.printf "\n### %s | %s\n\n%!" name desc;
+          let t0 = Sys.time () in
+          f ();
+          Printf.printf "[%s finished in %.1fs cpu]\n%!" name (Sys.time () -. t0))
         experiments
   | names ->
+      let find n = List.find_opt (fun (name, _, _) -> name = n) experiments in
       List.iter
         (fun n ->
-          match List.find_opt (fun (name, _, _) -> name = n) experiments with
-          | Some (name, desc, f) ->
-              Printf.printf "\n### %s | %s\n\n%!" name desc;
-              f ()
-          | None -> Printf.eprintf "unknown experiment %S (try --list)\n" n)
+          if Option.is_none (find n) then begin
+            Printf.eprintf "unknown experiment %S (try --list)\n" n;
+            exit 2
+          end)
+        names;
+      List.iter
+        (fun n ->
+          let name, desc, f = Option.get (find n) in
+          Printf.printf "\n### %s | %s\n\n%!" name desc;
+          f ())
         names

@@ -35,32 +35,38 @@ module Obs = Parcae_obs
 (* Shared argument definitions.                                        *)
 (* ------------------------------------------------------------------ *)
 
-let machine_of = function
-  | "xeon24" -> Machine.xeon_x7460
-  | "xeon8" -> Machine.xeon_e5310
-  | s -> failwith ("unknown machine " ^ s ^ " (xeon24 | xeon8)")
+(* Name-keyed tables back the enumerated arguments: cmdliner rejects an
+   unknown name as a usage error (exit 124) before any command runs, so
+   the lookups below cannot miss. *)
+let names table = List.map (fun (n, _) -> (n, n)) table
 
 let machine_arg =
   let doc = "Simulated platform: xeon24 (Intel Xeon X7460) or xeon8 (Intel Xeon E5310)." in
-  Arg.(value & opt string "xeon24" & info [ "machine" ] ~docv:"MACHINE" ~doc)
+  let machines = [ ("xeon24", Machine.xeon_x7460); ("xeon8", Machine.xeon_e5310) ] in
+  Arg.(
+    value & opt (enum machines) Machine.xeon_x7460 & info [ "machine" ] ~docv:"MACHINE" ~doc)
 
-let backend_arg =
+(* The execution backend, with --pool folded into the native case. *)
+let backend_arg : Experiments.backend Term.t =
   let doc =
     "Execution backend: sim (the deterministic simulator with $(b,--machine)'s cost \
      model) or native (OCaml 5 domains on the host's real cores; $(b,--machine) then \
      only sizes budgets)."
   in
-  Arg.(value & opt string "sim" & info [ "backend" ] ~docv:"BACKEND" ~doc)
-
-let pool_arg =
-  let doc = "Domain-pool size for the native backend (default: host cores - 1)." in
-  Arg.(value & opt (some int) None & info [ "pool" ] ~docv:"N" ~doc)
-
-let backend_of name pool : Experiments.backend =
-  match name with
-  | "sim" -> `Sim
-  | "native" -> `Native pool
-  | s -> failwith ("unknown backend " ^ s ^ " (sim | native)")
+  let backend =
+    Arg.(
+      value
+      & opt (enum [ ("sim", `Sim); ("native", `Native) ]) `Sim
+      & info [ "backend" ] ~docv:"BACKEND" ~doc)
+  in
+  let pool =
+    let doc = "Domain-pool size for the native backend (default: host cores - 1)." in
+    Arg.(value & opt (some int) None & info [ "pool" ] ~docv:"N" ~doc)
+  in
+  Term.(
+    const (fun backend pool -> match backend with `Sim -> `Sim | `Native -> `Native pool)
+    $ backend
+    $ pool)
 
 let seed_arg =
   let doc = "Random seed for the load generator." in
@@ -70,14 +76,6 @@ let budget_arg =
   let doc = "Thread budget for the region (defaults to the machine's cores)." in
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N" ~doc)
 
-let app_arg =
-  let doc = "Application: x264, swaptions, bzip, gimp, ferret, dedup." in
-  Arg.(value & opt string "x264" & info [ "a"; "app" ] ~docv:"APP" ~doc)
-
-let mech_arg =
-  let doc = "Mechanism: static, wqt-h, wq-linear, tbf, tb, fdp, seda, tpc." in
-  Arg.(value & opt string "static" & info [ "m"; "mechanism" ] ~docv:"MECH" ~doc)
-
 let load_arg =
   let doc = "Load factor (arrival rate / max sustainable throughput)." in
   Arg.(value & opt float 0.8 & info [ "l"; "load" ] ~docv:"LOAD" ~doc)
@@ -86,23 +84,33 @@ let requests_arg =
   let doc = "Number of requests to process." in
   Arg.(value & opt int 500 & info [ "n"; "requests" ] ~docv:"N" ~doc)
 
-let kernel_arg =
-  let doc =
-    "IR kernel: blackscholes, crc32, url, kmeans, histogram, montecarlo, stringsearch, \
-     recurrence, adaptive."
-  in
-  Arg.(value & opt string "blackscholes" & info [ "k"; "kernel" ] ~docv:"KERNEL" ~doc)
-
 let file_arg =
   let doc = "Parse the loop from a .loop source file instead of a built-in kernel." in
   Arg.(value & opt (some file) None & info [ "f"; "file" ] ~docv:"FILE" ~doc)
 
-let trace_arg =
-  let doc =
-    "Record a runtime event trace and write it to $(docv) in Chrome trace_event JSON \
-     (load it in Perfetto or chrome://tracing)."
+(* An optional output file.  The path is opened (and truncated) while the
+   arguments are evaluated, so an unwritable path fails in one line with
+   exit 1 before the run, not with an uncaught exception after it. *)
+let out_file_arg long ~doc =
+  let writable = function
+    | Some path as out -> (
+        match open_out path with
+        | oc ->
+            close_out oc;
+            out
+        | exception Sys_error m ->
+            prerr_endline ("parcae_demo: cannot write --" ^ long ^ ": " ^ m);
+            exit 1)
+    | None -> None
   in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+  let path = Arg.(value & opt (some string) None & info [ long ] ~docv:"FILE" ~doc) in
+  Term.(const writable $ path)
+
+let trace_arg =
+  out_file_arg "trace"
+    ~doc:
+      "Record a runtime event trace and write it to $(docv) in Chrome trace_event JSON \
+       (load it in Perfetto or chrome://tracing)."
 
 (* Run [f] with tracing directed at a fresh sink, then export the trace as
    a Chrome trace_event file and report the oracle's verdict on it. *)
@@ -132,12 +140,11 @@ let with_trace ?require_flush ?check_budget path f =
       result
 
 let flight_out_arg =
-  let doc =
-    "Record the controller flight log — one JSONL decision per controller/daemon/morta \
-     epoch plus reconfiguration overhead entries — to $(docv).  Inspect it with \
-     $(b,parcae_demo explain)."
-  in
-  Arg.(value & opt (some string) None & info [ "flight-out" ] ~docv:"FILE" ~doc)
+  out_file_arg "flight-out"
+    ~doc:
+      "Record the controller flight log — one JSONL decision per controller/daemon/morta \
+       epoch plus reconfiguration overhead entries — to $(docv).  Inspect it with \
+       $(b,parcae_demo explain)."
 
 (* Run [f] with a flight recorder installed, then write the JSONL log and
    immediately replay it: a recording whose replay diverges would be useless
@@ -170,18 +177,16 @@ let with_flight path f =
       result
 
 let metrics_out_arg =
-  let doc =
-    "Write a final metrics snapshot to $(docv): Prometheus text format 0.0.4, or a JSON \
-     document when $(docv) ends in .json."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
+  out_file_arg "metrics-out"
+    ~doc:
+      "Write a final metrics snapshot to $(docv): Prometheus text format 0.0.4, or a JSON \
+       document when $(docv) ends in .json."
 
 let profile_out_arg =
-  let doc =
-    "Write a folded-stack compute profile (region;scheme;task lines) to $(docv) — feed it \
-     to flamegraph.pl or speedscope."
-  in
-  Arg.(value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
+  out_file_arg "profile-out"
+    ~doc:
+      "Write a folded-stack compute profile (region;scheme;task lines) to $(docv) — feed \
+       it to flamegraph.pl or speedscope."
 
 let write_metrics_file reg file =
   let json = Filename.check_suffix file ".json" in
@@ -211,69 +216,103 @@ let with_metrics ?metrics_out ?profile_out f =
       Option.iter (write_profile_file reg) profile_out;
       result
 
-let app_factory name : budget:int -> Engine.t -> App.t =
-  match name with
-  | "x264" -> fun ~budget eng -> Transcode.make ~budget eng
-  | "swaptions" -> fun ~budget eng -> Swaptions.make ~budget eng
-  | "bzip" -> fun ~budget eng -> Bzip.make ~budget eng
-  | "gimp" -> fun ~budget eng -> Gimp_oilify.make ~budget eng
-  | "ferret" -> fun ~budget eng -> Ferret.make ~budget eng
-  | "dedup" -> fun ~budget eng -> Dedup.make ~budget eng
-  | s -> failwith ("unknown app " ^ s)
+let apps : (string * (budget:int -> Engine.t -> App.t)) list =
+  [
+    ("x264", fun ~budget eng -> Transcode.make ~budget eng);
+    ("swaptions", fun ~budget eng -> Swaptions.make ~budget eng);
+    ("bzip", fun ~budget eng -> Bzip.make ~budget eng);
+    ("gimp", fun ~budget eng -> Gimp_oilify.make ~budget eng);
+    ("ferret", fun ~budget eng -> Ferret.make ~budget eng);
+    ("dedup", fun ~budget eng -> Dedup.make ~budget eng);
+  ]
 
+let app_arg =
+  let doc = "Application: x264, swaptions, bzip, gimp, ferret, dedup." in
+  Arg.(value & opt (enum (names apps)) "x264" & info [ "a"; "app" ] ~docv:"APP" ~doc)
+
+let app_factory name = List.assoc name apps
 let is_flat name = name = "ferret" || name = "dedup"
 
-let kernel_of name : unit -> Parcae_ir.Loop.t =
-  match name with
-  | "blackscholes" -> fun () -> Parcae_ir.Kernels.blackscholes ~n:40_000 ()
-  | "crc32" -> fun () -> Parcae_ir.Kernels.crc32 ~n:60_000 ()
-  | "url" -> fun () -> Parcae_ir.Kernels.url ~n:50_000 ()
-  | "kmeans" -> fun () -> Parcae_ir.Kernels.kmeans ~n:40_000 ()
-  | "histogram" -> fun () -> Parcae_ir.Kernels.histogram ~n:60_000 ()
-  | "montecarlo" -> fun () -> Parcae_ir.Kernels.montecarlo ~n:50_000 ()
-  | "stringsearch" -> fun () -> Parcae_ir.Kernels.stringsearch ~n:40_000 ()
-  | "recurrence" -> fun () -> Parcae_ir.Kernels.recurrence ~n:200_000 ()
-  | "adaptive" -> fun () -> Parcae_ir.Kernels.adaptive ~n:200_000 ()
-  | s -> failwith ("unknown kernel " ^ s)
+(* Each built-in kernel builds its loop for an iteration count, listed
+   with the count compile/check/run use; sanitize passes its own. *)
+let kernels : (string * ((int -> Parcae_ir.Loop.t) * int)) list =
+  let open Parcae_ir.Kernels in
+  [
+    ("blackscholes", ((fun n -> blackscholes ~n ()), 40_000));
+    ("crc32", ((fun n -> crc32 ~n ()), 60_000));
+    ("url", ((fun n -> url ~n ()), 50_000));
+    ("kmeans", ((fun n -> kmeans ~n ()), 40_000));
+    ("histogram", ((fun n -> histogram ~n ()), 60_000));
+    ("montecarlo", ((fun n -> montecarlo ~n ()), 50_000));
+    ("stringsearch", ((fun n -> stringsearch ~n ()), 40_000));
+    ("recurrence", ((fun n -> recurrence ~n ()), 200_000));
+    ("adaptive", ((fun n -> adaptive ~n ()), 200_000));
+  ]
 
-(* Build a mechanism factory for an app. *)
-let mechanism_for name (flat : bool) : Experiments.mech =
-  match name with
-  | "static" -> None
-  | "wqt-h" ->
-      Some
-        (fun app ->
-          if flat then
-            Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:6.0 ~non:2 ~noff:2
-              ~light:(App.config app "even") ~heavy:(App.config app "oversubscribed") ()
-          else
-            Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:8.0 ~non:3 ~noff:3
-              ~light:(App.config app "inner-max") ~heavy:(App.config app "outer-only") ())
-  | "wq-linear" ->
-      Some
-        (fun app ->
-          if flat then
-            Mech.Wq_linear.per_task ~loads:app.App.per_task_loads ~per_item:0.6 ~dpmin:2
-              ~dpmax:24 ()
-          else
-            Mech.Wq_linear.nested ~load:app.App.wq_load ~dpmin:1 ~dpmax:app.App.dpmax
-              ~qmax:20.0 ~make_config:(Option.get app.App.inner_dop_config) ())
-  | "tbf" -> Some (fun app -> Mech.Tbf.make ?fused_choice:app.App.fused_choice ())
-  | "tb" -> Some (fun _ -> Mech.Tbf.make ())
-  | "fdp" -> Some (fun _ -> Mech.Fdp.make ())
-  | "seda" -> Some (fun _ -> Mech.Seda.make ~threshold:6.0 ~max_per_stage:8 ())
-  | "tpc" ->
-      Some
-        (fun app ->
-          let sim_eng =
-            match Engine.sim_engine app.App.eng with
-            | Some e -> e
-            | None -> failwith "tpc needs the simulator's power model (run with --backend sim)"
-          in
-          let machine = Engine.machine app.App.eng in
-          let sensor = Power.create ~period_ns:2_000_000_000 sim_eng in
-          Mech.Tpc.make ~sensor ~target_watts:(0.9 *. Machine.peak_power machine) ())
-  | s -> failwith ("unknown mechanism " ^ s)
+let kernel_arg =
+  let doc =
+    "IR kernel: blackscholes, crc32, url, kmeans, histogram, montecarlo, stringsearch, \
+     recurrence, adaptive."
+  in
+  Arg.(
+    value
+    & opt (enum (names kernels)) "blackscholes"
+    & info [ "k"; "kernel" ] ~docv:"KERNEL" ~doc)
+
+let kernel_of ?n name =
+  let make, default_n = List.assoc name kernels in
+  make (Option.value n ~default:default_n)
+
+let tpc_needs_sim = "tpc needs the simulator's power model (run with --backend sim)"
+
+(* Mechanism factories for an app, given whether the app is flat. *)
+let mechanisms : (string * (bool -> Experiments.mech)) list =
+  [
+    ("static", fun _ -> None);
+    ( "wqt-h",
+      fun flat ->
+        Some
+          (fun app ->
+            if flat then
+              Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:6.0 ~non:2 ~noff:2
+                ~light:(App.config app "even") ~heavy:(App.config app "oversubscribed") ()
+            else
+              Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:8.0 ~non:3 ~noff:3
+                ~light:(App.config app "inner-max") ~heavy:(App.config app "outer-only") ()) );
+    ( "wq-linear",
+      fun flat ->
+        Some
+          (fun app ->
+            if flat then
+              Mech.Wq_linear.per_task ~loads:app.App.per_task_loads ~per_item:0.6 ~dpmin:2
+                ~dpmax:24 ()
+            else
+              Mech.Wq_linear.nested ~load:app.App.wq_load ~dpmin:1 ~dpmax:app.App.dpmax
+                ~qmax:20.0 ~make_config:(Option.get app.App.inner_dop_config) ()) );
+    ("tbf", fun _ -> Some (fun app -> Mech.Tbf.make ?fused_choice:app.App.fused_choice ()));
+    ("tb", fun _ -> Some (fun _ -> Mech.Tbf.make ()));
+    ("fdp", fun _ -> Some (fun _ -> Mech.Fdp.make ()));
+    ("seda", fun _ -> Some (fun _ -> Mech.Seda.make ~threshold:6.0 ~max_per_stage:8 ()));
+    ( "tpc",
+      fun _ ->
+        Some
+          (fun app ->
+            let sim_eng =
+              match Engine.sim_engine app.App.eng with
+              | Some e -> e
+              | None -> failwith tpc_needs_sim
+            in
+            let machine = Engine.machine app.App.eng in
+            let sensor = Power.create ~period_ns:2_000_000_000 sim_eng in
+            Mech.Tpc.make ~sensor ~target_watts:(0.9 *. Machine.peak_power machine) ()) );
+  ]
+
+let mech_arg =
+  let doc = "Mechanism: static, wqt-h, wq-linear, tbf, tb, fdp, seda, tpc." in
+  Arg.(
+    value & opt (enum (names mechanisms)) "static" & info [ "m"; "mechanism" ] ~docv:"MECH" ~doc)
+
+let mechanism_for name flat = (List.assoc name mechanisms) flat
 
 let print_result (r : Experiments.result) =
   Printf.printf "completed:          %d / %d requests\n" r.Experiments.completed
@@ -297,6 +336,11 @@ let print_result (r : Experiments.result) =
    to the live region. *)
 let run_serve ?on_start ?(wrap = fun f -> f ()) ?(backend = `Sim) ?(quiet = false) app
     mech load m machine seed =
+  (match (mech, backend) with
+  | "tpc", `Native _ ->
+      prerr_endline ("parcae_demo: " ^ tpc_needs_sim);
+      exit 1
+  | _ -> ());
   let mk = app_factory app in
   let flat = is_flat app in
   let maxthr =
@@ -316,6 +360,20 @@ let run_serve ?on_start ?(wrap = fun f -> f ()) ?(backend = `Sim) ?(quiet = fals
       Experiments.run_server ~m ~seed ~machine ~backend ~rate_per_s:(load *. maxthr)
         ?mechanism:(mechanism_for mech flat) ?on_start ~config mk)
 
+(* HOST:PORT, or a bare PORT on 127.0.0.1; an empty HOST is 127.0.0.1. *)
+let listen_conv =
+  let parse spec =
+    let host, port =
+      match String.rindex_opt spec ':' with
+      | Some i -> (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
+      | None -> ("", spec)
+    in
+    match int_of_string_opt port with
+    | Some p when p >= 0 && p <= 65535 -> Ok ((if host = "" then "127.0.0.1" else host), p)
+    | _ -> Error (`Msg (Printf.sprintf "bad address %S (expected HOST:PORT)" spec))
+  in
+  Arg.conv ~docv:"HOST:PORT" (parse, fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p)
+
 let listen_arg =
   let doc =
     "Expose the run over HTTP at $(docv) (HOST:PORT, or just PORT on 127.0.0.1; port 0 \
@@ -323,7 +381,7 @@ let listen_arg =
      $(b,/healthz) a liveness probe, and $(b,/latency.json) the span collector's \
      tail-latency report.  Implies a live metrics registry and span collector."
   in
-  Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"HOST:PORT" ~doc)
+  Arg.(value & opt (some listen_conv) None & info [ "listen" ] ~docv:"HOST:PORT" ~doc)
 
 let linger_arg =
   let doc =
@@ -332,20 +390,6 @@ let linger_arg =
   in
   Arg.(value & opt float 0.0 & info [ "linger" ] ~docv:"SECONDS" ~doc)
 
-let parse_listen spec =
-  match String.rindex_opt spec ':' with
-  | Some i ->
-      let host = String.sub spec 0 i in
-      let port =
-        try int_of_string (String.sub spec (i + 1) (String.length spec - i - 1))
-        with Failure _ -> failwith ("bad --listen port in " ^ spec)
-      in
-      ((if host = "" then "127.0.0.1" else host), port)
-  | None -> (
-      match int_of_string_opt spec with
-      | Some port -> ("127.0.0.1", port)
-      | None -> failwith ("bad --listen address " ^ spec ^ " (expected HOST:PORT)"))
-
 (* The live exposition wrapper: force-install a metrics registry and a span
    collector (the endpoints read both), serve /metrics, /healthz, and
    /latency.json for the whole measured run plus [linger] wall seconds.
@@ -353,8 +397,7 @@ let parse_listen spec =
 let with_exposition ~listen ~linger ~reg ~sc f =
   match listen with
   | None -> f ()
-  | Some spec ->
-      let host, port = parse_listen spec in
+  | Some (host, port) ->
       let routes =
         [
           ( "/metrics",
@@ -382,10 +425,8 @@ let with_exposition ~listen ~linger ~reg ~sc f =
           end;
           r)
 
-let serve app mech load m machine_name backend pool seed trace metrics_out profile_out
-    flight_out listen linger =
-  let machine = machine_of machine_name in
-  let backend = backend_of backend pool in
+let serve app mech load m machine backend seed trace metrics_out profile_out flight_out
+    listen linger =
   (* With --listen, the registry and span collector are installed
      unconditionally (the endpoints need them live); --metrics-out then
      reuses the same registry rather than installing a second one. *)
@@ -428,8 +469,8 @@ let serve_cmd =
   let term =
     Term.(
       const serve $ app_arg $ mech_arg $ load_arg $ requests_arg $ machine_arg $ backend_arg
-      $ pool_arg $ seed_arg $ trace_arg $ metrics_out_arg $ profile_out_arg $ flight_out_arg
-      $ listen_arg $ linger_arg)
+      $ seed_arg $ trace_arg $ metrics_out_arg $ profile_out_arg $ flight_out_arg $ listen_arg
+      $ linger_arg)
   in
   Cmd.v (Cmd.info "serve" ~doc:"Run a server workload at a load factor under a mechanism.") term
 
@@ -437,13 +478,19 @@ let serve_cmd =
 (* top                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f > 0.0 -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive number" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let interval_arg =
   let doc = "Dashboard refresh interval in virtual seconds." in
-  Arg.(value & opt float 1.0 & info [ "i"; "interval" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt positive_float 1.0 & info [ "i"; "interval" ] ~docv:"SECONDS" ~doc)
 
-let top app mech load m machine_name seed interval metrics_out profile_out =
-  if interval <= 0.0 then failwith "interval must be positive";
-  let machine = machine_of machine_name in
+let top app mech load m machine seed interval metrics_out profile_out =
   let interval_ns = int_of_float (interval *. 1e9) in
   (* `top` always runs with a registry installed — the dashboard renders
      it — while --metrics-out / --profile-out remain optional extras. *)
@@ -487,8 +534,7 @@ let top_cmd =
 (* batch                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let batch app mech m machine_name seed trace metrics_out profile_out flight_out =
-  let machine = machine_of machine_name in
+let batch app mech m machine seed trace metrics_out profile_out flight_out =
   let mk = app_factory app in
   let flat = is_flat app in
   let config = if flat then `Named "even" else `Named "outer-only" in
@@ -521,7 +567,7 @@ let loop_source kernel file =
       with Parcae_ir.Parser.Parse_error m ->
         prerr_endline m;
         exit 1)
-  | None -> (kernel_of kernel) ()
+  | None -> kernel_of kernel
 
 let compile kernel file =
   let open Parcae_ir in
@@ -580,9 +626,7 @@ let check kernel pos_file file json =
     | Some path -> (
         try Parser.parse_file path
         with Parser.Parse_error m -> fail_with [ Diag.error "P001" "%s" m ])
-    | None -> (
-        try (kernel_of kernel) ()
-        with Failure m -> fail_with [ Diag.error "P002" "%s" m ])
+    | None -> kernel_of kernel
   in
   let report =
     try Check.run loop
@@ -605,12 +649,9 @@ let check_cmd =
 (* run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run kernel file machine_name backend pool budget trace metrics_out profile_out
-    flight_out =
+let run kernel file machine backend budget trace metrics_out profile_out flight_out =
   let open Parcae_ir in
   let open Parcae_nona in
-  let machine = machine_of machine_name in
-  let backend = backend_of backend pool in
   let loop = loop_source kernel file in
   let c = Compiler.compile loop in
   let h, done_at, budget =
@@ -668,8 +709,8 @@ let run kernel file machine_name backend pool budget trace metrics_out profile_o
 let run_cmd =
   let term =
     Term.(
-      const run $ kernel_arg $ file_arg $ machine_arg $ backend_arg $ pool_arg $ budget_arg
-      $ trace_arg $ metrics_out_arg $ profile_out_arg $ flight_out_arg)
+      const run $ kernel_arg $ file_arg $ machine_arg $ backend_arg $ budget_arg $ trace_arg
+      $ metrics_out_arg $ profile_out_arg $ flight_out_arg)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile a kernel and execute it under the closed-loop controller.")
@@ -693,10 +734,9 @@ let doctor_work_arg =
 
 (* Exit codes: 0 diagnosis produced, 3 a Runtime_events cursor leaked —
    the CI smoke job treats a leak as a hard failure. *)
-let doctor machine_name backend pool dops items work_ns json =
-  let machine = machine_of machine_name in
+let doctor machine backend dops items work_ns json =
   let backend : Doctor.backend =
-    match backend_of backend pool with
+    match backend with
     | `Sim -> `Sim machine
     | `Native pool -> `Native pool
   in
@@ -708,8 +748,8 @@ let doctor machine_name backend pool dops items work_ns json =
 let doctor_cmd =
   let term =
     Term.(
-      const doctor $ machine_arg $ backend_arg $ pool_arg $ dops_arg $ doctor_items_arg
-      $ doctor_work_arg $ json_arg)
+      const doctor $ machine_arg $ backend_arg $ dops_arg $ doctor_items_arg $ doctor_work_arg
+      $ json_arg)
   in
   Cmd.v
     (Cmd.info "doctor"
@@ -743,9 +783,7 @@ let top_k_arg =
    span collector, flight recorder, and (on native) the runtime-events GC
    consumer — then attribute the tail quantiles to phases.  Exit codes:
    0 report produced, 2 the SLO burn rate exceeded 1.0. *)
-let latency app mech load m machine_name backend pool seed slo_ms slo_budget top_k json =
-  let machine = machine_of machine_name in
-  let backend = backend_of backend pool in
+let latency app mech load m machine backend seed slo_ms slo_budget top_k json =
   let sc = Obs.Span.create () in
   (match slo_ms with
   | Some ms -> Obs.Span.configure_slo sc ~target_ns:(int_of_float (ms *. 1e6)) ~budget:slo_budget
@@ -778,8 +816,7 @@ let latency_cmd =
   let term =
     Term.(
       const latency $ app_arg $ mech_arg $ load_arg $ requests_arg $ machine_arg
-      $ backend_arg $ pool_arg $ seed_arg $ slo_ms_arg $ slo_budget_arg $ top_k_arg
-      $ json_arg)
+      $ backend_arg $ seed_arg $ slo_ms_arg $ slo_budget_arg $ top_k_arg $ json_arg)
   in
   Cmd.v
     (Cmd.info "latency"
@@ -922,24 +959,6 @@ let explain_cmd =
 (* sanitize                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Small kernel instances for sanitizing: the sanitizer shadows every
-   load/store, and a few hundred iterations already exercise every
-   collision pattern the kernels contain (histogram's bins wrap at 64,
-   so 256 iterations give four hits per bin). *)
-let sanitize_kernel_of n name : unit -> Parcae_ir.Loop.t =
-  let open Parcae_ir in
-  match name with
-  | "blackscholes" -> fun () -> Kernels.blackscholes ~n ()
-  | "crc32" -> fun () -> Kernels.crc32 ~n ()
-  | "url" -> fun () -> Kernels.url ~n ()
-  | "kmeans" -> fun () -> Kernels.kmeans ~n ()
-  | "histogram" -> fun () -> Kernels.histogram ~n ()
-  | "montecarlo" -> fun () -> Kernels.montecarlo ~n ()
-  | "stringsearch" -> fun () -> Kernels.stringsearch ~n ()
-  | "recurrence" -> fun () -> Kernels.recurrence ~n ()
-  | "adaptive" -> fun () -> Kernels.adaptive ~n ()
-  | s -> failwith ("unknown kernel " ^ s)
-
 let sanitize_suite_arg =
   let doc = "Sanitize every built-in kernel instead of a single one." in
   Arg.(value & flag & info [ "suite" ] ~doc)
@@ -948,6 +967,10 @@ let sanitize_corpus_arg =
   let doc = "Additionally sanitize $(docv) seeded random kernels (see $(b,--seed))." in
   Arg.(value & opt int 0 & info [ "corpus" ] ~docv:"N" ~doc)
 
+(* Small kernel instances for sanitizing: the sanitizer shadows every
+   load/store, and a few hundred iterations already exercise every
+   collision pattern the kernels contain (histogram's bins wrap at 64,
+   so 256 iterations give four hits per bin). *)
 let sanitize_n_arg =
   let doc = "Iteration count for built-in kernels." in
   Arg.(value & opt int 256 & info [ "iters" ] ~docv:"N" ~doc)
@@ -970,12 +993,12 @@ let sanitize_file_arg =
 
 (* Exit-code contract matches [check]: 1 iff any error diagnostic (S701 /
    S702 / a parse failure), 0 otherwise. *)
-let sanitize kernel pos_file file suite corpus n seed dop backend pool inject json =
+let sanitize kernel pos_file file suite corpus n seed dop backend inject json =
   let open Parcae_ir in
   let open Parcae_nona in
   let module Diag = Parcae_analysis.Diag in
   let backend =
-    match backend_of backend pool with
+    match backend with
     | `Sim -> Sanitize.Sim_backend
     | `Native pool -> Sanitize.Native_backend pool
   in
@@ -990,9 +1013,8 @@ let sanitize kernel pos_file file suite corpus n seed dop backend pool inject js
   let named =
     match (match pos_file with Some _ -> pos_file | None -> file) with
     | Some path -> ( try [ Parser.parse_file path ] with Parser.Parse_error m -> fail_with m)
-    | None when suite ->
-        List.map (fun k -> sanitize_kernel_of n k.Kernels.k_name ()) Kernels.suite
-    | None -> ( try [ sanitize_kernel_of n kernel () ] with Failure m -> fail_with m)
+    | None when suite -> List.map (fun k -> kernel_of ~n k.Kernels.k_name) Kernels.suite
+    | None -> [ kernel_of ~n kernel ]
   in
   let generated =
     List.map
@@ -1017,7 +1039,7 @@ let sanitize_cmd =
     Term.(
       const sanitize $ kernel_arg $ sanitize_file_arg $ file_arg $ sanitize_suite_arg
       $ sanitize_corpus_arg $ sanitize_n_arg $ seed_arg $ sanitize_dop_arg $ backend_arg
-      $ pool_arg $ inject_arg $ json_arg)
+      $ inject_arg $ json_arg)
   in
   Cmd.v
     (Cmd.info "sanitize"

@@ -28,20 +28,12 @@
    parked. *)
 
 module Metrics = Parcae_obs.Metrics
+module Chan_metrics = Parcae_obs.Chan_metrics
 module Trace = Parcae_obs.Trace
 module Event = Parcae_obs.Event
 module Timeline = Parcae_obs.Timeline
 module Monitor = Engine.Monitor
 module Hb = Parcae_obs.Hb
-
-type chan_metrics = {
-  cm_sends : Metrics.counter;
-  cm_recvs : Metrics.counter;
-  cm_depth : Metrics.gauge;
-  cm_send_block : Metrics.histogram;
-  cm_recv_block : Metrics.histogram;
-  cm_flushed : Metrics.counter;
-}
 
 type 'a node = { value : 'a option Atomic.t; next : 'a node option Atomic.t }
 
@@ -61,7 +53,7 @@ type 'a t = {
   mon : Monitor.m;
   nonempty : Monitor.c;
   nonfull : Monitor.c;
-  mutable mx : (Metrics.t * chan_metrics) option;  (* benign racy cache *)
+  mutable mx : Chan_metrics.t;  (* benign racy cache *)
 }
 
 let create ?(capacity = 0) eng name =
@@ -81,7 +73,7 @@ let create ?(capacity = 0) eng name =
     mon;
     nonempty = Monitor.cond mon;
     nonfull = Monitor.cond mon;
-    mx = None;
+    mx = Chan_metrics.none;
   }
 
 let length ch = max 0 (Atomic.get ch.qlen)
@@ -185,59 +177,27 @@ let wake_send ch ~all =
     if all then Monitor.broadcast ch.nonfull else Monitor.signal ch.nonfull
 
 (* ------------------------------------------------------------------ *)
-(* Metrics (same families and labels as the sim channels).             *)
+(* Metrics (Chan_metrics: the same families and labels as sim).        *)
 (* ------------------------------------------------------------------ *)
 
-let handles ch =
-  let reg = Metrics.current () in
-  match ch.mx with
-  | Some (r, h) when r == reg -> h
-  | _ ->
-      let labels = [ ("chan", ch.name) ] in
-      let h =
-        {
-          cm_sends =
-            Metrics.counter reg "parcae_chan_sends_total" ~labels
-              ~help:"Items enqueued, per channel.";
-          cm_recvs =
-            Metrics.counter reg "parcae_chan_recvs_total" ~labels
-              ~help:"Items dequeued, per channel.";
-          cm_depth =
-            Metrics.gauge reg "parcae_chan_depth" ~labels
-              ~help:"Current queue occupancy, per channel.";
-          cm_send_block =
-            Metrics.histogram reg "parcae_chan_send_block_ns" ~labels
-              ~help:"Real time senders spent blocked on a full channel.";
-          cm_recv_block =
-            Metrics.histogram reg "parcae_chan_recv_block_ns" ~labels
-              ~help:"Real time receivers spent blocked on an empty channel.";
-          cm_flushed =
-            Metrics.counter reg "parcae_chan_flushed_total" ~labels
-              ~help:"Items dropped by filter/drain on reconfiguration.";
-        }
-      in
-      ch.mx <- Some (reg, h);
-      h
+(* The channel's metric handles, rebound when the installed registry
+   changes. *)
+let metrics ch =
+  let m = Chan_metrics.bind ch.mx ch.name in
+  ch.mx <- m;
+  m
 
-let note_depth ch =
-  if Metrics.enabled () then
-    Metrics.set_gauge (handles ch).cm_depth (float_of_int (length ch))
-
+(* Registry updates after an operation moved [k] items; [waited] blocks
+   are measured from [t0] on the engine's real clock. *)
 let note_send ch k waited t0 =
-  if Metrics.enabled () then begin
-    let h = handles ch in
-    if k = 1 then Metrics.inc h.cm_sends else Metrics.inc_by h.cm_sends k;
-    Metrics.set_gauge h.cm_depth (float_of_int (length ch));
-    if waited then Metrics.observe_ns h.cm_send_block (Engine.now ch.eng - t0)
-  end
+  if Metrics.enabled () then
+    Chan_metrics.note_send (metrics ch) k ~depth:(length ch)
+      ~block_ns:(if waited then Engine.now ch.eng - t0 else -1)
 
 let note_recv ch k waited t0 =
-  if Metrics.enabled () then begin
-    let h = handles ch in
-    if k = 1 then Metrics.inc h.cm_recvs else Metrics.inc_by h.cm_recvs k;
-    Metrics.set_gauge h.cm_depth (float_of_int (length ch));
-    if waited then Metrics.observe_ns h.cm_recv_block (Engine.now ch.eng - t0)
-  end
+  if Metrics.enabled () then
+    Chan_metrics.note_recv (metrics ch) k ~depth:(length ch)
+      ~block_ns:(if waited then Engine.now ch.eng - t0 else -1)
 
 (* The wait instruments want a start time when either sink is live. *)
 let observing () = Metrics.enabled () || Timeline.enabled ()
@@ -453,10 +413,7 @@ let flush_note ch removed =
   if Parcae_obs.Trace.enabled () then
     Parcae_obs.Trace.emit ~t:(Engine.now ch.eng)
       (Parcae_obs.Event.Chan_flush { chan = ch.name; dropped = removed });
-  if Metrics.enabled () then begin
-    Metrics.inc_by (handles ch).cm_flushed removed;
-    note_depth ch
-  end
+  if Metrics.enabled () then Chan_metrics.note_flush (metrics ch) removed ~depth:(length ch)
 
 let take_all ch =
   let rec go acc =

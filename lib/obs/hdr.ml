@@ -5,41 +5,24 @@
    ("linear region"); above that, each power-of-two octave [2^k, 2^(k+1))
    is split into 2^m equal sub-buckets, so the bucket width at value v is
    at most v / 2^m and any quantile estimate carries a relative error of
-   at most 1/2^m.  With the default m = 7 that is under 1% at a fixed
-   ~57 KB of int array — no per-observation allocation, mergeable by
+   at most 1/2^m.  The resolution is fixed at m = 7: under 1% at ~57 KB
+   of int array — no per-observation allocation, mergeable by
    bucket-count addition, and safe to read concurrently with writers
    (reads may see a torn *distribution* mid-update but never a torn
-   bucket, which is all the quantile math needs).
+   bucket, which is all the quantile math needs). *)
 
-   Compare the registry's cumulative `histogram`, whose bucket bounds are
-   chosen at family creation: this module trades configurable bounds for
-   a guaranteed relative error over the full 62-bit range, which is what
-   tail-latency quantiles need (DESIGN.md section 15). *)
+let sub_bits = 7  (* m: relative error <= 1/2^m *)
+let sub_count = 1 lsl sub_bits
 
 type t = {
-  sub_bits : int;  (* m: sub-bucket resolution; relative error <= 1/2^m *)
-  sub_count : int;  (* 2^m *)
   counts : int array;  (* (64 - m) * 2^m buckets *)
   mutable count : int;  (* total observations *)
   mutable sum : int;  (* sum of observed values (clamped to >= 0 each) *)
-  mutable min_v : int;  (* smallest observed value, max_int when empty *)
   mutable max_v : int;  (* largest observed value, -1 when empty *)
 }
 
-let create ?(sub_bits = 7) () =
-  if sub_bits < 1 || sub_bits > 14 then invalid_arg "Hdr.create: sub_bits out of range";
-  let sub_count = 1 lsl sub_bits in
-  {
-    sub_bits;
-    sub_count;
-    counts = Array.make ((64 - sub_bits) * sub_count) 0;
-    count = 0;
-    sum = 0;
-    min_v = max_int;
-    max_v = -1;
-  }
-
-let relative_error t = 1.0 /. float_of_int t.sub_count
+let create () =
+  { counts = Array.make ((64 - sub_bits) * sub_count) 0; count = 0; sum = 0; max_v = -1 }
 
 (* Index of the most significant set bit of [v] (v > 0), by shift cascade:
    no dependency on any stdlib clz, and branch-predictable on the hot
@@ -71,33 +54,31 @@ let msb v =
 
 (* Bucket index for value [v] >= 0.  Linear below 2^m; above, octave k
    contributes 2^m sub-buckets of width 2^(k-m). *)
-let index t v =
-  if v < t.sub_count then v
+let index v =
+  if v < sub_count then v
   else
-    let k = msb v in
-    let shift = k - t.sub_bits in
-    (shift * t.sub_count) + ((v lsr shift) - t.sub_count) + t.sub_count
+    let shift = msb v - sub_bits in
+    (shift * sub_count) + (v lsr shift)
 
 (* Inclusive upper bound of bucket [idx] — the value reported for any
    quantile landing in that bucket, so estimates never undershoot. *)
-let bucket_upper t idx =
-  if idx < t.sub_count then idx
+let bucket_upper idx =
+  if idx < sub_count then idx
   else
-    let off = idx - t.sub_count in
-    let shift = off / t.sub_count and sub = off mod t.sub_count in
-    ((t.sub_count + sub) lsl shift) + (1 lsl shift) - 1
+    let off = idx - sub_count in
+    let shift = off / sub_count and sub = off mod sub_count in
+    ((sub_count + sub) lsl shift) + (1 lsl shift) - 1
 
 let observe t v =
   let v = if v < 0 then 0 else v in
-  t.counts.(index t v) <- t.counts.(index t v) + 1;
+  let i = index v in
+  t.counts.(i) <- t.counts.(i) + 1;
   t.count <- t.count + 1;
   t.sum <- t.sum + v;
-  if v < t.min_v then t.min_v <- v;
   if v > t.max_v then t.max_v <- v
 
 let count t = t.count
 let sum t = t.sum
-let min_value t = if t.count = 0 then 0 else t.min_v
 let max_value t = if t.count = 0 then 0 else t.max_v
 let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
 
@@ -117,23 +98,18 @@ let quantile t q =
       if !acc >= rank then idx := !i;
       incr i
     done;
-    let v = if !idx < 0 then t.max_v else bucket_upper t !idx in
+    let v = if !idx < 0 then t.max_v else bucket_upper !idx in
     if v > t.max_v then t.max_v else v
   end
 
 let merge ~into src =
-  if into.sub_bits <> src.sub_bits then invalid_arg "Hdr.merge: sub_bits mismatch";
   Array.iteri (fun i c -> if c > 0 then into.counts.(i) <- into.counts.(i) + c) src.counts;
   into.count <- into.count + src.count;
   into.sum <- into.sum + src.sum;
-  if src.count > 0 then begin
-    if src.min_v < into.min_v then into.min_v <- src.min_v;
-    if src.max_v > into.max_v then into.max_v <- src.max_v
-  end
+  if src.max_v > into.max_v then into.max_v <- src.max_v
 
 let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.count <- 0;
   t.sum <- 0;
-  t.min_v <- max_int;
   t.max_v <- -1

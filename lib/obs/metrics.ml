@@ -1,8 +1,8 @@
 (* The Decima metrics registry.
 
    Aggregated, queryable telemetry for the runtime: monotonic counters,
-   gauges, and log-bucketed histograms, organized into labeled families the
-   way Prometheus models them.  The registry complements the event trace
+   gauges and HDR summaries, organized into labeled families the way
+   Prometheus models them.  The registry complements the event trace
    (Sink/Trace): traces answer "what happened, in order", the registry
    answers "how much, how fast, how distributed" while a run is in flight.
 
@@ -18,11 +18,11 @@
    - Deterministic exposition: families and series are emitted in sorted
      order, and floats print through a fixed format, so two same-seed runs
      produce byte-identical snapshots.
-   - Recording is O(1): counters and gauges are single mutable fields;
-     histograms locate their bucket by binary search over at most a few
-     dozen bounds.  The simulator is cooperative and single-threaded, so
-     plain mutation is race-free — the moral equivalent of the paper's
-     unsynchronized shared-memory counters (Section 4.7). *)
+   - Recording is O(1): counters and gauges are single mutable fields,
+     a summary observation is one HDR bucket increment.  Updates are
+     plain writes — exact on the simulator, whose threads never run in
+     parallel, and lossy under contention on native: the moral equivalent
+     of the paper's unsynchronized shared-memory counters (Section 4.7). *)
 
 (* ------------------------------------------------------------------ *)
 (* Instruments.                                                        *)
@@ -30,13 +30,6 @@
 
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
-
-type histogram = {
-  bounds : float array;  (* strictly increasing finite upper bounds *)
-  counts : int array;  (* per-bucket counts; length = bounds + 1 (+Inf) *)
-  mutable h_sum : float;
-  mutable h_count : int;
-}
 
 let inc_by c n = c.c <- c.c + n
 let inc c = inc_by c 1
@@ -46,34 +39,12 @@ let set_gauge g v = g.g <- v
 let add_gauge g v = g.g <- g.g +. v
 let gauge_value g = g.g
 
-(* First bucket whose upper bound admits [v]; the overflow bucket if none
-   does.  Binary search keeps recording O(log #buckets) ~ O(1). *)
-let bucket_index bounds v =
-  let n = Array.length bounds in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if v <= bounds.(mid) then hi := mid else lo := mid + 1
-  done;
-  !lo
-
-let observe h v =
-  let i = bucket_index h.bounds v in
-  h.counts.(i) <- h.counts.(i) + 1;
-  h.h_sum <- h.h_sum +. v;
-  h.h_count <- h.h_count + 1
-
-let observe_ns h ns = observe h (float_of_int ns)
-
-let histogram_count h = h.h_count
-let histogram_sum h = h.h_sum
-
 (* Summaries are HDR histograms (lib/obs/hdr.ml): fixed-precision
    log-linear buckets over integer nanoseconds with a bounded-relative-
-   error quantile estimate.  They replace reservoir sampling for latency
-   on the serve path — a reservoir's percentile jitters with the sampling
-   seed, an HDR quantile is a deterministic function of the observations
-   (DESIGN.md section 15). *)
+   error quantile estimate.  They are the registry's only distribution
+   type — a reservoir's percentile jitters with the sampling seed, an HDR
+   quantile is a deterministic function of the observations (DESIGN.md
+   section 15). *)
 type summary = Hdr.t
 
 let observe_summary (s : summary) ns = Hdr.observe s ns
@@ -85,36 +56,18 @@ let summary_sum (s : summary) = Hdr.sum s
    ladder a scrape loop expects for tail latency. *)
 let summary_export_quantiles = [ 0.5; 0.9; 0.99; 0.999 ]
 
-(* [count] log-spaced upper bounds starting at [lo], each [base] times the
-   previous — the HDR-style bucketing every duration histogram uses. *)
-let log_buckets ~base ~lo ~count =
-  if base <= 1.0 || lo <= 0.0 || count <= 0 then invalid_arg "Metrics.log_buckets";
-  Array.init count (fun i -> lo *. (base ** float_of_int i))
-
-(* Virtual-time durations in nanoseconds: 256 ns .. ~4.6 hours. *)
-let duration_ns_buckets = log_buckets ~base:4.0 ~lo:256.0 ~count:18
-
-(* Response times in seconds: 1 ms .. ~65 s. *)
-let seconds_buckets = log_buckets ~base:2.0 ~lo:0.001 ~count:17
-
 (* ------------------------------------------------------------------ *)
 (* Families and registries.                                            *)
 (* ------------------------------------------------------------------ *)
 
-type kind = Counter_kind | Gauge_kind | Histogram_kind | Summary_kind
+type kind = Counter_kind | Gauge_kind | Summary_kind
 
-type instrument =
-  | Counter_i of counter
-  | Gauge_i of gauge
-  | Histogram_i of histogram
-  | Summary_i of summary
+type instrument = Counter_i of counter | Gauge_i of gauge | Summary_i of summary
 
 type family = {
   f_name : string;
   f_help : string;
   f_kind : kind;
-  f_buckets : float array;  (* histogram families only *)
-  f_sub_bits : int;  (* summary families only: HDR resolution *)
   f_label_names : string list;
   f_series : (string list, instrument) Hashtbl.t;  (* keyed by label values *)
 }
@@ -124,7 +77,7 @@ type t = {
   mu : Mutex.t;
       (* guards structural mutation of the hashtables (family/series
          creation) and snapshot reads.  Instrument *updates* (inc,
-         set_gauge, observe) stay unsynchronized: plain OCaml fields
+         set_gauge, observe_summary) stay unsynchronized: plain OCaml fields
          cannot tear, and lossy counts under contention are the paper's
          own unsynchronized-shared-counter discipline (Section 4.7). *)
   families : (string, family) Hashtbl.t;
@@ -167,24 +120,15 @@ let cached build =
 let kind_name = function
   | Counter_kind -> "counter"
   | Gauge_kind -> "gauge"
-  | Histogram_kind -> "histogram"
   | Summary_kind -> "summary"
 
 let make_instrument fam =
   match fam.f_kind with
   | Counter_kind -> Counter_i { c = 0 }
   | Gauge_kind -> Gauge_i { g = 0.0 }
-  | Histogram_kind ->
-      Histogram_i
-        {
-          bounds = fam.f_buckets;
-          counts = Array.make (Array.length fam.f_buckets + 1) 0;
-          h_sum = 0.0;
-          h_count = 0;
-        }
-  | Summary_kind -> Summary_i (Hdr.create ~sub_bits:fam.f_sub_bits ())
+  | Summary_kind -> Summary_i (Hdr.create ())
 
-let family reg ~name ~help ~kind ~buckets ~sub_bits ~label_names =
+let family reg ~name ~help ~kind ~label_names =
   match Hashtbl.find_opt reg.families name with
   | Some fam ->
       if fam.f_kind <> kind then
@@ -196,8 +140,7 @@ let family reg ~name ~help ~kind ~buckets ~sub_bits ~label_names =
       fam
   | None ->
       let fam =
-        { f_name = name; f_help = help; f_kind = kind; f_buckets = buckets;
-          f_sub_bits = sub_bits; f_label_names = label_names;
+        { f_name = name; f_help = help; f_kind = kind; f_label_names = label_names;
           f_series = Hashtbl.create 4 }
       in
       Hashtbl.replace reg.families name fam;
@@ -207,14 +150,11 @@ let family reg ~name ~help ~kind ~buckets ~sub_bits ~label_names =
    workers intern handles against the same hashtables, and an unguarded
    [Hashtbl.replace] race can corrupt the table.  Creation is rare (hot
    paths cache handles), so one mutex per registry is plenty. *)
-let series reg ~name ~help ~kind ~buckets ?(sub_bits = 7) labels =
+let series reg ~name ~help ~kind labels =
   Mutex.lock reg.mu;
   let i =
     match
-      let fam =
-        family reg ~name ~help ~kind ~buckets ~sub_bits
-          ~label_names:(List.map fst labels)
-      in
+      let fam = family reg ~name ~help ~kind ~label_names:(List.map fst labels) in
       let key = List.map snd labels in
       match Hashtbl.find_opt fam.f_series key with
       | Some i -> i
@@ -238,30 +178,21 @@ let series reg ~name ~help ~kind ~buckets ?(sub_bits = 7) labels =
 let counter ?(help = "") ?(labels = []) reg name =
   if is_null reg then { c = 0 }
   else
-    match series reg ~name ~help ~kind:Counter_kind ~buckets:[||] labels with
+    match series reg ~name ~help ~kind:Counter_kind labels with
     | Counter_i c -> c
     | _ -> assert false
 
 let gauge ?(help = "") ?(labels = []) reg name =
   if is_null reg then { g = 0.0 }
   else
-    match series reg ~name ~help ~kind:Gauge_kind ~buckets:[||] labels with
+    match series reg ~name ~help ~kind:Gauge_kind labels with
     | Gauge_i g -> g
     | _ -> assert false
 
-let histogram ?(help = "") ?(buckets = duration_ns_buckets) ?(labels = []) reg name =
-  if is_null reg then
-    { bounds = buckets; counts = Array.make (Array.length buckets + 1) 0;
-      h_sum = 0.0; h_count = 0 }
+let summary ?(help = "") ?(labels = []) reg name =
+  if is_null reg then Hdr.create ()
   else
-    match series reg ~name ~help ~kind:Histogram_kind ~buckets labels with
-    | Histogram_i h -> h
-    | _ -> assert false
-
-let summary ?(help = "") ?(labels = []) ?(sub_bits = 7) reg name =
-  if is_null reg then Hdr.create ~sub_bits ()
-  else
-    match series reg ~name ~help ~kind:Summary_kind ~buckets:[||] ~sub_bits labels with
+    match series reg ~name ~help ~kind:Summary_kind labels with
     | Summary_i s -> s
     | _ -> assert false
 
@@ -272,7 +203,7 @@ let summary ?(help = "") ?(labels = []) ?(sub_bits = 7) reg name =
 type value =
   | Counter_v of int
   | Gauge_v of float
-  | Histogram_v of { bounds : float array; counts : int array; sum : float; count : int }
+  | Histogram_v of { sum : float; count : int }  (* never produced; see the .mli *)
   | Summary_v of { quantiles : (float * float) list; sum : float; count : int }
 
 type sample = { labels : (string * string) list; value : value }
@@ -281,10 +212,6 @@ type fam_snapshot = { name : string; help : string; skind : kind; samples : samp
 let snapshot_instrument = function
   | Counter_i c -> Counter_v c.c
   | Gauge_i g -> Gauge_v g.g
-  | Histogram_i h ->
-      Histogram_v
-        { bounds = Array.copy h.bounds; counts = Array.copy h.counts;
-          sum = h.h_sum; count = h.h_count }
   | Summary_i s ->
       Summary_v
         {
@@ -319,31 +246,12 @@ let snapshot reg =
   Mutex.unlock reg.mu;
   snap
 
-(* Upper bound of the bucket where the [q]-quantile falls — the standard
-   bucket-resolution estimate Prometheus's histogram_quantile computes.
-   Returns the largest finite bound for samples in the overflow bucket and
-   nan for an empty histogram. *)
-let quantile ~bounds ~counts q =
-  let total = Array.fold_left ( + ) 0 counts in
-  if total = 0 then nan
-  else begin
-    let target = q *. float_of_int total in
-    let n = Array.length bounds in
-    let rec walk i cum =
-      if i >= n then (if n = 0 then nan else bounds.(n - 1))
-      else
-        let cum = cum + counts.(i) in
-        if float_of_int cum >= target then bounds.(i) else walk (i + 1) cum
-    in
-    walk 0 0
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Exposition: Prometheus text format 0.0.4.                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Fixed float format: integral values render as integers (counters and
-   bucket bounds read naturally), everything else via %.12g.  Byte-stable
+   quantile values read naturally), everything else via %.12g.  Byte-stable
    across runs by construction. *)
 let fmt_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
@@ -386,24 +294,7 @@ let to_prometheus reg =
           | Gauge_v g ->
               Buffer.add_string buf
                 (Printf.sprintf "%s%s %s\n" fam.name (label_block labels) (fmt_float g))
-          | Histogram_v { bounds; counts; sum; count } ->
-              (* Buckets are cumulative and always end at le="+Inf". *)
-              let cum = ref 0 in
-              Array.iteri
-                (fun i b ->
-                  cum := !cum + counts.(i);
-                  let labels = labels @ [ ("le", fmt_float b) ] in
-                  Buffer.add_string buf
-                    (Printf.sprintf "%s_bucket%s %d\n" fam.name (label_block labels) !cum))
-                bounds;
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket%s %d\n" fam.name
-                   (label_block (labels @ [ ("le", "+Inf") ]))
-                   count);
-              Buffer.add_string buf
-                (Printf.sprintf "%s_sum%s %s\n" fam.name (label_block labels) (fmt_float sum));
-              Buffer.add_string buf
-                (Printf.sprintf "%s_count%s %d\n" fam.name (label_block labels) count)
+          | Histogram_v _ -> ()
           | Summary_v { quantiles; sum; count } ->
               (* Prometheus summary convention: one series per quantile,
                  then _sum and _count. *)
@@ -429,11 +320,7 @@ let to_prometheus reg =
 let value_to_json = function
   | Counter_v c -> Json.Int c
   | Gauge_v g -> Json.Float g
-  | Histogram_v { bounds; counts; sum; count } ->
-      Json.Obj
-        [ ("bounds", Json.List (Array.to_list (Array.map (fun b -> Json.Float b) bounds)));
-          ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) counts)));
-          ("sum", Json.Float sum); ("count", Json.Int count) ]
+  | Histogram_v _ -> Json.Null
   | Summary_v { quantiles; sum; count } ->
       Json.Obj
         [ ("quantiles",

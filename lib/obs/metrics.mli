@@ -1,5 +1,5 @@
-(** The Decima metrics registry: counters, gauges, and log-bucketed
-    histograms with labeled series, Prometheus and JSON exposition.
+(** The Decima metrics registry: counters, gauges and HDR summaries with
+    labeled series, Prometheus and JSON exposition.
 
     The registry is the aggregated counterpart of the event trace: always-on
     telemetry a controller (or a dashboard) can read while a run is in
@@ -23,10 +23,6 @@ type counter
 type gauge
 (** A float that can go up and down (e.g. queue depth, busy cores). *)
 
-type histogram
-(** A log-bucketed (HDR-style) distribution with a sum and a count.
-    Recording is O(log #buckets) with at most a few dozen buckets. *)
-
 val inc : counter -> unit
 val inc_by : counter -> int -> unit
 val counter_value : counter -> int
@@ -35,20 +31,12 @@ val set_gauge : gauge -> float -> unit
 val add_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
 
-val observe : histogram -> float -> unit
-val observe_ns : histogram -> int -> unit
-(** [observe] on [float_of_int ns] — the common case for virtual-time
-    durations. *)
-
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
 type summary = Hdr.t
 (** A fixed-precision HDR-backed distribution over integer nanoseconds
-    with a bounded-relative-error quantile API ({!Hdr}).  Summaries
-    replace reservoir sampling for serve-path latency: a reservoir
-    percentile depends on the sampling seed, an HDR quantile is a
-    deterministic function of the observations. *)
+    with a bounded-relative-error quantile API ({!Hdr}) — the registry's
+    only distribution type.  A reservoir percentile depends on the
+    sampling seed; an HDR quantile is a deterministic function of the
+    observations. *)
 
 val observe_summary : summary -> int -> unit
 (** Record one integer observation (nanoseconds).  Allocation-free. *)
@@ -64,16 +52,6 @@ val summary_export_quantiles : float list
 (** Quantiles emitted for every summary series in snapshots and
     Prometheus exposition: 0.5, 0.9, 0.99, 0.999. *)
 
-val log_buckets : base:float -> lo:float -> count:int -> float array
-(** [count] upper bounds starting at [lo], each [base] times the previous.
-    @raise Invalid_argument unless [base > 1], [lo > 0], [count > 0]. *)
-
-val duration_ns_buckets : float array
-(** Default buckets for nanosecond durations: 256 ns to ~4.6 hours, x4. *)
-
-val seconds_buckets : float array
-(** Default buckets for response times in seconds: 1 ms to ~65 s, x2. *)
-
 (** {1 Registries} *)
 
 type t
@@ -88,8 +66,10 @@ val is_null : t -> bool
 
 (** {1 The installed registry}
 
-    One global current-registry cell, race-free because the simulator is
-    cooperative and single-threaded (see {!Trace}). *)
+    One global current-registry cell.  It is installed before a run
+    starts and left alone while the run's threads read it.  Instrument
+    updates are plain writes: exact on the simulator, whose threads never
+    run in parallel, and lossy under contention on the native backend. *)
 
 val set : t -> unit
 val clear : unit -> unit
@@ -116,30 +96,23 @@ val cached : (t -> 'a) -> unit -> 'a
 val counter : ?help:string -> ?labels:(string * string) list -> t -> string -> counter
 val gauge : ?help:string -> ?labels:(string * string) list -> t -> string -> gauge
 
-val histogram :
-  ?help:string -> ?buckets:float array -> ?labels:(string * string) list -> t -> string -> histogram
-(** [buckets] defaults to {!duration_ns_buckets}; only the first creation
-    of a family determines its buckets. *)
-
-val summary :
-  ?help:string -> ?labels:(string * string) list -> ?sub_bits:int -> t -> string -> summary
-(** [sub_bits] (default 7: relative error <= 1/128) is fixed by the first
-    creation of a family, like histogram buckets. *)
+val summary : ?help:string -> ?labels:(string * string) list -> t -> string -> summary
+(** Each series is one {!Hdr} (relative error <= 1/128, ~57 KB). *)
 
 (** {1 Snapshots} *)
 
 type value =
   | Counter_v of int
   | Gauge_v of float
-  | Histogram_v of { bounds : float array; counts : int array; sum : float; count : int }
-      (** [counts] are per-bucket (not cumulative) and include the overflow
-          bucket, so [Array.length counts = Array.length bounds + 1]. *)
+  | Histogram_v of { sum : float; count : int }
+      (** Nothing produces it: every distribution is a summary.  It stays
+          for consumers that still match it; exposition skips it. *)
   | Summary_v of { quantiles : (float * float) list; sum : float; count : int }
       (** [(q, value)] pairs for {!summary_export_quantiles}. *)
 
 type sample = { labels : (string * string) list; value : value }
 
-type kind = Counter_kind | Gauge_kind | Histogram_kind | Summary_kind
+type kind = Counter_kind | Gauge_kind | Summary_kind
 
 type fam_snapshot = { name : string; help : string; skind : kind; samples : sample list }
 
@@ -149,16 +122,12 @@ val snapshot : t -> fam_snapshot list
 (** Deep copy of the registry, families sorted by name and series by label
     values — deterministic given deterministic recording. *)
 
-val quantile : bounds:float array -> counts:int array -> float -> float
-(** [quantile ~bounds ~counts q] is the upper bound of the bucket holding
-    the [q]-quantile (bucket-resolution, like PromQL's histogram_quantile);
-    the largest finite bound for overflow samples, [nan] when empty. *)
-
 (** {1 Exposition} *)
 
 val to_prometheus : t -> string
-(** Prometheus text format 0.0.4: HELP/TYPE lines per family, cumulative
-    histogram buckets ending at [le="+Inf"], [_sum]/[_count] series. *)
+(** Prometheus text format 0.0.4: HELP/TYPE lines per family; a summary
+    series is one line per {!summary_export_quantiles} entry followed by
+    [_sum] and [_count]. *)
 
 val to_json : t -> Json.t
 val to_json_string : t -> string

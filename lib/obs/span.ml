@@ -136,9 +136,9 @@ type t = {
          finish requests concurrently on native. *)
 }
 
-let create ?(capacity = 4096) ?(sub_bits = 7) () =
+let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Span.create: capacity must be positive";
-  let h () = Hdr.create ~sub_bits () in
+  let h () = Hdr.create () in
   {
     cap = capacity;
     r_id = Array.make capacity 0;

@@ -88,10 +88,9 @@ val gc_total : unit -> int
 
 type t
 
-val create : ?capacity:int -> ?sub_bits:int -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** [capacity] (default 4096) bounds the completed-span ring — overflow
-    overwrites the oldest entry and counts a drop; [sub_bits] sets the
-    HDR resolution ({!Hdr.create}). *)
+    overwrites the oldest entry and counts a drop. *)
 
 val set : t -> unit
 val clear : unit -> unit

@@ -27,7 +27,7 @@ module Metrics = Parcae_obs.Metrics
    Obs.Profile folds into flamegraph stacks. *)
 type task_metrics = {
   dm_compute : Metrics.counter;
-  dm_hook : Metrics.histogram;
+  dm_hook : Metrics.summary;
   dm_iters : Metrics.counter;
 }
 
@@ -118,7 +118,7 @@ let handles t =
                         ]
                       ~help:"Hook-attributed compute ns per (region, scheme, task).";
                   dm_hook =
-                    Metrics.histogram reg "parcae_decima_hook_ns"
+                    Metrics.summary reg "parcae_decima_hook_ns"
                       ~labels:[ ("region", t.region_name); ("task", name) ]
                       ~help:"Per-instance compute time between begin/end hooks.";
                   dm_iters =
@@ -177,7 +177,7 @@ let hook_end t ~task slot =
       if Metrics.enabled () then begin
         let m = (handles t).dm_tasks.(task) in
         Metrics.inc_by m.dm_compute dt;
-        Metrics.observe_ns m.dm_hook dt
+        Metrics.observe_summary m.dm_hook dt
       end
     end
   end

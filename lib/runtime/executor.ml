@@ -27,8 +27,8 @@ module Span = Parcae_obs.Span
    cached handle record. *)
 let note_pause (r : Region.t) ~t0 =
   if Metrics.enabled () then
-    Metrics.observe_ns
-      (Metrics.histogram (Metrics.current ()) "parcae_exec_pause_ns"
+    Metrics.observe_summary
+      (Metrics.summary (Metrics.current ()) "parcae_exec_pause_ns"
          ~labels:[ ("region", r.Region.name) ]
          ~help:"Virtual time from pause request until all workers parked.")
       (Engine.time r.Region.eng - t0)
@@ -40,8 +40,8 @@ let note_reconfig (r : Region.t) ~kind ~t0 =
     Metrics.inc
       (Metrics.counter reg "parcae_exec_reconfigs_total" ~labels
          ~help:"Applied reconfigurations by kind (light = barrier-less).");
-    Metrics.observe_ns
-      (Metrics.histogram reg "parcae_exec_reconfig_ns" ~labels
+    Metrics.observe_summary
+      (Metrics.summary reg "parcae_exec_reconfig_ns" ~labels
          ~help:"Virtual time each reconfiguration took end to end.")
       (Engine.time r.Region.eng - t0)
   end

@@ -9,23 +9,12 @@
    sequential order, which the pause/reconfigure protocol relies on. *)
 
 module Metrics = Parcae_obs.Metrics
+module Chan_metrics = Parcae_obs.Chan_metrics
 module Trace = Parcae_obs.Trace
 module Event = Parcae_obs.Event
 module Timeline = Parcae_obs.Timeline
 module Hb = Parcae_obs.Hb
 module Ring = Parcae_util.Ring
-
-(* Per-channel metric handles, labeled by channel name.  Cached against the
-   installed registry so the hot path pays one physical comparison, not a
-   hashtable lookup per operation. *)
-type chan_metrics = {
-  cm_sends : Metrics.counter;
-  cm_recvs : Metrics.counter;
-  cm_depth : Metrics.gauge;
-  cm_send_block : Metrics.histogram;
-  cm_recv_block : Metrics.histogram;
-  cm_flushed : Metrics.counter;
-}
 
 type 'a t = {
   name : string;
@@ -37,7 +26,7 @@ type 'a t = {
   op_cost : int;  (* resolved against the machine at creation *)
   mutable total_sent : int;
   mutable total_received : int;  (* receive sequence number *)
-  mutable mx : (Metrics.t * chan_metrics) option;
+  mutable mx : Chan_metrics.t;
 }
 
 (* The operation cost is resolved once here — looking the machine up per
@@ -56,43 +45,31 @@ let create ?(capacity = 0) ?op_cost eng name =
       | None -> (Engine.machine eng).Machine.chan_op);
     total_sent = 0;
     total_received = 0;
-    mx = None;
+    mx = Chan_metrics.none;
   }
 
-let handles ch =
-  let reg = Metrics.current () in
-  match ch.mx with
-  | Some (r, h) when r == reg -> h
-  | _ ->
-      let labels = [ ("chan", ch.name) ] in
-      let h =
-        {
-          cm_sends =
-            Metrics.counter reg "parcae_chan_sends_total" ~labels
-              ~help:"Items enqueued, per channel.";
-          cm_recvs =
-            Metrics.counter reg "parcae_chan_recvs_total" ~labels
-              ~help:"Items dequeued, per channel.";
-          cm_depth =
-            Metrics.gauge reg "parcae_chan_depth" ~labels
-              ~help:"Current queue occupancy, per channel.";
-          cm_send_block =
-            Metrics.histogram reg "parcae_chan_send_block_ns" ~labels
-              ~help:"Virtual time senders spent blocked on a full channel.";
-          cm_recv_block =
-            Metrics.histogram reg "parcae_chan_recv_block_ns" ~labels
-              ~help:"Virtual time receivers spent blocked on an empty channel.";
-          cm_flushed =
-            Metrics.counter reg "parcae_chan_flushed_total" ~labels
-              ~help:"Items dropped by filter/drain on reconfiguration.";
-        }
-      in
-      ch.mx <- Some (reg, h);
-      h
+(* The channel's metric handles, rebound when the installed registry
+   changes. *)
+let metrics ch =
+  let m = Chan_metrics.bind ch.mx ch.name in
+  ch.mx <- m;
+  m
 
-let note_depth ch =
+(* Registry updates after an operation moved [k] items; [waited] blocks
+   are measured from [t0] on the virtual clock. *)
+let note_send ch k waited t0 =
   if Metrics.enabled () then
-    Metrics.set_gauge (handles ch).cm_depth (float_of_int (Ring.length ch.q))
+    Chan_metrics.note_send (metrics ch) k ~depth:(Ring.length ch.q)
+      ~block_ns:(if waited then Engine.now () - t0 else -1)
+
+let note_recv ch k waited t0 =
+  if Metrics.enabled () then
+    Chan_metrics.note_recv (metrics ch) k ~depth:(Ring.length ch.q)
+      ~block_ns:(if waited then Engine.now () - t0 else -1)
+
+let note_flush ch removed =
+  if Metrics.enabled () then
+    Chan_metrics.note_flush (metrics ch) removed ~depth:(Ring.length ch.q)
 
 (* The wait instruments want a start time when either sink is live. *)
 let observing () = Metrics.enabled () || Timeline.enabled ()
@@ -194,12 +171,7 @@ let send_slow ch v =
     end
   in
   let seq = loop () in
-  if Metrics.enabled () then begin
-    let h = handles ch in
-    Metrics.inc h.cm_sends;
-    Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q));
-    if !waited then Metrics.observe_ns h.cm_send_block (Engine.now () - t0)
-  end;
+  note_send ch 1 !waited t0;
   tl_wait !waited t0;
   emit_send ch seq
 
@@ -231,12 +203,7 @@ let recv_slow ch =
         loop ()
   in
   let v, seq = loop () in
-  if Metrics.enabled () then begin
-    let h = handles ch in
-    Metrics.inc h.cm_recvs;
-    Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q));
-    if !waited then Metrics.observe_ns h.cm_recv_block (Engine.now () - t0)
-  end;
+  note_recv ch 1 !waited t0;
   tl_wait !waited t0;
   emit_recv ch seq;
   v
@@ -261,11 +228,7 @@ let force_send ch v =
   Ring.push ch.q v;
   ch.total_sent <- seq + 1;
   hb_send ch seq;
-  if Metrics.enabled () then begin
-    let h = handles ch in
-    Metrics.inc h.cm_sends;
-    Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q))
-  end;
+  note_send ch 1 false 0;
   emit_send ch seq;
   Engine.signal ch.nonempty
 
@@ -288,12 +251,7 @@ let send_batch_slow ch vs =
       emit_send ch seq;
       Engine.signal ch.nonempty)
     vs;
-  if Metrics.enabled () then begin
-    let h = handles ch in
-    Metrics.inc_by h.cm_sends (List.length vs);
-    Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q));
-    if !waited then Metrics.observe_ns h.cm_send_block (Engine.now () - t0)
-  end;
+  note_send ch (List.length vs) !waited t0;
   tl_wait !waited t0
 
 let rec send_all ch = function
@@ -336,12 +294,7 @@ let recv_batch_slow ~limit ch =
       emit_recv ch (base + i)
     done;
   Engine.broadcast ch.nonfull;
-  if Metrics.enabled () then begin
-    let h = handles ch in
-    Metrics.inc_by h.cm_recvs !taken;
-    Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q));
-    if !waited then Metrics.observe_ns h.cm_recv_block (Engine.now () - t0)
-  end;
+  note_recv ch !taken !waited t0;
   tl_wait !waited t0;
   List.rev !out
 
@@ -385,10 +338,7 @@ let filter ch keep =
   if Parcae_obs.Trace.enabled () then
     Parcae_obs.Trace.emit ~t:(Engine.now ())
       (Parcae_obs.Event.Chan_flush { chan = ch.name; dropped = !removed });
-  if Metrics.enabled () then begin
-    Metrics.inc_by (handles ch).cm_flushed !removed;
-    note_depth ch
-  end;
+  note_flush ch !removed;
   !removed
 
 (* Discard all queued items; used when the runtime resets communication
@@ -401,8 +351,5 @@ let drain ch =
   if Parcae_obs.Trace.enabled () then
     Parcae_obs.Trace.emit ~t:(Engine.now ())
       (Parcae_obs.Event.Chan_flush { chan = ch.name; dropped = n });
-  if Metrics.enabled () then begin
-    Metrics.inc_by (handles ch).cm_flushed n;
-    note_depth ch
-  end;
+  note_flush ch n;
   n

@@ -11,7 +11,7 @@ module Hb = Parcae_obs.Hb
 type lock_metrics = {
   lm_acquisitions : Metrics.counter;
   lm_contended : Metrics.counter;
-  lm_wait : Metrics.histogram;
+  lm_wait : Metrics.summary;
 }
 
 type t = {
@@ -40,7 +40,7 @@ let handles l =
             Metrics.counter reg "parcae_lock_contended_total" ~labels
               ~help:"Acquisitions that had to wait, per lock.";
           lm_wait =
-            Metrics.histogram reg "parcae_lock_wait_ns" ~labels
+            Metrics.summary reg "parcae_lock_wait_ns" ~labels
               ~help:"Virtual time spent waiting for contended acquisitions.";
         }
       in
@@ -72,7 +72,7 @@ let acquire l =
     Metrics.inc h.lm_acquisitions;
     if !waited then begin
       Metrics.inc h.lm_contended;
-      Metrics.observe_ns h.lm_wait (Engine.now () - t0)
+      Metrics.observe_summary h.lm_wait (Engine.now () - t0)
     end
   end
 

@@ -150,7 +150,7 @@ let pool_panel () =
         ];
       Some (Table.render t)
 
-(* Render one registry snapshot as counter / gauge / histogram tables.
+(* Render one registry snapshot as counter / gauge / summary tables.
    Series order comes from Metrics.snapshot, so the output is deterministic
    and diffable across refreshes. *)
 let render ?(title = "parcae top") ~now_s reg =
@@ -158,15 +158,11 @@ let render ?(title = "parcae top") ~now_s reg =
   let counters = Table.create ~title:(Printf.sprintf "%s — counters (t=%.3fs)" title now_s)
       ~header:[ "counter"; "value" ]
   and gauges = Table.create ~title:"gauges" ~header:[ "gauge"; "value" ]
-  and hists =
-    Table.create ~title:"histograms"
-      ~header:[ "histogram"; "count"; "mean"; "p50"; "p95"; "p99" ]
   and summaries =
     Table.create ~title:"summaries"
       ~header:[ "summary"; "count"; "mean"; "p50"; "p90"; "p99"; "p999" ]
   in
-  let n_counters = ref 0 and n_gauges = ref 0 and n_hists = ref 0 in
-  let n_summaries = ref 0 in
+  let n_counters = ref 0 and n_gauges = ref 0 and n_summaries = ref 0 in
   List.iter
     (fun (f : Obs.fam_snapshot) ->
       List.iter
@@ -179,19 +175,7 @@ let render ?(title = "parcae top") ~now_s reg =
           | Obs.Gauge_v g ->
               incr n_gauges;
               Table.add_row gauges [ name; fmt_value g ]
-          | Obs.Histogram_v { bounds; counts; sum; count } ->
-              incr n_hists;
-              let q p = Obs.quantile ~bounds ~counts p in
-              let mean = if count = 0 then 0.0 else sum /. float_of_int count in
-              Table.add_row hists
-                [
-                  name;
-                  string_of_int count;
-                  fmt_value mean;
-                  fmt_value (q 0.50);
-                  fmt_value (q 0.95);
-                  fmt_value (q 0.99);
-                ]
+          | Obs.Histogram_v _ -> ()
           | Obs.Summary_v { quantiles; sum; count } ->
               incr n_summaries;
               let q p =
@@ -215,8 +199,7 @@ let render ?(title = "parcae top") ~now_s reg =
   let parts =
     List.filter_map
       (fun (n, t) -> if !n > 0 then Some (Table.render t) else None)
-      [ (n_counters, counters); (n_gauges, gauges); (n_hists, hists);
-        (n_summaries, summaries) ]
+      [ (n_counters, counters); (n_gauges, gauges); (n_summaries, summaries) ]
   in
   let parts =
     match Timeline.get () with

@@ -10,8 +10,9 @@
     determinism tests. *)
 
 val render : ?title:string -> now_s:float -> Parcae_obs.Metrics.t -> string
-(** Counter, gauge, and histogram tables (quantiles at bucket resolution);
-    a one-line placeholder when the registry holds no series. *)
+(** Counter, gauge, and summary tables (HDR quantiles, relative error at
+    most 1/128); a one-line placeholder when the registry holds no
+    series. *)
 
 val spawn :
   ?out:out_channel ->

@@ -5,8 +5,9 @@
    request: means stay exact (running sums), percentiles are exact until
    the reservoir overflows and a uniform-sample estimate after.  When a
    metrics registry is installed the same observations also feed the
-   [parcae_request_*] counter and histogram families, which is what the
-   live dashboard and the Prometheus exposition read. *)
+   [parcae_requests_*_total] counters and the [parcae_response_ns] /
+   [parcae_exec_ns] summaries, which is what the live dashboard and the
+   Prometheus exposition read. *)
 
 module Engine = Parcae_platform.Engine
 module Series = Parcae_util.Series
@@ -18,8 +19,8 @@ module Span = Parcae_obs.Span
 type req_metrics = {
   rm_submitted : Obs.counter;
   rm_completed : Obs.counter;
-  rm_response : Obs.histogram;
-  rm_exec : Obs.histogram;
+  rm_response : Obs.summary;
+  rm_exec : Obs.summary;
 }
 
 type t = {
@@ -41,13 +42,11 @@ type t = {
   mutable mx : (Obs.t * req_metrics) option;
 }
 
-let default_reservoir_capacity = Stats.Reservoir.default_capacity
-
-let create ?(reservoir_capacity = default_reservoir_capacity) eng =
+let create eng =
   {
     eng;
-    responses = Stats.Reservoir.create ~capacity:reservoir_capacity ();
-    exec_times = Stats.Reservoir.create ~capacity:reservoir_capacity ();
+    responses = Stats.Reservoir.create ();
+    exec_times = Stats.Reservoir.create ();
     completed = 0;
     submitted = 0;
     first_completion_ns = -1;
@@ -84,10 +83,10 @@ let handles t =
             Obs.counter reg "parcae_requests_completed_total"
               ~help:"Requests completed by the server workload.";
           rm_response =
-            Obs.histogram reg "parcae_response_seconds" ~buckets:Obs.seconds_buckets
+            Obs.summary reg "parcae_response_ns"
               ~help:"Request response time, arrival to completion.";
           rm_exec =
-            Obs.histogram reg "parcae_exec_seconds" ~buckets:Obs.seconds_buckets
+            Obs.summary reg "parcae_exec_ns"
               ~help:"Request execution time, processing only (no queue wait).";
         }
       in
@@ -121,13 +120,11 @@ let note_complete t (req : Request.t) =
   if Obs.enabled () then begin
     let h = handles t in
     Obs.inc h.rm_completed;
-    Obs.observe h.rm_response resp;
-    if started then
-      Obs.observe h.rm_exec (Engine.seconds_of_ns (now - req.Request.start_ns))
+    Obs.observe_summary h.rm_response lat_ns;
+    if started then Obs.observe_summary h.rm_exec (now - req.Request.start_ns)
   end
 
 let responses t = Stats.Reservoir.samples t.responses
-let exec_times t = Stats.Reservoir.samples t.exec_times
 
 (* Mean per-request execution time (T_exec of Equation 2.1).  Exact: the
    reservoir keeps running sums over every observation. *)

@@ -1,19 +1,16 @@
 (** Response-time and throughput bookkeeping for the server workloads.
 
     Memory is bounded: samples live in {!Parcae_util.Stats.Reservoir}s of
-    [reservoir_capacity] entries, so means are exact (running sums) and
-    percentiles are exact until the reservoir overflows, a uniform-sample
-    estimate after.  When a metrics registry is installed
-    ({!Parcae_obs.Metrics.set}), every observation also feeds the
-    [parcae_requests_*_total] counters and the [parcae_response_seconds] /
-    [parcae_exec_seconds] histograms. *)
+    {!Parcae_util.Stats.Reservoir.default_capacity} entries, so means are
+    exact (running sums) and percentiles are exact until the reservoir
+    overflows, a uniform-sample estimate after.  When a metrics registry
+    is installed ({!Parcae_obs.Metrics.set}), every observation also feeds
+    the [parcae_requests_*_total] counters and the [parcae_response_ns] /
+    [parcae_exec_ns] summaries. *)
 
 type t
 
-val default_reservoir_capacity : int
-(** {!Parcae_util.Stats.Reservoir.default_capacity} (8192). *)
-
-val create : ?reservoir_capacity:int -> Parcae_platform.Engine.t -> t
+val create : Parcae_platform.Engine.t -> t
 
 val reset : t -> unit
 (** Rewind counts, completion stamps and both reservoirs to a fresh state,
@@ -32,12 +29,9 @@ val note_complete : t -> Request.t -> unit
 
 val responses : t -> float array
 (** Retained response-time samples, seconds — the full history while at
-    most [reservoir_capacity] requests completed, a uniform subsample
-    after (order then no longer meaningful). *)
-
-val exec_times : t -> float array
-(** Retained execution-time samples (processing only, no queue wait);
-    bounded like {!responses}. *)
+    most {!Parcae_util.Stats.Reservoir.default_capacity} requests
+    completed, a uniform subsample after (order then no longer
+    meaningful). *)
 
 val mean_response : t -> float
 

@@ -244,10 +244,17 @@ let flip_ns = 2_000_000
 let low_high () = if Engine.now () < flip_ns then 1.0 else 10.0
 let high_low () = if Engine.now () < flip_ns then 10.0 else 1.0
 
+(* The native load signal flips after Morta's fourth read, not at a wall
+   time: a Morta thread that missed two 200 us ticks inside a 2 ms window
+   would never see the low load. *)
+let low_high_reads () =
+  let reads = Atomic.make 0 in
+  fun () -> if Atomic.fetch_and_add reads 1 < 4 then 1.0 else 10.0
+
 (* WQT-H starts Heavy; a sustained low load toggles it Light, and the later
    high load toggles it back — two decisions with distinct reasons. *)
-let wqt_h_mech () =
-  Mech.Wqt_h.make ~load:low_high ~threshold:5.0 ~non:2 ~noff:2
+let wqt_h_mech ?(load = low_high) () =
+  Mech.Wqt_h.make ~load ~threshold:5.0 ~non:2 ~noff:2
     ~light:(Config.make [ Config.task 2 ])
     ~heavy:(Config.make [ Config.task 3 ])
     ()
@@ -305,10 +312,13 @@ let test_mechanism_replay_sim () =
 
 let test_mechanism_replay_native () =
   let eng = Engine.create_native ~pool:2 () in
-  let entries = mech_log eng ~iters:2_000 ~work:5_000 ~dop:3 ~mechanism:(wqt_h_mech ()) in
+  let entries =
+    mech_log eng ~iters:2_000 ~work:5_000 ~dop:3
+      ~mechanism:(wqt_h_mech ~load:(low_high_reads ()) ())
+  in
   Engine.shutdown eng;
   (* Real time makes the second toggle racy against region completion; the
-     first (light) toggle is deterministic — sustained low load from t=0. *)
+     first (light) toggle is deterministic — the first four reads are low. *)
   check_mech_log "native/wqt-h" ~expect:[ "wq_toggle_light" ] entries
 
 (* -------------------------- daemon grants --------------------------- *)

@@ -25,6 +25,11 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 let check_float = Alcotest.(check (float 0.0))
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
 (* --------------------------- registry unit -------------------------- *)
 
 let test_instruments () =
@@ -40,10 +45,11 @@ let test_instruments () =
   Metrics.set_gauge g 2.5;
   Metrics.add_gauge g 0.5;
   check_float "gauge settles" 3.0 (Metrics.gauge_value g);
-  let h = Metrics.histogram reg "h_ns" ~buckets:(Metrics.log_buckets ~base:10.0 ~lo:10.0 ~count:3) in
-  List.iter (Metrics.observe h) [ 5.0; 10.0; 11.0; 99.0; 5000.0 ];
-  check_int "histogram count" 5 (Metrics.histogram_count h);
-  check_float "histogram sum" 5125.0 (Metrics.histogram_sum h);
+  let s = Metrics.summary reg "s_ns" in
+  List.iter (Metrics.observe_summary s) [ 5; 10; 11; 99; 5000 ];
+  check_int "summary count" 5 (Metrics.summary_count s);
+  check_int "summary sum" 5125 (Metrics.summary_sum s);
+  check_bool "same series, same summary" true (Metrics.summary reg "s_ns" == s);
   (* Labeled series are independent. *)
   let a = Metrics.counter reg "lab_total" ~labels:[ ("k", "a") ] in
   let b = Metrics.counter reg "lab_total" ~labels:[ ("k", "b") ] in
@@ -69,7 +75,7 @@ let test_null_registry_inert () =
      leave nothing behind. *)
   let c = Metrics.counter Metrics.null "stray_total" in
   Metrics.inc c;
-  Metrics.observe (Metrics.histogram Metrics.null "stray_ns") 1.0;
+  Metrics.observe_summary (Metrics.summary Metrics.null "stray_ns") 1;
   check_int "null registry never exposes series" 0 (List.length (Metrics.snapshot Metrics.null));
   let reg = Metrics.create () in
   Metrics.with_registry reg (fun () ->
@@ -78,22 +84,13 @@ let test_null_registry_inert () =
   check_bool "with_registry restores" false (Metrics.enabled ());
   check_int "event landed in installed registry" 1 (List.length (Metrics.snapshot reg))
 
-let test_quantile () =
-  let bounds = [| 1.0; 2.0; 4.0 |] in
-  (* 1 sample <=1, 2 in (1,2], 1 in (2,4], 1 overflow *)
-  let counts = [| 1; 2; 1; 1 |] in
-  check_float "median in second bucket" 2.0 (Metrics.quantile ~bounds ~counts 0.5);
-  check_float "p99 clamps to largest bound" 4.0 (Metrics.quantile ~bounds ~counts 0.99);
-  check_bool "empty histogram gives nan" true
-    (Float.is_nan (Metrics.quantile ~bounds ~counts:[| 0; 0; 0; 0 |] 0.5))
-
 (* ------------------- Prometheus format validation ------------------- *)
 
 (* Minimal validator for the text exposition format 0.0.4: every family
    has TYPE (and HELP when non-empty help was given) before its samples;
-   every sample line parses; histogram buckets are cumulative and
-   nondecreasing, end at le="+Inf" equal to _count; counters are
-   nonnegative integers. *)
+   every sample line parses; counters are nonnegative integers; every
+   summary series has quantile values that do not decrease as q grows,
+   then one _sum and one _count. *)
 
 let parse_sample line =
   match String.rindex_opt line ' ' with
@@ -136,18 +133,17 @@ let strip_suffix name =
   let try_one suf =
     if Filename.check_suffix name suf then Some (Filename.chop_suffix name suf) else None
   in
-  match (try_one "_bucket", try_one "_sum", try_one "_count") with
-  | Some b, _, _ -> b
-  | _, Some b, _ -> b
-  | _, _, Some b -> b
+  match (try_one "_sum", try_one "_count") with
+  | Some b, _ -> b
+  | _, Some b -> b
   | _ -> name
 
 let validate_prometheus text =
   let lines = String.split_on_char '\n' text |> List.filter (fun l -> l <> "") in
   let types = Hashtbl.create 16 and helps = Hashtbl.create 16 in
-  (* (family, labels sans le) -> cumulative bucket values in exposition
-     order, and the _count value, for consistency checking. *)
-  let buckets = Hashtbl.create 16 and h_counts = Hashtbl.create 16 in
+  (* (family, labels sans quantile) -> quantile samples (latest first),
+     and which of _sum/_count the series exposed. *)
+  let quantiles = Hashtbl.create 16 and tails = Hashtbl.create 16 in
   List.iter
     (fun line ->
       if String.length line > 0 && line.[0] = '#' then begin
@@ -155,7 +151,7 @@ let validate_prometheus text =
         | "#" :: "HELP" :: name :: _ -> Hashtbl.replace helps name true
         | "#" :: "TYPE" :: name :: [ kind ] ->
             check_bool ("known TYPE in: " ^ line) true
-              (List.mem kind [ "counter"; "gauge"; "histogram" ]);
+              (List.mem kind [ "counter"; "gauge"; "summary" ]);
             check_bool ("TYPE only once for " ^ name) false (Hashtbl.mem types name);
             Hashtbl.replace types name kind
         | _ -> Alcotest.fail ("malformed comment line: " ^ line)
@@ -164,50 +160,58 @@ let validate_prometheus text =
         let name, labels, value = parse_sample line in
         let base =
           let stripped = strip_suffix name in
-          if Hashtbl.find_opt types stripped = Some "histogram" then stripped else name
+          if Hashtbl.find_opt types stripped = Some "summary" then stripped else name
         in
         (match Hashtbl.find_opt types base with
         | Some _ -> ()
         | None -> Alcotest.fail ("sample before TYPE: " ^ line));
         check_bool ("HELP present for " ^ base) true (Hashtbl.mem helps base);
-        (match Hashtbl.find_opt types base with
+        match Hashtbl.find_opt types base with
         | Some "counter" ->
             check_bool ("counter is a nonnegative integer: " ^ line) true
               (Float.is_integer value && value >= 0.0)
-        | Some "histogram" when base <> name ->
-            let series_key (labels : (string * string) list) =
-              (base, List.filter (fun (k, _) -> k <> "le") labels)
-            in
-            if Filename.check_suffix name "_bucket" then begin
-              check_bool ("bucket has le: " ^ line) true (List.mem_assoc "le" labels);
-              let key = series_key labels in
-              let prev = Option.value ~default:[] (Hashtbl.find_opt buckets key) in
+        | Some "summary" ->
+            let key = (base, List.filter (fun (k, _) -> k <> "quantile") labels) in
+            if base = name then begin
+              let q =
+                match List.assoc_opt "quantile" labels with
+                | Some q -> float_of_string q
+                | None -> Alcotest.fail ("summary sample without quantile: " ^ line)
+              in
+              check_bool ("quantile before _sum/_count: " ^ line) false
+                (Hashtbl.mem tails key);
+              let prev = Option.value ~default:[] (Hashtbl.find_opt quantiles key) in
               (match prev with
-              | (last_le, last_v) :: _ ->
-                  check_bool ("buckets nondecreasing: " ^ line) true (value >= last_v);
-                  check_bool ("le strictly after " ^ last_le) true (last_le <> "+Inf")
+              | (last_q, last_v) :: _ ->
+                  check_bool ("quantile labels increase: " ^ line) true (q > last_q);
+                  check_bool ("quantile values nondecreasing: " ^ line) true
+                    (value >= last_v)
               | [] -> ());
-              Hashtbl.replace buckets key ((List.assoc "le" labels, value) :: prev)
+              Hashtbl.replace quantiles key ((q, value) :: prev)
             end
-            else if Filename.check_suffix name "_count" then
-              Hashtbl.replace h_counts (series_key labels) value
-        | _ -> ())
+            else begin
+              let suffix = if Filename.check_suffix name "_sum" then "_sum" else "_count" in
+              let seen = Option.value ~default:[] (Hashtbl.find_opt tails key) in
+              check_bool (suffix ^ " once per series: " ^ line) false (List.mem suffix seen);
+              if suffix = "_count" then
+                check_bool ("_count is a nonnegative integer: " ^ line) true
+                  (Float.is_integer value && value >= 0.0);
+              Hashtbl.replace tails key (suffix :: seen)
+            end
+        | _ -> ()
       end)
     lines;
-  (* Every histogram series: final bucket is +Inf and equals _count. *)
+  (* Every summary series: quantiles, then both _sum and _count. *)
   Hashtbl.iter
-    (fun (base, lbls) cum ->
-      match cum with
-      | (le, v) :: _ ->
-          check_string ("last bucket of " ^ base ^ " is +Inf") "+Inf" le;
-          let count =
-            match Hashtbl.find_opt h_counts (base, lbls) with
-            | Some c -> c
-            | None -> Alcotest.fail ("histogram without _count: " ^ base)
-          in
-          check_float ("+Inf bucket equals _count for " ^ base) count v
-      | [] -> ())
-    buckets;
+    (fun ((base, _) as key) seen ->
+      check_bool ("summary series has quantiles: " ^ base) true (Hashtbl.mem quantiles key);
+      check_bool ("summary series has _sum and _count: " ^ base) true
+        (List.mem "_sum" seen && List.mem "_count" seen))
+    tails;
+  Hashtbl.iter
+    (fun ((base, _) as key) _ ->
+      check_bool ("summary series has _sum/_count: " ^ base) true (Hashtbl.mem tails key))
+    quantiles;
   check_bool "validated at least one family" true (Hashtbl.length types > 0)
 
 (* ------------------------- instrumented runs ------------------------ *)
@@ -230,6 +234,8 @@ let test_real_run_prometheus_valid () =
   check_int "all requests completed" r.Experiments.submitted r.Experiments.completed;
   let text = Metrics.to_prometheus reg in
   check_bool "exposition non-trivial" true (String.length text > 500);
+  check_bool "response times export as a summary" true
+    (contains text "# TYPE parcae_response_ns summary\n");
   validate_prometheus text
 
 let test_real_run_json_parses () =
@@ -240,10 +246,27 @@ let test_real_run_json_parses () =
   List.iter
     (fun f ->
       check_bool "family has a name" true (Json.get_str "name" f <> "");
-      check_bool "known kind" true
-        (List.mem (Json.get_str "kind" f) [ "counter"; "gauge"; "histogram" ]);
-      check_bool "series list present" true (Json.get_list "series" f <> []))
-    fams
+      let kind = Json.get_str "kind" f in
+      check_bool "known kind" true (List.mem kind [ "counter"; "gauge"; "summary" ]);
+      let series = Json.get_list "series" f in
+      check_bool "series list present" true (series <> []);
+      if kind = "summary" then
+        List.iter
+          (fun sr ->
+            let v = Option.get (Json.member "value" sr) in
+            let qs =
+              match Json.member "quantiles" v with
+              | Some (Json.Obj qs as o) -> List.map (fun (q, _) -> Json.get_float q o) qs
+              | _ -> Alcotest.fail "summary value without quantiles"
+            in
+            check_int "four exported quantiles" 4 (List.length qs);
+            check_bool "quantiles nondecreasing" true (List.sort compare qs = qs);
+            check_bool "summary count nonnegative" true (Json.get_int "count" v >= 0);
+            ignore (Json.get_float "sum" v))
+          series)
+    fams;
+  check_bool "a summary family is present" true
+    (List.exists (fun f -> Json.get_str "kind" f = "summary") fams)
 
 (* Counter samples from a snapshot as ((family, label values), value). *)
 let counter_values reg =
@@ -297,6 +320,104 @@ let test_metrics_do_not_perturb_run () =
     (Metrics.to_prometheus reg_a) (Metrics.to_prometheus reg_b);
   check_string "same seed, byte-identical JSON" (Metrics.to_json_string reg_a)
     (Metrics.to_json_string reg_b)
+
+(* -------------------------- channel metrics ------------------------- *)
+
+(* The [chan="cm"] series of [family] in [reg], as (count of series,
+   summed _count). *)
+let block_series reg family =
+  List.fold_left
+    (fun (n, c) (f : Metrics.fam_snapshot) ->
+      if f.Metrics.name <> family then (n, c)
+      else
+        List.fold_left
+          (fun (n, c) { Metrics.labels; value } ->
+            match value with
+            | Metrics.Summary_v { count; _ } when labels = [ ("chan", "cm") ] ->
+                (n + 1, c + count)
+            | _ -> (n, c))
+          (n, c) f.Metrics.samples)
+    (0, 0) (Metrics.snapshot reg)
+
+(* A receiver that finds every item already queued never blocks, so no
+   block series exists; one that finds the channel empty [k] times gets
+   exactly one series holding [k] observations.  The sender never blocks
+   (unbounded channel) either way. *)
+let chan_block_run eng ~k ~receiver_waits =
+  let reg = Metrics.create () in
+  Metrics.with_registry reg (fun () ->
+      let ch = Chan.create eng "cm" in
+      let send_all () =
+        for i = 1 to k do
+          if receiver_waits then Engine.sleep 1_000;
+          Chan.send ch i
+        done
+      and recv_all () =
+        for _ = 1 to k do
+          ignore (Chan.recv ch : int)
+        done
+      in
+      if receiver_waits then begin
+        (* The receiver runs first and finds the channel empty before
+           each of the sender's k sends (sim scheduling is FIFO). *)
+        ignore (Engine.spawn eng ~name:"recv" recv_all);
+        ignore (Engine.spawn eng ~name:"send" send_all)
+      end
+      else
+        (* One thread sends everything, then receives it: no receive can
+           find the channel empty, on either backend. *)
+        ignore
+          (Engine.spawn eng ~name:"send-recv" (fun () ->
+               send_all ();
+               recv_all ()));
+      ignore (Engine.run ~until:10_000_000_000 eng);
+      Engine.shutdown eng);
+  let sends =
+    List.assoc_opt ("parcae_chan_sends_total", [ ("chan", "cm") ]) (counter_values reg)
+  in
+  check_bool "sends counted" true (sends = Some k);
+  check_bool "no send block series" true
+    (block_series reg "parcae_chan_send_block_ns" = (0, 0));
+  block_series reg "parcae_chan_recv_block_ns"
+
+let test_chan_block_series_sim () =
+  let k = 5 in
+  let eng () = Engine.create (Machine.test_machine ~cores:2 ()) in
+  check_bool "receiver that never waits: no block series" true
+    (chan_block_run (eng ()) ~k ~receiver_waits:false = (0, 0));
+  check_bool "receiver that waits k times: one series, _count k" true
+    (chan_block_run (eng ()) ~k ~receiver_waits:true = (1, k))
+
+let test_chan_block_series_native () =
+  check_bool "receiver that never waits: no block series" true
+    (chan_block_run (Engine.create_native ~pool:2 ()) ~k:5 ~receiver_waits:false = (0, 0))
+
+(* A crc32 launch builds a PS-DSWP plan with thousands of channels, few of
+   which ever block.  Block series are created on a channel's first
+   block, so the registry stays small; one eager HDR summary per channel
+   would hold about 25 000 000 words. *)
+let test_crc32_registry_bounded () =
+  let open Parcae_nona in
+  let c = Compiler.compile (Parcae_ir.Kernels.crc32 ~n:60_000 ()) in
+  let reg, h =
+    with_fresh_registry (fun () ->
+        let eng = Engine.create machine in
+        let h = Compiler.launch ~budget:24 eng c in
+        let params =
+          {
+            R.Controller.default_params with
+            R.Controller.npar_factor = 16;
+            monitor_ns = 50_000_000;
+          }
+        in
+        ignore (R.Controller.spawn eng (R.Controller.create ~params h.Compiler.region));
+        ignore (Engine.run ~until:600_000_000_000 eng);
+        h)
+  in
+  check_bool "run finished" true (R.Region.is_done h.Compiler.region);
+  let words = Obj.reachable_words (Obj.repr reg) in
+  check_bool (Printf.sprintf "registry holds %d words (< 2 000 000)" words) true
+    (words < 2_000_000)
 
 (* --------------------------- folded profile ------------------------- *)
 
@@ -362,30 +483,24 @@ let test_profile_parse_roundtrip () =
 
 (* ----------------------------- dashboard ---------------------------- *)
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
-
 let test_dashboard_render () =
   let reg = Metrics.create () in
   check_bool "empty registry renders placeholder" true
     (String.length (Dashboard.render ~now_s:0.0 reg) > 0);
   Metrics.inc_by (Metrics.counter reg "parcae_x_total" ~labels:[ ("k", "v") ]) 3;
   Metrics.set_gauge (Metrics.gauge reg "parcae_depth") 4.5;
-  Metrics.observe (Metrics.histogram reg "parcae_h_ns") 1000.0;
+  Metrics.observe_summary (Metrics.summary reg "parcae_s_ns") 1000;
   let out = Dashboard.render ~now_s:1.25 reg in
   List.iter
     (fun needle ->
       check_bool ("render mentions " ^ needle) true (contains out needle))
-    [ "parcae_x_total{k=v}"; "parcae_depth"; "parcae_h_ns"; "p95" ]
+    [ "parcae_x_total{k=v}"; "parcae_depth"; "parcae_s_ns"; "p999" ]
 
 let suite =
   [
     Alcotest.test_case "registry: instruments and series identity" `Quick test_instruments;
     Alcotest.test_case "registry: family conflicts rejected" `Quick test_family_conflicts;
     Alcotest.test_case "registry: null registry is inert" `Quick test_null_registry_inert;
-    Alcotest.test_case "registry: bucket quantiles" `Quick test_quantile;
     Alcotest.test_case "prometheus: real run passes format validation" `Quick
       test_real_run_prometheus_valid;
     Alcotest.test_case "json: real run snapshot parses" `Quick test_real_run_json_parses;
@@ -393,6 +508,12 @@ let suite =
       test_counters_monotone_mid_to_end;
     Alcotest.test_case "metrics on/off: identical results, deterministic snapshots" `Quick
       test_metrics_do_not_perturb_run;
+    Alcotest.test_case "chan metrics: block series only after a block (sim)" `Quick
+      test_chan_block_series_sim;
+    Alcotest.test_case "chan metrics: no block series without a block (native)" `Quick
+      test_chan_block_series_native;
+    Alcotest.test_case "chan metrics: crc32 registry stays small" `Quick
+      test_crc32_registry_bounded;
     Alcotest.test_case "profile: folded stacks match Decima totals" `Quick
       test_profile_matches_decima;
     Alcotest.test_case "profile: sanitize and parse round-trip" `Quick

@@ -33,7 +33,7 @@ let exact_quantile sorted q =
   let rank = max 1 (int_of_float (ceil (q *. float_of_int n))) in
   sorted.(rank - 1)
 
-(* sub_bits 7 buckets are at most 1/128 of their value wide, so the
+(* Buckets are at most 1/128 of their value wide, so the
    estimate (a bucket upper bound clamped to the observed max) can sit at
    most value/128 + 1 above the exact ranked value, and never below it. *)
 let prop_hdr_error_bound =
