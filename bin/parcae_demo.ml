@@ -495,16 +495,13 @@ let top app mech load m machine seed interval metrics_out profile_out =
   (* `top` always runs with a registry installed — the dashboard renders
      it — while --metrics-out / --profile-out remain optional extras. *)
   let reg = Obs.Metrics.create () in
+  (* A per-core timeline for the measured run, whose clock starts at 0, so
+     the dashboard's scheduler panel has data to show. *)
+  let tl = Obs.Timeline.create ~lanes:(max 1 machine.Machine.cores) ~now:0 () in
   let r =
     run_serve
-      ~wrap:(Obs.Metrics.with_registry reg)
+      ~wrap:(fun f -> Obs.Metrics.with_registry reg (fun () -> Obs.Timeline.with_timeline tl f))
       ~on_start:(fun (a : App.t) region ->
-        (* Install a per-core timeline for the measured run so the
-           dashboard's scheduler panel has data to show. *)
-        Obs.Timeline.set
-          (Obs.Timeline.create
-             ~lanes:(max 1 (Engine.machine a.App.eng).Machine.cores)
-             ~now:(Engine.time a.App.eng) ());
         ignore
           (Dashboard.spawn ~interval_ns
              ~title:(Printf.sprintf "parcae top — %s under %s" app mech)
@@ -512,7 +509,6 @@ let top app mech load m machine seed interval metrics_out profile_out =
              a.App.eng))
       app mech load m machine seed
   in
-  Obs.Timeline.clear ();
   print_result r;
   Option.iter (write_metrics_file reg) metrics_out;
   Option.iter (write_profile_file reg) profile_out

@@ -45,12 +45,6 @@ let with_dop cfg i dop =
   tasks.(i) <- { (tasks.(i)) with dop };
   { cfg with tasks }
 
-(* Rebuild [cfg] with task [i]'s nested configuration replaced. *)
-let with_nested cfg i nested =
-  let tasks = Array.copy cfg.tasks in
-  tasks.(i) <- { (tasks.(i)) with nested };
-  { cfg with tasks }
-
 let rec equal a b =
   a.choice = b.choice
   && Array.length a.tasks = Array.length b.tasks

@@ -37,8 +37,6 @@ val dops : t -> int array
 val with_dop : t -> int -> int -> t
 (** [with_dop cfg i d] is [cfg] with task [i]'s DoP replaced by [d]. *)
 
-val with_nested : t -> int -> t option -> t
-
 val equal : t -> t -> bool
 val task_equal : task_config -> task_config -> bool
 

@@ -91,8 +91,6 @@ let is_master pd task = match pd.tasks with [] -> false | m :: _ -> m == task
 (* Number of tasks in a descriptor. *)
 let arity pd = List.length pd.tasks
 
-let nth_task pd i = List.nth pd.tasks i
-
 (* The default configuration for a descriptor: every task at DoP 1, nested
    parallelism off.  This is the conservative starting point the runtime
    calibrates away from. *)

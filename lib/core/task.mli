@@ -86,7 +86,6 @@ val nested_choice : name:string -> seq:bool list -> (unit -> par_descriptor) -> 
 
 val is_master : par_descriptor -> t -> bool
 val arity : par_descriptor -> int
-val nth_task : par_descriptor -> int -> t
 
 val default_config : par_descriptor -> Config.t
 (** Every task at DoP 1, nested parallelism off: the conservative starting

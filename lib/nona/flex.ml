@@ -40,9 +40,6 @@ type flags = {
 
 let default_flags = { hoist_state = true; privatize_reductions = true; heap_op_ns = 40 }
 
-(* Temporary tracing for protocol debugging. *)
-let debug = ref false
-
 (* Identity element of an associative-commutative reduction operator. *)
 let identity = function
   | Instr.Add | Instr.Xor | Instr.Or -> 0
@@ -428,10 +425,6 @@ let make_doany_task rs ~max_lanes =
           Mutex.unlock rs.iter_mu;
           if i < n then Some i else None
         in
-        (if !debug then
-           Printf.printf "[doany] lane %d tid %s claimed %s\n%!" ctx.Task.lane
-             (match Engine.current_task_id () with Some t -> string_of_int t | None -> "?")
-             (match claimed with Some i -> string_of_int i | None -> "none"));
         match claimed with
         | None ->
             park st;
@@ -664,7 +657,6 @@ let make_psdswp_tasks rs (pipe : Mtcg.pipeline) ~max_lanes =
         match rs.psdswp_pending with
         | Some d ->
             let _, _, id = head_epoch () in
-            if !debug then Printf.printf "[%s master] stamp epoch %d at i=%d\n%!" rs.loop.Loop.name (id + 1) i;
             rs.epochs <- (i, d, id + 1) :: rs.epochs;
             rs.dops <- d;
             rs.psdswp_pending <- None
@@ -678,10 +670,6 @@ let make_psdswp_tasks rs (pipe : Mtcg.pipeline) ~max_lanes =
         sent_epoch := cur_id
       end;
       let park_with kind =
-        if !debug then
-          Printf.printf "[%s seq%d] park %s at i=%d\n%!" rs.loop.Loop.name info.si
-            (match kind with `Pause -> "pause" | `Exit -> "exit")
-            i;
         send_stops info ~lane:0 kind;
         park st;
         if kind = `Pause then Task_status.Paused else Task_status.Complete
@@ -696,20 +684,11 @@ let make_psdswp_tasks rs (pipe : Mtcg.pipeline) ~max_lanes =
         let rec recv_edge = function
           | [] -> ()
           | ei :: rest -> (
-              let a = producer_lane ei i in
-              if !debug then
-                Printf.printf "[%s seq%d] i=%d edge=%d wait lane %d (epochs=%s)\n%!" rs.loop.Loop.name info.si i ei a
-                  (String.concat ";"
-                     (List.map (fun (b, d, id) ->
-                          Printf.sprintf "(%d,[%s],%d)" b
-                            (String.concat "," (Array.to_list (Array.map string_of_int d))) id)
-                        rs.epochs));
-              match Chan.recv chans.(ei).(a).(0) with
+              match Chan.recv chans.(ei).(producer_lane ei i).(0) with
               | Go vals ->
                   List.iteri (fun k r -> st.env.(r) <- vals.(k)) pipe.Mtcg.edges.(ei).Mtcg.e_regs;
                   recv_edge rest
-              | Reconf id ->
-                  if !debug then Printf.printf "[%s seq%d] i=%d got Reconf %d\n%!" rs.loop.Loop.name info.si i id;
+              | Reconf _ ->
                   (* Epoch boundary: the producer-lane mapping for i may
                      have changed; re-route and receive again. *)
                   recv_edge (ei :: rest)
@@ -773,7 +752,6 @@ let make_psdswp_tasks rs (pipe : Mtcg.pipeline) ~max_lanes =
                 List.iteri (fun k r -> st.env.(r) <- vals.(k)) pipe.Mtcg.edges.(ei).Mtcg.e_regs;
                 recv_edge rest
             | Reconf id ->
-                if !debug then Printf.printf "[%s par%d.%d] got Reconf %d\n%!" rs.loop.Loop.name info.si lane id;
                 forward_token id;
                 if needed_from id then recv_edge (ei :: rest) else retire := true
             | Stop_pause -> stop := Some `Pause

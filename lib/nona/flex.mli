@@ -101,6 +101,3 @@ val make_doacross_task :
     forwarding the hard recurrence values from each iteration to the next;
     the independent part of the body overlaps across lanes.  Returns the
     task and the ring-reset function to run between epochs. *)
-
-val debug : bool ref
-(** Temporary protocol tracing (development aid). *)

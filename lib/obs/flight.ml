@@ -34,18 +34,13 @@ type t = {
 }
 
 let create () = { entries = []; count = 0; next_epoch = 0 }
-let null = { entries = []; count = 0; next_epoch = 0 }
-let is_null r = r == null
-let cur : t ref = ref null
-let set r = cur := r
-let clear () = cur := null
-let current () = !cur
-let enabled () = not (is_null !cur)
+let null = create ()
+let cell = Atomic.make null
+let enabled () = Atomic.get cell != null
 
 let with_recorder r f =
-  let prev = !cur in
-  cur := r;
-  Fun.protect ~finally:(fun () -> cur := prev) f
+  let prev = Atomic.exchange cell r in
+  Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
 
 let entries r = List.rev r.entries
 let count r = r.count
@@ -56,8 +51,8 @@ let push r e =
 
 let decision ~t ~actor ~region ?state ~reason ?(tasks = []) ?(probes = []) ?gradient
     ?(inputs = []) ?(slack = []) ~candidate ~chosen ~threads ~budget () =
-  let r = !cur in
-  if not (is_null r) then begin
+  let r = Atomic.get cell in
+  if r != null then begin
     let epoch = r.next_epoch in
     r.next_epoch <- epoch + 1;
     push r
@@ -82,8 +77,8 @@ let decision ~t ~actor ~region ?state ~reason ?(tasks = []) ?(probes = []) ?grad
   end
 
 let overhead ~t ~region ~phase ~ns =
-  let r = !cur in
-  if not (is_null r) then push r (Overhead { o_t = t; o_region = region; o_phase = phase; o_ns = ns })
+  let r = Atomic.get cell in
+  if r != null then push r (Overhead { o_t = t; o_region = region; o_phase = phase; o_ns = ns })
 
 (* ------------------------------------------------------------------ *)
 (* JSONL codec.                                                       *)

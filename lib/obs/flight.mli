@@ -65,23 +65,19 @@ type entry = Decision of decision | Overhead of overhead
 
 (** {1 The recorder}
 
-    Same discipline as {!Trace}: a physical [null] sentinel makes
-    {!enabled} one load and one pointer comparison, so with no recorder
-    installed the runtime pays nothing. *)
+    Same discipline as {!Trace}: an [Atomic] cell written only by
+    {!with_recorder} holds the recorder or a private null sentinel, so
+    {!enabled} is one load and one pointer comparison and with no
+    recorder installed the runtime pays nothing. *)
 
 type t
 
 val create : unit -> t
-val null : t
-val is_null : t -> bool
-val set : t -> unit
-val clear : unit -> unit
-val current : unit -> t
 val enabled : unit -> bool
 
 val with_recorder : t -> (unit -> 'a) -> 'a
 (** Run [f] with the recorder installed, restoring the previous one on
-    exit (also on exception). *)
+    exit (also on exception), so scopes nest. *)
 
 val entries : t -> entry list
 (** All recorded entries, oldest first. *)

@@ -74,20 +74,17 @@ let create () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Installation (the Trace ambient-cell pattern).                      *)
+(* Installation (the Trace scoped-cell pattern).                       *)
 (* ------------------------------------------------------------------ *)
 
-let current : t option ref = ref None
+let cell : t option Atomic.t = Atomic.make None
 
-let set tr = current := Some tr
-let clear () = current := None
-let get () = !current
-let enabled () = match !current with Some _ -> true | None -> false
+let get () = Atomic.get cell
+let enabled () = Option.is_some (Atomic.get cell)
 
 let with_tracker tr f =
-  let prev = !current in
-  set tr;
-  Fun.protect ~finally:(fun () -> current := prev) f
+  let prev = Atomic.exchange cell (Some tr) in
+  Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
 
 let locked tr f =
   Mutex.lock tr.mu;
@@ -152,7 +149,7 @@ let ordered st ~task (e : epoch) =
 (* ------------------------------------------------------------------ *)
 
 let on_spawn ~parent ~child =
-  match !current with
+  match Atomic.get cell with
   | None -> ()
   | Some tr ->
       locked tr (fun () ->
@@ -164,29 +161,29 @@ let on_spawn ~parent ~child =
 let done_key tid = "task-done:" ^ string_of_int tid
 
 let on_task_done ~task =
-  match !current with
+  match Atomic.get cell with
   | None -> ()
   | Some tr -> locked tr (fun () -> release_locked tr ~task ~key:(done_key task))
 
 let on_join ~task ~joined =
-  match !current with
+  match Atomic.get cell with
   | None -> ()
   | Some tr -> locked tr (fun () -> acquire_locked tr ~task ~key:(done_key joined))
 
 let on_release ~task ~key =
-  match !current with
+  match Atomic.get cell with
   | None -> ()
   | Some tr -> locked tr (fun () -> release_locked tr ~task ~key)
 
 let on_acquire ~task ~key =
-  match !current with
+  match Atomic.get cell with
   | None -> ()
   | Some tr -> locked tr (fun () -> acquire_locked tr ~task ~key)
 
 let chan_key chan = "chan:" ^ chan
 
 let on_send ~task ~chan ~seq =
-  match !current with
+  match Atomic.get cell with
   | None -> ()
   | Some tr ->
       locked tr (fun () ->
@@ -197,7 +194,7 @@ let on_send ~task ~chan ~seq =
           st.clk <- st.clk + 1)
 
 let on_recv ~task ~chan ~seq =
-  match !current with
+  match Atomic.get cell with
   | None -> ()
   | Some tr ->
       locked tr (fun () ->
@@ -216,25 +213,16 @@ let on_recv ~task ~chan ~seq =
    registry like every other instrumented module. *)
 type san_metrics = { sm_accesses : Metrics.counter; sm_races : Metrics.counter }
 
-let smx : (Metrics.t * san_metrics) option ref = ref None
-
-let san_handles () =
-  let reg = Metrics.current () in
-  match !smx with
-  | Some (r, h) when r == reg -> h
-  | _ ->
-      let h =
-        {
-          sm_accesses =
-            Metrics.counter reg "parcae_sanitizer_accesses_total"
-              ~help:"Array loads/stores checked by the race sanitizer.";
-          sm_races =
-            Metrics.counter reg "parcae_sanitizer_races_total"
-              ~help:"Unordered conflicting access pairs the sanitizer observed.";
-        }
-      in
-      smx := Some (reg, h);
-      h
+let san_handles =
+  Metrics.cached (fun reg ->
+      {
+        sm_accesses =
+          Metrics.counter reg "parcae_sanitizer_accesses_total"
+            ~help:"Array loads/stores checked by the race sanitizer.";
+        sm_races =
+          Metrics.counter reg "parcae_sanitizer_races_total"
+            ~help:"Unordered conflicting access pairs the sanitizer observed.";
+      })
 
 let find_cell tr arr idx =
   let key = (arr, idx) in
@@ -280,7 +268,7 @@ let note_pair tr ~arr ~idx ~(prior : epoch) ~prior_write ~task ~node ~write ~is_
   end
 
 let on_access ~task ~arr ~idx ~node ~write =
-  match !current with
+  match Atomic.get cell with
   | None -> ()
   | Some tr ->
       locked tr (fun () ->

@@ -19,10 +19,9 @@ type t
 
 val create : unit -> t
 
-(** {1 Installation} — same ambient-cell discipline as {!Trace}. *)
+(** {1 Installation} — same scoped cell as {!Trace}: an [Atomic] written
+    only by {!with_tracker}. *)
 
-val set : t -> unit
-val clear : unit -> unit
 val get : unit -> t option
 val enabled : unit -> bool
 

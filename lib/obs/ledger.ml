@@ -7,24 +7,18 @@ type t = { table : (string * string, int ref) Hashtbl.t }
 
 let create () = { table = Hashtbl.create 17 }
 let null = { table = Hashtbl.create 0 }
-let is_null l = l == null
-let cur = ref null
-let set l = cur := l
-let clear () = cur := null
-let current () = !cur
-let enabled () = not (is_null !cur)
+let cell = Atomic.make null
 
 let with_ledger l f =
-  let prev = !cur in
-  cur := l;
-  Fun.protect ~finally:(fun () -> cur := prev) f
+  let prev = Atomic.exchange cell l in
+  Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
 
-let active () = enabled () || Metrics.enabled () || Flight.enabled ()
+let active () = Atomic.get cell != null || Metrics.enabled () || Flight.enabled ()
 
 let note ~t ~region ~phase ns =
   let ns = max 0 ns in
-  let l = !cur in
-  if not (is_null l) then begin
+  let l = Atomic.get cell in
+  if l != null then begin
     let key = (region, phase) in
     match Hashtbl.find_opt l.table key with
     | Some r -> r := !r + ns

@@ -29,16 +29,11 @@ val phases : string list
 type t
 
 val create : unit -> t
-val null : t
-val is_null : t -> bool
-val set : t -> unit
-val clear : unit -> unit
-val current : unit -> t
-val enabled : unit -> bool
 
 val with_ledger : t -> (unit -> 'a) -> 'a
-(** Run [f] with the ledger installed, restoring the previous one on exit
-    (also on exception). *)
+(** Run [f] with the ledger installed in an [Atomic] cell, restoring the
+    previous one on exit (also on exception), so scopes nest.  This is the
+    only way to install a ledger. *)
 
 val active : unit -> bool
 (** True when a ledger, a metrics registry, or a flight recorder is

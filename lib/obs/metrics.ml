@@ -48,7 +48,6 @@ let gauge_value g = g.g
 type summary = Hdr.t
 
 let observe_summary (s : summary) ns = Hdr.observe s ns
-let summary_quantile (s : summary) q = Hdr.quantile s q
 let summary_count (s : summary) = Hdr.count s
 let summary_sum (s : summary) = Hdr.sum s
 
@@ -87,19 +86,16 @@ let create () = { null_ = false; mu = Mutex.create (); families = Hashtbl.create
 let null = { null_ = true; mu = Mutex.create (); families = Hashtbl.create 0 }
 let is_null r = r == null
 
-(* ---- The installed registry (mirrors Trace's current sink). ---- *)
+(* ---- The installed registry (Trace's scoped cell). ---- *)
 
-let current_ref = ref null
+let cell = Atomic.make null
 
-let set r = current_ref := r
-let clear () = current_ref := null
-let current () = !current_ref
-let enabled () = not (is_null !current_ref)
+let current () = Atomic.get cell
+let enabled () = not (is_null (Atomic.get cell))
 
 let with_registry r f =
-  let prev = !current_ref in
-  current_ref := r;
-  Fun.protect ~finally:(fun () -> current_ref := prev) f
+  let prev = Atomic.exchange cell r in
+  Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
 
 (* Memoize instrument handles against the installed registry: the returned
    thunk rebuilds only when a different registry is installed, so hot paths
@@ -107,7 +103,7 @@ let with_registry r f =
 let cached build =
   let memo = ref None in
   fun () ->
-    let reg = !current_ref in
+    let reg = Atomic.get cell in
     match !memo with
     | Some (r, v) when r == reg -> v
     | _ ->

@@ -7,9 +7,10 @@
     are exposed in sorted order with fixed float formatting, so same-seed
     runs produce byte-identical snapshots.
 
-    Disabled mode mirrors {!Trace}: a physical [null] registry makes
-    {!enabled} one load and one pointer comparison, and every emitter in the
-    runtime guards with
+    A registry is installed only through {!with_registry}, into an
+    [Atomic] cell.  Disabled mode mirrors {!Trace}: a physical [null]
+    registry makes {!enabled} one load and one pointer comparison, and every
+    emitter in the runtime guards with
 
     {[ if Metrics.enabled () then Metrics.inc (handles ()).something ]}
 
@@ -41,10 +42,6 @@ type summary = Hdr.t
 val observe_summary : summary -> int -> unit
 (** Record one integer observation (nanoseconds).  Allocation-free. *)
 
-val summary_quantile : summary -> float -> int
-(** Bounded-relative-error quantile estimate in the observed unit
-    (nanoseconds throughout Parcae); see {!Hdr.quantile}. *)
-
 val summary_count : summary -> int
 val summary_sum : summary -> int
 
@@ -66,19 +63,17 @@ val is_null : t -> bool
 
 (** {1 The installed registry}
 
-    One global current-registry cell.  It is installed before a run
-    starts and left alone while the run's threads read it.  Instrument
-    updates are plain writes: exact on the simulator, whose threads never
-    run in parallel, and lossy under contention on the native backend. *)
+    One global current-registry cell, an [Atomic] written only by
+    {!with_registry}.  Instrument updates are plain writes: exact on the
+    simulator, whose threads never run in parallel, and lossy under
+    contention on the native backend. *)
 
-val set : t -> unit
-val clear : unit -> unit
 val current : unit -> t
 val enabled : unit -> bool
 
 val with_registry : t -> (unit -> 'a) -> 'a
 (** Run [f] with [r] installed, restoring the previous registry on exit
-    (also on exception). *)
+    (also on exception), so scopes nest. *)
 
 val cached : (t -> 'a) -> unit -> 'a
 (** [cached build] memoizes [build reg] against the installed registry:

@@ -220,6 +220,3 @@ let check ?(require_flush = false) ?(check_budget = false) events =
           dangling_pauses = dangling;
         }
   | vs -> Error vs
-
-let check_sink ?require_flush ?check_budget sink =
-  check ?require_flush ?check_budget (Sink.events sink)

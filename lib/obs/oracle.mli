@@ -39,8 +39,5 @@ type stats = {
 val check :
   ?require_flush:bool -> ?check_budget:bool -> Event.t list -> (stats, violation list) result
 
-val check_sink :
-  ?require_flush:bool -> ?check_budget:bool -> Sink.t -> (stats, violation list) result
-
 val violation_to_string : violation -> string
 val violations_to_string : violation list -> string

@@ -16,20 +16,18 @@ type t = {
   mutable len : int;  (* retained events, <= capacity *)
   mutable dropped : int;  (* events overwritten after the ring filled *)
   mutable last_t : int;  (* high-water timestamp for the monotone clamp *)
-  mutable mx : (Metrics.t * Metrics.counter) option;
-      (* cached drop counter, keyed on the installed registry *)
 }
 
 let null =
   { capacity = 0; mu = Mutex.create (); buf = [||]; start = 0; len = 0; dropped = 0;
-    last_t = min_int; mx = None }
+    last_t = min_int }
 
 let default_capacity = 1 lsl 16
 
 let create ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Sink.create: capacity must be positive";
   { capacity; mu = Mutex.create (); buf = [||]; start = 0; len = 0; dropped = 0;
-    last_t = min_int; mx = None }
+    last_t = min_int }
 
 let is_null s = s == null
 
@@ -47,12 +45,16 @@ let clear s =
   s.len <- 0;
   s.dropped <- 0;
   s.last_t <- min_int;
-  s.mx <- None;
   Mutex.unlock s.mu
 
 (* Size of the backing array — 0 before the first event and after [clear].
    Exposed so tests can assert that clearing releases the allocation. *)
 let allocated_slots s = Array.length s.buf
+
+let dropped_total =
+  Metrics.cached (fun reg ->
+      Metrics.counter reg "parcae_trace_dropped_total"
+        ~help:"Trace events overwritten by a full sink ring")
 
 let record s ~t kind =
   if s.capacity > 0 then begin
@@ -79,21 +81,7 @@ let record s ~t kind =
       s.buf.(s.start) <- ev;
       s.start <- (s.start + 1) mod s.capacity;
       s.dropped <- s.dropped + 1;
-      if Metrics.enabled () then begin
-        let reg = Metrics.current () in
-        let c =
-          match s.mx with
-          | Some (r, c) when r == reg -> c
-          | _ ->
-              let c =
-                Metrics.counter reg "parcae_trace_dropped_total"
-                  ~help:"Trace events overwritten by a full sink ring"
-              in
-              s.mx <- Some (reg, c);
-              c
-        in
-        Metrics.inc c
-      end
+      if Metrics.enabled () then Metrics.inc (dropped_total ())
     end;
     Mutex.unlock s.mu
   end

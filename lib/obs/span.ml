@@ -170,25 +170,20 @@ let create ?(capacity = 4096) () =
     mu = Mutex.create ();
   }
 
-(* ---- The installed collector (Timeline's global-cell idiom). ---- *)
+(* ---- The installed collector (Trace's scoped cell). ---- *)
 
 let cell : t option Atomic.t = Atomic.make None
 
-let set t = Atomic.set cell (Some t)
-let clear () = Atomic.set cell None
 let get () = Atomic.get cell
-let enabled () = Atomic.get cell <> None
+let enabled () = Option.is_some (Atomic.get cell)
 
 let with_collector t f =
-  let prev = Atomic.get cell in
-  set t;
+  let prev = Atomic.exchange cell (Some t) in
   Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
 
 let configure_slo t ~target_ns ~budget =
   t.slo_target_ns <- target_ns;
   t.slo_budget <- budget
-
-let set_stage_names t names = t.stage_names <- names
 
 (* ---- Registry handles (null-object cached, like every emitter). ---- *)
 

@@ -10,7 +10,8 @@
 
     Completed spans land in an installed {!t} collector: a preallocated
     ring with drop accounting (mirroring the trace sink), per-phase HDR
-    histograms, and an SLO burn tracker.  With no collector installed,
+    histograms, and an SLO burn tracker.  A collector is installed only
+    through {!with_collector}, into an [Atomic] cell; with none installed,
     {!enabled} is one atomic load and every hook no-ops. *)
 
 val max_stages : int
@@ -92,21 +93,19 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] (default 4096) bounds the completed-span ring — overflow
     overwrites the oldest entry and counts a drop. *)
 
-val set : t -> unit
-val clear : unit -> unit
 val get : unit -> t option
 val enabled : unit -> bool
 
 val with_collector : t -> (unit -> 'a) -> 'a
-(** Install [t], run [f], then restore the previously installed collector
-    (also on exception), so scopes nest. *)
+(** Install [t] in the collector's [Atomic] cell — the only way to install
+    one — run [f], then restore the previously installed collector (also
+    on exception), so scopes nest. *)
 
 val configure_slo : t -> target_ns:int -> budget:float -> unit
 (** Arm the SLO tracker: requests slower than [target_ns] consume error
     budget; [budget] is the tolerated over-target fraction.  A
     [target_ns <= 0] disables the tracker. *)
 
-val set_stage_names : t -> string array -> unit
 val stage_name : t -> int -> string
 
 (** {1 Phases} *)

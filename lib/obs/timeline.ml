@@ -101,7 +101,6 @@ let create ?(capacity = 4096) ?(initial = Park) ~lanes ~now () =
   { cap = capacity; t0 = now; lanes_ = Array.init lanes (fun _ -> mk ()) }
 
 let lanes t = Array.length t.lanes_
-let origin t = t.t0
 
 let push_span t l st t0 t1 =
   let i =
@@ -238,16 +237,13 @@ let breakdown_to_json bds =
 (* The installed timeline.                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* An Atomic because native pool domains read the cell concurrently with
-   installation from the driver thread. *)
+(* Trace's scoped cell: an Atomic, because native pool domains read it
+   concurrently with installation from the driver thread. *)
 let cell : t option Atomic.t = Atomic.make None
 
-let set tl = Atomic.set cell (Some tl)
-let clear () = Atomic.set cell None
 let get () = Atomic.get cell
-let enabled () = Atomic.get cell <> None
+let enabled () = Option.is_some (Atomic.get cell)
 
 let with_timeline tl f =
-  let prev = Atomic.get cell in
-  Atomic.set cell (Some tl);
+  let prev = Atomic.exchange cell (Some tl) in
   Fun.protect ~finally:(fun () -> Atomic.set cell prev) f

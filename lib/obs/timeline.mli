@@ -26,9 +26,10 @@
       compute), so on a saturated lane over-reported waits clamp to ~zero
       instead of eating [Run].
 
-    Like {!Trace} and {!Metrics} there is one globally installed timeline
-    ({!set}/{!get}/{!with_timeline}); emitters guard with {!enabled} so a
-    disabled timeline costs one load and one comparison. *)
+    Like {!Trace} and {!Metrics} there is one globally installed timeline,
+    an [Atomic] cell written only by {!with_timeline} and read through
+    {!get}; emitters guard with {!enabled} so a disabled timeline costs one
+    load and one comparison. *)
 
 type state =
   | Run  (** executing task / fiber code *)
@@ -49,13 +50,11 @@ type t
 val create : ?capacity:int -> ?initial:state -> lanes:int -> now:int -> unit -> t
 (** [capacity] is the per-lane span ring size (default 4096); the rings
     are preallocated at creation so recording never allocates.  [initial]
-    is the state every lane is in at [now] (default [Park]).
+    is the state every lane is in at [now] (default [Park]), which is
+    also the origin every breakdown starts from.
     @raise Invalid_argument if [lanes < 1] or [capacity < 1]. *)
 
 val lanes : t -> int
-val origin : t -> int
-(** The [now] the timeline was created with; breakdowns cover
-    [origin, until]. *)
 
 val enter : t -> lane:int -> now:int -> state -> unit
 (** Transition [lane] to a new state at [now], closing the current span.
@@ -82,13 +81,13 @@ val span_drops : t -> lane:int -> int
 
 type lane_breakdown = {
   lane : int;
-  wall_ns : int;  (** [until - origin] *)
+  wall_ns : int;  (** [until - now], [now] as given to {!create} *)
   by_state : int array;  (** ns per state, indexed by {!state_index} *)
   shares : float array;  (** [by_state / wall_ns]; all zero when wall is 0 *)
 }
 
 val breakdown : t -> until:int -> lane_breakdown array
-(** Per-lane totals over [origin, until], attribution transfers applied.
+(** Per-lane totals from creation to [until], attribution transfers applied.
     Each lane's [by_state] sums to [wall_ns] exactly (shares sum to 1). *)
 
 val merged_shares : lane_breakdown array -> (state * float) list
@@ -101,11 +100,9 @@ val breakdown_to_json : lane_breakdown array -> Json.t
 
 (** {1 The installed timeline} *)
 
-val set : t -> unit
-val clear : unit -> unit
 val get : unit -> t option
 val enabled : unit -> bool
 
 val with_timeline : t -> (unit -> 'a) -> 'a
 (** Install [tl] for the duration of the callback, restoring the previous
-    installation afterwards (exception-safe). *)
+    installation afterwards (exception-safe), so scopes nest. *)

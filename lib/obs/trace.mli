@@ -1,14 +1,9 @@
 (** The global trace destination.
 
-    One current-sink cell (race-free: simulated threads are cooperative
-    coroutines on one OS thread).  Emission sites guard with {!enabled} so
-    disabled tracing never allocates an event payload. *)
+    One current-sink cell, an [Atomic] written only by {!with_sink}.
+    Emission sites guard with {!enabled} so disabled tracing never
+    allocates an event payload. *)
 
-val set : Sink.t -> unit
-val clear : unit -> unit
-(** Reset to {!Sink.null} (tracing off). *)
-
-val sink : unit -> Sink.t
 val enabled : unit -> bool
 
 val emit : t:int -> Event.kind -> unit
@@ -17,4 +12,4 @@ val emit : t:int -> Event.kind -> unit
 
 val with_sink : Sink.t -> (unit -> 'a) -> 'a
 (** Install a sink for the duration of the callback, restoring the
-    previous one afterwards (exception-safe). *)
+    previous one afterwards (exception-safe), so scopes nest. *)

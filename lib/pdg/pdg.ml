@@ -227,10 +227,6 @@ let doany_inhibitors t = List.filter (fun d -> d.Dep.carried && not (Dep.is_rela
 
 let node_count t = Array.length t.nodes
 
-(* Successors of node [id] considering every dependence edge. *)
-let successors t id =
-  List.filter_map (fun d -> if d.Dep.src = id then Some d.Dep.dst else None) t.deps
-
 let pp fmt t =
   Format.fprintf fmt "PDG of %s (%d nodes):@." t.loop.Loop.name (Array.length t.nodes);
   Array.iteri (fun i n -> Format.fprintf fmt "  [%d] %s@." i (Loop.node_to_string n)) t.nodes;

@@ -44,5 +44,4 @@ val doany_inhibitors : t -> Dep.t list
     programmer as parallelization inhibitors (Figure 3.2). *)
 
 val node_count : t -> int
-val successors : t -> int -> int list
 val pp : Format.formatter -> t -> unit

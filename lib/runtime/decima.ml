@@ -13,9 +13,7 @@
    record per task, and the EWMA itself is integer fixed-point (whole
    nanoseconds) — a float-valued mixed record would box a float on every
    sample, taxing the serve path's hook_end with an allocation per
-   instance.  Recent hook samples additionally land in a preallocated
-   (task, dt) ring, like the event sink's, so observability keeps a
-   bounded window of raw samples without per-sample list cells. *)
+   instance. *)
 
 module Engine = Parcae_platform.Engine
 module Trace = Parcae_obs.Trace
@@ -36,17 +34,11 @@ type decima_metrics = { dm_tasks : task_metrics array; dm_completions : Metrics.
 (* EWMA weight of the newest sample is 1/ewma_inv (alpha = 0.2). *)
 let ewma_inv = 5
 
-(* Capacity of the recent-sample ring (power of two for cheap wrap). *)
-let ring_cap = 256
-
 type t = {
   eng : Engine.t;
   mutable iters_a : int array;  (* completed dynamic instances across all lanes *)
   mutable compute_a : int array;  (* total CPU ns between begin/end hooks *)
   mutable ewma_a : int array;  (* per-instance compute estimate, ns; -1 = unprimed *)
-  ring_task : int array;  (* recent hook samples: task index... *)
-  ring_dt : int array;  (* ...and duration, ns *)
-  mutable ring_next : int;  (* total samples ever ringed *)
   features : (string, unit -> float) Hashtbl.t;
   mutable hook_calls : int;
   mutable completions : int;  (* region-level unit-of-work completions *)
@@ -62,9 +54,6 @@ let create eng ~tasks =
     iters_a = Array.make tasks 0;
     compute_a = Array.make tasks 0;
     ewma_a = Array.make tasks (-1);
-    ring_task = Array.make ring_cap (-1);
-    ring_dt = Array.make ring_cap 0;
-    ring_next = 0;
     features = Hashtbl.create 7;
     hook_calls = 0;
     completions = 0;
@@ -168,10 +157,6 @@ let hook_end t ~task slot =
       let prev = t.ewma_a.(task) in
       t.ewma_a.(task) <-
         (if prev < 0 then dt else prev + ((dt - prev) / ewma_inv));
-      let slot_i = t.ring_next land (ring_cap - 1) in
-      t.ring_task.(slot_i) <- task;
-      t.ring_dt.(slot_i) <- dt;
-      t.ring_next <- t.ring_next + 1;
       if Trace.enabled () then
         Trace.emit ~t:(Engine.time t.eng) (Event.Hook_sample { task; dt_ns = dt });
       if Metrics.enabled () then begin
@@ -225,37 +210,19 @@ let task_rate t i =
   let now = Engine.time t.eng in
   if now = 0 then 0.0 else float_of_int t.iters_a.(i) /. Engine.seconds_of_ns now
 
-(* Recent hook samples for task [i], oldest first — read out of the
-   preallocated ring (cold path: allocates the result array). *)
-let recent_samples t i =
-  let len = min t.ring_next ring_cap in
-  let start = t.ring_next - len in
-  let out = ref [] in
-  for k = len - 1 downto 0 do
-    let slot_i = (start + k) land (ring_cap - 1) in
-    if t.ring_task.(slot_i) = i then out := t.ring_dt.(slot_i) :: !out
-  done;
-  Array.of_list !out
-
 (* ---- Snapshots for interval throughput ---- *)
 
 (* The closed-loop controller compares configurations by the iteration
    throughput achieved between two snapshots. *)
-type snapshot = { at : int; iters_v : int array; completions_v : int }
+type snapshot = { at : int; iters_v : int array }
 
-let snapshot t =
-  { at = Engine.time t.eng; iters_v = Array.copy t.iters_a; completions_v = t.completions }
+let snapshot t = { at = Engine.time t.eng; iters_v = Array.copy t.iters_a }
 
 (* Iterations per second of task [i] between [a] and the present. *)
 let rate_since t (a : snapshot) i =
   let dt = Engine.time t.eng - a.at in
   if dt <= 0 then 0.0
   else float_of_int (t.iters_a.(i) - a.iters_v.(i)) /. Engine.seconds_of_ns dt
-
-(* Region-level completions per second since snapshot [a]. *)
-let completion_rate_since t (a : snapshot) =
-  let dt = Engine.time t.eng - a.at in
-  if dt <= 0 then 0.0 else float_of_int (t.completions - a.completions_v) /. Engine.seconds_of_ns dt
 
 let iters_since t (a : snapshot) i = t.iters_a.(i) - a.iters_v.(i)
 

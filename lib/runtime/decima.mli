@@ -58,11 +58,6 @@ val task_rate : t -> int -> float
 (** Average observed completion rate of a task, instances/second, over the
     whole run. *)
 
-val recent_samples : t -> int -> int array
-(** The last hook samples of a task (dt in ns, oldest first) still present
-    in the monitor's preallocated sample ring — a bounded raw-sample
-    window for diagnostics.  Cold path: allocates the result. *)
-
 (** {1 Interval throughput}
 
     The closed-loop controller compares configurations by the throughput
@@ -72,7 +67,6 @@ type snapshot
 
 val snapshot : t -> snapshot
 val rate_since : t -> snapshot -> int -> float
-val completion_rate_since : t -> snapshot -> float
 val iters_since : t -> snapshot -> int -> int
 
 (** {1 Platform feature registry (Figure 5.8)} *)

@@ -20,13 +20,6 @@ type status =
   | Paused  (* all workers parked; safe to reconfigure *)
   | Done  (* master task completed; region terminated *)
 
-let status_to_string = function
-  | Init -> "INIT"
-  | Running -> "RUNNING"
-  | Pausing -> "PAUSING"
-  | Paused -> "PAUSED"
-  | Done -> "DONE"
-
 type t = {
   name : string;
   eng : Engine.t;

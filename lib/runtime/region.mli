@@ -13,8 +13,6 @@ type status =
   | Paused  (** all workers parked; safe to reconfigure *)
   | Done  (** master task completed; region terminated *)
 
-val status_to_string : status -> string
-
 type t = {
   name : string;
   eng : Parcae_platform.Engine.t;

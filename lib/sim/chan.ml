@@ -74,14 +74,6 @@ let note_flush ch removed =
 (* The wait instruments want a start time when either sink is live. *)
 let observing () = Metrics.enabled () || Timeline.enabled ()
 
-(* Any live sink (metrics, timeline, trace, sanitizer) routes operations
-   through the fully instrumented paths.  With all sinks disabled — the
-   serving steady state — the fast paths below run instead; they keep the
-   counters and the blocking protocol bit-identical but allocate nothing
-   (no closures, refs or options per operation). *)
-let instrumented () =
-  Metrics.enabled () || Timeline.enabled () || Trace.enabled () || Hb.enabled ()
-
 (* Explain a measured block as Chan_wait on the core the thread last
    computed on (non-burst code runs off-core in the sim).  While blocked
    the thread held no core — the wait displaced Park time on that lane,
@@ -123,6 +115,10 @@ let emit_recv ch seq =
          { chan = ch.name; seq; task = th.Engine.tid; busy_ns = th.Engine.busy_ns })
   end
 
+let emit_flush ch dropped =
+  if Trace.enabled () then
+    Trace.emit ~t:(Engine.now ()) (Event.Chan_flush { chan = ch.name; dropped })
+
 let length ch = Ring.length ch.q
 let total_sent ch = ch.total_sent
 
@@ -136,88 +132,53 @@ let total_sent ch = ch.total_sent
    flush — waiting right after one could miss a signal sent while the
    thread was off the waiter queue.
 
-   The wait helpers are top-level recursive functions on purpose: a local
-   [let rec loop] closes over the operation's locals and is allocated per
-   call, which the instrumentation-off fast paths must not do. *)
-let rec wait_nonfull ch =
+   Each operation has one path.  Every hook carries its own guard, so with
+   all observers off — the serving steady state — an operation allocates
+   nothing: the wait helpers are top-level recursive functions that return
+   whether they blocked, where a local [let rec loop] would close over the
+   operation's locals and be allocated per call. *)
+let rec wait_nonfull ch blocked =
   if ch.capacity > 0 && Ring.length ch.q >= ch.capacity then begin
     if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonfull;
-    wait_nonfull ch
+    wait_nonfull ch true
   end
+  else blocked
 
-let rec wait_nonempty ch =
+let rec wait_nonempty ch blocked =
   if Ring.is_empty ch.q then begin
     if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonempty;
-    wait_nonempty ch
+    wait_nonempty ch true
   end
+  else blocked
 
 (* Enqueue [v], blocking while the channel is at capacity. *)
-let send_slow ch v =
-  let waited = ref false in
-  let t0 = if observing () then Engine.now () else 0 in
-  let rec loop () =
-    if ch.capacity > 0 && Ring.length ch.q >= ch.capacity then begin
-      waited := true;
-      if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonfull;
-      loop ()
-    end
-    else begin
-      let seq = ch.total_sent in
-      Ring.push ch.q v;
-      ch.total_sent <- seq + 1;
-      hb_send ch seq;
-      Engine.signal ch.nonempty;
-      seq
-    end
-  in
-  let seq = loop () in
-  note_send ch 1 !waited t0;
-  tl_wait !waited t0;
-  emit_send ch seq
-
 let send ch v =
   Engine.compute_in ch.eng ch.op_cost;
-  if instrumented () then send_slow ch v
-  else begin
-    wait_nonfull ch;
-    Ring.push ch.q v;
-    ch.total_sent <- ch.total_sent + 1;
-    Engine.signal ch.nonempty
-  end
+  let t0 = if observing () then Engine.now () else 0 in
+  let waited = wait_nonfull ch false in
+  let seq = ch.total_sent in
+  Ring.push ch.q v;
+  ch.total_sent <- seq + 1;
+  hb_send ch seq;
+  Engine.signal ch.nonempty;
+  note_send ch 1 waited t0;
+  tl_wait waited t0;
+  emit_send ch seq
 
 (* Dequeue, blocking while the channel is empty. *)
-let recv_slow ch =
-  let waited = ref false in
-  let t0 = if observing () then Engine.now () else 0 in
-  let rec loop () =
-    match Ring.pop_opt ch.q with
-    | Some v ->
-        let seq = ch.total_received in
-        ch.total_received <- seq + 1;
-        hb_recv ch seq;
-        Engine.signal ch.nonfull;
-        (v, seq)
-    | None ->
-        waited := true;
-        if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonempty;
-        loop ()
-  in
-  let v, seq = loop () in
-  note_recv ch 1 !waited t0;
-  tl_wait !waited t0;
-  emit_recv ch seq;
-  v
-
 let recv ch =
   Engine.charge ch.eng ch.op_cost;
-  if instrumented () then recv_slow ch
-  else begin
-    wait_nonempty ch;
-    let v = Ring.pop ch.q in
-    ch.total_received <- ch.total_received + 1;
-    Engine.signal ch.nonfull;
-    v
-  end
+  let t0 = if observing () then Engine.now () else 0 in
+  let waited = wait_nonempty ch false in
+  let v = Ring.pop ch.q in
+  let seq = ch.total_received in
+  ch.total_received <- seq + 1;
+  hb_recv ch seq;
+  Engine.signal ch.nonfull;
+  note_recv ch 1 waited t0;
+  tl_wait waited t0;
+  emit_recv ch seq;
+  v
 
 (* Enqueue [v] regardless of capacity.  Control sentinels use this: a lane
    re-enqueueing a sentinel it just consumed must never block, or the
@@ -232,71 +193,29 @@ let force_send ch v =
   emit_send ch seq;
   Engine.signal ch.nonempty
 
-(* Enqueue a whole batch for a single [chan_op] charge — the amortized
-   communication of Section 2.3.  Blocks (after the charge) whenever the
-   next item would overflow a bounded channel. *)
-let send_batch_slow ch vs =
-  let waited = ref false in
-  let t0 = if observing () then Engine.now () else 0 in
-  List.iter
-    (fun v ->
-      while ch.capacity > 0 && Ring.length ch.q >= ch.capacity do
-        waited := true;
-        if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonfull
-      done;
+(* Enqueue the items one by one, each after waiting for room; returns
+   whether any of them blocked. *)
+let rec send_all ch blocked = function
+  | [] -> blocked
+  | v :: tl ->
+      let blocked = wait_nonfull ch blocked in
       let seq = ch.total_sent in
       Ring.push ch.q v;
       ch.total_sent <- seq + 1;
       hb_send ch seq;
       emit_send ch seq;
-      Engine.signal ch.nonempty)
-    vs;
-  note_send ch (List.length vs) !waited t0;
-  tl_wait !waited t0
-
-let rec send_all ch = function
-  | [] -> ()
-  | v :: tl ->
-      wait_nonfull ch;
-      Ring.push ch.q v;
-      ch.total_sent <- ch.total_sent + 1;
       Engine.signal ch.nonempty;
-      send_all ch tl
+      send_all ch blocked tl
 
+(* Enqueue a whole batch for a single [chan_op] charge — the amortized
+   communication of Section 2.3.  Blocks (after the charge) whenever the
+   next item would overflow a bounded channel. *)
 let send_batch ch vs =
   Engine.compute_in ch.eng ch.op_cost;
-  if instrumented () then send_batch_slow ch vs else send_all ch vs
-
-(* Dequeue at least one and at most [max] items (default: everything
-   queued) for a single [chan_op] charge. *)
-let recv_batch_slow ~limit ch =
-  let waited = ref false in
   let t0 = if observing () then Engine.now () else 0 in
-  while Ring.is_empty ch.q do
-    waited := true;
-    if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonempty
-  done;
-  let limit = match limit with -1 -> Ring.length ch.q | m -> m in
-  let out = ref [] in
-  let taken = ref 0 in
-  let base = ch.total_received in
-  while !taken < limit && not (Ring.is_empty ch.q) do
-    out := Ring.pop ch.q :: !out;
-    incr taken
-  done;
-  ch.total_received <- base + !taken;
-  if Hb.enabled () then
-    for i = 0 to !taken - 1 do
-      hb_recv ch (base + i)
-    done;
-  if Trace.enabled () then
-    for i = 0 to !taken - 1 do
-      emit_recv ch (base + i)
-    done;
-  Engine.broadcast ch.nonfull;
-  note_recv ch !taken !waited t0;
-  tl_wait !waited t0;
-  List.rev !out
+  let waited = send_all ch false vs in
+  note_send ch (List.length vs) waited t0;
+  tl_wait waited t0
 
 (* Claim up to [n] queued items in FIFO order; the caller has ensured the
    queue is nonempty.  Builds the result front-first so no reversal (and
@@ -309,6 +228,8 @@ let rec take_n ch n =
     v :: take_n ch (n - 1)
   end
 
+(* Dequeue at least one and at most [max] items (default: everything
+   queued) for a single [chan_op] charge. *)
 let recv_batch ?max ch =
   Engine.charge ch.eng ch.op_cost;
   let limit =
@@ -318,13 +239,23 @@ let recv_batch ?max ch =
         m
     | None -> -1
   in
-  if instrumented () then recv_batch_slow ~limit ch
-  else begin
-    wait_nonempty ch;
-    let out = take_n ch (if limit = -1 then Ring.length ch.q else limit) in
-    Engine.broadcast ch.nonfull;
-    out
-  end
+  let t0 = if observing () then Engine.now () else 0 in
+  let waited = wait_nonempty ch false in
+  let base = ch.total_received in
+  let out = take_n ch (if limit = -1 then Ring.length ch.q else limit) in
+  let taken = ch.total_received - base in
+  if Hb.enabled () then
+    for i = 0 to taken - 1 do
+      hb_recv ch (base + i)
+    done;
+  if Trace.enabled () then
+    for i = 0 to taken - 1 do
+      emit_recv ch (base + i)
+    done;
+  Engine.broadcast ch.nonfull;
+  note_recv ch taken waited t0;
+  tl_wait waited t0;
+  out
 
 (* Keep only the items satisfying [keep], preserving order; returns how many
    were removed.  Used to strip pause sentinels from work queues on
@@ -333,13 +264,11 @@ let filter ch keep =
   (* A flush is a real channel operation: charge one op of virtual time so
      the reconfiguration overhead ledger sees a nonzero flush phase. *)
   Engine.compute_in ch.eng ch.op_cost;
-  let removed = ref (Ring.filter_in_place keep ch.q) in
-  if !removed > 0 then Engine.broadcast ch.nonfull;
-  if Parcae_obs.Trace.enabled () then
-    Parcae_obs.Trace.emit ~t:(Engine.now ())
-      (Parcae_obs.Event.Chan_flush { chan = ch.name; dropped = !removed });
-  note_flush ch !removed;
-  !removed
+  let removed = Ring.filter_in_place keep ch.q in
+  if removed > 0 then Engine.broadcast ch.nonfull;
+  emit_flush ch removed;
+  note_flush ch removed;
+  removed
 
 (* Discard all queued items; used when the runtime resets communication
    channels on resumption after a reconfiguration (Section 4.5). *)
@@ -348,8 +277,6 @@ let drain ch =
   let n = Ring.length ch.q in
   Ring.clear ch.q;
   Engine.broadcast ch.nonfull;
-  if Parcae_obs.Trace.enabled () then
-    Parcae_obs.Trace.emit ~t:(Engine.now ())
-      (Parcae_obs.Event.Chan_flush { chan = ch.name; dropped = n });
+  emit_flush ch n;
   note_flush ch n;
   n

@@ -14,13 +14,6 @@ let create ~title ~header = { title; header; rows = [] }
 
 let add_row t row = t.rows <- row :: t.rows
 
-let add_rowf t fmt = Format.kasprintf (fun s -> add_row t (String.split_on_char '|' s)) fmt
-
-let float_cell ?(digits = 3) v =
-  if Float.is_integer v && Float.abs v < 1e15 && digits = 0 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.*f" digits v
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.header :: rows in

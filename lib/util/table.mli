@@ -10,12 +10,6 @@ val create : title:string -> header:string list -> t
 val add_row : t -> string list -> unit
 (** Append a row (cells as strings). *)
 
-val add_rowf : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Append a row given as a ['|']-separated formatted string. *)
-
-val float_cell : ?digits:int -> float -> string
-(** Render a float cell with the given precision (default 3). *)
-
 val render : t -> string
 (** The table as a string: title, ruled header, rows.  Numeric-looking
     cells are right-aligned, labels left-aligned. *)

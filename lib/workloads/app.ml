@@ -85,7 +85,3 @@ let compute_scaled_fp eng ~alpha_fp (req : Request.t) base =
   let f = oversub_factor_fp eng ~alpha_fp in
   let scaled = (((base * f) + 32768) asr 16) * req.Request.scale_fp in
   Engine.compute_in eng ((scaled + 32768) asr 16)
-
-(* Float-API wrapper kept for callers off the serve path. *)
-let compute_scaled eng ~alpha req base =
-  compute_scaled_fp eng ~alpha_fp:(alpha_fp alpha) req base

@@ -43,7 +43,3 @@ val compute_scaled_fp : Parcae_platform.Engine.t -> alpha_fp:int -> Request.t ->
 (** Compute [base] ns inflated by the request scale and the current
     oversubscription factor, entirely in integer fixed point — the
     allocation-free form the serve path uses. *)
-
-val compute_scaled : Parcae_platform.Engine.t -> alpha:float -> Request.t -> int -> unit
-(** Compute [base] ns inflated by the request scale and the current
-    oversubscription factor.  Float wrapper over {!compute_scaled_fp}. *)

@@ -10,7 +10,6 @@
    Prometheus exposition read. *)
 
 module Engine = Parcae_platform.Engine
-module Series = Parcae_util.Series
 module Stats = Parcae_util.Stats
 module Obs = Parcae_obs.Metrics
 module Hdr = Parcae_obs.Hdr
@@ -31,7 +30,6 @@ type t = {
   mutable submitted : int;
   mutable first_completion_ns : int;
   mutable last_completion_ns : int;
-  throughput_series : Series.t;  (* optional live samples *)
   lat_hdr : Hdr.t;
       (* always-on end-to-end latency distribution, integer ns: latency
          quantiles on the serve path come from here (bounded relative
@@ -39,7 +37,6 @@ type t = {
          percentile estimate depends on the sampling seed once it
          overflows.  Reservoirs stay for means and workload-internal
          stats (DESIGN.md section 15). *)
-  mutable mx : (Obs.t * req_metrics) option;
 }
 
 let create eng =
@@ -51,9 +48,7 @@ let create eng =
     submitted = 0;
     first_completion_ns = -1;
     last_completion_ns = -1;
-    throughput_series = Series.create "completions";
     lat_hdr = Hdr.create ();
-    mx = None;
   }
 
 (* Rewind to a fresh state without reallocating: the reservoirs keep their
@@ -69,36 +64,29 @@ let reset t =
   t.last_completion_ns <- -1;
   Hdr.clear t.lat_hdr
 
-let handles t =
-  let reg = Obs.current () in
-  match t.mx with
-  | Some (r, h) when r == reg -> h
-  | _ ->
-      let h =
-        {
-          rm_submitted =
-            Obs.counter reg "parcae_requests_submitted_total"
-              ~help:"Requests submitted to the server workload.";
-          rm_completed =
-            Obs.counter reg "parcae_requests_completed_total"
-              ~help:"Requests completed by the server workload.";
-          rm_response =
-            Obs.summary reg "parcae_response_ns"
-              ~help:"Request response time, arrival to completion.";
-          rm_exec =
-            Obs.summary reg "parcae_exec_ns"
-              ~help:"Request execution time, processing only (no queue wait).";
-        }
-      in
-      t.mx <- Some (reg, h);
-      h
+let handles =
+  Obs.cached (fun reg ->
+      {
+        rm_submitted =
+          Obs.counter reg "parcae_requests_submitted_total"
+            ~help:"Requests submitted to the server workload.";
+        rm_completed =
+          Obs.counter reg "parcae_requests_completed_total"
+            ~help:"Requests completed by the server workload.";
+        rm_response =
+          Obs.summary reg "parcae_response_ns"
+            ~help:"Request response time, arrival to completion.";
+        rm_exec =
+          Obs.summary reg "parcae_exec_ns"
+            ~help:"Request execution time, processing only (no queue wait).";
+      })
 
 let submitted t = t.submitted
 let completed t = t.completed
 
 let note_submit t =
   t.submitted <- t.submitted + 1;
-  if Obs.enabled () then Obs.inc (handles t).rm_submitted
+  if Obs.enabled () then Obs.inc (handles ()).rm_submitted
 
 (* Record the completion of [req] at the current virtual time. *)
 let note_complete t (req : Request.t) =
@@ -118,7 +106,7 @@ let note_complete t (req : Request.t) =
   if t.first_completion_ns < 0 then t.first_completion_ns <- now;
   t.last_completion_ns <- now;
   if Obs.enabled () then begin
-    let h = handles t in
+    let h = handles () in
     Obs.inc h.rm_completed;
     Obs.observe_summary h.rm_response lat_ns;
     if started then Obs.observe_summary h.rm_exec (now - req.Request.start_ns)
@@ -155,11 +143,3 @@ let throughput t =
     if span <= 0 then 0.0
     else float_of_int (t.completed - 1) /. Engine.seconds_of_ns span
   end
-
-let throughput_series t = t.throughput_series
-
-let sample_throughput t ~window_completed ~window_ns =
-  if window_ns > 0 then
-    Series.add t.throughput_series
-      ~time:(Engine.seconds_of_ns (Engine.time t.eng))
-      ~value:(float_of_int window_completed /. Engine.seconds_of_ns window_ns)

@@ -4,9 +4,9 @@
     {!Parcae_util.Stats.Reservoir.default_capacity} entries, so means are
     exact (running sums) and percentiles are exact until the reservoir
     overflows, a uniform-sample estimate after.  When a metrics registry
-    is installed ({!Parcae_obs.Metrics.set}), every observation also feeds
-    the [parcae_requests_*_total] counters and the [parcae_response_ns] /
-    [parcae_exec_ns] summaries. *)
+    is installed ({!Parcae_obs.Metrics.with_registry}), every observation
+    also feeds the [parcae_requests_*_total] counters and the
+    [parcae_response_ns] / [parcae_exec_ns] summaries. *)
 
 type t
 
@@ -56,8 +56,3 @@ val mean_exec : t -> float
 val throughput : t -> float
 (** Sustained completion throughput, requests/second, first to last
     completion. *)
-
-val throughput_series : t -> Parcae_util.Series.t
-
-val sample_throughput : t -> window_completed:int -> window_ns:int -> unit
-(** Append a live throughput sample to {!throughput_series}. *)

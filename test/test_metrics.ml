@@ -68,7 +68,6 @@ let test_family_conflicts () =
       ignore (Metrics.counter reg "y_total"))
 
 let test_null_registry_inert () =
-  Metrics.clear ();
   check_bool "disabled by default" false (Metrics.enabled ());
   check_bool "current is null" true (Metrics.is_null (Metrics.current ()));
   (* Stray unguarded emitters against the null registry are harmless and

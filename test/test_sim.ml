@@ -139,6 +139,10 @@ let test_cond_signal_wakes_fifo () =
   ignore (Engine.run eng);
   Alcotest.(check (list string)) "FIFO wakeup" [ "first"; "second" ] (List.rev !order)
 
+(* Channel scripts return what they observed — values and virtual times —
+   so each runs twice, bare and inside all seven observer scopes, and the
+   two runs must agree: observers never change what a program computes,
+   nor when. *)
 let test_chan_fifo () =
   let eng = Engine.create (exact_machine ()) in
   let ch = Chan.create eng "c" in
@@ -156,17 +160,17 @@ let test_chan_fifo () =
         done)
   in
   ignore (Engine.run eng);
-  Alcotest.(check (list int)) "order preserved" [ 1; 2; 3; 4; 5 ] (List.rev !received)
+  Alcotest.(check (list int)) "order preserved" [ 1; 2; 3; 4; 5 ] (List.rev !received);
+  Engine.time eng :: !received
 
 let test_chan_blocking_recv () =
   let eng = Engine.create (exact_machine ()) in
   let ch = Chan.create eng "c" in
-  let got_at = ref 0 in
+  let got = ref 0 and got_at = ref 0 in
   let _ =
     Engine.spawn eng ~name:"consumer" (fun () ->
-        let v = Chan.recv ch in
-        got_at := Engine.now ();
-        check_int "value" 99 v)
+        got := Chan.recv ch;
+        got_at := Engine.now ())
   in
   let _ =
     Engine.spawn eng ~name:"producer" (fun () ->
@@ -174,12 +178,14 @@ let test_chan_blocking_recv () =
         Chan.send ch 99)
   in
   ignore (Engine.run eng);
-  check_bool "consumer blocked until send" true (!got_at >= 2000)
+  check_int "value" 99 !got;
+  check_bool "consumer blocked until send" true (!got_at >= 2000);
+  [ !got; !got_at ]
 
 let test_chan_capacity_blocks_sender () =
   let eng = Engine.create (exact_machine ()) in
   let ch = Chan.create ~capacity:2 eng "c" in
-  let sent_all_at = ref 0 in
+  let sent_all_at = ref 0 and received = ref [] in
   let _ =
     Engine.spawn eng ~name:"producer" (fun () ->
         for i = 1 to 3 do
@@ -190,12 +196,13 @@ let test_chan_capacity_blocks_sender () =
   let _ =
     Engine.spawn eng ~name:"consumer" (fun () ->
         Engine.sleep 5000;
-        ignore (Chan.recv ch);
-        ignore (Chan.recv ch);
-        ignore (Chan.recv ch))
+        for _ = 1 to 3 do
+          received := Chan.recv ch :: !received
+        done)
   in
   ignore (Engine.run eng);
-  check_bool "third send blocked on capacity" true (!sent_all_at >= 5000)
+  check_bool "third send blocked on capacity" true (!sent_all_at >= 5000);
+  !sent_all_at :: !received
 
 let test_chan_drain () =
   let eng = Engine.create (exact_machine ()) in
@@ -209,7 +216,43 @@ let test_chan_drain () =
         check_int "empty after drain" 0 (Chan.length ch))
   in
   ignore (Engine.run eng);
-  check_int "drained two" 2 !drained
+  check_int "drained two" 2 !drained;
+  [ !drained; Engine.time eng ]
+
+(* The blocking batch protocol on a bounded channel, with real operation
+   costs so deferred charges are flushed before each wait: the producer's
+   batches overflow the capacity and block part-way, the consumer takes
+   at most two items per claim. *)
+let test_chan_bounded_batches () =
+  let eng = Engine.create (machine ~cores:2 ()) in
+  let ch = Chan.create ~capacity:2 eng "c" in
+  let values = ref [] and times = ref [] and producer_done = ref 0 in
+  let _ =
+    Engine.spawn eng ~name:"producer" (fun () ->
+        Chan.send_batch ch [ 1; 2; 3; 4; 5 ];
+        Chan.send_batch ch [ 6; 7 ];
+        producer_done := Engine.now ())
+  in
+  let _ =
+    Engine.spawn eng ~name:"consumer" (fun () ->
+        while List.length !values < 7 do
+          Engine.sleep 1000;
+          let batch = Chan.recv_batch ~max:2 ch in
+          check_bool "claims at most two" true (List.length batch <= 2);
+          values := List.rev_append batch !values;
+          times := Engine.now () :: !times
+        done)
+  in
+  ignore (Engine.run eng);
+  Alcotest.(check (list int)) "FIFO across blocked batches" [ 1; 2; 3; 4; 5; 6; 7 ] (List.rev !values);
+  check_bool "producer blocked on capacity" true (!producer_done >= 3000);
+  (!producer_done :: !values) @ !times
+
+let chan_case name script =
+  Alcotest.test_case name `Quick (fun () ->
+      let bare = script () in
+      let observed = Test_trace.with_all_observers script in
+      Alcotest.(check (list int)) "same values and times under every observer" bare observed)
 
 let test_lock_mutual_exclusion () =
   let eng = Engine.create (exact_machine ~cores:4 ()) in
@@ -343,10 +386,11 @@ let suite =
     Alcotest.test_case "engine: spawn/join" `Quick test_spawn_from_thread_and_join;
     Alcotest.test_case "engine: spawn/join retains nothing" `Quick test_spawn_join_retains_nothing;
     Alcotest.test_case "engine: cond FIFO" `Quick test_cond_signal_wakes_fifo;
-    Alcotest.test_case "chan: fifo" `Quick test_chan_fifo;
-    Alcotest.test_case "chan: blocking recv" `Quick test_chan_blocking_recv;
-    Alcotest.test_case "chan: capacity" `Quick test_chan_capacity_blocks_sender;
-    Alcotest.test_case "chan: drain" `Quick test_chan_drain;
+    chan_case "chan: fifo" test_chan_fifo;
+    chan_case "chan: blocking recv" test_chan_blocking_recv;
+    chan_case "chan: capacity" test_chan_capacity_blocks_sender;
+    chan_case "chan: drain" test_chan_drain;
+    chan_case "chan: bounded batches" test_chan_bounded_batches;
     Alcotest.test_case "lock: mutual exclusion" `Quick test_lock_mutual_exclusion;
     Alcotest.test_case "power: energy accounting" `Quick test_energy_accounting;
     Alcotest.test_case "power: sensor sampling" `Quick test_power_sensor_sampling;

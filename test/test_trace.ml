@@ -1,7 +1,7 @@
-(* Tests for the observability layer (lib/obs): the ring sink, the JSONL
-   and Chrome trace_event exporters, the trace oracle on a real traced
-   workload run, trace determinism under a fixed seed, and Decima hook
-   edge cases. *)
+(* Tests for the observability layer (lib/obs): the ring sink, the scoped
+   install of all seven observers, the JSONL and Chrome trace_event
+   exporters, the trace oracle on a real traced workload run, trace
+   determinism under a fixed seed, and Decima hook edge cases. *)
 
 open Parcae_sim
 
@@ -64,9 +64,7 @@ let test_clear_releases_storage () =
     (List.map hook_task (Sink.events s) = [ 1 ])
 
 let test_null_sink_disabled () =
-  Trace.clear ();
   check_bool "tracing off by default" false (Trace.enabled ());
-  check_bool "current sink is null" true (Sink.is_null (Trace.sink ()));
   (* Emitting into the null sink is a no-op, not an error. *)
   Trace.emit ~t:0 (Event.Region_stop { region = "r" });
   let s = Sink.create () in
@@ -75,6 +73,117 @@ let test_null_sink_disabled () =
       Trace.emit ~t:5 (Event.Pause { region = "r" }));
   check_bool "with_sink restores" false (Trace.enabled ());
   check_int "event landed in installed sink" 1 (Sink.length s)
+
+(* One row per observer layer: how to make an instance, install it for a
+   scope, and tell whether a given instance is the installed one.  Layers
+   with no accessor for their cell are probed by recording through it. *)
+type observer =
+  | Observer : {
+      name : string;
+      make : unit -> 'o;
+      scope : 'a. 'o -> (unit -> 'a) -> 'a;
+      installed : 'o -> bool;
+      enabled : unit -> bool;
+    }
+      -> observer
+
+let installed_in get o = match get () with Some c -> c == o | None -> false
+
+let observers =
+  [
+    Observer
+      {
+        name = "trace";
+        make = (fun () -> Sink.create ());
+        scope = Trace.with_sink;
+        installed =
+          (fun s ->
+            let n = Sink.length s in
+            Trace.emit ~t:0 (Event.Region_stop { region = "probe" });
+            Sink.length s > n);
+        enabled = Trace.enabled;
+      };
+    Observer
+      {
+        name = "metrics";
+        make = Obs.Metrics.create;
+        scope = Obs.Metrics.with_registry;
+        installed = (fun r -> Obs.Metrics.current () == r);
+        enabled = Obs.Metrics.enabled;
+      };
+    Observer
+      {
+        name = "flight";
+        make = Obs.Flight.create;
+        scope = Obs.Flight.with_recorder;
+        installed =
+          (fun r ->
+            let n = Obs.Flight.count r in
+            Obs.Flight.overhead ~t:0 ~region:"probe" ~phase:"flush" ~ns:1;
+            Obs.Flight.count r > n);
+        enabled = Obs.Flight.enabled;
+      };
+    Observer
+      {
+        name = "ledger";
+        make = Obs.Ledger.create;
+        scope = Obs.Ledger.with_ledger;
+        installed =
+          (fun l ->
+            let ns () = Obs.Ledger.phase_ns l ~region:"probe" ~phase:"flush" in
+            let before = ns () in
+            Obs.Ledger.note ~t:0 ~region:"probe" ~phase:"flush" 1;
+            ns () > before);
+        enabled = Obs.Ledger.active;
+      };
+    Observer
+      {
+        name = "hb";
+        make = Obs.Hb.create;
+        scope = Obs.Hb.with_tracker;
+        installed = installed_in Obs.Hb.get;
+        enabled = Obs.Hb.enabled;
+      };
+    Observer
+      {
+        name = "span";
+        make = (fun () -> Obs.Span.create ());
+        scope = Obs.Span.with_collector;
+        installed = installed_in Obs.Span.get;
+        enabled = Obs.Span.enabled;
+      };
+    Observer
+      {
+        name = "timeline";
+        make = (fun () -> Obs.Timeline.create ~lanes:4 ~now:0 ());
+        scope = Obs.Timeline.with_timeline;
+        installed = installed_in Obs.Timeline.get;
+        enabled = Obs.Timeline.enabled;
+      };
+  ]
+
+(* Run [f] with a fresh instance of every observer installed. *)
+let with_all_observers f =
+  List.fold_left (fun f (Observer o) () -> o.scope (o.make ()) f) f observers ()
+
+(* Every observer installs only through its scope: an inner scope shadows
+   the outer, an exception leaving it restores the outer, and nothing is
+   installed once the outer scope closes. *)
+let test_observer_scopes () =
+  List.iter
+    (fun (Observer o) ->
+      let outer = o.make () and inner = o.make () in
+      let check what = check_bool (o.name ^ ": " ^ what) true in
+      check "off by default" (not (o.enabled ()));
+      o.scope outer (fun () ->
+          o.scope inner (fun () -> check "inner shadows outer" (o.installed inner));
+          check "outer restored" (o.installed outer);
+          (match o.scope inner (fun () -> raise Exit) with
+          | () -> Alcotest.fail "the scope swallowed the exception"
+          | exception Exit -> ());
+          check "outer restored after an exception" (o.installed outer));
+      check "nothing installed afterwards" (not (o.enabled ())))
+    observers
 
 (* A saturated ring must account for its losses everywhere the trace is
    consumed: the sink's drop counter, a leading overflow marker in the
@@ -339,6 +448,7 @@ let suite =
     Alcotest.test_case "sink: clear releases the ring allocation" `Quick
       test_clear_releases_storage;
     Alcotest.test_case "sink: null sink disables tracing" `Quick test_null_sink_disabled;
+    Alcotest.test_case "observers: scopes nest and restore" `Quick test_observer_scopes;
     Alcotest.test_case "sink: saturated ring accounts for drops" `Quick
       test_saturated_ring_accounting;
     Alcotest.test_case "export: JSONL round-trips all constructors" `Quick
