@@ -30,6 +30,7 @@ module Mech = Parcae_mechanisms
 module R = Parcae_runtime
 module Config = Parcae_core.Config
 module Obs = Parcae_obs
+module Diag = Parcae_analysis.Diag
 
 (* ------------------------------------------------------------------ *)
 (* Shared argument definitions.                                        *)
@@ -146,6 +147,18 @@ let flight_out_arg =
        epoch plus reconfiguration overhead entries — to $(docv).  Inspect it with \
        $(b,parcae_demo explain)."
 
+(* The replay verdict, shared by recording (--flight-out) and [explain]. *)
+let print_replay (rr : Obs.Flight.replay_result) =
+  if rr.Obs.Flight.mismatches = [] then
+    Printf.printf "replay: OK (%d decisions reproduce the recorded moves)\n"
+      rr.Obs.Flight.decisions
+  else begin
+    Printf.printf "replay: %d mismatch(es)\n" (List.length rr.Obs.Flight.mismatches);
+    List.iter
+      (fun (epoch, what) -> Printf.printf "  epoch %d: %s\n" epoch what)
+      rr.Obs.Flight.mismatches
+  end
+
 (* Run [f] with a flight recorder installed, then write the JSONL log and
    immediately replay it: a recording whose replay diverges would be useless
    as a regression reference, so the divergence is reported at record time. *)
@@ -164,16 +177,7 @@ let with_flight path f =
       Printf.printf "flight: wrote %d decisions, %d overhead entries to %s\n" decisions
         (List.length entries - decisions)
         file;
-      let rr = Obs.Flight.replay entries in
-      if rr.Obs.Flight.mismatches = [] then
-        Printf.printf "replay: OK (%d decisions reproduce the recorded moves)\n"
-          rr.Obs.Flight.decisions
-      else begin
-        Printf.printf "replay: %d mismatch(es)\n" (List.length rr.Obs.Flight.mismatches);
-        List.iter
-          (fun (epoch, what) -> Printf.printf "  epoch %d: %s\n" epoch what)
-          rr.Obs.Flight.mismatches
-      end;
+      print_replay (Obs.Flight.replay entries);
       result
 
 let metrics_out_arg =
@@ -496,11 +500,15 @@ let top app mech load m machine seed interval metrics_out profile_out =
      it — while --metrics-out / --profile-out remain optional extras. *)
   let reg = Obs.Metrics.create () in
   (* A per-core timeline for the measured run, whose clock starts at 0, so
-     the dashboard's scheduler panel has data to show. *)
+     the dashboard's scheduler panel has data to show, and a span collector
+     for its latency panel (inside the registry scope, like serve's). *)
   let tl = Obs.Timeline.create ~lanes:(max 1 machine.Machine.cores) ~now:0 () in
+  let sc = Obs.Span.create () in
   let r =
     run_serve
-      ~wrap:(fun f -> Obs.Metrics.with_registry reg (fun () -> Obs.Timeline.with_timeline tl f))
+      ~wrap:(fun f ->
+        Obs.Metrics.with_registry reg (fun () ->
+            Obs.Span.with_collector sc (fun () -> Obs.Timeline.with_timeline tl f)))
       ~on_start:(fun (a : App.t) region ->
         ignore
           (Dashboard.spawn ~interval_ns
@@ -598,6 +606,17 @@ let json_arg =
   let doc = "Emit the report as JSON instead of human-readable text." in
   Arg.(value & flag & info [ "json" ] ~doc)
 
+(* A failure before any report exists (a parse error, an invalid loop): the
+   one finding, as text or as the command's JSON document with [fields]
+   filled empty, then exit 1. *)
+let fail_with ~json fields d =
+  if json then
+    print_endline
+      (Obs.Json.to_string
+         (Obs.Json.Obj (fields @ [ ("diagnostics", Obs.Json.List [ Diag.to_json d ]) ])))
+  else print_string (Diag.render [ d ]);
+  exit 1
+
 let check_file_arg =
   let doc = "A .loop source file to check (alternative to -k)." in
   Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
@@ -608,27 +627,19 @@ let check_file_arg =
 let check kernel pos_file file json =
   let open Parcae_ir in
   let open Parcae_nona in
-  let module Diag = Parcae_analysis.Diag in
-  let fail_with diags =
-    if json then
-      print_endline
-        (Printf.sprintf "{\"loop\": null, \"schemes\": [], \"diagnostics\": %s}"
-           (Diag.list_to_json diags))
-    else List.iter (fun d -> print_endline (Diag.to_string d)) diags;
-    exit 1
-  in
+  let fail_with = fail_with ~json [ ("loop", Obs.Json.Null); ("schemes", Obs.Json.List []) ] in
   let loop =
     match (match pos_file with Some _ -> pos_file | None -> file) with
     | Some path -> (
         try Parser.parse_file path
-        with Parser.Parse_error m -> fail_with [ Diag.error "P001" "%s" m ])
+        with Parser.Parse_error m -> fail_with (Diag.error "P001" "%s" m))
     | None -> kernel_of kernel
   in
   let report =
     try Check.run loop
-    with Invalid_argument m -> fail_with [ Diag.error "P003" "invalid loop: %s" m ]
+    with Invalid_argument m -> fail_with (Diag.error "P003" "invalid loop: %s" m)
   in
-  if json then print_endline (Check.to_json report)
+  if json then print_endline (Obs.Json.to_string (Check.to_json report))
   else print_string (Check.render report);
   exit (if Diag.count_errors report.Check.diags > 0 then 1 else 0)
 
@@ -762,8 +773,9 @@ let doctor_cmd =
 
 let slo_ms_arg =
   let doc =
-    "Arm the SLO tracker: requests slower than $(docv) milliseconds end-to-end consume \
-     error budget, and a burn rate above 1.0 makes the command exit 2."
+    "Check a latency SLO after the run: when more than the $(b,--slo-budget) fraction of \
+     requests took longer than $(docv) milliseconds end-to-end, report finding L100 and \
+     exit 2."
   in
   Arg.(value & opt (some float) None & info [ "slo-ms" ] ~docv:"MS" ~doc)
 
@@ -778,12 +790,9 @@ let top_k_arg =
 (* Run a server workload with the full latency observatory attached —
    span collector, flight recorder, and (on native) the runtime-events GC
    consumer — then attribute the tail quantiles to phases.  Exit codes:
-   0 report produced, 2 the SLO burn rate exceeded 1.0. *)
+   0 report produced, 2 an error finding (the L100 SLO breach). *)
 let latency app mech load m machine backend seed slo_ms slo_budget top_k json =
   let sc = Obs.Span.create () in
-  (match slo_ms with
-  | Some ms -> Obs.Span.configure_slo sc ~target_ns:(int_of_float (ms *. 1e6)) ~budget:slo_budget
-  | None -> ());
   let rc = Obs.Flight.create () in
   (* GC carving needs the runtime-events feed; its timestamps are wall
      nanoseconds, so it only makes sense against the native clock. *)
@@ -799,14 +808,15 @@ let latency app mech load m machine backend seed slo_ms slo_budget top_k json =
       ignore (Obs.Runtime_ev.poll c);
       Obs.Runtime_ev.stop c
   | None -> ());
-  let report = Latency.analyze ~flight:(Obs.Flight.entries rc) ~top:top_k sc in
+  let slo = Option.map (fun ms -> (int_of_float (ms *. 1e6), slo_budget)) slo_ms in
+  let report = Latency.analyze ~flight:(Obs.Flight.entries rc) ?slo ~top:top_k sc in
   if json then print_endline (Obs.Json.to_string (Latency.to_json report))
   else begin
     print_result r;
     print_newline ();
     print_string (Latency.render report)
   end;
-  exit (if report.Latency.r_slo_breached then 2 else 0)
+  exit (if Diag.count_errors report.Latency.r_findings > 0 then 2 else 0)
 
 let latency_cmd =
   let term =
@@ -885,15 +895,7 @@ let explain_text entries (rr : Obs.Flight.replay_result) =
       rows
   end;
   print_newline ();
-  if rr.Obs.Flight.mismatches = [] then
-    Printf.printf "replay: OK (%d decisions reproduce the recorded moves)\n"
-      rr.Obs.Flight.decisions
-  else begin
-    Printf.printf "replay: %d mismatch(es)\n" (List.length rr.Obs.Flight.mismatches);
-    List.iter
-      (fun (epoch, what) -> Printf.printf "  epoch %d: %s\n" epoch what)
-      rr.Obs.Flight.mismatches
-  end
+  print_replay rr
 
 let explain_json entries (rr : Obs.Flight.replay_result) =
   let module F = Obs.Flight in
@@ -992,19 +994,15 @@ let sanitize_file_arg =
 let sanitize kernel pos_file file suite corpus n seed dop backend inject json =
   let open Parcae_ir in
   let open Parcae_nona in
-  let module Diag = Parcae_analysis.Diag in
   let backend =
     match backend with
     | `Sim -> Sanitize.Sim_backend
     | `Native pool -> Sanitize.Native_backend pool
   in
-  let fail_with msg =
-    if json then
-      print_endline
-        (Printf.sprintf "{\"errors\": 1, \"reports\": [], \"diagnostics\": %s}"
-           (Diag.list_to_json [ Diag.error "P001" "%s" msg ]))
-    else print_endline msg;
-    exit 1
+  let fail_with m =
+    fail_with ~json
+      [ ("errors", Obs.Json.Int 1); ("reports", Obs.Json.List []) ]
+      (Diag.error "P001" "%s" m)
   in
   let named =
     match (match pos_file with Some _ -> pos_file | None -> file) with
@@ -1025,8 +1023,12 @@ let sanitize kernel pos_file file suite corpus n seed dop backend inject json =
   in
   if json then
     print_endline
-      (Printf.sprintf "{\"errors\": %d, \"reports\": [%s]}" errors
-         (String.concat ", " (List.map Sanitize.to_json reports)))
+      (Obs.Json.to_string
+         (Obs.Json.Obj
+            [
+              ("errors", Obs.Json.Int errors);
+              ("reports", Obs.Json.List (List.map Sanitize.to_json reports));
+            ]))
   else List.iter (fun r -> print_string (Sanitize.render r)) reports;
   exit (if errors > 0 then 1 else 0)
 

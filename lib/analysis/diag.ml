@@ -1,4 +1,4 @@
-(* Structured diagnostics for the static-analysis suite.
+(* Structured diagnostics: the one finding type of every report.
 
    Every finding carries a stable code so tests, CI greps, and users can
    key on it:
@@ -10,11 +10,16 @@
      V0xx  PDG integrity violations (scheme-independent)
      N4xx  scheme-inhibitor explanations (informational)
      W6xx  lint warnings
+     S7xx  race-sanitizer soundness violations, G7xx its precision gaps
+     D1xx  doctor findings, L1xx latency findings
 
    Rendering is GCC-style one-per-line text ("file:line: severity[CODE]:
-   message") or a JSON array for tooling. *)
+   message") or a Json.t object per finding for tooling.  Every command
+   that reports findings (check, sanitize, doctor, latency) uses this
+   type, [render] and [to_json]. *)
 
 open Parcae_ir
+module Json = Parcae_obs.Json
 
 type severity = Error | Warning | Info
 
@@ -42,33 +47,22 @@ let to_string d =
   let prefix = match d.loc with Some l -> Loop.loc_to_string l ^ ": " | None -> "" in
   Printf.sprintf "%s%s[%s]: %s" prefix (severity_to_string d.severity) d.code d.message
 
-(* Minimal JSON string escaping: the messages only ever contain ASCII from
-   instruction printers, but escape control characters anyway. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  let loc_fields =
+  Json.Obj
+    ([
+       ("code", Json.Str d.code);
+       ("severity", Json.Str (severity_to_string d.severity));
+       ("message", Json.Str d.message);
+     ]
+    @
     match d.loc with
-    | Some l ->
-        Printf.sprintf {|,"file":"%s","line":%d|} (json_escape l.Loop.loc_file) l.Loop.loc_line
-    | None -> ""
-  in
-  Printf.sprintf {|{"code":"%s","severity":"%s","message":"%s"%s}|} (json_escape d.code)
-    (severity_to_string d.severity) (json_escape d.message) loc_fields
+    | Some l -> [ ("file", Json.Str l.Loop.loc_file); ("line", Json.Int l.Loop.loc_line) ]
+    | None -> [])
 
-let list_to_json ds = "[" ^ String.concat "," (List.map to_json ds) ^ "]"
+let render ds =
+  let warnings = List.length (List.filter (fun d -> d.severity = Warning) ds) in
+  String.concat "" (List.map (fun d -> to_string d ^ "\n") ds)
+  ^ Printf.sprintf "%d error(s), %d warning(s)\n" (count_errors ds) warnings
 
 (* Errors first, then warnings, then infos; stable within a class. *)
 let sort ds =

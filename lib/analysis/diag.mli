@@ -4,7 +4,8 @@
     Code families: [P0xx] parse errors, [V1xx]/[V2xx]/[V3xx] DOANY /
     DOACROSS / PS-DSWP legality violations, [V0xx] PDG integrity, [N4xx]
     scheme-inhibitor explanations, [W6xx] lint warnings, [S7xx] race
-    sanitizer soundness violations, [G7xx] sanitizer precision gaps. *)
+    sanitizer soundness violations, [G7xx] sanitizer precision gaps,
+    [D1xx] doctor findings, [L1xx] latency findings. *)
 
 open Parcae_ir
 
@@ -31,11 +32,13 @@ val count_errors : t list -> int
 val to_string : t -> string
 (** GCC-style: ["file:line: severity[CODE]: message"]. *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal. *)
+val to_json : t -> Parcae_obs.Json.t
+(** [{"code", "severity", "message"}], plus ["file"] and ["line"] when
+    located. *)
 
-val to_json : t -> string
-val list_to_json : t list -> string
+val render : t list -> string
+(** One {!to_string} line per finding, then
+    ["N error(s), M warning(s)"]. *)
 
 val sort : t list -> t list
 (** Errors first, then warnings, then infos; stable within a class. *)

@@ -14,6 +14,7 @@
 open Parcae_ir
 open Parcae_analysis
 open Parcae_pdg
+module Json = Parcae_obs.Json
 
 type report = {
   loop : Loop.t;
@@ -135,22 +136,14 @@ let run (loop : Loop.t) =
   }
 
 let render r =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "%s: applicable schemes: %s\n" r.loop.Loop.name
-       (String.concat ", " r.schemes));
-  List.iter (fun d -> Buffer.add_string b (Diag.to_string d ^ "\n")) r.diags;
-  let errors = Diag.count_errors r.diags in
-  let warnings =
-    List.length (List.filter (fun d -> d.Diag.severity = Diag.Warning) r.diags)
-  in
-  Buffer.add_string b
-    (Printf.sprintf "%d error(s), %d warning(s)\n" errors warnings);
-  Buffer.contents b
+  Printf.sprintf "%s: applicable schemes: %s\n" r.loop.Loop.name
+    (String.concat ", " r.schemes)
+  ^ Diag.render r.diags
 
 let to_json r =
-  Printf.sprintf "{\"loop\": \"%s\", \"schemes\": [%s], \"diagnostics\": %s}"
-    (Diag.json_escape r.loop.Loop.name)
-    (String.concat ", "
-       (List.map (fun s -> "\"" ^ Diag.json_escape s ^ "\"") r.schemes))
-    (Diag.list_to_json r.diags)
+  Json.Obj
+    [
+      ("loop", Json.Str r.loop.Loop.name);
+      ("schemes", Json.List (List.map (fun s -> Json.Str s) r.schemes));
+      ("diagnostics", Json.List (List.map Diag.to_json r.diags));
+    ]

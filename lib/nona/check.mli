@@ -24,4 +24,5 @@ val run : Loop.t -> report
 val render : report -> string
 (** Human-readable: scheme line, one diagnostic per line, totals. *)
 
-val to_json : report -> string
+val to_json : report -> Parcae_obs.Json.t
+(** [{"loop", "schemes", "diagnostics"}]. *)

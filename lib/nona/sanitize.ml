@@ -25,6 +25,7 @@ module Machine = Parcae_sim.Machine
 module Executor = Parcae_runtime.Executor
 module Region = Parcae_runtime.Region
 module Hb = Parcae_obs.Hb
+module Json = Parcae_obs.Json
 
 type backend = Sim_backend | Native_backend of int option
 
@@ -284,33 +285,29 @@ let render r =
            (List.length sr.sr_races)
            (if sr.sr_semantics_ok then "ok" else "VIOLATED")))
     r.runs;
-  List.iter (fun d -> Buffer.add_string b (Diag.to_string d ^ "\n")) r.diags;
-  let errors = Diag.count_errors r.diags in
-  let warnings =
-    List.length (List.filter (fun d -> d.Diag.severity = Diag.Warning) r.diags)
-  in
-  Buffer.add_string b (Printf.sprintf "%d error(s), %d warning(s)\n" errors warnings);
+  Buffer.add_string b (Diag.render r.diags);
   Buffer.contents b
 
 let to_json r =
   let run_json sr =
-    Printf.sprintf
-      "{\"scheme\": \"%s\", \"dop\": %d, \"iterations\": %d, \"accesses\": %d, \
-       \"tasks\": %d, \"collision_pairs\": %d, \"race_pairs\": %d, \
-       \"semantics_ok\": %b}"
-      (Diag.json_escape sr.sr_scheme)
-      sr.sr_dop sr.sr_iterations sr.sr_accesses sr.sr_tasks
-      (List.length sr.sr_collisions)
-      (List.length sr.sr_races)
-      sr.sr_semantics_ok
+    Json.Obj
+      [
+        ("scheme", Json.Str sr.sr_scheme);
+        ("dop", Json.Int sr.sr_dop);
+        ("iterations", Json.Int sr.sr_iterations);
+        ("accesses", Json.Int sr.sr_accesses);
+        ("tasks", Json.Int sr.sr_tasks);
+        ("collision_pairs", Json.Int (List.length sr.sr_collisions));
+        ("race_pairs", Json.Int (List.length sr.sr_races));
+        ("semantics_ok", Json.Bool sr.sr_semantics_ok);
+      ]
   in
-  Printf.sprintf
-    "{\"loop\": \"%s\", \"backend\": \"%s\", \"schemes\": [%s], \"runs\": [%s], \
-     \"errors\": %d, \"diagnostics\": %s}"
-    (Diag.json_escape r.loop.Loop.name)
-    (Diag.json_escape r.backend)
-    (String.concat ", "
-       (List.map (fun s -> "\"" ^ Diag.json_escape s ^ "\"") r.schemes))
-    (String.concat ", " (List.map run_json r.runs))
-    (Diag.count_errors r.diags)
-    (Diag.list_to_json r.diags)
+  Json.Obj
+    [
+      ("loop", Json.Str r.loop.Loop.name);
+      ("backend", Json.Str r.backend);
+      ("schemes", Json.List (List.map (fun s -> Json.Str s) r.schemes));
+      ("runs", Json.List (List.map run_json r.runs));
+      ("errors", Json.Int (Diag.count_errors r.diags));
+      ("diagnostics", Json.List (List.map Diag.to_json r.diags));
+    ]

@@ -62,4 +62,7 @@ val run : ?backend:backend -> ?dop:int -> ?inject:bool -> Loop.t -> report
     {!inject_unsound} first. *)
 
 val render : report -> string
-val to_json : report -> string
+
+val to_json : report -> Parcae_obs.Json.t
+(** [{"loop", "backend", "schemes", "runs", "errors", "diagnostics"}];
+    each run carries its counts and [semantics_ok]. *)

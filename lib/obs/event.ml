@@ -12,7 +12,7 @@
 
 (* Controller FSM states (Figure 6.3).  Defined here, below the runtime in
    the dependency order, so traces stay decodable without the runtime;
-   [Controller] maps its own state type onto this one. *)
+   [Controller.state] re-exports this type. *)
 type ctrl_state = Init | Calibrate | Optimize | Monitor
 
 let ctrl_state_to_string = function

@@ -23,10 +23,10 @@
 
    Completed spans land in a preallocated ring (parallel int arrays, no
    boxing) with drop accounting mirroring the trace sink, plus per-phase
-   HDR histograms and an SLO burn counter.  A generation token guards
-   the pooled-record race: a worker still unwinding [drain_stage] after
-   the request was completed and re-allocated on another domain will
-   fail the token check and no-op rather than corrupt the fresh span. *)
+   HDR histograms.  A generation token guards the pooled-record race: a
+   worker still unwinding [drain_stage] after the request was completed
+   and re-allocated on another domain will fail the token check and
+   no-op rather than corrupt the fresh span. *)
 
 module Metrics = Metrics
 
@@ -115,7 +115,7 @@ type t = {
   r_stages : int array;
   r_stage_ns : int array;  (* cap * max_stages, flattened *)
   mutable r_len : int;
-  mutable r_head : int;  (* next write slot *)
+  mutable r_head : int;  (* next write index *)
   mutable drops : int;
   mutable completed : int;
   mutable double_finishes : int;
@@ -125,15 +125,10 @@ type t = {
   hdr_compute : Hdr.t;
   hdr_reconfig : Hdr.t;
   hdr_gc : Hdr.t;
-  mutable slo_target_ns : int;  (* <= 0 disables the tracker *)
-  mutable slo_budget : float;  (* tolerated over-target fraction *)
-  mutable slo_total : int;
-  mutable slo_over : int;
-  mutable stage_names : string array;
   mu : Mutex.t;
-      (* guards completion: ring push, HDR observes, SLO counters, and
-         the registry summary observes.  Two two_level masters can
-         finish requests concurrently on native. *)
+      (* guards completion: ring push, HDR observes, and the registry
+         summary observes.  Two two_level masters can finish requests
+         concurrently on native. *)
 }
 
 let create ?(capacity = 4096) () =
@@ -162,11 +157,6 @@ let create ?(capacity = 4096) () =
     hdr_compute = h ();
     hdr_reconfig = h ();
     hdr_gc = h ();
-    slo_target_ns = 0;
-    slo_budget = 0.001;
-    slo_total = 0;
-    slo_over = 0;
-    stage_names = [||];
     mu = Mutex.create ();
   }
 
@@ -181,10 +171,6 @@ let with_collector t f =
   let prev = Atomic.exchange cell (Some t) in
   Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
 
-let configure_slo t ~target_ns ~budget =
-  t.slo_target_ns <- target_ns;
-  t.slo_budget <- budget
-
 (* ---- Registry handles (null-object cached, like every emitter). ---- *)
 
 type handles = {
@@ -195,8 +181,6 @@ type handles = {
   m_reconfig : Metrics.summary;
   m_gc : Metrics.summary;
   m_dropped : Metrics.counter;
-  m_slo_total : Metrics.counter;
-  m_slo_over : Metrics.counter;
 }
 
 let handles =
@@ -218,12 +202,6 @@ let handles =
         m_dropped =
           Metrics.counter reg "parcae_spans_dropped_total"
             ~help:"Completed spans overwritten in the span ring before export";
-        m_slo_total =
-          Metrics.counter reg "parcae_slo_requests_total"
-            ~help:"Requests counted against the latency SLO";
-        m_slo_over =
-          Metrics.counter reg "parcae_slo_over_target_total"
-            ~help:"Requests that exceeded the SLO latency target";
       })
 
 (* ---- Stall/GC feeds (executor + Runtime_ev call these). ---- *)
@@ -321,7 +299,7 @@ let push t ~end_ns sp ~queue ~chan ~compute ~reconfig ~gc ~total =
   Mutex.lock t.mu;
   if t.r_len = t.cap then begin
     (* Overwrite the oldest entry, mirroring the trace sink's drop
-       accounting; the aggregates (HDRs, SLO) already absorbed it, so
+       accounting; the HDR aggregates already absorbed it, so
        drops cost exemplar detail, never quantile accuracy. *)
     t.drops <- t.drops + 1;
     if Metrics.enabled () then Metrics.inc (handles ()).m_dropped;
@@ -349,10 +327,6 @@ let push t ~end_ns sp ~queue ~chan ~compute ~reconfig ~gc ~total =
   Hdr.observe t.hdr_compute compute;
   Hdr.observe t.hdr_reconfig reconfig;
   Hdr.observe t.hdr_gc gc;
-  if t.slo_target_ns > 0 then begin
-    t.slo_total <- t.slo_total + 1;
-    if total > t.slo_target_ns then t.slo_over <- t.slo_over + 1
-  end;
   (* The registry observes stay inside the critical section: summary
      observation is an unsynchronized read-modify-write, and two
      two_level masters can finish requests concurrently on native —
@@ -366,11 +340,7 @@ let push t ~end_ns sp ~queue ~chan ~compute ~reconfig ~gc ~total =
     Metrics.observe_summary h.m_chan chan;
     Metrics.observe_summary h.m_compute compute;
     Metrics.observe_summary h.m_reconfig reconfig;
-    Metrics.observe_summary h.m_gc gc;
-    if t.slo_target_ns > 0 then begin
-      Metrics.inc h.m_slo_total;
-      if total > t.slo_target_ns then Metrics.inc h.m_slo_over
-    end
+    Metrics.observe_summary h.m_gc gc
   end;
   Mutex.unlock t.mu
 
@@ -492,26 +462,8 @@ let phase_mean_ns t p = Hdr.mean (phase_hdr t p)
 let mean_ns t = Hdr.mean t.hdr_total
 let max_ns t = Hdr.max_value t.hdr_total
 
-let slo_target_ns t = t.slo_target_ns
-let slo_budget t = t.slo_budget
-let slo_requests t = t.slo_total
-let slo_over t = t.slo_over
-
-(* Burn rate: fraction of requests over target, relative to budget —
-   1.0 means the error budget is being consumed exactly at the tolerated
-   rate, above 1.0 the SLO is burning down. *)
-let slo_burn_rate t =
-  if t.slo_target_ns <= 0 || t.slo_total = 0 || t.slo_budget <= 0.0 then 0.0
-  else float_of_int t.slo_over /. float_of_int t.slo_total /. t.slo_budget
-
-let slo_breached t = t.slo_target_ns > 0 && t.slo_total > 0 && slo_burn_rate t > 1.0
-
-let stage_name t i =
-  if i < Array.length t.stage_names then t.stage_names.(i)
-  else Printf.sprintf "stage%d" i
-
-(* The /latency.json wire format: quantile ladder per phase, counts,
-   drops, SLO state.  Self-contained and stable (DESIGN.md section 15). *)
+(* The /latency.json wire format: quantile ladder per phase, counts and
+   drops.  Self-contained and stable (DESIGN.md section 15). *)
 let report_json t =
   let qs = [ 0.5; 0.9; 0.99; 0.999 ] in
   let qname q =
@@ -533,14 +485,4 @@ let report_json t =
       ( "phases_ns",
         Json.Obj (List.map (fun p -> (phase_name p, ladder (phase_hdr t p))) all_phases)
       );
-      ( "slo",
-        Json.Obj
-          [
-            ("target_ns", Json.Int t.slo_target_ns);
-            ("budget", Json.Float t.slo_budget);
-            ("requests", Json.Int t.slo_total);
-            ("over_target", Json.Int t.slo_over);
-            ("burn_rate", Json.Float (slo_burn_rate t));
-            ("breached", Json.Bool (slo_breached t));
-          ] );
     ]

@@ -9,10 +9,10 @@
     the five-phase sum exact (DESIGN.md section 15).
 
     Completed spans land in an installed {!t} collector: a preallocated
-    ring with drop accounting (mirroring the trace sink), per-phase HDR
-    histograms, and an SLO burn tracker.  A collector is installed only
-    through {!with_collector}, into an [Atomic] cell; with none installed,
-    {!enabled} is one atomic load and every hook no-ops. *)
+    ring with drop accounting (mirroring the trace sink) and per-phase HDR
+    histograms.  A collector is installed only through {!with_collector},
+    into an [Atomic] cell; with none installed, {!enabled} is one atomic
+    load and every hook no-ops. *)
 
 val max_stages : int
 (** Per-stage compute segments recorded per span (extra stages still
@@ -101,13 +101,6 @@ val with_collector : t -> (unit -> 'a) -> 'a
     one — run [f], then restore the previously installed collector (also
     on exception), so scopes nest. *)
 
-val configure_slo : t -> target_ns:int -> budget:float -> unit
-(** Arm the SLO tracker: requests slower than [target_ns] consume error
-    budget; [budget] is the tolerated over-target fraction.  A
-    [target_ns <= 0] disables the tracker. *)
-
-val stage_name : t -> int -> string
-
 (** {1 Phases} *)
 
 type phase = Queue | Chan | Compute | Reconfig | Gc
@@ -143,17 +136,6 @@ val max_ns : t -> int
 val phase_quantile_ns : t -> phase -> float -> int
 val phase_mean_ns : t -> phase -> float
 
-val slo_target_ns : t -> int
-val slo_budget : t -> float
-val slo_requests : t -> int
-val slo_over : t -> int
-
-val slo_burn_rate : t -> float
-(** Over-target fraction relative to budget: 1.0 consumes the budget
-    exactly, above 1.0 the SLO is burning down. *)
-
-val slo_breached : t -> bool
-
 val report_json : t -> Json.t
 (** The [/latency.json] wire format: quantile ladders for total and each
-    phase, counts, drops, and SLO state. *)
+    phase, counts and drops. *)

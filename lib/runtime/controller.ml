@@ -20,25 +20,11 @@ module Task = Parcae_core.Task
 module Trace = Parcae_obs.Trace
 module Metrics = Parcae_obs.Metrics
 module Flight = Parcae_obs.Flight
+module Event = Parcae_obs.Event
 
-type state = Init | Calibrate | Optimize | Monitor
-
-(* The observability layer carries its own copy of the FSM state type (it
-   sits below the runtime in the dependency order). *)
-let obs_state : state -> Parcae_obs.Event.ctrl_state = function
-  | Init -> Parcae_obs.Event.Init
-  | Calibrate -> Parcae_obs.Event.Calibrate
-  | Optimize -> Parcae_obs.Event.Optimize
-  | Monitor -> Parcae_obs.Event.Monitor
-
-let state_to_string = function
-  | Init -> "INIT"
-  | Calibrate -> "CALIB"
-  | Optimize -> "OPT"
-  | Monitor -> "MONITOR"
-
-(* State encoding used in the recorded timeline (Figure 8.8). *)
-let state_code = function Init -> 0 | Calibrate -> 1 | Optimize -> 2 | Monitor -> 3
+(* The FSM state type lives in the observability layer, which sits below
+   the runtime and decodes it from traces and flight logs. *)
+type state = Event.ctrl_state = Init | Calibrate | Optimize | Monitor
 
 (* The optimization objective (Section 6.4: "Morta could be re-targeted at
    minimizing the energy delay squared product, since delay can be measured
@@ -142,14 +128,15 @@ let seq_task_count pd =
 let now_s t = Engine.seconds_of_ns (Engine.time t.region.Region.eng)
 
 let record_state t =
-  Series.add t.states ~time:(now_s t) ~value:(float_of_int (state_code t.state))
+  Series.add t.states ~time:(now_s t) ~value:(float_of_int (Event.ctrl_state_code t.state))
 
 (* Attribute the dwell time of the state being left to its counter series. *)
 let note_dwell t ~now =
   if Metrics.enabled () && now > t.state_since then
     Metrics.inc_by
       (Metrics.counter (Metrics.current ()) "parcae_ctrl_state_dwell_ns_total"
-         ~labels:[ ("region", t.region.Region.name); ("state", state_to_string t.state) ]
+         ~labels:
+           [ ("region", t.region.Region.name); ("state", Event.ctrl_state_to_string t.state) ]
          ~help:"Virtual time the controller spent in each FSM state.")
       (now - t.state_since)
 
@@ -162,8 +149,7 @@ let enter t state =
   if Trace.enabled () then
     Trace.emit
       ~t:(Engine.time t.region.Region.eng)
-      (Parcae_obs.Event.Ctrl_state
-         { region = t.region.Region.name; state = obs_state state })
+      (Event.Ctrl_state { region = t.region.Region.name; state })
 
 let note_throughput t thr =
   Series.add t.throughputs ~time:(now_s t) ~value:thr;
@@ -187,7 +173,7 @@ let record_flight t ?(probes = []) ?gradient ?(inputs = []) ~reason ~candidate ~
     let region = t.region in
     Flight.decision
       ~t:(Engine.time region.Region.eng)
-      ~actor:"controller" ~region:region.Region.name ~state:(obs_state t.state) ~reason
+      ~actor:"controller" ~region:region.Region.name ~state:t.state ~reason
       ~tasks:(Decima.flight_tasks (Region.decima region))
       ~probes ?gradient ~inputs ~candidate ~chosen
       ~threads:(Config.threads (Region.config region))

@@ -10,13 +10,7 @@
     cached per (scheme, budget); the thread count actually needed is
     reported to the platform daemon so slack can be redistributed. *)
 
-type state = Init | Calibrate | Optimize | Monitor
-
-val state_to_string : state -> string
-
-val state_code : state -> int
-(** Encoding used in the recorded timeline (Figure 8.8):
-    INIT=0 CALIB=1 OPT=2 MONITOR=3. *)
+type state = Parcae_obs.Event.ctrl_state = Init | Calibrate | Optimize | Monitor
 
 (** The optimization objective; the paper's Section 6.4 notes the
     closed-loop schema retargets to any fitness whose parameters can be
@@ -63,7 +57,8 @@ val set_usage_callback : t -> (int -> unit) -> unit
     (transition T3->4); the daemon uses it to collect slack. *)
 
 val states : t -> Parcae_util.Series.t
-(** Timeline of (time s, {!state_code}) — the state track of Figure 8.8. *)
+(** Timeline of (time s, {!Parcae_obs.Event.ctrl_state_code}) — the state
+    track of Figure 8.8 (INIT=0 CALIB=1 OPT=2 MONITOR=3). *)
 
 val throughputs : t -> Parcae_util.Series.t
 (** Timeline of measured throughput samples (iterations/second). *)

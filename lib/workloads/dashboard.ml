@@ -67,9 +67,9 @@ let sanitizer_panel tr =
   Table.render t
 
 (* The latency panel: the span collector's tail-latency ladder, one row
-   per phase plus the end-to-end total, with SLO burn and span-ring drop
-   accounting.  Rendered only while a collector has completions, so `top`
-   without one is unchanged (DESIGN.md section 15). *)
+   per phase plus the end-to-end total, with span-ring drop accounting.
+   Rendered only while a collector has completions (DESIGN.md
+   section 15). *)
 let latency_panel sc =
   let t =
     Table.create ~title:"latency (request spans)"
@@ -101,16 +101,6 @@ let latency_panel sc =
   Table.add_row t
     [ "completed"; string_of_int (Span.completed sc); ""; ""; "";
       Printf.sprintf "drops %d" (Span.drops sc) ];
-  (if Span.slo_target_ns sc > 0 then
-     Table.add_row t
-       [
-         "slo";
-         Printf.sprintf "target %s" (ns (Span.slo_target_ns sc));
-         Printf.sprintf "over %d/%d" (Span.slo_over sc) (Span.slo_requests sc);
-         Printf.sprintf "burn %.2f" (Span.slo_burn_rate sc);
-         (if Span.slo_breached sc then "BREACHED" else "ok");
-         "";
-       ]);
   Table.render t
 
 (* The pool panel: freelist hit rates and the process's minor-word total,

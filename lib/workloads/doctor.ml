@@ -21,6 +21,7 @@ module Trace = Parcae_obs.Trace
 module Sink = Parcae_obs.Sink
 module Json = Parcae_obs.Json
 module Table = Parcae_util.Table
+module Diag = Parcae_analysis.Diag
 
 type backend = [ `Sim of Machine.t | `Native of int option ]
 
@@ -37,8 +38,6 @@ type dop_result = {
   gc : Runtime_ev.stats option;
 }
 
-type finding = { code : string; severity : string; message : string }
-
 type report = {
   backend_name : string;
   host_domains : int;
@@ -48,7 +47,7 @@ type report = {
   work_ns : int;
   sink_ns : int;
   results : dop_result list;
-  findings : finding list;
+  findings : Diag.t list;
   leaked_cursors : int;
 }
 
@@ -133,22 +132,22 @@ let pct f = 100.0 *. f
 
 let diagnose r =
   let fs = ref [] in
-  let addf code severity fmt =
-    Printf.ksprintf (fun message -> fs := { code; severity; message } :: !fs) fmt
-  in
+  let add d = fs := d :: !fs in
   let last = List.nth r.results (List.length r.results - 1) in
   let first = List.hd r.results in
   (* D101: the platform cannot host the parallelism the sweep asked for —
      the usual reason a native scaling curve is flat on a small host. *)
   if r.backend_name = "native" && r.spawned_domains < r.requested_domains then
-    addf "D101" "error"
-      "spawned_domains shortfall: %d domain(s) for %d requested (host recommends %d) — \
-       DoP beyond %d adds no parallelism on this host"
-      r.spawned_domains r.requested_domains r.host_domains r.spawned_domains;
+    add
+      (Diag.error "D101"
+         "spawned_domains shortfall: %d domain(s) for %d requested (host recommends %d) — \
+          DoP beyond %d adds no parallelism on this host"
+         r.spawned_domains r.requested_domains r.host_domains r.spawned_domains);
   (* D100: the headline symptom, when the sweep has a curve to look at. *)
   if List.length r.results > 1 && last.speedup < 1.2 *. first.speedup then
-    addf "D100" "warn" "flat scaling: %.2fx at DoP %d vs %.2fx at DoP %d" last.speedup
-      last.dop first.speedup first.dop;
+    add
+      (Diag.warning "D100" "flat scaling: %.2fx at DoP %d vs %.2fx at DoP %d" last.speedup
+         last.dop first.speedup first.dop);
   (* D102: stealing mostly finds empty deques.  Informational — with a few
      coarse stages per domain that is the expected steady state. *)
   if last.steal_attempts > 100 then begin
@@ -156,49 +155,52 @@ let diagnose r =
       1.0 -. (float_of_int last.steals /. float_of_int last.steal_attempts)
     in
     if fail > 0.9 then
-      addf "D102" "info"
-        "steal failure rate %.0f%% (%d hits in %d sweeps): deques are mostly empty — \
-         stages are coarse relative to the pool"
-        (pct fail) last.steals last.steal_attempts
+      add
+        (Diag.info "D102"
+           "steal failure rate %.0f%% (%d hits in %d sweeps): deques are mostly empty — \
+            stages are coarse relative to the pool"
+           (pct fail) last.steals last.steal_attempts)
   end;
   (* D103: the lanes are mostly idle. *)
   let park = share last.merged Timeline.Park
   and search = share last.merged Timeline.Steal_search in
   if park +. search > 0.5 then
-    addf "D103" "warn"
-      "idle-dominated: park %.0f%% + steal-search %.0f%% of wall at DoP %d — not enough \
-       runnable work per lane"
-      (pct park) (pct search) last.dop;
+    add
+      (Diag.warning "D103"
+         "idle-dominated: park %.0f%% + steal-search %.0f%% of wall at DoP %d — not enough \
+          runnable work per lane"
+         (pct park) (pct search) last.dop);
   (* D104: GC pressure concentrated on a lane. *)
   Array.iter
     (fun (lb : Timeline.lane_breakdown) ->
       let g = lb.Timeline.shares.(Timeline.state_index Timeline.Gc) in
       if g > 0.10 then
-        addf "D104" "warn" "GC %.0f%% of wall on domain %d" (pct g) lb.Timeline.lane)
+        add (Diag.warning "D104" "GC %.0f%% of wall on domain %d" (pct g) lb.Timeline.lane))
     last.lanes;
   (* D105: the DAG itself caps speedup below the requested DoP. *)
   if last.crit.Critpath.bound < 0.7 *. float_of_int last.dop then
-    addf "D105" "info"
-      "critical-path bound %.2fx < DoP %d — the pipeline is depth-limited%s"
-      last.crit.Critpath.bound last.dop
-      (match Critpath.bottleneck last.crit with
-      | Some name -> Printf.sprintf " (dominant path task: %s)" name
-      | None -> "");
+    add
+      (Diag.info "D105" "critical-path bound %.2fx < DoP %d — the pipeline is depth-limited%s"
+         last.crit.Critpath.bound last.dop
+         (match Critpath.bottleneck last.crit with
+         | Some name -> Printf.sprintf " (dominant path task: %s)" name
+         | None -> ""));
   (* D106: measured speedup sits on the bound — the scheduler is fine. *)
   if last.speedup >= 0.9 *. last.crit.Critpath.bound then
-    addf "D106" "info"
-      "measured %.2fx is at the critical-path bound %.2fx — the scheduler is not the \
-       limiter"
-      last.speedup last.crit.Critpath.bound;
+    add
+      (Diag.info "D106"
+         "measured %.2fx is at the critical-path bound %.2fx — the scheduler is not the \
+          limiter"
+         last.speedup last.crit.Critpath.bound);
   (* D108: time goes to waiting on channels rather than computing. *)
   let cw = share last.merged Timeline.Chan_wait in
   if cw > 0.3 then
-    addf "D108" "warn" "channel-bound: %.0f%% of wall blocked on channels at DoP %d"
-      (pct cw) last.dop;
+    add
+      (Diag.warning "D108" "channel-bound: %.0f%% of wall blocked on channels at DoP %d"
+         (pct cw) last.dop);
   (* D107: an instrument leaked — the observatory must clean up after itself. *)
   if r.leaked_cursors > 0 then
-    addf "D107" "error" "%d Runtime_events cursor(s) not freed on shutdown"
-      r.leaked_cursors;
+    add (Diag.error "D107" "%d Runtime_events cursor(s) not freed on shutdown" r.leaked_cursors);
   List.rev !fs
 
 let run ?(items = 240) ?(work_ns = 1_500_000) ?dops ~backend () =
@@ -301,13 +303,8 @@ let render r =
       Buffer.add_string buf (Table.render per_lane);
       Buffer.add_char buf '\n'
   | [] -> ());
-  if r.findings = [] then Buffer.add_string buf "diagnosis: nothing to report\n"
-  else begin
-    Buffer.add_string buf "diagnosis:\n";
-    List.iter
-      (fun f -> Printf.bprintf buf "  [%s] %-5s %s\n" f.code f.severity f.message)
-      r.findings
-  end;
+  Buffer.add_string buf "diagnosis:\n";
+  Buffer.add_string buf (Diag.render r.findings);
   Buffer.contents buf
 
 let gc_to_json = function
@@ -336,14 +333,6 @@ let dop_result_to_json d =
       ("gc", gc_to_json d.gc);
     ]
 
-let finding_to_json f =
-  Json.Obj
-    [
-      ("code", Json.Str f.code);
-      ("severity", Json.Str f.severity);
-      ("message", Json.Str f.message);
-    ]
-
 let report_to_json r =
   Json.Obj
     [
@@ -356,6 +345,6 @@ let report_to_json r =
       ("work_ns", Json.Int r.work_ns);
       ("sink_ns", Json.Int r.sink_ns);
       ("results", Json.List (List.map dop_result_to_json r.results));
-      ("findings", Json.List (List.map finding_to_json r.findings));
+      ("findings", Json.List (List.map Diag.to_json r.findings));
       ("runtime_events", Json.Obj [ ("leaked_cursors", Json.Int r.leaked_cursors) ]);
     ]

@@ -30,12 +30,6 @@ type dop_result = {
   gc : Parcae_obs.Runtime_ev.stats option;  (** native only *)
 }
 
-type finding = {
-  code : string;  (** stable rule id, e.g. ["D101"] *)
-  severity : string;  (** ["error"], ["warn"] or ["info"] *)
-  message : string;
-}
-
 type report = {
   backend_name : string;
   host_domains : int;  (** recommended domains (native) or machine cores *)
@@ -45,7 +39,7 @@ type report = {
   work_ns : int;  (** transform cost per item *)
   sink_ns : int;  (** consumer cost per item ([work_ns / 4]) *)
   results : dop_result list;  (** in ascending DoP order *)
-  findings : finding list;
+  findings : Parcae_analysis.Diag.t list;  (** [D1xx] codes, unlocated *)
   leaked_cursors : int;  (** {!Parcae_obs.Runtime_ev.live_cursors} after *)
 }
 

@@ -1,11 +1,11 @@
 (* The tail-latency observatory behind `parcae_demo latency`.
 
    Pure analysis over an installed span collector (plus, optionally, a
-   flight recorder and a scheduler timeline): quantile ladder, a
-   per-quantile phase breakdown, the K slowest requests as exemplars
-   with their span timelines and the nearest reconfiguration/GC event,
-   and findings codes L100-L107.  The demo binary renders the report and
-   turns `slo_breached` into the exit code; everything here is
+   flight-recorder log): quantile ladder, a per-quantile phase
+   breakdown, the K slowest requests as exemplars with their span
+   timelines and the nearest reconfiguration or controller decision, and
+   Diag findings L100-L107.  The demo binary renders the report and
+   exits 2 on an error finding (the L100 SLO breach); everything here is
    deterministic given the collector's contents (DESIGN.md section 15).
 
    Attribution honesty: the per-quantile breakdown does not average —
@@ -17,8 +17,8 @@
 
 module Span = Parcae_obs.Span
 module Flight = Parcae_obs.Flight
-module Timeline = Parcae_obs.Timeline
 module Json = Parcae_obs.Json
+module Diag = Parcae_analysis.Diag
 
 type phase_cut = (Span.phase * int) list
 
@@ -35,10 +35,8 @@ type exemplar = {
   ex_total_ns : int;
   ex_phases : phase_cut;
   ex_stages : (string * int) list;  (* per-stage compute timeline *)
-  ex_nearest : string option;  (* nearest reconfig/GC event, human-readable *)
+  ex_nearest : string option;  (* nearest reconfig/decision, human-readable *)
 }
-
-type finding = { f_code : string; f_msg : string }
 
 type report = {
   r_completed : int;
@@ -48,13 +46,7 @@ type report = {
   r_max_ns : int;
   r_quantiles : qbreak list;
   r_exemplars : exemplar list;
-  r_findings : finding list;
-  r_slo_target_ns : int;
-  r_slo_budget : float;
-  r_slo_requests : int;
-  r_slo_over : int;
-  r_slo_burn : float;
-  r_slo_breached : bool;
+  r_findings : Diag.t list;
 }
 
 let analysis_quantiles = [ 0.5; 0.9; 0.99; 0.999 ]
@@ -82,12 +74,11 @@ let nearest_record records target_ns =
           else Some b)
     None records
 
-(* ---- Nearest reconfig/GC event correlation. ----
+(* ---- Nearest reconfiguration/decision correlation. ----
 
    Candidate moments come from the flight recorder (reconfiguration
-   overhead closings and controller decisions) and the timeline's GC
-   spans; the exemplar is annotated with whichever landed closest to its
-   completion stamp. *)
+   overhead closings and controller decisions); the exemplar is
+   annotated with whichever landed closest to its completion stamp. *)
 
 let flight_moments entries =
   List.filter_map
@@ -105,21 +96,6 @@ let flight_moments entries =
       | Flight.Overhead _ -> None)
     entries
 
-let timeline_gc_moments tl =
-  let out = ref [] in
-  for lane = 0 to Timeline.lanes tl - 1 do
-    List.iter
-      (fun (s : Timeline.span) ->
-        if s.Timeline.s_state = Timeline.Gc then
-          out :=
-            ( s.Timeline.s_t1,
-              Printf.sprintf "gc pause on lane %d (%.3fms)" lane
-                (float_of_int (s.Timeline.s_t1 - s.Timeline.s_t0) /. 1e6) )
-            :: !out)
-      (Timeline.spans tl ~lane)
-  done;
-  !out
-
 let nearest_moment moments end_ns =
   List.fold_left
     (fun best (t, what) ->
@@ -134,43 +110,68 @@ let nearest_moment moments end_ns =
 
 (* ---- Findings. ---- *)
 
+let ms ns = Printf.sprintf "%.3fms" (float_of_int ns /. 1e6)
+
+let qlabel q =
+  let s = Printf.sprintf "%g" (q *. 100.0) in
+  "p" ^ String.concat "" (String.split_on_char '.' s)
+
 let pct part total = if total <= 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int total
 
-let findings ~collector ~(p99 : qbreak option) records =
+let findings ?slo ~collector ~(p99 : qbreak option) records =
   let fs = ref [] in
-  let add code fmt = Printf.ksprintf (fun msg -> fs := { f_code = code; f_msg = msg } :: !fs) fmt in
-  if Span.slo_breached collector then
-    add "L100" "SLO breached: %d/%d requests over the %.3fms target (burn rate %.2fx budget)"
-      (Span.slo_over collector) (Span.slo_requests collector)
-      (float_of_int (Span.slo_target_ns collector) /. 1e6)
-      (Span.slo_burn_rate collector);
+  let add d = fs := d :: !fs in
+  (* The SLO check, offline over the HDR: more than a fraction [budget]
+     of requests took longer than [target_ns] exactly when the
+     (1 - budget) quantile does.  The estimate can overshoot by one
+     bucket (1/128), so a target within that distance of the quantile
+     may read as a breach. *)
+  (match slo with
+  | Some (target_ns, budget) ->
+      let q = 1.0 -. budget in
+      let est = Span.quantile_ns collector q in
+      if est > target_ns then
+        add
+          (Diag.error "L100"
+             "SLO breached: %s is %s, over the %s target, so more than %g%% of %d \
+              requests took longer"
+             (qlabel q) (ms est) (ms target_ns) (100.0 *. budget) (Span.completed collector))
+  | None -> ());
   (match p99 with
   | Some qb ->
       let part p = try List.assoc p qb.qb_phases with Not_found -> 0 in
       let share p = pct (part p) qb.qb_total_ns in
       if share Span.Queue > 50.0 then
-        add "L101" "p99 is queue-dominated: %.1f%% of the exemplar's %.3fms was admission wait"
-          (share Span.Queue)
-          (float_of_int qb.qb_total_ns /. 1e6);
+        add
+          (Diag.warning "L101"
+             "p99 is queue-dominated: %.1f%% of the exemplar's %s was admission wait"
+             (share Span.Queue) (ms qb.qb_total_ns));
       if share Span.Reconfig > 25.0 then
-        add "L102" "p99 is reconfiguration-dominated: %.1f%% of the exemplar was pause/resume stall"
-          (share Span.Reconfig);
+        add
+          (Diag.warning "L102"
+             "p99 is reconfiguration-dominated: %.1f%% of the exemplar was pause/resume stall"
+             (share Span.Reconfig));
       if share Span.Chan > 50.0 then
-        add "L103" "p99 is channel-wait-dominated: %.1f%% of the exemplar was inter-stage wait"
-          (share Span.Chan);
+        add
+          (Diag.warning "L103"
+             "p99 is channel-wait-dominated: %.1f%% of the exemplar was inter-stage wait"
+             (share Span.Chan));
       if share Span.Gc > 25.0 then
-        add "L104" "p99 is GC-dominated: %.1f%% of the exemplar overlapped collector pauses"
-          (share Span.Gc)
+        add
+          (Diag.warning "L104"
+             "p99 is GC-dominated: %.1f%% of the exemplar overlapped collector pauses"
+             (share Span.Gc))
   | None -> ());
   if Span.drops collector > 0 then
-    add "L105" "span ring overflowed: %d exemplars dropped (quantiles stay exact)"
-      (Span.drops collector);
+    add
+      (Diag.warning "L105" "span ring overflowed: %d exemplars dropped (quantiles stay exact)"
+         (Span.drops collector));
   let p50 = Span.quantile_ns collector 0.5 and p999 = Span.quantile_ns collector 0.999 in
   if p50 > 0 && p999 > 20 * p50 then
-    add "L106" "heavy tail: p999 (%.3fms) is %.0fx p50 (%.3fms)"
-      (float_of_int p999 /. 1e6)
-      (float_of_int p999 /. float_of_int p50)
-      (float_of_int p50 /. 1e6);
+    add
+      (Diag.info "L106" "heavy tail: p999 (%s) is %.0fx p50 (%s)" (ms p999)
+         (float_of_int p999 /. float_of_int p50)
+         (ms p50));
   (* The integer accounting guarantees exact phase sums; this check is
      the analyzer auditing that guarantee over every retained record. *)
   let bad_sum =
@@ -179,17 +180,16 @@ let findings ~collector ~(p99 : qbreak option) records =
       records
   in
   if bad_sum then
-    add "L107" "phase-sum invariant violated in the span ring (accounting bug — please report)";
+    add
+      (Diag.error "L107"
+         "phase-sum invariant violated in the span ring (accounting bug — please report)");
   List.rev !fs
 
 (* ---- The analysis. ---- *)
 
-let analyze ?(flight = []) ?timeline ?(top = 5) collector =
+let analyze ?(flight = []) ?slo ?(top = 5) collector =
   let records = Span.records collector in
-  let moments =
-    flight_moments flight
-    @ (match timeline with Some tl -> timeline_gc_moments tl | None -> [])
-  in
+  let moments = flight_moments flight in
   let quantiles =
     List.filter_map
       (fun q ->
@@ -221,7 +221,7 @@ let analyze ?(flight = []) ?timeline ?(top = 5) collector =
           ex_stages =
             Array.to_list
               (Array.mapi
-                 (fun i ns -> (Span.stage_name collector i, ns))
+                 (fun i ns -> (Printf.sprintf "stage%d" i, ns))
                  rv.Span.rv_stage_ns);
           ex_nearest = nearest_moment moments rv.Span.rv_end_ns;
         })
@@ -236,22 +236,10 @@ let analyze ?(flight = []) ?timeline ?(top = 5) collector =
     r_max_ns = Span.max_ns collector;
     r_quantiles = quantiles;
     r_exemplars = exemplars;
-    r_findings = findings ~collector ~p99 records;
-    r_slo_target_ns = Span.slo_target_ns collector;
-    r_slo_budget = Span.slo_budget collector;
-    r_slo_requests = Span.slo_requests collector;
-    r_slo_over = Span.slo_over collector;
-    r_slo_burn = Span.slo_burn_rate collector;
-    r_slo_breached = Span.slo_breached collector;
+    r_findings = findings ?slo ~collector ~p99 records;
   }
 
 (* ---- Rendering. ---- *)
-
-let ms ns = Printf.sprintf "%.3fms" (float_of_int ns /. 1e6)
-
-let qlabel q =
-  let s = Printf.sprintf "%g" (q *. 100.0) in
-  "p" ^ String.concat "" (String.split_on_char '.' s)
 
 let render r =
   let buf = Buffer.create 2048 in
@@ -269,10 +257,6 @@ let render r =
         (ms (part Span.Chan)) (ms (part Span.Compute)) (ms (part Span.Reconfig))
         (ms (part Span.Gc)))
     r.r_quantiles;
-  if r.r_slo_target_ns > 0 then
-    pr "\nSLO: target %s budget %.4f  over %d/%d  burn %.2f  %s\n"
-      (ms r.r_slo_target_ns) r.r_slo_budget r.r_slo_over r.r_slo_requests r.r_slo_burn
-      (if r.r_slo_breached then "BREACHED" else "ok");
   if r.r_exemplars <> [] then begin
     pr "\nslowest requests:\n";
     List.iter
@@ -293,11 +277,7 @@ let render r =
         | None -> ())
       r.r_exemplars
   end;
-  if r.r_findings <> [] then begin
-    pr "\nfindings:\n";
-    List.iter (fun f -> pr "  [%s] %s\n" f.f_code f.f_msg) r.r_findings
-  end
-  else pr "\nfindings: none\n";
+  pr "\nfindings:\n%s" (Diag.render r.r_findings);
   Buffer.contents buf
 
 let to_json r =
@@ -341,20 +321,5 @@ let to_json r =
                  | Some what -> [ ("nearest_event", Json.Str what) ]
                  | None -> []))
              r.r_exemplars) );
-      ( "findings",
-        Json.List
-          (List.map
-             (fun f ->
-               Json.Obj [ ("code", Json.Str f.f_code); ("message", Json.Str f.f_msg) ])
-             r.r_findings) );
-      ( "slo",
-        Json.Obj
-          [
-            ("target_ns", Json.Int r.r_slo_target_ns);
-            ("budget", Json.Float r.r_slo_budget);
-            ("requests", Json.Int r.r_slo_requests);
-            ("over_target", Json.Int r.r_slo_over);
-            ("burn_rate", Json.Float r.r_slo_burn);
-            ("breached", Json.Bool r.r_slo_breached);
-          ] );
+      ("findings", Json.List (List.map Diag.to_json r.r_findings));
     ]

@@ -1,12 +1,12 @@
 (** The tail-latency observatory behind [parcae_demo latency].
 
     Pure analysis over an installed {!Parcae_obs.Span} collector, plus
-    optionally a flight-recorder log and a scheduler timeline for
-    exemplar correlation: a quantile ladder with per-quantile phase
-    attribution, the K slowest requests with their span timelines and
-    the nearest reconfiguration/GC event, and findings codes L100-L1xx.
-    The demo binary renders the report and maps [r_slo_breached] to the
-    exit code (DESIGN.md section 15).
+    optionally a flight-recorder log for exemplar correlation: a
+    quantile ladder with per-quantile phase attribution, the K slowest
+    requests with their span timelines and the nearest reconfiguration
+    or controller decision, and {!Parcae_analysis.Diag} findings
+    L100-L107.  The demo binary renders the report and exits 2 on an
+    error finding (DESIGN.md section 15).
 
     Attribution honesty: the per-quantile breakdown never averages
     phases across requests.  It picks the retained request whose total
@@ -31,15 +31,9 @@ type exemplar = {
   ex_phases : phase_cut;
   ex_stages : (string * int) list;  (** per-stage compute timeline *)
   ex_nearest : string option;
-      (** nearest reconfiguration/GC event relative to completion,
-          human-readable; [None] without flight/timeline input *)
+      (** nearest reconfiguration or controller decision relative to
+          completion, human-readable; [None] without flight input *)
 }
-
-type finding = { f_code : string; f_msg : string }
-(** L100 SLO breach; L101 queue-dominated p99; L102
-    reconfiguration-dominated; L103 channel-wait-dominated; L104
-    GC-dominated; L105 span-ring overflow; L106 heavy tail
-    (p999 > 20x p50); L107 phase-sum invariant violation. *)
 
 type report = {
   r_completed : int;
@@ -49,13 +43,12 @@ type report = {
   r_max_ns : int;
   r_quantiles : qbreak list;
   r_exemplars : exemplar list;
-  r_findings : finding list;
-  r_slo_target_ns : int;
-  r_slo_budget : float;
-  r_slo_requests : int;
-  r_slo_over : int;
-  r_slo_burn : float;
-  r_slo_breached : bool;
+  r_findings : Parcae_analysis.Diag.t list;
+      (** errors: L100 SLO breach, L107 phase-sum invariant violation;
+          warnings: L101 queue-dominated p99, L102
+          reconfiguration-dominated, L103 channel-wait-dominated, L104
+          GC-dominated, L105 span-ring overflow; info: L106 heavy tail
+          (p999 > 20x p50). *)
 }
 
 val analysis_quantiles : float list
@@ -63,14 +56,17 @@ val analysis_quantiles : float list
 
 val analyze :
   ?flight:Parcae_obs.Flight.entry list ->
-  ?timeline:Parcae_obs.Timeline.t ->
+  ?slo:int * float ->
   ?top:int ->
   Parcae_obs.Span.t ->
   report
 (** Analyze the collector's retained spans.  [flight] supplies
-    reconfiguration decisions/overheads and [timeline] GC spans for
-    nearest-event correlation; [top] (default 5) bounds the slowest-K
-    exemplar list. *)
+    reconfiguration decisions/overheads for nearest-event correlation;
+    [top] (default 5) bounds the slowest-K exemplar list.
+    [slo = (target_ns, budget)] adds L100 when more than a fraction
+    [budget] of requests took longer than [target_ns], decided as the
+    HDR's [(1 - budget)] quantile exceeding [target_ns] (exact unless
+    the target lies within the quantile's 1/128 bucket width). *)
 
 val render : report -> string
 (** Human-readable report (the non-[--json] output). *)

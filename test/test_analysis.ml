@@ -632,11 +632,22 @@ let test_check_explanations () =
   check_bool "explanation is located" true (d.Diag.loc <> None)
 
 let test_check_json_shape () =
+  let module Json = Parcae_obs.Json in
   let r = Check.run (Kernels.histogram ~n:64 ()) in
-  let json = Check.to_json r in
-  check_bool "names the loop" true (contains json "histogram");
-  check_bool "lists schemes" true (contains json "PS-DSWP");
-  check_bool "embeds diagnostics" true (contains json "\"code\"")
+  (* Through the printer and back: the report must be well-formed JSON. *)
+  let json = Json.parse (Json.to_string (Check.to_json r)) in
+  Alcotest.(check string) "names the loop" "histogram" (Json.get_str "loop" json);
+  check_bool "lists schemes" true
+    (List.mem (Json.Str "PS-DSWP") (Json.get_list "schemes" json));
+  let diags = Json.get_list "diagnostics" json in
+  check_int "one object per diagnostic" (List.length r.Check.diags) (List.length diags);
+  check_bool "embeds diagnostics" true (diags <> []);
+  List.iter2
+    (fun (d : Diag.t) j ->
+      Alcotest.(check string) "code" d.Diag.code (Json.get_str "code" j);
+      Alcotest.(check string) "severity" (Diag.severity_to_string d.Diag.severity)
+        (Json.get_str "severity" j))
+    r.Check.diags diags
 
 let suite =
   [

@@ -493,7 +493,17 @@ let test_dashboard_render () =
   List.iter
     (fun needle ->
       check_bool ("render mentions " ^ needle) true (contains out needle))
-    [ "parcae_x_total{k=v}"; "parcae_depth"; "parcae_s_ns"; "p999" ]
+    [ "parcae_x_total{k=v}"; "parcae_depth"; "parcae_s_ns"; "p999" ];
+  check_bool "no latency panel without a collector" false
+    (contains out "latency (request spans)");
+  (* A span collector holding completions adds the latency panel. *)
+  let sc = Obs.Span.create () in
+  Obs.Span.with_collector sc (fun () ->
+      let sp = Obs.Span.make_span () in
+      Obs.Span.reset sp ~id:1 ~arrival_ns:0;
+      Obs.Span.finish sp ~now:1_000;
+      check_bool "render has the latency panel" true
+        (contains (Dashboard.render ~now_s:1.25 reg) "latency (request spans)"))
 
 let suite =
   [

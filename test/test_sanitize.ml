@@ -261,16 +261,21 @@ let prop_kgen_injection =
 
 (* ------------------------- report plumbing ---------------------------- *)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 let test_report_json () =
+  let module Json = Parcae_obs.Json in
   let r = Sanitize.run (Kernels.blackscholes ~n:64 ()) in
-  let j = Sanitize.to_json r in
-  check_bool "json has loop name" true (contains j "blackscholes");
-  check_bool "json has runs" true (contains j "\"runs\"")
+  let j = Json.parse (Json.to_string (Sanitize.to_json r)) in
+  Alcotest.(check string) "json has loop name" "blackscholes" (Json.get_str "loop" j);
+  let runs = Json.get_list "runs" j in
+  check_int "json has one run per scheme" (List.length r.Sanitize.runs) (List.length runs);
+  List.iter2
+    (fun (sr : Sanitize.scheme_run) run ->
+      Alcotest.(check string) "run scheme" sr.Sanitize.sr_scheme (Json.get_str "scheme" run);
+      check_int "run race pairs" (List.length sr.Sanitize.sr_races)
+        (Json.get_int "race_pairs" run);
+      check_bool "run semantics" sr.Sanitize.sr_semantics_ok (Json.get_bool "semantics_ok" run))
+    r.Sanitize.runs runs;
+  check_int "json errors" (Diag.count_errors r.Sanitize.diags) (Json.get_int "errors" j)
 
 let suite =
   [

@@ -310,6 +310,47 @@ let test_overflow_keeps_quantiles () =
   in
   check_int "one span-overflow marker" 1 (List.length overflows)
 
+(* ---- the offline SLO check ---- *)
+
+(* N = 1000 synthetic requests, [over] of them at 2T and the rest at T/2.
+   The rule is "more than a fraction F of requests took longer than T":
+   exactly floor(F*N) over the target passes, one more breaches. *)
+let test_latency_slo_rule () =
+  let module Latency = Parcae_workloads.Latency in
+  let module Diag = Parcae_analysis.Diag in
+  let n = 1000 and target_ns = 10_000_000 in
+  let collector over =
+    let sc = Span.create () in
+    Span.with_collector sc (fun () ->
+        let sp = Span.make_span () in
+        for i = 0 to n - 1 do
+          Span.reset sp ~id:i ~arrival_ns:0;
+          Span.finish sp ~now:(if i < over then 2 * target_ns else target_ns / 2)
+        done);
+    sc
+  in
+  let l100 ?slo sc =
+    List.filter
+      (fun (d : Diag.t) -> d.Diag.code = "L100")
+      (Latency.analyze ?slo sc).Latency.r_findings
+  in
+  List.iter
+    (fun budget ->
+      let allowed = int_of_float (budget *. float_of_int n) in
+      let slo = (target_ns, budget) in
+      check_int
+        (Printf.sprintf "F=%g, %d over: no L100" budget allowed)
+        0
+        (List.length (l100 ~slo (collector allowed)));
+      match l100 ~slo (collector (allowed + 1)) with
+      | [ d ] ->
+          check_bool
+            (Printf.sprintf "F=%g, %d over: L100 is an error" budget (allowed + 1))
+            true (d.Diag.severity = Diag.Error)
+      | ds -> Alcotest.failf "F=%g: expected one L100, got %d" budget (List.length ds))
+    [ 0.001; 0.01; 0.0125; 0.05 ];
+  check_int "no ~slo: no L100" 0 (List.length (l100 (collector n)))
+
 (* ---- HTTP exposition endpoint ---- *)
 
 (* A tiny blocking GET against 127.0.0.1:port; returns (status, body). *)
@@ -435,4 +476,6 @@ let suite =
       test_overflow_keeps_quantiles;
     Alcotest.test_case "httpd: golden responses" `Quick test_http_endpoint_golden;
     Alcotest.test_case "httpd: concurrent scrape smoke" `Quick test_http_concurrent_scrape;
+    Alcotest.test_case "latency: SLO check follows the budget rule" `Quick
+      test_latency_slo_rule;
   ]

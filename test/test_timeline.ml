@@ -10,6 +10,7 @@ module Critpath = Parcae_obs.Critpath
 module Runtime_ev = Parcae_obs.Runtime_ev
 module Event = Parcae_obs.Event
 module Doctor = Parcae_workloads.Doctor
+module Diag = Parcae_analysis.Diag
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -212,8 +213,10 @@ let test_doctor_native_shortfall () =
     Doctor.run ~items:20 ~work_ns:100_000 ~dops:[ 1; 2 ] ~backend:(`Native (Some 1)) ()
   in
   check_int "leak-free" 0 r.Doctor.leaked_cursors;
-  check_bool "D101 diagnosed" true
-    (List.exists (fun (f : Doctor.finding) -> f.Doctor.code = "D101") r.Doctor.findings);
+  check_bool "D101 diagnosed as an error" true
+    (List.exists
+       (fun (d : Diag.t) -> d.Diag.code = "D101" && d.Diag.severity = Diag.Error)
+       r.Doctor.findings);
   List.iter
     (fun (d : Doctor.dop_result) ->
       Array.iter
