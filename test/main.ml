@@ -21,6 +21,7 @@ let () =
       ("metrics", Test_metrics.suite);
       ("flight", Test_flight.suite);
       ("sched", Test_sched.suite);
+      ("schedule", Test_schedule.suite);
       ("native", Test_native.suite);
       ("pool", Test_pool.suite);
       ("timeline", Test_timeline.suite);
