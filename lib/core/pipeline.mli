@@ -21,7 +21,8 @@ val load : 'a Parcae_platform.Chan.t -> unit -> float
 (** Queue occupancy as a load callback. *)
 
 val reset_channel : 'a msg Parcae_platform.Chan.t -> unit
-(** Strip pause sentinels, keeping work items and any [Eos]. *)
+(** Strip pause sentinels, keeping work items and any [Eos]; an [Eos]
+    with items behind it moves behind them, so no item is stranded. *)
 
 val inject_flush : 'a msg Parcae_platform.Chan.t -> unit
 (** Inject a pause sentinel (typically from a region's [on_pause]

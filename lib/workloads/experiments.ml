@@ -63,6 +63,52 @@ let result_of app region =
    its region budget.  [None] runs the launch configuration statically. *)
 type mech = (App.t -> Morta.mechanism) option
 
+let tpc_needs_sim = "tpc needs the simulator's power model (run with --backend sim)"
+
+(* Every named mechanism, as a factory given whether the app is flat
+   (ferret, dedup) or nested (x264 and the other two-level apps). *)
+let mechanisms : (string * (bool -> mech)) list =
+  let module Mech = Parcae_mechanisms in
+  [
+    ("static", fun _ -> None);
+    ( "wqt-h",
+      fun flat ->
+        Some
+          (fun app ->
+            if flat then
+              Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:6.0 ~non:2 ~noff:2
+                ~light:(App.config app "even") ~heavy:(App.config app "oversubscribed") ()
+            else
+              Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:8.0 ~non:3 ~noff:3
+                ~light:(App.config app "inner-max") ~heavy:(App.config app "outer-only") ()) );
+    ( "wq-linear",
+      fun flat ->
+        Some
+          (fun app ->
+            if flat then
+              Mech.Wq_linear.per_task ~loads:app.App.per_task_loads ~per_item:0.6 ~dpmin:2
+                ~dpmax:24 ()
+            else
+              Mech.Wq_linear.nested ~load:app.App.wq_load ~dpmin:1 ~dpmax:app.App.dpmax
+                ~qmax:20.0 ~make_config:(Option.get app.App.inner_dop_config) ()) );
+    ("tbf", fun _ -> Some (fun app -> Mech.Tbf.make ?fused_choice:app.App.fused_choice ()));
+    ("tb", fun _ -> Some (fun _ -> Mech.Tbf.make ()));
+    ("fdp", fun _ -> Some (fun _ -> Mech.Fdp.make ()));
+    ("seda", fun _ -> Some (fun _ -> Mech.Seda.make ~threshold:6.0 ~max_per_stage:8 ()));
+    ( "tpc",
+      fun _ ->
+        Some
+          (fun app ->
+            let sim_eng =
+              match Engine.sim_engine app.App.eng with
+              | Some e -> e
+              | None -> failwith tpc_needs_sim
+            in
+            let machine = Engine.machine app.App.eng in
+            let sensor = Power.create ~period_ns:2_000_000_000 sim_eng in
+            Mech.Tpc.make ~sensor ~target_watts:(0.9 *. Machine.peak_power machine) ()) );
+  ]
+
 let make_engine ?(backend = `Sim) machine =
   match backend with
   | `Sim -> Engine.create machine

@@ -24,6 +24,14 @@ type mech = (App.t -> Parcae_runtime.Morta.mechanism) option
 (** A mechanism factory for a concrete app instance; [None] runs the
     launch configuration statically. *)
 
+val mechanisms : (string * (bool -> mech)) list
+(** Every named mechanism (static, wqt-h, wq-linear, tbf, tb, fdp, seda,
+    tpc), as a factory given whether the app is flat (ferret, dedup) or
+    nested.  The CLI's [-m] names are these. *)
+
+val tpc_needs_sim : string
+(** The error [tpc] fails with on the native backend. *)
+
 type backend = [ `Sim | `Native of int option ]
 (** Where an experiment executes: the deterministic simulator with the
     [machine] cost model (default), or the native OCaml 5 backend with an

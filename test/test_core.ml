@@ -98,6 +98,35 @@ let test_pipeline_reset_keeps_items_and_eos () =
   (* 2 items + 1 eos survive; 2 flushes stripped. *)
   check_int "flushes stripped only" 3 !remaining
 
+(* An [Eos] with items behind it (a batch's up-front marker, with a
+   paused claim's suffix returned after it) moves behind them; one with
+   nothing behind it stays put and costs no extra channel op. *)
+let test_pipeline_reset_moves_stranding_eos () =
+  let eng = Engine.create (Machine.test_machine ()) in
+  let ch = Chan.create eng "c" in
+  let order = ref [] and costs = ref [] in
+  let _ =
+    Engine.spawn eng ~name:"t" (fun () ->
+        let reset () =
+          let t0 = Engine.now () in
+          Pipeline.reset_channel ch;
+          Engine.now () - t0
+        in
+        Pipeline.send ch 1;
+        Pipeline.inject_eos ch;
+        Pipeline.inject_flush ch;
+        let kept = reset () in
+        Pipeline.send ch 2;
+        let moved = reset () in
+        costs := [ kept; moved ];
+        order := List.init (Chan.length ch) (fun _ -> Chan.recv ch))
+  in
+  ignore (Engine.run eng);
+  check_bool "items first, then eos" true
+    (!order = [ Pipeline.Item 1; Pipeline.Item 2; Pipeline.Eos ]);
+  let op = (Machine.test_machine ()).Machine.chan_op in
+  Alcotest.(check (list int)) "one op, or three to move the eos" [ op; 3 * op ] !costs
+
 let test_forward_to () =
   let eng = Engine.create (Machine.test_machine ()) in
   let ch = Chan.create eng "c" in
@@ -135,6 +164,8 @@ let suite =
     Alcotest.test_case "task: nested declaration" `Quick test_validate_config_rejects_undeclared_nested;
     Alcotest.test_case "task: default config" `Quick test_default_config;
     Alcotest.test_case "pipeline: reset keeps items+eos" `Quick test_pipeline_reset_keeps_items_and_eos;
+    Alcotest.test_case "pipeline: reset moves a stranding eos" `Quick
+      test_pipeline_reset_moves_stranding_eos;
     Alcotest.test_case "pipeline: forward_to" `Quick test_forward_to;
     Alcotest.test_case "machine: power model" `Quick test_machine_power;
   ]
