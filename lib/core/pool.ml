@@ -192,9 +192,9 @@ let sample_allocs () =
           (Metrics.counter reg "parcae_pool_misses_total" ~labels
              ~help:"Pool acquires that fell back to the allocator.")
           s.st_misses;
-        Metrics.set_gauge
+        Metrics.set_gauge_int
           (Metrics.gauge reg "parcae_pool_free" ~labels
              ~help:"Objects currently held by a pool freelist.")
-          (float_of_int s.st_free))
+          s.st_free)
       (stats ())
   end

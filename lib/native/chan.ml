@@ -235,24 +235,18 @@ let hb_recv ch =
     | Some t -> Hb.on_recv ~task:(Engine.task_id t) ~chan:ch.name ~seq:(-1)
     | None -> ()
 
-let caller_ids () =
-  match Engine.self_opt () with
-  | Some task -> (Engine.task_id task, Engine.task_busy_ns task)
-  | None -> (-1, 0)
+(* [emit] is [Trace.chan_send] or [Trace.chan_recv]; a caller outside any
+   task records task -1 with no compute. *)
+let emit_op emit ch seq =
+  if Trace.enabled () then
+    match Engine.self_opt () with
+    | Some task ->
+        emit ~t:(Engine.now ch.eng) ~chan:ch.name ~seq ~task:(Engine.task_id task)
+          ~busy_ns:(Engine.task_busy_ns task)
+    | None -> emit ~t:(Engine.now ch.eng) ~chan:ch.name ~seq ~task:(-1) ~busy_ns:0
 
-let emit_send ch seq =
-  if Trace.enabled () then begin
-    let task, busy_ns = caller_ids () in
-    Trace.emit ~t:(Engine.now ch.eng)
-      (Event.Chan_send_ev { chan = ch.name; seq; task; busy_ns })
-  end
-
-let emit_recv ch seq =
-  if Trace.enabled () then begin
-    let task, busy_ns = caller_ids () in
-    Trace.emit ~t:(Engine.now ch.eng)
-      (Event.Chan_recv_ev { chan = ch.name; seq; task; busy_ns })
-  end
+let emit_send ch seq = emit_op Trace.chan_send ch seq
+let emit_recv ch seq = emit_op Trace.chan_recv ch seq
 
 let emit_send_range ch base k =
   if Trace.enabled () then
@@ -387,7 +381,10 @@ let recv_batch ?max ch =
     wake_send ch ~all:true;
     note_recv ch (List.length items) waited t0;
     tl_wait ch waited t0;
-    if Trace.enabled () then List.iteri (fun i _ -> emit_recv ch (base + i)) items;
+    if Trace.enabled () then
+      for i = 0 to List.length items - 1 do
+        emit_recv ch (base + i)
+      done;
     items
   in
   match take () with

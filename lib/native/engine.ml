@@ -201,9 +201,7 @@ let wake_drain eng =
 let finish_task task outcome =
   let eng = task.eng in
   if Trace.enabled () then
-    Trace.emit
-      ~t:(Calibrate.now_ns () - eng.t0)
-      (Event.Task_done { task = task.tid; busy_ns = task.busy_ns });
+    Trace.task_done ~t:(Calibrate.now_ns () - eng.t0) ~task:task.tid ~busy_ns:task.busy_ns;
   (* Publish the completion clock BEFORE joiners can observe [finished]. *)
   if Hb.enabled () then Hb.on_task_done ~task:task.tid;
   Mutex.lock task.jmu;
@@ -277,10 +275,8 @@ let note_steal eng w ~victim ~stolen =
   Atomic.incr eng.steals;
   if Metrics.enabled () then Metrics.inc (sched_metrics eng w).sm_steals;
   if Trace.enabled () then
-    Trace.emit
-      ~t:(Calibrate.now_ns () - eng.t0)
-      (Event.Steal_ev
-         { task = stolen.rtask.tid; from_lane = victim; to_lane = w.wid })
+    Trace.steal ~t:(Calibrate.now_ns () - eng.t0) ~task:stolen.rtask.tid ~from_lane:victim
+      ~to_lane:w.wid
 
 (* Periodic sweep, worker 0 only (single writer keeps the delta-publish of
    the attempts counter race-free): mirror the steal-attempt atomic into
@@ -296,7 +292,7 @@ let maybe_sample eng w =
       Metrics.inc_by h.sm_attempts
         (Atomic.get eng.steal_attempts - Metrics.counter_value h.sm_attempts);
       Array.iteri
-        (fun i g -> Metrics.set_gauge g (float_of_int (Deque.size eng.deques.(i))))
+        (fun i g -> Metrics.set_gauge_int g (Deque.size eng.deques.(i)))
         h.sm_depth
     end
   end
@@ -467,7 +463,7 @@ let spawn eng ~name body =
   Atomic.incr eng.spawned;
   if Trace.enabled () then begin
     let parent = match self_opt () with Some p -> p.tid | None -> -1 in
-    Trace.emit ~t:(now eng) (Event.Task_spawn { task = tid; parent; name })
+    Trace.task_spawn ~t:(now eng) ~task:tid ~parent ~name
   end;
   (* The spawn edge must be published before the task is scheduled, or the
      child could start with an empty clock and report phantom races. *)

@@ -68,14 +68,14 @@ let recv_block m =
 
 let note_send m k ~depth ~block_ns =
   Metrics.inc_by m.sends k;
-  Metrics.set_gauge m.depth (float_of_int depth);
+  Metrics.set_gauge_int m.depth depth;
   if block_ns >= 0 then Metrics.observe_summary (send_block m) block_ns
 
 let note_recv m k ~depth ~block_ns =
   Metrics.inc_by m.recvs k;
-  Metrics.set_gauge m.depth (float_of_int depth);
+  Metrics.set_gauge_int m.depth depth;
   if block_ns >= 0 then Metrics.observe_summary (recv_block m) block_ns
 
 let note_flush m removed ~depth =
   Metrics.inc_by m.flushed removed;
-  Metrics.set_gauge m.depth (float_of_int depth)
+  Metrics.set_gauge_int m.depth depth

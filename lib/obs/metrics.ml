@@ -36,6 +36,11 @@ let inc c = inc_by c 1
 let counter_value c = c.c
 
 let set_gauge g v = g.g <- v
+
+(* Converting here keeps the float unboxed: a caller in another module
+   passing [float_of_int n] to [set_gauge] boxes it, since calls are not
+   inlined across modules compiled with -opaque. *)
+let set_gauge_int g n = g.g <- float_of_int n
 let add_gauge g v = g.g <- g.g +. v
 let gauge_value g = g.g
 

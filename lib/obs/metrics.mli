@@ -29,6 +29,11 @@ val inc_by : counter -> int -> unit
 val counter_value : counter -> int
 
 val set_gauge : gauge -> float -> unit
+
+val set_gauge_int : gauge -> int -> unit
+(** [set_gauge g (float_of_int n)] without a boxed float at the call: the
+    conversion happens here, where the store is unboxed. *)
+
 val add_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
 

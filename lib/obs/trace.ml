@@ -8,13 +8,33 @@
      if Trace.enabled () then Trace.emit ~t:(Engine.time eng) (Event.Pause ...)
 
    so that with tracing disabled the entire cost is one load and one
-   physical comparison, and the event payload is never allocated. *)
+   physical comparison, and the event payload is never allocated.  The
+   per-operation kinds have typed emitters that take the payload's fields
+   and record them without building an event at all:
+
+     if Trace.enabled () then Trace.task_done ~t ~task ~busy_ns *)
 
 let current = Atomic.make Sink.null
 
 let enabled () = not (Sink.is_null (Atomic.get current))
 
 let emit ~t kind = Sink.record (Atomic.get current) ~t kind
+
+let chan_send ~t ~chan ~seq ~task ~busy_ns =
+  Sink.chan_send (Atomic.get current) ~t ~chan ~seq ~task ~busy_ns
+
+let chan_recv ~t ~chan ~seq ~task ~busy_ns =
+  Sink.chan_recv (Atomic.get current) ~t ~chan ~seq ~task ~busy_ns
+
+let hook_sample ~t ~task ~dt_ns = Sink.hook_sample (Atomic.get current) ~t ~task ~dt_ns
+
+let task_spawn ~t ~task ~parent ~name =
+  Sink.task_spawn (Atomic.get current) ~t ~task ~parent ~name
+
+let task_done ~t ~task ~busy_ns = Sink.task_done (Atomic.get current) ~t ~task ~busy_ns
+
+let steal ~t ~task ~from_lane ~to_lane =
+  Sink.steal (Atomic.get current) ~t ~task ~from_lane ~to_lane
 
 (* Run [f] with [s] installed, restoring the previous sink on exit (also
    on exception), so nested scopes and tests compose. *)

@@ -59,11 +59,11 @@ let trace_shares t ~reason act =
          ~help:"Platform-wide budget repartitions/redistributions applied.");
     List.iter
       (fun p ->
-        Metrics.set_gauge
+        Metrics.set_gauge_int
           (Metrics.gauge reg "parcae_daemon_share"
              ~labels:[ ("program", p.region.Region.name) ]
              ~help:"Current thread budget granted to each program.")
-          (float_of_int (Region.budget p.region)))
+          (Region.budget p.region))
       act
   end
 

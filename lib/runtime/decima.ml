@@ -157,8 +157,7 @@ let hook_end t ~task slot =
       let prev = t.ewma_a.(task) in
       t.ewma_a.(task) <-
         (if prev < 0 then dt else prev + ((dt - prev) / ewma_inv));
-      if Trace.enabled () then
-        Trace.emit ~t:(Engine.time t.eng) (Event.Hook_sample { task; dt_ns = dt });
+      if Trace.enabled () then Trace.hook_sample ~t:(Engine.time t.eng) ~task ~dt_ns:dt;
       if Metrics.enabled () then begin
         let m = (handles t).dm_tasks.(task) in
         Metrics.inc_by m.dm_compute dt;

@@ -55,17 +55,25 @@ let metrics ch =
   ch.mx <- m;
   m
 
+(* The observer hooks read the clock and the calling thread from the
+   channel's engine: inside a turn of it they are the values [Engine.now]
+   and [Engine.self] return, without the effect (a fiber switch and a
+   continuation) each of those performs.  Outside a turn they fall back
+   to the effects. *)
+let now ch = match Engine.current ch.eng with Some _ -> Engine.time ch.eng | None -> Engine.now ()
+let self ch = match Engine.current ch.eng with Some th -> th | None -> Engine.self ()
+
 (* Registry updates after an operation moved [k] items; [waited] blocks
    are measured from [t0] on the virtual clock. *)
 let note_send ch k waited t0 =
   if Metrics.enabled () then
     Chan_metrics.note_send (metrics ch) k ~depth:(Ring.length ch.q)
-      ~block_ns:(if waited then Engine.now () - t0 else -1)
+      ~block_ns:(if waited then now ch - t0 else -1)
 
 let note_recv ch k waited t0 =
   if Metrics.enabled () then
     Chan_metrics.note_recv (metrics ch) k ~depth:(Ring.length ch.q)
-      ~block_ns:(if waited then Engine.now () - t0 else -1)
+      ~block_ns:(if waited then now ch - t0 else -1)
 
 let note_flush ch removed =
   if Metrics.enabled () then
@@ -79,45 +87,37 @@ let observing () = Metrics.enabled () || Timeline.enabled ()
    the thread held no core — the wait displaced Park time on that lane,
    which is exactly what the timeline's idle-first attribution transfer
    expresses. *)
-let tl_wait waited t0 =
+let tl_wait ch waited t0 =
   if waited then
     match Timeline.get () with
     | Some tl ->
-        let th = Engine.self () in
+        let th = self ch in
         let core = if th.Engine.core >= 0 then th.Engine.core else th.Engine.last_core in
         if core >= 0 && core < Timeline.lanes tl then
-          Timeline.attribute tl ~lane:core Timeline.Chan_wait (Engine.now () - t0)
+          Timeline.attribute tl ~lane:core Timeline.Chan_wait (now ch - t0)
     | None -> ()
 
 (* Sanitizer edges use the exact (chan, seq) FIFO pairing.  The send-side
    clock must be published before any other thread can observe the item:
    these run at the seq-assignment point, before the [signal] effect can
    transfer control to a consumer. *)
-let hb_send ch seq =
-  if Hb.enabled () then Hb.on_send ~task:(Engine.self ()).Engine.tid ~chan:ch.name ~seq
-
-let hb_recv ch seq =
-  if Hb.enabled () then Hb.on_recv ~task:(Engine.self ()).Engine.tid ~chan:ch.name ~seq
+let hb_send ch seq = if Hb.enabled () then Hb.on_send ~task:(self ch).Engine.tid ~chan:ch.name ~seq
+let hb_recv ch seq = if Hb.enabled () then Hb.on_recv ~task:(self ch).Engine.tid ~chan:ch.name ~seq
 
 let emit_send ch seq =
   if Trace.enabled () then begin
-    let th = Engine.self () in
-    Trace.emit ~t:(Engine.now ())
-      (Event.Chan_send_ev
-         { chan = ch.name; seq; task = th.Engine.tid; busy_ns = th.Engine.busy_ns })
+    let th = self ch in
+    Trace.chan_send ~t:(now ch) ~chan:ch.name ~seq ~task:th.Engine.tid ~busy_ns:th.Engine.busy_ns
   end
 
 let emit_recv ch seq =
   if Trace.enabled () then begin
-    let th = Engine.self () in
-    Trace.emit ~t:(Engine.now ())
-      (Event.Chan_recv_ev
-         { chan = ch.name; seq; task = th.Engine.tid; busy_ns = th.Engine.busy_ns })
+    let th = self ch in
+    Trace.chan_recv ~t:(now ch) ~chan:ch.name ~seq ~task:th.Engine.tid ~busy_ns:th.Engine.busy_ns
   end
 
 let emit_flush ch dropped =
-  if Trace.enabled () then
-    Trace.emit ~t:(Engine.now ()) (Event.Chan_flush { chan = ch.name; dropped })
+  if Trace.enabled () then Trace.emit ~t:(now ch) (Event.Chan_flush { chan = ch.name; dropped })
 
 let length ch = Ring.length ch.q
 let total_sent ch = ch.total_sent
@@ -154,7 +154,7 @@ let rec wait_nonempty ch blocked =
 (* Enqueue [v], blocking while the channel is at capacity. *)
 let send ch v =
   Engine.compute_in ch.eng ch.op_cost;
-  let t0 = if observing () then Engine.now () else 0 in
+  let t0 = if observing () then now ch else 0 in
   let waited = wait_nonfull ch false in
   let seq = ch.total_sent in
   Ring.push ch.q v;
@@ -162,13 +162,13 @@ let send ch v =
   hb_send ch seq;
   Engine.signal ch.nonempty;
   note_send ch 1 waited t0;
-  tl_wait waited t0;
+  tl_wait ch waited t0;
   emit_send ch seq
 
 (* Dequeue, blocking while the channel is empty. *)
 let recv ch =
   Engine.charge ch.eng ch.op_cost;
-  let t0 = if observing () then Engine.now () else 0 in
+  let t0 = if observing () then now ch else 0 in
   let waited = wait_nonempty ch false in
   let v = Ring.pop ch.q in
   let seq = ch.total_received in
@@ -176,7 +176,7 @@ let recv ch =
   hb_recv ch seq;
   Engine.signal ch.nonfull;
   note_recv ch 1 waited t0;
-  tl_wait waited t0;
+  tl_wait ch waited t0;
   emit_recv ch seq;
   v
 
@@ -212,10 +212,10 @@ let rec send_all ch blocked = function
    next item would overflow a bounded channel. *)
 let send_batch ch vs =
   Engine.compute_in ch.eng ch.op_cost;
-  let t0 = if observing () then Engine.now () else 0 in
+  let t0 = if observing () then now ch else 0 in
   let waited = send_all ch false vs in
   note_send ch (List.length vs) waited t0;
-  tl_wait waited t0
+  tl_wait ch waited t0
 
 (* Claim up to [n] queued items in FIFO order; the caller has ensured the
    queue is nonempty.  Builds the result front-first so no reversal (and
@@ -239,7 +239,7 @@ let recv_batch ?max ch =
         m
     | None -> -1
   in
-  let t0 = if observing () then Engine.now () else 0 in
+  let t0 = if observing () then now ch else 0 in
   let waited = wait_nonempty ch false in
   let base = ch.total_received in
   let out = take_n ch (if limit = -1 then Ring.length ch.q else limit) in
@@ -254,7 +254,7 @@ let recv_batch ?max ch =
     done;
   Engine.broadcast ch.nonfull;
   note_recv ch taken waited t0;
-  tl_wait waited t0;
+  tl_wait ch waited t0;
   out
 
 (* Keep only the items satisfying [keep], preserving order; returns how many

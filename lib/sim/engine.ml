@@ -293,6 +293,10 @@ let wait_on_in eng c =
 let current_busy eng =
   match eng.current with Some th -> th.busy_ns + th.pending | None -> 0
 
+(* The thread whose turn is running: what [self] returns inside that turn,
+   read without performing an effect. *)
+let current eng = eng.current
+
 (* Bring the busy-core-time integral up to [eng.now] at the current busy
    level — pure int arithmetic, no boxing (this runs on every core
    acquire/release). *)
@@ -315,8 +319,8 @@ let set_busy eng b =
   eng.busy <- b;
   if Metrics.enabled () then begin
     let m = mx () in
-    Metrics.set_gauge m.m_busy_cores (float_of_int b);
-    Metrics.set_gauge m.m_online_cores (float_of_int eng.online)
+    Metrics.set_gauge_int m.m_busy_cores b;
+    Metrics.set_gauge_int m.m_online_cores eng.online
   end
 
 (* A core's timeline lane: Run while a thread holds it, Park otherwise.
@@ -414,7 +418,7 @@ let rec dispatch eng =
       if Metrics.enabled () then begin
         let m = mx () in
         Metrics.inc m.m_ctx_switches;
-        Metrics.set_gauge m.m_runnable (float_of_int (Ring.length eng.run_queue))
+        Metrics.set_gauge_int m.m_runnable (Ring.length eng.run_queue)
       end
     end;
     dispatch eng
@@ -424,7 +428,7 @@ let make_runnable eng th =
   th.state <- Runnable;
   Ring.push eng.run_queue th;
   if Metrics.enabled () then
-    Metrics.set_gauge (mx ()).m_runnable (float_of_int (Ring.length eng.run_queue));
+    Metrics.set_gauge_int (mx ()).m_runnable (Ring.length eng.run_queue);
   dispatch eng;
   compete eng
 
@@ -470,13 +474,12 @@ let run_turn eng th =
   eng.current <- saved
 
 let finish eng th =
-  if Trace.enabled () then
-    Trace.emit ~t:eng.now (Event.Task_done { task = th.tid; busy_ns = th.busy_ns });
+  if Trace.enabled () then Trace.task_done ~t:eng.now ~task:th.tid ~busy_ns:th.busy_ns;
   if Hb.enabled () then Hb.on_task_done ~task:th.tid;
   th.state <- Finished;
   eng.live <- eng.live - 1;
   if Metrics.enabled () then
-    Metrics.set_gauge (mx ()).m_live_threads (float_of_int eng.live);
+    Metrics.set_gauge_int (mx ()).m_live_threads eng.live;
   release_core eng th;
   do_broadcast eng th.done_cond
 
@@ -611,11 +614,11 @@ and spawn eng ~name body : thread =
   if Metrics.enabled () then begin
     let m = mx () in
     Metrics.inc m.m_spawned;
-    Metrics.set_gauge m.m_live_threads (float_of_int eng.live)
+    Metrics.set_gauge_int m.m_live_threads eng.live
   end;
   if Trace.enabled () then begin
     let parent = match eng.current with Some p -> p.tid | None -> -1 in
-    Trace.emit ~t:eng.now (Event.Task_spawn { task = th.tid; parent; name })
+    Trace.task_spawn ~t:eng.now ~task:th.tid ~parent ~name
   end;
   (if Hb.enabled () then
      match eng.current with

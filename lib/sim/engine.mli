@@ -109,6 +109,11 @@ val current_busy : t -> int
     included — the allocation-free equivalent of reading {!self} to get
     [busy_ns]. *)
 
+val current : t -> thread option
+(** The thread whose turn of [t] is running ([None] outside one): inside
+    a turn, the thread {!self} returns, read without performing an
+    effect. *)
+
 val compute_in : t -> int -> unit
 (** {!compute}, engine-aware: the burst length is staged in a thread
     field and a constant payload-free effect is performed, so the
