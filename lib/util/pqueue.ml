@@ -113,6 +113,9 @@ let push t ~time ~push ~first ~seq v =
 
 let top_time t = if t.size = 0 then max_int else t.times.(0)
 
+let before_top t time push first seq =
+  t.size = 0 || key_before time push first seq t.times.(0) t.pushes.(0) t.firsts.(0) t.seqs.(0)
+
 let min_of a b =
   if a.size = 0 then b
   else if b.size = 0 || before a 0 b.times.(0) b.pushes.(0) b.firsts.(0) b.seqs.(0) then a

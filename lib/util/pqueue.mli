@@ -29,6 +29,10 @@ val top_time : 'a t -> int
 (** Time of the minimum entry, allocation-free; [max_int] when the queue
     is empty. *)
 
+val before_top : 'a t -> int -> int -> int -> int -> bool
+(** [before_top q time push first seq]: the key sorts strictly before
+    the minimum entry of [q], or [q] is empty. *)
+
 val min_of : 'a t -> 'a t -> 'a t
 (** [min_of a b]: the queue whose minimum entry sorts first; an empty
     queue loses, and [b] is returned when both are empty. *)
