@@ -232,10 +232,7 @@ let result handle =
   let rs = handle.rs in
   {
     Interp.arrays = rs.Flex.arrays;
-    live_out =
-      List.map
-        (fun r -> (r, Hashtbl.find rs.Flex.phi_heap r))
-        handle.compiled.loop.Loop.live_out;
+    live_out = List.map (fun r -> (r, rs.Flex.phi_heap.(r))) handle.compiled.loop.Loop.live_out;
     externals = Externals.observe rs.Flex.ext;
     iterations = rs.Flex.next_iter;
     work_ns = 0;

@@ -32,6 +32,12 @@ val identity : Instr.binop -> int
     (the paper's Section 7.2.2). *)
 type msg = Go of int array | Stop_pause | Stop_exit | Reconf of int
 
+type code
+(** The region's nodes pre-decoded by {!create} into an op table: arrays,
+    reduction combines and their operands resolved, phis and their
+    carries indexed by register.  An iteration executes ops from it and
+    performs no table lookup. *)
+
 (** Shared run state of one launched region.  Exposed so the compiler
     driver can manage epochs and experiments can read progress; fields are
     owned by the generated tasks. *)
@@ -41,12 +47,14 @@ type t = {
   eng : Parcae_platform.Engine.t;
   flags : flags;
   nodes : Loop.node array;
+  code : code;
   arrays : (string * int array) list;  (** materialized working arrays *)
   ext : Externals.t;
   ext_lock : Parcae_platform.Lock.t;  (** the global commutative-call critical section *)
   red_lock : Parcae_platform.Lock.t;
-  phi_heap : (Instr.reg, int) Hashtbl.t;  (** Section 4.5.2's heap state *)
-  combine_of : (int, Pdg.reduction) Hashtbl.t;
+  phi_heap : int array;
+      (** Section 4.5.2's heap state, indexed by phi register (the live-out
+          values once the region finishes) *)
   trip_n : int option;
   iter_mu : Mutex.t;
       (** guards DOANY's iteration claim (uncontended on the sim, required
