@@ -4,8 +4,11 @@ module Nl = Parcae_native.Lock
 type t = S of Sl.t | N of Nl.t
 
 let create ?op_cost eng name =
-  match Engine.native_engine eng with
-  | None -> S (Sl.create ?op_cost name)
-  | Some ne -> N (Nl.create ne name)
+  match Engine.sim_engine eng with
+  | Some se -> S (Sl.create ?op_cost se name)
+  | None -> (
+      match Engine.native_engine eng with
+      | Some ne -> N (Nl.create ne name)
+      | None -> assert false)
 
 let with_lock t f = match t with S l -> Sl.with_lock l f | N l -> Nl.with_lock l f

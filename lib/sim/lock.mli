@@ -7,7 +7,11 @@
 
 type t
 
-val create : ?op_cost:int -> string -> t
+val create : ?op_cost:int -> Engine.t -> string -> t
+(** A lock between threads of the given engine.  [op_cost], the CPU
+    charged per acquisition, defaults to the machine's [lock_op].  The
+    lock charges through {!Engine.compute_in} and reads the calling
+    thread and the clock from the engine, not through effects. *)
 
 val acquire : t -> unit
 (** Block until the lock is held by the calling thread.
