@@ -29,8 +29,8 @@ type 'a t = {
   mutable mx : Chan_metrics.t;
 }
 
-(* The operation cost is resolved once here — looking the machine up per
-   operation needed an [Engine_of] effect on every send and receive. *)
+(* The operation cost is resolved once, so a send or receive reads no
+   machine. *)
 let create ?(capacity = 0) ?op_cost eng name =
   {
     name;
