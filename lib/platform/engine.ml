@@ -103,8 +103,9 @@ let charge eng n =
   | N _ -> ( match Nat.self_opt () with Some task -> Nat.compute task n | None -> ())
 
 (* Engine-aware compute: on the simulator the burst suspends through a
-   constant payload-free effect (no per-suspension effect block); on
-   native it is the usual spin. *)
+   constant payload-free effect (no per-suspension effect block), or
+   finishes in place when its end would be the next event; on native it
+   is the usual spin. *)
 let compute_in eng n =
   match eng with
   | S e -> Sim.compute_in e n

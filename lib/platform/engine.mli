@@ -81,8 +81,9 @@ val compute_in : t -> int -> unit
 (** {!compute}, engine-aware: on the simulator the burst goes through a
     constant payload-free effect staged in a thread field
     ({!Parcae_sim.Engine.compute_in}), so a suspension allocates no
-    effect block.  Identical semantics to {!compute}; the serve path's
-    stage bursts use this. *)
+    effect block, and a burst whose end would resume the caller at once
+    finishes without suspending.  Identical semantics to {!compute}; the
+    serve path's stage bursts and Flex's charges use this. *)
 
 val busy_ns_in : t -> int
 (** Total CPU consumed by the calling thread of [eng] — virtual ns on sim,
