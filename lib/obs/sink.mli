@@ -1,10 +1,23 @@
-(** Event sinks: a bounded ring buffer, plus the null (disabled) sink.
+(** Event sinks: bounded rings, one per writing domain, plus the null
+    (disabled) sink.
 
-    The ring retains the most recent [capacity] events and counts
-    overwrites; [null] is a physical sentinel so that disabled tracing
-    costs one pointer comparison per potential event.  Events are stored
-    flat, one column per field, so recording allocates nothing; they are
-    decoded back to {!Event.t} only by the readers. *)
+    A domain creates its ring on its first write, under the sink's mutex,
+    and writes it without a lock from then on: it claims a slot, writes it
+    and publishes its count of written events with one [Atomic.set].
+    Systhreads of one domain share its ring and never interleave inside a
+    write, since nothing from the claim to the publish allocates.  A
+    simulator run writes from one domain, so its sink is a single ring.
+    [null] is a physical sentinel so that disabled tracing costs one
+    pointer comparison per potential event.  Events are stored flat, one
+    column per field, so recording allocates nothing; they are decoded
+    back to {!Event.t} only by the readers, which merge the rings by time
+    and keep the newest [capacity] events.
+
+    Reading is safe while native domains write: a reader copies the
+    published range of each ring and discards any slot its writer
+    overwrote during the copy, so it returns only whole events.  A full
+    ring written by another domain may have a write in flight on its
+    oldest event, so a reader leaves that event out. *)
 
 type t
 
@@ -20,9 +33,10 @@ val create : ?capacity:int -> unit -> t
 val is_null : t -> bool
 
 val record : t -> t:int -> Event.kind -> unit
-(** Append an event stamped with virtual time [t]; overwrites the oldest
-    event once the ring is full.  A timestamp below the latest one
-    recorded is clamped up to it, so the ring's time never decreases. *)
+(** Append an event stamped with virtual time [t] to the calling domain's
+    ring; overwrites that ring's oldest event once it holds [capacity].  A
+    timestamp below the latest one the ring recorded is clamped up to it,
+    so each ring's time never decreases. *)
 
 (** {1 Typed recording}
 
@@ -39,25 +53,29 @@ val steal : t -> t:int -> task:int -> from_lane:int -> to_lane:int -> unit
 (** {1 Reading} *)
 
 val length : t -> int
-(** Events currently retained. *)
+(** Events retained: the newest [capacity] of the rings' contents. *)
 
 val dropped : t -> int
-(** Events overwritten since creation (0 until the ring fills). *)
+(** Events written since creation and not retained (0 until a ring
+    fills): overwritten in their ring, or older than the newest
+    [capacity] of the merge. *)
 
 val capacity : t -> int
 
 val clear : t -> unit
-(** Forget all retained events {e and} release the ring's backing storage;
-    the next {!record} re-allocates lazily. *)
+(** Forget all retained events {e and} release the rings' backing storage;
+    a domain's next {!record} creates its ring again.  Events written
+    concurrently with a clear may be lost. *)
 
 val allocated_slots : t -> int
-(** Slots of storage currently allocated: 0 before the first event and
-    after {!clear}.  The first event allocates [min capacity 1024] slots,
-    and the storage doubles, never past [capacity], each time the retained
-    events fill it. *)
+(** Slots of storage currently allocated, summed over the rings: 0 before
+    the first event and after {!clear}.  A ring's first event allocates
+    [min capacity 1024] slots, and its storage doubles, never past
+    [capacity], each time its events fill it. *)
 
 val to_array : t -> Event.t array
-(** Retained events, oldest first. *)
+(** Retained events, oldest first: the rings merged by time, ties in ring
+    creation order. *)
 
 val events : t -> Event.t list
 val iter : t -> (Event.t -> unit) -> unit
