@@ -180,24 +180,30 @@ let wake_send ch ~all =
 (* Metrics (Chan_metrics: the same families and labels as sim).        *)
 (* ------------------------------------------------------------------ *)
 
-(* The channel's metric handles, rebound when the installed registry
-   changes. *)
+(* The channel's metric handles for the installed registry, rebound when
+   it changes; [Chan_metrics.none] while none is installed. *)
 let metrics ch =
-  let m = Chan_metrics.bind ch.mx ch.name in
-  ch.mx <- m;
-  m
+  let reg = Metrics.current () in
+  if ch.mx.Chan_metrics.reg != reg then ch.mx <- Chan_metrics.bind reg ch.name;
+  ch.mx
 
 (* Registry updates after an operation moved [k] items; [waited] blocks
    are measured from [t0] on the engine's real clock. *)
 let note_send ch k waited t0 =
-  if Metrics.enabled () then
-    Chan_metrics.note_send (metrics ch) k ~depth:(length ch)
-      ~block_ns:(if waited then Engine.now ch.eng - t0 else -1)
+  let m = metrics ch in
+  if m != Chan_metrics.none then begin
+    m.sends.count <- m.sends.count + k;
+    m.depth.level <- float_of_int (length ch);
+    if waited then Metrics.observe_summary (Chan_metrics.send_block m) (Engine.now ch.eng - t0)
+  end
 
 let note_recv ch k waited t0 =
-  if Metrics.enabled () then
-    Chan_metrics.note_recv (metrics ch) k ~depth:(length ch)
-      ~block_ns:(if waited then Engine.now ch.eng - t0 else -1)
+  let m = metrics ch in
+  if m != Chan_metrics.none then begin
+    m.recvs.count <- m.recvs.count + k;
+    m.depth.level <- float_of_int (length ch);
+    if waited then Metrics.observe_summary (Chan_metrics.recv_block m) (Engine.now ch.eng - t0)
+  end
 
 (* The wait instruments want a start time when either sink is live. *)
 let observing () = Metrics.enabled () || Timeline.enabled ()
@@ -410,7 +416,11 @@ let flush_note ch removed =
   if Parcae_obs.Trace.enabled () then
     Parcae_obs.Trace.emit ~t:(Engine.now ch.eng)
       (Parcae_obs.Event.Chan_flush { chan = ch.name; dropped = removed });
-  if Metrics.enabled () then Chan_metrics.note_flush (metrics ch) removed ~depth:(length ch)
+  let m = metrics ch in
+  if m != Chan_metrics.none then begin
+    m.flushed.count <- m.flushed.count + removed;
+    m.depth.level <- float_of_int (length ch)
+  end
 
 let take_all ch =
   let rec go acc =

@@ -2,7 +2,9 @@
 
    A channel's binding is benignly racy on native: two workers may bind
    concurrently, but the registry interns every (family, labels) pair
-   under its mutex, so both bindings resolve to the same series. *)
+   under its mutex, so both bindings resolve to the same series.  The
+   direct stores are plain writes, lossy under contention like every
+   native counter. *)
 
 type t = {
   reg : Metrics.t;
@@ -35,14 +37,11 @@ let make reg name =
     recv_block = None;
   }
 
-(* Bound to [Metrics.null], whose instruments are inert dummies.  Callers
-   only bind while a real registry is installed, so the first [bind] of a
-   channel always builds its handles. *)
+(* Bound to [Metrics.null], whose instruments are inert dummies; callers
+   store nothing while they hold it. *)
 let none = make Metrics.null ""
 
-let bind m name =
-  let reg = Metrics.current () in
-  if m.reg == reg then m else make reg name
+let bind reg name = if Metrics.is_null reg then none else make reg name
 
 let send_block m =
   match m.send_block with
@@ -65,17 +64,3 @@ let recv_block m =
       in
       m.recv_block <- Some s;
       s
-
-let note_send m k ~depth ~block_ns =
-  Metrics.inc_by m.sends k;
-  Metrics.set_gauge_int m.depth depth;
-  if block_ns >= 0 then Metrics.observe_summary (send_block m) block_ns
-
-let note_recv m k ~depth ~block_ns =
-  Metrics.inc_by m.recvs k;
-  Metrics.set_gauge_int m.depth depth;
-  if block_ns >= 0 then Metrics.observe_summary (recv_block m) block_ns
-
-let note_flush m removed ~depth =
-  Metrics.inc_by m.flushed removed;
-  Metrics.set_gauge_int m.depth depth

@@ -28,21 +28,24 @@
 (* Instruments.                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type counter = { mutable c : int }
-type gauge = { mutable g : float }
+type counter = { mutable count : int }
 
-let inc_by c n = c.c <- c.c + n
+(* A record whose only field is a float is stored flat, so a direct store
+   [g.level <- float_of_int n] in any module writes the float unboxed. *)
+type gauge = { mutable level : float }
+
+let inc_by c n = c.count <- c.count + n
 let inc c = inc_by c 1
-let counter_value c = c.c
+let counter_value c = c.count
 
-let set_gauge g v = g.g <- v
+let set_gauge g v = g.level <- v
 
 (* Converting here keeps the float unboxed: a caller in another module
    passing [float_of_int n] to [set_gauge] boxes it, since calls are not
    inlined across modules compiled with -opaque. *)
-let set_gauge_int g n = g.g <- float_of_int n
-let add_gauge g v = g.g <- g.g +. v
-let gauge_value g = g.g
+let set_gauge_int g n = g.level <- float_of_int n
+let add_gauge g v = g.level <- g.level +. v
+let gauge_value g = g.level
 
 (* Summaries are HDR histograms (lib/obs/hdr.ml): fixed-precision
    log-linear buckets over integer nanoseconds with a bounded-relative-
@@ -125,8 +128,8 @@ let kind_name = function
 
 let make_instrument fam =
   match fam.f_kind with
-  | Counter_kind -> Counter_i { c = 0 }
-  | Gauge_kind -> Gauge_i { g = 0.0 }
+  | Counter_kind -> Counter_i { count = 0 }
+  | Gauge_kind -> Gauge_i { level = 0.0 }
   | Summary_kind -> Summary_i (Hdr.create ())
 
 let family reg ~name ~help ~kind ~label_names =
@@ -177,14 +180,14 @@ let series reg ~name ~help ~kind labels =
    emitter is harmless rather than fatal. *)
 
 let counter ?(help = "") ?(labels = []) reg name =
-  if is_null reg then { c = 0 }
+  if is_null reg then { count = 0 }
   else
     match series reg ~name ~help ~kind:Counter_kind labels with
     | Counter_i c -> c
     | _ -> assert false
 
 let gauge ?(help = "") ?(labels = []) reg name =
-  if is_null reg then { g = 0.0 }
+  if is_null reg then { level = 0.0 }
   else
     match series reg ~name ~help ~kind:Gauge_kind labels with
     | Gauge_i g -> g
@@ -211,8 +214,8 @@ type sample = { labels : (string * string) list; value : value }
 type fam_snapshot = { name : string; help : string; skind : kind; samples : sample list }
 
 let snapshot_instrument = function
-  | Counter_i c -> Counter_v c.c
-  | Gauge_i g -> Gauge_v g.g
+  | Counter_i c -> Counter_v c.count
+  | Gauge_i g -> Gauge_v g.level
   | Summary_i s ->
       Summary_v
         {

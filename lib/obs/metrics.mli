@@ -14,15 +14,24 @@
 
     {[ if Metrics.enabled () then Metrics.inc (handles ()).something ]}
 
-    so that with metrics off the hot path allocates nothing. *)
+    so that with metrics off the hot path allocates nothing.  The hottest
+    sites (the simulator's scheduler, the channels and the trace sink's
+    drop count) instead keep a handle record bound to the registry it was
+    built for, rebind it when {!current} changes, and store into the
+    instruments' fields directly:
+
+    {[ c.count <- c.count + 1 ]} *)
 
 (** {1 Instruments} *)
 
-type counter
-(** A monotonically increasing integer (e.g. total sends, total busy ns). *)
+type counter = { mutable count : int }
+(** A monotonically increasing integer (e.g. total sends, total busy ns).
+    A bound hot path adds to [count] directly; elsewhere use {!inc}. *)
 
-type gauge
-(** A float that can go up and down (e.g. queue depth, busy cores). *)
+type gauge = { mutable level : float }
+(** A float that can go up and down (e.g. queue depth, busy cores).  Its
+    one float field is stored flat, so a direct store
+    [g.level <- float_of_int n] allocates nothing. *)
 
 val inc : counter -> unit
 val inc_by : counter -> int -> unit

@@ -48,12 +48,12 @@ let create ?(capacity = 0) ?op_cost eng name =
     mx = Chan_metrics.none;
   }
 
-(* The channel's metric handles, rebound when the installed registry
-   changes. *)
+(* The channel's metric handles for the installed registry, rebound when
+   it changes; [Chan_metrics.none] while none is installed. *)
 let metrics ch =
-  let m = Chan_metrics.bind ch.mx ch.name in
-  ch.mx <- m;
-  m
+  let reg = Metrics.current () in
+  if ch.mx.Chan_metrics.reg != reg then ch.mx <- Chan_metrics.bind reg ch.name;
+  ch.mx
 
 (* The observer hooks read the clock and the calling thread from the
    channel's engine: inside a turn of it they are the values [Engine.now]
@@ -66,18 +66,27 @@ let self ch = match Engine.current ch.eng with Some th -> th | None -> Engine.se
 (* Registry updates after an operation moved [k] items; [waited] blocks
    are measured from [t0] on the virtual clock. *)
 let note_send ch k waited t0 =
-  if Metrics.enabled () then
-    Chan_metrics.note_send (metrics ch) k ~depth:(Ring.length ch.q)
-      ~block_ns:(if waited then now ch - t0 else -1)
+  let m = metrics ch in
+  if m != Chan_metrics.none then begin
+    m.sends.count <- m.sends.count + k;
+    m.depth.level <- float_of_int (Ring.length ch.q);
+    if waited then Metrics.observe_summary (Chan_metrics.send_block m) (now ch - t0)
+  end
 
 let note_recv ch k waited t0 =
-  if Metrics.enabled () then
-    Chan_metrics.note_recv (metrics ch) k ~depth:(Ring.length ch.q)
-      ~block_ns:(if waited then now ch - t0 else -1)
+  let m = metrics ch in
+  if m != Chan_metrics.none then begin
+    m.recvs.count <- m.recvs.count + k;
+    m.depth.level <- float_of_int (Ring.length ch.q);
+    if waited then Metrics.observe_summary (Chan_metrics.recv_block m) (now ch - t0)
+  end
 
 let note_flush ch removed =
-  if Metrics.enabled () then
-    Chan_metrics.note_flush (metrics ch) removed ~depth:(Ring.length ch.q)
+  let m = metrics ch in
+  if m != Chan_metrics.none then begin
+    m.flushed.count <- m.flushed.count + removed;
+    m.depth.level <- float_of_int (Ring.length ch.q)
+  end
 
 (* The wait instruments want a start time when either sink is live. *)
 let observing () = Metrics.enabled () || Timeline.enabled ()

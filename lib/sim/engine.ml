@@ -19,10 +19,13 @@ module Metrics = Parcae_obs.Metrics
 module Timeline = Parcae_obs.Timeline
 module Hb = Parcae_obs.Hb
 
-(* Scheduler-level instruments.  Handle creation is memoized against the
-   installed registry; every update is guarded by [Metrics.enabled ()] so
-   disabled metrics cost one comparison per scheduling decision. *)
+(* Scheduler-level instruments, bound to the registry they were built for.
+   Each engine keeps one record, rebuilt by [bind_installed] when the
+   installed registry changes, and stores into the instruments' fields
+   directly; while no registry is installed it holds [unbound], and an
+   update costs one comparison. *)
 type scheduler_metrics = {
+  reg : Metrics.t;
   m_busy_ns : Metrics.counter;
   m_idle_ns : Metrics.counter;
   m_ctx_switches : Metrics.counter;
@@ -33,31 +36,33 @@ type scheduler_metrics = {
   m_live_threads : Metrics.gauge;
 }
 
-let mx =
-  Metrics.cached (fun reg ->
-      {
-        m_busy_ns =
-          Metrics.counter reg "parcae_sim_busy_core_ns_total"
-            ~help:"Core-nanoseconds spent executing simulated threads";
-        m_idle_ns =
-          Metrics.counter reg "parcae_sim_idle_core_ns_total"
-            ~help:"Core-nanoseconds online cores spent idle";
-        m_ctx_switches =
-          Metrics.counter reg "parcae_sim_ctx_switches_total"
-            ~help:"Context switches charged by the scheduler";
-        m_spawned =
-          Metrics.counter reg "parcae_sim_threads_spawned_total"
-            ~help:"Simulated threads ever spawned";
-        m_runnable =
-          Metrics.gauge reg "parcae_sim_runnable_threads"
-            ~help:"Threads ready to run but not on a core";
-        m_busy_cores =
-          Metrics.gauge reg "parcae_sim_busy_cores" ~help:"Cores currently executing a thread";
-        m_online_cores =
-          Metrics.gauge reg "parcae_sim_online_cores" ~help:"Cores the platform makes available";
-        m_live_threads =
-          Metrics.gauge reg "parcae_sim_live_threads" ~help:"Threads not yet finished";
-      })
+let bind_metrics reg =
+  {
+    reg;
+    m_busy_ns =
+      Metrics.counter reg "parcae_sim_busy_core_ns_total"
+        ~help:"Core-nanoseconds spent executing simulated threads";
+    m_idle_ns =
+      Metrics.counter reg "parcae_sim_idle_core_ns_total"
+        ~help:"Core-nanoseconds online cores spent idle";
+    m_ctx_switches =
+      Metrics.counter reg "parcae_sim_ctx_switches_total"
+        ~help:"Context switches charged by the scheduler";
+    m_spawned =
+      Metrics.counter reg "parcae_sim_threads_spawned_total"
+        ~help:"Simulated threads ever spawned";
+    m_runnable =
+      Metrics.gauge reg "parcae_sim_runnable_threads"
+        ~help:"Threads ready to run but not on a core";
+    m_busy_cores =
+      Metrics.gauge reg "parcae_sim_busy_cores" ~help:"Cores currently executing a thread";
+    m_online_cores =
+      Metrics.gauge reg "parcae_sim_online_cores" ~help:"Cores the platform makes available";
+    m_live_threads =
+      Metrics.gauge reg "parcae_sim_live_threads" ~help:"Threads not yet finished";
+  }
+
+let unbound = bind_metrics Metrics.null
 
 type time = int
 
@@ -136,6 +141,7 @@ type t = {
   spare : Pqueue.key;  (* scratch for [materialize] *)
   mutable limit : time;  (* [until] of the [run] in progress *)
   mutable inlined : int;  (* burst ends processed by [inline_burst] *)
+  mutable mx : scheduler_metrics;  (* see [bind_installed] *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -209,6 +215,7 @@ let create machine =
     spare = { time = 0; push = 0; first = 0; seq = 0 };
     limit = max_int;
     inlined = 0;
+    mx = unbound;
   }
 
 let fresh_seq eng =
@@ -357,6 +364,15 @@ let current_busy eng =
    read without performing an effect. *)
 let current eng = eng.current
 
+(* Bind the scheduler's handles to the installed registry if it changed:
+   [run] does so before each event, so a registry installed between two
+   events counts from the next one, and the entry points that may run
+   outside an event ([spawn], [set_online_cores], [energy_joules]) do so
+   on entry. *)
+let bind_installed eng =
+  let reg = Metrics.current () in
+  if eng.mx.reg != reg then eng.mx <- (if Metrics.is_null reg then unbound else bind_metrics reg)
+
 (* Bring the busy-core-time integral up to [eng.now] at the current busy
    level — pure int arithmetic, no boxing (this runs on every core
    acquire/release). *)
@@ -367,20 +383,21 @@ let account_energy eng =
     eng.last_energy_t <- eng.now;
     (* Integrate core busy/idle time over the same interval the energy
        accumulator covers: [busy] was the level since [last_energy_t]. *)
-    if Metrics.enabled () then begin
-      let m = mx () in
-      Metrics.inc_by m.m_busy_ns (dt * eng.busy);
-      Metrics.inc_by m.m_idle_ns (dt * max 0 (eng.online - eng.busy))
+    let m = eng.mx in
+    if m != unbound then begin
+      m.m_busy_ns.count <- m.m_busy_ns.count + (dt * eng.busy);
+      let idle = eng.online - eng.busy in
+      if idle > 0 then m.m_idle_ns.count <- m.m_idle_ns.count + (dt * idle)
     end
   end
 
 let set_busy eng b =
   account_energy eng;
   eng.busy <- b;
-  if Metrics.enabled () then begin
-    let m = mx () in
-    Metrics.set_gauge_int m.m_busy_cores b;
-    Metrics.set_gauge_int m.m_online_cores eng.online
+  let m = eng.mx in
+  if m != unbound then begin
+    m.m_busy_cores.level <- float_of_int b;
+    m.m_online_cores.level <- float_of_int eng.online
   end
 
 (* A core's timeline lane: Run while a thread holds it, Park otherwise.
@@ -471,10 +488,10 @@ let rec dispatch eng =
       set_busy eng (eng.busy + 1);
       (* Charge the context switch, then run. *)
       start_run eng th ~switch:eng.machine.Machine.ctx_switch;
-      if Metrics.enabled () then begin
-        let m = mx () in
-        Metrics.inc m.m_ctx_switches;
-        Metrics.set_gauge_int m.m_runnable (Ring.length eng.run_queue)
+      let m = eng.mx in
+      if m != unbound then begin
+        m.m_ctx_switches.count <- m.m_ctx_switches.count + 1;
+        m.m_runnable.level <- float_of_int (Ring.length eng.run_queue)
       end
     end;
     dispatch eng
@@ -483,8 +500,8 @@ let rec dispatch eng =
 let make_runnable eng th =
   th.state <- Runnable;
   Ring.push eng.run_queue th;
-  if Metrics.enabled () then
-    Metrics.set_gauge_int (mx ()).m_runnable (Ring.length eng.run_queue);
+  let m = eng.mx in
+  if m != unbound then m.m_runnable.level <- float_of_int (Ring.length eng.run_queue);
   dispatch eng;
   compete eng
 
@@ -534,8 +551,8 @@ let finish eng th =
   if Hb.enabled () then Hb.on_task_done ~task:th.tid;
   th.state <- Finished;
   eng.live <- eng.live - 1;
-  if Metrics.enabled () then
-    Metrics.set_gauge_int (mx ()).m_live_threads eng.live;
+  let m = eng.mx in
+  if m != unbound then m.m_live_threads.level <- float_of_int eng.live;
   release_core eng th;
   do_broadcast eng th.done_cond
 
@@ -665,10 +682,11 @@ and spawn eng ~name body : thread =
     }
   in
   eng.live <- eng.live + 1;
-  if Metrics.enabled () then begin
-    let m = mx () in
-    Metrics.inc m.m_spawned;
-    Metrics.set_gauge_int m.m_live_threads eng.live
+  bind_installed eng;
+  let m = eng.mx in
+  if m != unbound then begin
+    m.m_spawned.count <- m.m_spawned.count + 1;
+    m.m_live_threads.level <- float_of_int eng.live
   end;
   if Trace.enabled () then begin
     let parent = match eng.current with Some p -> p.tid | None -> -1 in
@@ -729,6 +747,7 @@ let run ?(until = max_int) eng =
   let processed = ref 0 and inlined = eng.inlined in
   let continue_ = ref true in
   eng.limit <- until;
+  bind_installed eng;
   while !continue_ do
     let q = Pqueue.min_of eng.coasting eng.events in
     let t = Pqueue.top_time q in
@@ -742,6 +761,7 @@ let run ?(until = max_int) eng =
       let ev = Pqueue.pop_into q eng.cur in
       eng.now <- max eng.now t;
       incr processed;
+      bind_installed eng;
       handle_event eng ev
     end
   done;
@@ -767,6 +787,7 @@ let instant_power eng = Machine.power eng.machine ~busy:eng.busy
 (* Derive joules from the integral: the idle floor draws for the whole
    elapsed window, each busy core adds [core_power] for its busy span. *)
 let energy_joules eng =
+  bind_installed eng;
   account_energy eng;
   (eng.machine.Machine.idle_power *. (float_of_int eng.now *. 1e-9))
   +. (eng.machine.Machine.core_power *. (float_of_int eng.busy_core_ns *. 1e-9))
@@ -777,6 +798,7 @@ let energy_joules eng =
    enough cores drain. *)
 let set_online_cores eng n =
   if n < 0 then invalid_arg "Engine.set_online_cores: negative";
+  bind_installed eng;
   account_energy eng;
   eng.online <- n;
   if Trace.enabled () then Trace.emit ~t:eng.now (Event.Cores_online { cores = n });
