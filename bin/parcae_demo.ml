@@ -40,6 +40,29 @@ module Diag = Parcae_analysis.Diag
    the lookups below cannot miss. *)
 let names table = List.map (fun (n, _) -> (n, n)) table
 
+(* Numeric arguments are range-checked the same way: a value no run can
+   use is a usage error, not an exception out of the run. *)
+let checked_conv parse print ok what =
+  let parse s =
+    match parse s with
+    | Some v when ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+  in
+  Arg.conv (parse, print)
+
+let positive_int =
+  checked_conv int_of_string_opt Format.pp_print_int (fun n -> n > 0) "a positive integer"
+
+let positive_float =
+  checked_conv float_of_string_opt Format.pp_print_float
+    (fun f -> f > 0.0 && Float.is_finite f)
+    "a positive finite number"
+
+let fraction =
+  checked_conv float_of_string_opt Format.pp_print_float
+    (fun f -> f >= 0.0 && f <= 1.0)
+    "a fraction between 0 and 1"
+
 let machine_arg =
   let doc = "Simulated platform: xeon24 (Intel Xeon X7460) or xeon8 (Intel Xeon E5310)." in
   let machines = [ ("xeon24", Machine.xeon_x7460); ("xeon8", Machine.xeon_e5310) ] in
@@ -61,7 +84,7 @@ let backend_arg : Experiments.backend Term.t =
   in
   let pool =
     let doc = "Domain-pool size for the native backend (default: host cores - 1)." in
-    Arg.(value & opt (some int) None & info [ "pool" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some positive_int) None & info [ "pool" ] ~docv:"N" ~doc)
   in
   Term.(
     const (fun backend pool -> match backend with `Sim -> `Sim | `Native -> `Native pool)
@@ -74,11 +97,11 @@ let seed_arg =
 
 let budget_arg =
   let doc = "Thread budget for the region (defaults to the machine's cores)." in
-  Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "budget" ] ~docv:"N" ~doc)
 
 let load_arg =
   let doc = "Load factor (arrival rate / max sustainable throughput)." in
-  Arg.(value & opt float 0.8 & info [ "l"; "load" ] ~docv:"LOAD" ~doc)
+  Arg.(value & opt positive_float 0.8 & info [ "l"; "load" ] ~docv:"LOAD" ~doc)
 
 let requests_arg =
   let doc = "Number of requests to process." in
@@ -437,14 +460,6 @@ let serve_cmd =
 (* top                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let positive_float =
-  let parse s =
-    match float_of_string_opt s with
-    | Some f when f > 0.0 -> Ok f
-    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive number" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
-
 let interval_arg =
   let doc = "Dashboard refresh interval in virtual seconds." in
   Arg.(value & opt positive_float 1.0 & info [ "i"; "interval" ] ~docv:"SECONDS" ~doc)
@@ -684,7 +699,7 @@ let run_cmd =
 
 let dops_arg =
   let doc = "Comma-separated degrees of parallelism to sweep (default 1,2,4,8)." in
-  Arg.(value & opt (some (list int)) None & info [ "dops" ] ~docv:"D1,D2,..." ~doc)
+  Arg.(value & opt (some (list positive_int)) None & info [ "dops" ] ~docv:"D1,D2,..." ~doc)
 
 let doctor_items_arg =
   let doc = "Items pushed through the diagnostic pipeline per DoP." in
@@ -732,11 +747,11 @@ let slo_ms_arg =
      requests took longer than $(docv) milliseconds end-to-end, report finding L100 and \
      exit 2."
   in
-  Arg.(value & opt (some float) None & info [ "slo-ms" ] ~docv:"MS" ~doc)
+  Arg.(value & opt (some positive_float) None & info [ "slo-ms" ] ~docv:"MS" ~doc)
 
 let slo_budget_arg =
   let doc = "Tolerated over-SLO fraction of requests (the error budget)." in
-  Arg.(value & opt float 0.001 & info [ "slo-budget" ] ~docv:"FRACTION" ~doc)
+  Arg.(value & opt fraction 0.001 & info [ "slo-budget" ] ~docv:"FRACTION" ~doc)
 
 let top_k_arg =
   let doc = "How many slowest-request exemplars to include in the report." in

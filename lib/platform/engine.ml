@@ -2,10 +2,10 @@
 
    Engines, threads, conditions and monitors are tagged sums over the
    simulator and the native backend; operations that receive one dispatch
-   on the tag.  Ambient operations resolve their context via the native
-   backend's domain-local worker slot: a single O(1) lookup that returns
-   [None] on any non-pool domain, so the simulator hot path (effects) is
-   untaxed.
+   on the tag.  Ambient operations resolve their context through the
+   backends' domain-local slots: the native worker slot first, which
+   answers [None] on any non-pool domain, then the slot where the
+   simulator's [run] records its engine.
 
    Monitors are the cross-backend mutual-exclusion primitive: on native
    they are real per-structure mutexes ({!Parcae_native.Engine.Monitor});
@@ -20,7 +20,7 @@ module Nat = Parcae_native.Engine
 type t = S of Sim.t | N of Nat.t
 type thread = St of Sim.thread | Nt of Nat.task
 type cond = Sc of Sim.cond | Nc of Nat.Monitor.c
-type monitor = Sm | Nm of Nat.Monitor.m
+type monitor = Sm of Sim.t | Nm of Nat.Monitor.m
 
 exception Thread_failure of string * exn
 
@@ -65,7 +65,7 @@ let run ?until t =
 let shutdown = function S _ -> () | N e -> Nat.shutdown e
 
 (* Ambient operations: native task context wins when present; otherwise
-   the call must come from a simulated thread and the sim effect fires. *)
+   the call must come from a simulated thread. *)
 let compute n =
   match Nat.self_opt () with Some task -> Nat.compute task n | None -> Sim.compute n
 
@@ -103,34 +103,26 @@ let charge eng n =
   | N _ -> ( match Nat.self_opt () with Some task -> Nat.compute task n | None -> ())
 
 (* Engine-aware compute: on the simulator the burst suspends through a
-   constant payload-free effect (no per-suspension effect block), or
-   finishes in place when its end would be the next event; on native it
-   is the usual spin. *)
+   constant effect, or finishes in place when its end would be the next
+   event; on native it is the usual spin. *)
 let compute_in eng n =
   match eng with
   | S e -> Sim.compute_in e n
   | N _ -> ( match Nat.self_opt () with Some task -> Nat.compute task n | None -> ())
 
-(* Busy time of the calling context, read from the engine's current turn
-   rather than through a [Self] effect. *)
+(* Busy time of the calling context, read from the engine's current
+   turn. *)
 let busy_ns_in eng =
   match eng with
   | S e -> Sim.current_busy e
   | N _ -> ( match Nat.self_opt () with Some task -> Nat.task_busy_ns task | None -> 0)
 
 (* The timeline lane of the calling context: the worker domain index on
-   native, the occupied core index on sim.  Unlike the other ambient ops
-   this is safe to call from anywhere — a plain (non-engine) thread, or a
-   simulated thread currently off-core — and answers [None] there. *)
+   native; on sim the core the thread holds, else the one it last held.
+   Unlike the other ambient ops this is safe to call from anywhere and
+   answers [None] outside an engine thread. *)
 let current_lane () =
-  match Nat.worker_id_opt () with
-  | Some wid -> Some wid
-  | None -> (
-      match Sim.self () with
-      | th ->
-          let core = if th.Sim.core >= 0 then th.Sim.core else th.Sim.last_core in
-          if core >= 0 then Some core else None
-      | exception _ -> None)
+  match Nat.worker_id_opt () with Some _ as lane -> lane | None -> Sim.core_opt ()
 
 (* The engine task id of the calling context, for the race sanitizer's
    per-task vector clocks.  Like [current_lane] this is safe to call from
@@ -138,13 +130,13 @@ let current_lane () =
 let current_task_id () =
   match Nat.self_opt () with
   | Some task -> Some (Nat.task_id task)
-  | None -> ( match Sim.self () with th -> Some th.Sim.tid | exception _ -> None)
+  | None -> ( match Sim.self_opt () with Some th -> Some th.Sim.tid | None -> None)
 
-let monitor_create = function S _ -> Sm | N _ -> Nm (Nat.Monitor.create ())
-let locked m f = match m with Sm -> f () | Nm m -> Nat.Monitor.locked m f
+let monitor_create = function S e -> Sm e | N _ -> Nm (Nat.Monitor.create ())
+let locked m f = match m with Sm _ -> f () | Nm m -> Nat.Monitor.locked m f
 
 let cond_in = function
-  | Sm -> Sc (Sim.cond_create ())
+  | Sm e -> Sc (Sim.cond_create e)
   | Nm m -> Nc (Nat.Monitor.cond m)
 
 (* A native wait acquires the condition's monitor when the caller does

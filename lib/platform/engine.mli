@@ -11,9 +11,10 @@
     {!now}, {!yield}, ...) have no argument to dispatch on; they resolve
     the calling context through the native backend's domain-local worker
     slot — an O(1) lookup that answers [None] on any non-pool domain —
-    and otherwise fall through to the simulator's effect handlers.  Sim
-    behaviour is therefore bit-identical to calling {!Parcae_sim.Engine}
-    directly.
+    and otherwise call the simulator's ambient operations, which find the
+    running simulator engine through a domain-local slot of their own.
+    Sim behaviour is therefore bit-identical to calling
+    {!Parcae_sim.Engine} directly.
 
     These dispatch modules are the whole backend contract: each operation
     calls both backends, so a backend that drifts fails to compile.  An
@@ -74,16 +75,14 @@ val charge : t -> int -> unit
 (** Consume [n] ns of CPU with deferred accounting on the simulator: the
     cost accumulates on the calling thread and folds into a later compute
     burst ({!Parcae_sim.Engine.charge}, skew bounded by the 5µs quantum),
-    so sub-microsecond costs avoid an effect suspension each.  On native
+    so sub-microsecond costs do not each become a burst.  On native
     the cost is spun immediately, same as {!compute}. *)
 
 val compute_in : t -> int -> unit
-(** {!compute}, engine-aware: on the simulator the burst goes through a
-    constant payload-free effect staged in a thread field
-    ({!Parcae_sim.Engine.compute_in}), so a suspension allocates no
-    effect block, and a burst whose end would resume the caller at once
-    finishes without suspending.  Identical semantics to {!compute}; the
-    serve path's stage bursts and Flex's charges use this. *)
+(** {!compute}, given the engine: on the simulator the calling thread is
+    read from [t] ({!Parcae_sim.Engine.compute_in}) rather than the
+    domain's slot.  Identical semantics to {!compute}; the serve path's
+    stage bursts and Flex's charges use this. *)
 
 val busy_ns_in : t -> int
 (** Total CPU consumed by the calling thread of [eng] — virtual ns on sim,

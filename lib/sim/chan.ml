@@ -37,8 +37,8 @@ let create ?(capacity = 0) ?op_cost eng name =
     capacity;
     q = Ring.create ();
     eng;
-    nonempty = Engine.cond_create ();
-    nonfull = Engine.cond_create ();
+    nonempty = Engine.cond_create eng;
+    nonfull = Engine.cond_create eng;
     op_cost =
       (match op_cost with
       | Some c -> c
@@ -55,14 +55,6 @@ let metrics ch =
   if ch.mx.Chan_metrics.reg != reg then ch.mx <- Chan_metrics.bind reg ch.name;
   ch.mx
 
-(* The observer hooks read the clock and the calling thread from the
-   channel's engine: inside a turn of it they are the values [Engine.now]
-   and [Engine.self] return, without the effect (a fiber switch and a
-   continuation) each of those performs.  Outside a turn they fall back
-   to the effects. *)
-let now ch = match Engine.current ch.eng with Some _ -> Engine.time ch.eng | None -> Engine.now ()
-let self ch = match Engine.current ch.eng with Some th -> th | None -> Engine.self ()
-
 (* Registry updates after an operation moved [k] items; [waited] blocks
    are measured from [t0] on the virtual clock. *)
 let note_send ch k waited t0 =
@@ -70,7 +62,7 @@ let note_send ch k waited t0 =
   if m != Chan_metrics.none then begin
     m.sends.count <- m.sends.count + k;
     m.depth.level <- float_of_int (Ring.length ch.q);
-    if waited then Metrics.observe_summary (Chan_metrics.send_block m) (now ch - t0)
+    if waited then Metrics.observe_summary (Chan_metrics.send_block m) (Engine.time ch.eng - t0)
   end
 
 let note_recv ch k waited t0 =
@@ -78,7 +70,7 @@ let note_recv ch k waited t0 =
   if m != Chan_metrics.none then begin
     m.recvs.count <- m.recvs.count + k;
     m.depth.level <- float_of_int (Ring.length ch.q);
-    if waited then Metrics.observe_summary (Chan_metrics.recv_block m) (now ch - t0)
+    if waited then Metrics.observe_summary (Chan_metrics.recv_block m) (Engine.time ch.eng - t0)
   end
 
 let note_flush ch removed =
@@ -99,34 +91,40 @@ let observing () = Metrics.enabled () || Timeline.enabled ()
 let tl_wait ch waited t0 =
   if waited then
     match Timeline.get () with
-    | Some tl ->
-        let th = self ch in
-        let core = if th.Engine.core >= 0 then th.Engine.core else th.Engine.last_core in
-        if core >= 0 && core < Timeline.lanes tl then
-          Timeline.attribute tl ~lane:core Timeline.Chan_wait (now ch - t0)
+    | Some tl -> (
+        match Engine.core_opt () with
+        | Some core when core < Timeline.lanes tl ->
+            Timeline.attribute tl ~lane:core Timeline.Chan_wait (Engine.time ch.eng - t0)
+        | _ -> ())
     | None -> ()
 
 (* Sanitizer edges use the exact (chan, seq) FIFO pairing.  The send-side
    clock must be published before any other thread can observe the item:
-   these run at the seq-assignment point, before the [signal] effect can
-   transfer control to a consumer. *)
-let hb_send ch seq = if Hb.enabled () then Hb.on_send ~task:(self ch).Engine.tid ~chan:ch.name ~seq
-let hb_recv ch seq = if Hb.enabled () then Hb.on_recv ~task:(self ch).Engine.tid ~chan:ch.name ~seq
+   these run at the seq-assignment point, before the consumer woken by
+   [signal] can run. *)
+let hb_send ch seq =
+  if Hb.enabled () then Hb.on_send ~task:(Engine.self ()).Engine.tid ~chan:ch.name ~seq
+
+let hb_recv ch seq =
+  if Hb.enabled () then Hb.on_recv ~task:(Engine.self ()).Engine.tid ~chan:ch.name ~seq
 
 let emit_send ch seq =
   if Trace.enabled () then begin
-    let th = self ch in
-    Trace.chan_send ~t:(now ch) ~chan:ch.name ~seq ~task:th.Engine.tid ~busy_ns:th.Engine.busy_ns
+    let th = Engine.self () in
+    Trace.chan_send ~t:(Engine.time ch.eng) ~chan:ch.name ~seq ~task:th.Engine.tid
+      ~busy_ns:th.Engine.busy_ns
   end
 
 let emit_recv ch seq =
   if Trace.enabled () then begin
-    let th = self ch in
-    Trace.chan_recv ~t:(now ch) ~chan:ch.name ~seq ~task:th.Engine.tid ~busy_ns:th.Engine.busy_ns
+    let th = Engine.self () in
+    Trace.chan_recv ~t:(Engine.time ch.eng) ~chan:ch.name ~seq ~task:th.Engine.tid
+      ~busy_ns:th.Engine.busy_ns
   end
 
 let emit_flush ch dropped =
-  if Trace.enabled () then Trace.emit ~t:(now ch) (Event.Chan_flush { chan = ch.name; dropped })
+  if Trace.enabled () then
+    Trace.emit ~t:(Engine.time ch.eng) (Event.Chan_flush { chan = ch.name; dropped })
 
 let length ch = Ring.length ch.q
 let total_sent ch = ch.total_sent
@@ -148,14 +146,14 @@ let total_sent ch = ch.total_sent
    operation's locals and be allocated per call. *)
 let rec wait_nonfull ch blocked =
   if ch.capacity > 0 && Ring.length ch.q >= ch.capacity then begin
-    if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonfull;
+    if not (Engine.flush_charges ch.eng) then Engine.wait_on ch.nonfull;
     wait_nonfull ch true
   end
   else blocked
 
 let rec wait_nonempty ch blocked =
   if Ring.is_empty ch.q then begin
-    if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonempty;
+    if not (Engine.flush_charges ch.eng) then Engine.wait_on ch.nonempty;
     wait_nonempty ch true
   end
   else blocked
@@ -163,7 +161,7 @@ let rec wait_nonempty ch blocked =
 (* Enqueue [v], blocking while the channel is at capacity. *)
 let send ch v =
   Engine.compute_in ch.eng ch.op_cost;
-  let t0 = if observing () then now ch else 0 in
+  let t0 = if observing () then Engine.time ch.eng else 0 in
   let waited = wait_nonfull ch false in
   let seq = ch.total_sent in
   Ring.push ch.q v;
@@ -177,7 +175,7 @@ let send ch v =
 (* Dequeue, blocking while the channel is empty. *)
 let recv ch =
   Engine.charge ch.eng ch.op_cost;
-  let t0 = if observing () then now ch else 0 in
+  let t0 = if observing () then Engine.time ch.eng else 0 in
   let waited = wait_nonempty ch false in
   let v = Ring.pop ch.q in
   let seq = ch.total_received in
@@ -221,7 +219,7 @@ let rec send_all ch blocked = function
    next item would overflow a bounded channel. *)
 let send_batch ch vs =
   Engine.compute_in ch.eng ch.op_cost;
-  let t0 = if observing () then now ch else 0 in
+  let t0 = if observing () then Engine.time ch.eng else 0 in
   let waited = send_all ch false vs in
   note_send ch (List.length vs) waited t0;
   tl_wait ch waited t0
@@ -248,7 +246,7 @@ let recv_batch ?max ch =
         m
     | None -> -1
   in
-  let t0 = if observing () then now ch else 0 in
+  let t0 = if observing () then Engine.time ch.eng else 0 in
   let waited = wait_nonempty ch false in
   let base = ch.total_received in
   let out = take_n ch (if limit = -1 then Ring.length ch.q else limit) in

@@ -1,9 +1,13 @@
 (* Discrete-event multicore simulator.
 
    This module substitutes for the paper's physical evaluation machines
-   (Table 8.1).  Simulated threads are written in direct style and interact
-   with the engine through OCaml effects: [compute n] consumes [n]
-   nanoseconds of CPU, [wait_on c] blocks on a condition, and so on.  The
+   (Table 8.1).  Simulated threads are written in direct style: [compute n]
+   consumes [n] nanoseconds of CPU, [wait_on c] blocks on a condition, and
+   so on.  Only a suspension goes through an OCaml effect, and each of the
+   four ([Burst], [Block], [Yield], [Sleep]) is a constant whose argument
+   is staged in a thread field.  Every other operation is a direct call:
+   [run] records its engine in a domain-local slot, where the ambient
+   operations find it, as the native backend finds its worker.  The
    engine owns a virtual clock, a preemptive round-robin scheduler with a
    finite number of cores, and integrates platform power over time.
 
@@ -67,8 +71,9 @@ let unbound = bind_metrics Metrics.null
 type time = int
 
 (* A condition variable with Mesa semantics: a woken thread must re-check its
-   predicate.  Waiters are FIFO for determinism and fairness. *)
-type cond = { cwaiters : thread Ring.t }
+   predicate.  Waiters are FIFO for determinism and fairness.  A condition
+   belongs to one engine, so signalling it needs no lookup. *)
+type cond = { cwaiters : thread Ring.t; ceng : t }
 
 and thread_state =
   | Created  (* spawned, first turn not yet scheduled *)
@@ -108,10 +113,7 @@ and thread = {
 
 and event = Slice_end of thread | Wake of thread
 
-(* Sentinel for an absent suspended continuation (immediate, GC-inert). *)
-let kont_nil : Obj.t = Obj.repr 0
-
-type t = {
+and t = {
   machine : Machine.t;
   events : event Pqueue.t;
   coasting : event Pqueue.t;
@@ -122,6 +124,7 @@ type t = {
   mutable online : int;  (* cores currently made available *)
   mutable busy : int;  (* cores currently executing a thread *)
   core_stack : int array;  (* free core indices, [0, core_top) *)
+  lanes : int option array;  (* [Some c] for each core c, so [core_opt] boxes nothing *)
   mutable core_top : int;
   mutable live : int;  (* threads not yet finished *)
   mutable tid_counter : int;
@@ -144,48 +147,22 @@ type t = {
   mutable mx : scheduler_metrics;  (* see [bind_installed] *)
 }
 
+(* Sentinel for an absent suspended continuation (immediate, GC-inert). *)
+let kont_nil : Obj.t = Obj.repr 0
+
 (* ------------------------------------------------------------------ *)
-(* Effects performed by simulated threads.                             *)
+(* Suspensions.                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Each is a constant: what it needs is staged in a thread field first,
+   so performing one allocates no effect block. *)
 type _ Effect.t +=
-  | Compute : int -> unit Effect.t
-  | Now : time Effect.t
-  | Yield : unit Effect.t
-  | Sleep_until : time -> unit Effect.t
-  | Wait_on : cond -> unit Effect.t
-  | Signal : cond -> unit Effect.t
-  | Broadcast : cond -> unit Effect.t
-  | Spawn : (string * (unit -> unit)) -> thread Effect.t
-  | Self : thread Effect.t
-  (* Payload-free twins of [Compute] and [Wait_on] for engine-aware hot
-     paths: the argument is staged in a thread field ([need] / [wait_cond])
-     before performing, so the effect value is a static constant instead of
-     a fresh two-word block per suspension. *)
-  | Burst : unit Effect.t
-  | Block : unit Effect.t
+  | Burst : unit Effect.t  (* run the burst [need] *)
+  | Block : unit Effect.t  (* wait on [wait_cond] *)
+  | Yield : unit Effect.t  (* give up the core and requeue *)
+  | Sleep : unit Effect.t  (* sleep until [wake_at] *)
 
-(* Direct-style API used inside thread bodies. *)
-let compute n = if n > 0 then Effect.perform (Compute n)
-let now () = Effect.perform Now
-let yield () = Effect.perform Yield
-let sleep_until t = Effect.perform (Sleep_until t)
-let sleep dt = if dt > 0 then Effect.perform (Sleep_until (Effect.perform Now + dt))
-let wait_on c = Effect.perform (Wait_on c)
-
-(* Waking an empty waiter set is a no-op, so skip the effect entirely: on
-   the serve path most signals find nobody waiting, and each avoided
-   effect saves a reified-continuation allocation. *)
-let signal c = if not (Ring.is_empty c.cwaiters) then Effect.perform (Signal c)
-let broadcast c = if not (Ring.is_empty c.cwaiters) then Effect.perform (Broadcast c)
-let spawn_thread ~name body = Effect.perform (Spawn (name, body))
-let self () = Effect.perform Self
-
-let cond_create () = { cwaiters = Ring.create () }
-
-(* Placeholder for [thread.wait_cond] until the first Block suspension
-   stages a real condition; never waited on. *)
-let dummy_cond = { cwaiters = Ring.create () }
+let cond_create eng = { cwaiters = Ring.create (); ceng = eng }
 
 exception Thread_failure of string * exn
 
@@ -203,6 +180,7 @@ let create machine =
     online = machine.Machine.cores;
     busy = 0;
     core_stack = Array.init machine.Machine.cores (fun i -> i);
+    lanes = Array.init machine.Machine.cores Option.some;
     core_top = machine.Machine.cores;
     live = 0;
     tid_counter = 0;
@@ -293,12 +271,17 @@ let inline_burst eng th =
 (* Finish the staged burst [th.need]: inline, or suspend. *)
 let burst eng th = if not (inline_burst eng th) then Effect.perform Burst
 
+let not_in_thread () = invalid_arg "Parcae_sim.Engine: not called from a simulated thread"
+
+(* The thread of [eng]'s running turn. *)
+let turn eng = match eng.current with Some th -> th | None -> not_in_thread ()
+
 (* ------------------------------------------------------------------ *)
 (* Deferred micro-charging.                                            *)
 (*                                                                     *)
-(* Sub-microsecond costs (channel ops, monitor hooks) dominate effect  *)
-(* traffic if each one becomes its own Compute suspension.  [charge]    *)
-(* instead accumulates them on the calling thread and folds the total  *)
+(* Sub-microsecond costs (channel ops, monitor hooks) dominate the     *)
+(* events if each one becomes its own burst.  [charge] instead         *)
+(* accumulates them on the calling thread and folds the total          *)
 (* into a real burst once it reaches [charge_quantum], bounding the    *)
 (* virtual-time skew of any deferred cost by the quantum.  Blocking    *)
 (* primitives call [flush_charges] before entering their wait loops so *)
@@ -320,10 +303,7 @@ let charge eng n =
           burst eng th
         end
         else th.pending <- p
-    | None ->
-        (* Not called from a turn of this engine: behave like [compute]
-           always did (an unhandled effect outside simulated threads). *)
-        Effect.perform (Compute n)
+    | None -> not_in_thread ()
 
 let flush_charges eng =
   match eng.current with
@@ -334,34 +314,22 @@ let flush_charges eng =
       true
   | _ -> false
 
-(* Engine-aware twins of [compute] and [wait_on]: stage the payload in a
-   thread field and perform a constant effect, avoiding the fresh effect
-   block per suspension; a burst whose end would resume the thread at
-   once does not suspend at all.  Outside a turn they fall back to the
-   ambient forms. *)
+(* A burst of [n] ns on the thread of [eng]'s turn: a burst whose end
+   would resume the thread at once does not suspend at all. *)
 let compute_in eng n =
   if n > 0 then
     match eng.current with
     | Some th ->
         th.need <- n;
         burst eng th
-    | None -> Effect.perform (Compute n)
-
-let wait_on_in eng c =
-  match eng.current with
-  | Some th ->
-      th.wait_cond <- c;
-      Effect.perform Block
-  | None -> Effect.perform (Wait_on c)
+    | None -> not_in_thread ()
 
 (* CPU consumed by the thread of the current turn, deferred charges
-   included — the allocation-free replacement for reading [busy_ns]
-   through a [Self] effect. *)
+   included. *)
 let current_busy eng =
   match eng.current with Some th -> th.busy_ns + th.pending | None -> 0
 
-(* The thread whose turn is running: what [self] returns inside that turn,
-   read without performing an effect. *)
+(* The thread whose turn of [eng] is running. *)
 let current eng = eng.current
 
 (* Bind the scheduler's handles to the installed registry if it changed:
@@ -520,12 +488,13 @@ let release_core eng th =
 
 let wake eng th = push_wake eng eng.now th
 
-let do_signal eng c =
-  if not (Ring.is_empty c.cwaiters) then wake eng (Ring.pop c.cwaiters)
+(* Waking pushes the waiter's wake event; nothing runs until the caller's
+   turn suspends or ends, so this needs no suspension. *)
+let signal c = if not (Ring.is_empty c.cwaiters) then wake c.ceng (Ring.pop c.cwaiters)
 
-let do_broadcast eng c =
+let broadcast c =
   while not (Ring.is_empty c.cwaiters) do
-    wake eng (Ring.pop c.cwaiters)
+    wake c.ceng (Ring.pop c.cwaiters)
   done
 
 (* Run one "turn" of a thread: resume it and let it execute OCaml code until
@@ -554,19 +523,14 @@ let finish eng th =
   let m = eng.mx in
   if m != unbound then m.m_live_threads.level <- float_of_int eng.live;
   release_core eng th;
-  do_broadcast eng th.done_cond
+  broadcast th.done_cond
 
-(* The handler's [effc] runs once per performed effect; anything it
-   allocates is a per-suspension tax on the serve path.  So every arm's
+(* The handler's [effc] runs once per suspension; anything it allocates
+   is a per-suspension tax on the serve path.  So every arm's
    continuation-consumer is built ONCE here (per thread, at spawn) and the
-   arms return the prebuilt [Some fn]; payload-carrying arms stash their
-   payload in a thread field before returning.  The GADT refinement of
-   each arm makes the monomorphic prebuilt closures typecheck. *)
+   arms return the prebuilt [Some fn]. *)
 let rec handler eng th : (unit, unit) Effect.Deep.handler =
   let open Effect.Deep in
-  let on_now = Some (fun (k : (time, unit) continuation) -> continue k eng.now) in
-  let on_self = Some (fun (k : (thread, unit) continuation) -> continue k th) in
-  let on_unit = Some (fun (k : (unit, unit) continuation) -> continue k ()) in
   let on_burst =
     Some
       (fun (k : (unit, unit) continuation) ->
@@ -619,35 +583,10 @@ let rec handler eng th : (unit, unit) Effect.Deep.handler =
       (fun (type a) (eff : a Effect.t) :
            ((a, unit) Effect.Deep.continuation -> unit) option ->
         match eff with
-        | Now -> on_now
-        | Self -> on_self
-        | Signal c ->
-            (* Pushing the wake event before the continuation is captured
-               is equivalent: nothing runs until this turn suspends or
-               continues. *)
-            do_signal eng c;
-            on_unit
-        | Broadcast c ->
-            do_broadcast eng c;
-            on_unit
-        | Spawn (name, body) ->
-            (* Cold path: a fresh closure per spawn is fine. *)
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let child = spawn eng ~name body in
-                continue k child)
         | Burst -> on_burst
-        | Compute n ->
-            th.need <- max 0 n;
-            on_burst
-        | Yield -> on_yield
-        | Sleep_until t' ->
-            th.wake_at <- max t' eng.now;
-            on_sleep
         | Block -> on_block
-        | Wait_on c ->
-            th.wait_cond <- c;
-            on_block
+        | Yield -> on_yield
+        | Sleep -> on_sleep
         | _ -> None);
   }
 
@@ -657,6 +596,7 @@ let rec handler eng th : (unit, unit) Effect.Deep.handler =
 and spawn eng ~name body : thread =
   eng.tid_counter <- eng.tid_counter + 1;
   eng.spawned <- eng.spawned + 1;
+  let done_cond = cond_create eng in
   let rec th =
     {
       tid = eng.tid_counter;
@@ -673,8 +613,8 @@ and spawn eng ~name body : thread =
       pending = 0;
       busy_ns = 0;
       wake_at = 0;
-      wait_cond = dummy_cond;
-      done_cond = cond_create ();
+      wait_cond = done_cond (* until a [Block] stages another *);
+      done_cond;
       failed = None;
       ev_slice = Slice_end th;
       ev_wake = Wake th;
@@ -700,16 +640,61 @@ and spawn eng ~name body : thread =
      thread cannot exit owing virtual time. *)
   let body_settled () =
     body ();
-    if th.pending > 0 then begin
-      th.need <- th.pending;
-      th.pending <- 0;
-      Effect.perform Burst
-    end
+    ignore (flush_charges eng : bool)
   in
   th.cont <- Some (fun () -> Effect.Deep.match_with body_settled () (handler eng th));
   th.state <- Blocked;
   push_wake eng eng.now th;
   th
+
+(* ------------------------------------------------------------------ *)
+(* Operations inside simulated threads.                                *)
+(*                                                                     *)
+(* [run] records its engine in a domain-local slot while it runs and   *)
+(* restores the previous value when it returns or raises, so an engine *)
+(* run from a thread of another shadows it for that call only.  The    *)
+(* ambient operations find their engine there and the calling thread   *)
+(* in its current turn; a condition carries its own engine.  Each is a *)
+(* direct call into the engine-aware code above.                       *)
+(* ------------------------------------------------------------------ *)
+
+let running : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+(* The engine whose turn is running on this domain. *)
+let engine () =
+  match Domain.DLS.get running with
+  | Some eng when eng.current != None -> eng
+  | _ -> not_in_thread ()
+
+let self_opt () = match Domain.DLS.get running with Some eng -> eng.current | None -> None
+let self () = match self_opt () with Some th -> th | None -> not_in_thread ()
+
+(* The core the running thread holds, else the one it last held. *)
+let core_opt () =
+  match Domain.DLS.get running with
+  | Some ({ current = Some th; _ } as eng) ->
+      let core = if th.core >= 0 then th.core else th.last_core in
+      if core >= 0 then eng.lanes.(core) else None
+  | _ -> None
+
+let now () = (engine ()).now
+let compute n = if n > 0 then compute_in (engine ()) n
+
+let yield () =
+  ignore (engine () : t);
+  Effect.perform Yield
+
+let sleep_until t =
+  (turn (engine ())).wake_at <- t;
+  Effect.perform Sleep
+
+let sleep dt = if dt > 0 then sleep_until (now () + dt)
+
+let wait_on c =
+  (turn c.ceng).wait_cond <- c;
+  Effect.perform Block
+
+let spawn_thread ~name body = spawn (engine ()) ~name body
 
 (* Block the calling simulated thread until [th] finishes. *)
 let join th =
@@ -743,7 +728,7 @@ let handle_event eng ev =
 (* Process events until the queue is empty or virtual time would exceed
    [until].  Returns the number of events processed, burst ends finished
    by [inline_burst] included. *)
-let run ?(until = max_int) eng =
+let process eng until =
   let processed = ref 0 and inlined = eng.inlined in
   let continue_ = ref true in
   eng.limit <- until;
@@ -770,6 +755,11 @@ let run ?(until = max_int) eng =
   eng.cur.seq <- max_int;
   account_energy eng;
   !processed + (eng.inlined - inlined)
+
+let run ?(until = max_int) eng =
+  let outer = Domain.DLS.get running in
+  Domain.DLS.set running (Some eng);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set running outer) (fun () -> process eng until)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection used by Decima and the benchmark harness.             *)

@@ -1,9 +1,12 @@
 (** The discrete-event multicore simulator.
 
     This substitutes for the paper's physical evaluation machines.
-    Simulated threads are written in direct style and interact with the
-    engine through OCaml effects: {!compute} consumes CPU time, {!wait_on}
-    blocks on a condition variable, and so on.  The engine owns a virtual
+    Simulated threads are written in direct style: {!compute} consumes
+    CPU time, {!wait_on} blocks on a condition variable, and so on.  Only
+    a suspension performs an OCaml effect, one of four payload-free
+    constants; every other operation is a direct call.  {!run} records
+    its engine in a domain-local slot, where the ambient operations
+    ({!now}, {!self}, {!compute}, ...) find it.  The engine owns a virtual
     clock (nanoseconds), a preemptive round-robin scheduler over a finite
     number of cores, and integrates platform power over time.
 
@@ -13,16 +16,16 @@
     FIFO, so a simulation with a fixed seed always produces the same
     trace.  A thread that holds a core while nobody waits for one runs
     its whole burst as one event; its quantum boundaries become events
-    only when competition appears.  An engine-aware burst ({!compute_in},
-    {!charge}, {!flush_charges}) whose end event would be the next one
-    processed is processed in place, without suspending the thread. *)
+    only when competition appears.  A burst whose end event would be the
+    next one processed is processed in place, without suspending the
+    thread. *)
 
 type time = int
 (** Virtual nanoseconds since the simulation started. *)
 
 type cond
-(** A condition variable with Mesa semantics: a woken thread must re-check
-    its predicate.  Waiters are FIFO. *)
+(** A condition variable of one engine, with Mesa semantics: a woken
+    thread must re-check its predicate.  Waiters are FIFO. *)
 
 type thread_state = Created | Runnable | Running | Blocked | Finished
 
@@ -80,26 +83,33 @@ val run : ?until:time -> t -> int
     [until]; unprocessed events remain, so [run] can be called again to
     continue.  Returns the number of events processed, burst ends
     processed without suspending included; a quantum boundary nobody
-    competed at is not one. *)
+    competed at is not one.
 
-(** {1 Effects performed inside simulated threads}
+    [run] records [t] in a slot of the calling domain while it runs, and
+    restores the previous value when it returns or raises.  A systhread
+    sharing the domain sees the slot too; the [--listen] exposition
+    thread is one, and nothing it calls reads the slot. *)
 
-    These functions may only be called from code running under a thread
-    spawned on this engine. *)
+(** {1 Operations inside simulated threads}
+
+    The ambient operations ({!now}, {!self}, {!compute}, {!yield},
+    {!sleep}, {!spawn_thread}) act on the engine whose turn runs on this
+    domain; the others take an engine, or a condition or thread of one.
+    They, the bursts and the waits raise [Invalid_argument] outside a
+    turn of their engine. *)
 
 val compute : int -> unit
 (** Consume n nanoseconds of CPU, competing for cores and subject to
-    preemption. *)
+    preemption: {!compute_in} on the running engine. *)
 
 val charge : t -> int -> unit
 (** Consume n nanoseconds of CPU {e eventually}: the cost accumulates on
     the calling thread and is folded into a real {!compute} burst once the
     total reaches the charge quantum (5µs), so sub-microsecond costs
-    (channel and hook charges) do not each pay an effect suspension.
+    (channel and hook charges) do not each become a burst.
     Virtual-time skew of any deferred cost is bounded by the quantum.
     The folded burst follows {!compute_in}: it may finish without
-    suspending.  Outside a simulated thread this degrades to
-    {!compute}. *)
+    suspending. *)
 
 val flush_charges : t -> bool
 (** Convert any pending {!charge}d cost into a burst now, as
@@ -117,27 +127,21 @@ val current_busy : t -> int
     [busy_ns]. *)
 
 val current : t -> thread option
-(** The thread whose turn of [t] is running ([None] outside one): inside
-    a turn, the thread {!self} returns, read without performing an
-    effect. *)
+(** The thread whose turn of [t] is running ([None] outside one), read
+    from [t] rather than the domain's slot. *)
 
 val compute_in : t -> int -> unit
-(** {!compute}, engine-aware: the burst length is staged in a thread
-    field and a constant payload-free effect is performed, so the
+(** {!compute} on the thread of [t]'s turn.  The burst length is staged
+    in a thread field and a constant effect is performed, so the
     suspension allocates no effect block.  When the burst's end would be
     the next event processed and would resume the caller at once (it
     holds its core, the burst ends in one event, no later than {!run}'s
     [until], and its key sorts before every queued event), the engine
-    processes that event in place and returns without suspending.
-    Either way the schedule is the one {!compute} gives; falls back to it
-    outside a turn of [t]. *)
-
-val wait_on_in : t -> cond -> unit
-(** {!wait_on}, engine-aware, with the same staging trick (and the same
-    Mesa re-check obligation). *)
+    processes that event in place and returns without suspending; the
+    schedule is the same either way. *)
 
 val now : unit -> time
-(** The current virtual time. *)
+(** The current virtual time of the running engine. *)
 
 val yield : unit -> unit
 (** Give up the core and requeue. *)
@@ -150,29 +154,40 @@ val wait_on : cond -> unit
     predicate in a loop. *)
 
 val signal : cond -> unit
-(** Wake one waiter (FIFO). *)
+(** Wake one waiter (FIFO).  Never suspends, and may be called outside a
+    turn, as {!set_online_cores} may. *)
 
 val broadcast : cond -> unit
-(** Wake every waiter. *)
+(** Wake every waiter, like {!signal}. *)
 
 val spawn_thread : name:string -> (unit -> unit) -> thread
 (** Spawn a sibling thread from within a simulated thread. *)
 
 val self : unit -> thread
 
+val self_opt : unit -> thread option
+(** The thread whose turn is running on this domain, or [None] outside
+    every engine's turn: {!self} without the exception, the twin of
+    {!Parcae_native.Engine.self_opt}. *)
+
+val core_opt : unit -> int option
+(** The core that thread holds, else the core it last held: its timeline
+    lane.  [None] outside every engine's turn and before the thread's
+    first dispatch.  Allocates nothing. *)
+
 val join : thread -> unit
 (** Block the calling simulated thread until [th] finishes. *)
 
-val cond_create : unit -> cond
+val cond_create : t -> cond
+(** A condition of [t]'s threads. *)
 
 (** {1 Introspection} *)
 
 val time : t -> time
 
 val inlined_bursts : t -> int
-(** Burst ends processed in place by {!compute_in}, {!charge} or
-    {!flush_charges} since the engine was created; {!run} counts them
-    among its processed events. *)
+(** Burst ends processed in place since the engine was created; {!run}
+    counts them among its processed events. *)
 
 val online_cores : t -> int
 val live_threads : t -> int

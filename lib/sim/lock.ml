@@ -29,7 +29,7 @@ let create ?op_cost eng name =
     name;
     eng;
     held_by = None;
-    available = Engine.cond_create ();
+    available = Engine.cond_create eng;
     op_cost = (match op_cost with Some c -> c | None -> (Engine.machine eng).Machine.lock_op);
     mx = None;
   }
@@ -56,12 +56,6 @@ let handles l =
       l.mx <- Some (reg, h);
       h
 
-(* The clock and the calling thread, read from the lock's engine: inside
-   a turn of it they are what [Engine.now] and [Engine.self] return,
-   without the effect; outside one they fall back to the effects. *)
-let now l = match Engine.current l.eng with Some _ -> Engine.time l.eng | None -> Engine.now ()
-let self l = match Engine.current l.eng with Some th -> th | None -> Engine.self ()
-
 (* Wait until [l] is free and take it for [me]; returns whether it had
    to wait.  Holding [me.self_opt] boxes nothing per acquisition. *)
 let rec take l me waited =
@@ -71,13 +65,13 @@ let rec take l me waited =
       waited
   | Some owner when owner == me -> invalid_arg (l.name ^ ": recursive acquire")
   | Some _ ->
-      Engine.wait_on_in l.eng l.available;
+      Engine.wait_on l.available;
       take l me true
 
 let acquire l =
   Engine.compute_in l.eng l.op_cost;
-  let me = self l in
-  let t0 = if Metrics.enabled () then now l else 0 in
+  let me = Engine.self () in
+  let t0 = if Metrics.enabled () then Engine.time l.eng else 0 in
   let waited = take l me false in
   (* Acquire the lock's release clock: the previous critical section
      happens-before this one. *)
@@ -87,12 +81,12 @@ let acquire l =
     Metrics.inc h.lm_acquisitions;
     if waited then begin
       Metrics.inc h.lm_contended;
-      Metrics.observe_summary h.lm_wait (now l - t0)
+      Metrics.observe_summary h.lm_wait (Engine.time l.eng - t0)
     end
   end
 
 let release l =
-  let me = self l in
+  let me = Engine.self () in
   (match l.held_by with
   | Some owner when owner == me -> ()
   | _ -> invalid_arg (l.name ^ ": release by non-owner"));

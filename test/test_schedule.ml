@@ -14,10 +14,8 @@
    [schedule_digests.txt] holds one digest per seed, recorded with an
    engine that pushed one event per scheduler quantum.  The engine must
    reproduce every one of them: skipping uneventful quantum boundaries
-   is an optimization, never a change of schedule.  Every seed runs twice:
-   once with its bursts issued through the ambient [Engine.compute]
-   effect, once through [Engine.compute_in], which may finish a burst
-   without suspending; both must match the same digest.  A mismatch names
+   is an optimization, never a change of schedule, and so is finishing a
+   burst without suspending, which every burst may do.  A mismatch names
    the seed; [log seed] rebuilds that scenario's full log. *)
 
 open Parcae_sim
@@ -41,15 +39,11 @@ let duration rng =
   | 3 -> (k * quantum) - switch
   | _ -> 1 + Rng.int rng (2 * quantum)
 
-(* How a scenario issues its compute bursts. *)
-type path = Ambient | Engine_aware
-
 type scenario = {
   eng : Engine.t;
   conds : Engine.cond array;
   log : Buffer.t;
   cores : int;
-  compute : int -> unit;
 }
 
 let note sc tid step =
@@ -64,10 +58,10 @@ let rec script sc rng ~depth ~steps ~burst () =
     note sc self.Engine.tid (Printf.sprintf "%d:%s" i what);
     f ()
   in
-  (match burst with Some n -> step 0 "burst" (fun () -> sc.compute n) | None -> ());
+  (match burst with Some n -> step 0 "burst" (fun () -> Engine.compute n) | None -> ());
   for i = 1 to steps do
     match Rng.int rng 12 with
-    | 0 | 1 | 2 -> step i "compute" (fun () -> sc.compute (duration rng))
+    | 0 | 1 | 2 -> step i "compute" (fun () -> Engine.compute (duration rng))
     | 3 -> step i "charge" (fun () -> Engine.charge sc.eng (1 + Rng.int rng 6_000))
     | 4 -> step i "sleep" (fun () -> Engine.sleep (duration rng))
     | 5 -> step i "yield" Engine.yield
@@ -81,7 +75,7 @@ let rec script sc rng ~depth ~steps ~burst () =
         | th :: rest ->
             joinable := rest;
             step i "join" (fun () -> Engine.join th)
-        | [] -> step i "compute" (fun () -> sc.compute (k_quanta rng)))
+        | [] -> step i "compute" (fun () -> Engine.compute (k_quanta rng)))
     | _ when depth > 0 ->
         (* A team: spawned at one instant, equal first bursts. *)
         let size = 1 + Rng.int rng (sc.cores + 2) in
@@ -94,7 +88,7 @@ let rec script sc rng ~depth ~steps ~burst () =
                   (script sc r ~depth:(depth - 1) ~steps:(Rng.int r 6) ~burst:(Some n))
                 :: !joinable
             done)
-    | _ -> step i "compute" (fun () -> sc.compute (k_quanta rng))
+    | _ -> step i "compute" (fun () -> Engine.compute (k_quanta rng))
   done;
   note sc self.Engine.tid (Printf.sprintf "done busy=%d" (Engine.current_busy sc.eng))
 
@@ -113,17 +107,16 @@ let ticker sc rng ~ticks () =
   Engine.set_online_cores sc.eng sc.cores;
   Array.iter Engine.broadcast sc.conds
 
-let log ?(path = Ambient) seed =
+let log seed =
   let rng = Rng.create seed in
   let cores = 1 + Rng.int rng 4 in
   let eng = Engine.create (machine cores) in
   let sc =
     {
       eng;
-      conds = Array.init (1 + Rng.int rng 3) (fun _ -> Engine.cond_create ());
+      conds = Array.init (1 + Rng.int rng 3) (fun _ -> Engine.cond_create eng);
       log = Buffer.create 1024;
       cores;
-      compute = (match path with Ambient -> Engine.compute | Engine_aware -> Engine.compute_in eng);
     }
   in
   for _ = 0 to Rng.int rng 3 do
@@ -153,7 +146,7 @@ let log ?(path = Ambient) seed =
     (Engine.live_threads sc.eng) (Engine.energy_joules sc.eng);
   Buffer.contents sc.log
 
-let digest ?path seed = String.sub (Digest.to_hex (Digest.string (log ?path seed))) 0 12
+let digest seed = String.sub (Digest.to_hex (Digest.string (log seed))) 0 12
 
 let read_digests () =
   let ic = open_in digest_file in
@@ -169,22 +162,20 @@ let read_digests () =
 (* On a mismatch the recomputed table is written next to the committed
    one (in the build directory), ready to be copied over it when a
    schedule change is intended. *)
-let test_digests path () =
+let test_digests () =
   let expected = read_digests () in
   Alcotest.(check int) "committed seeds" seeds (List.length expected);
-  let actual = List.init seeds (fun seed -> (seed, digest ~path seed)) in
+  let actual = List.init seeds (fun seed -> (seed, digest seed)) in
   let bad = List.filter (fun ((_, d), (_, d')) -> d <> d') (List.combine expected actual) in
   if bad <> [] then begin
-    let suffix = match path with Ambient -> ".actual" | Engine_aware -> ".compute_in.actual" in
-    let oc = open_out (digest_file ^ suffix) in
+    let oc = open_out (digest_file ^ ".actual") in
     List.iter (fun (seed, d) -> Printf.fprintf oc "%d %s\n" seed d) actual;
     close_out oc;
     List.iteri
       (fun i ((seed, want), (_, got)) ->
         if i < 5 then
-          Printf.printf "schedule seed %d diverges: digest %s, committed %s (Test_schedule.log%s %d)\n"
-            seed got want (match path with Ambient -> "" | Engine_aware -> " ~path:Engine_aware")
-            seed)
+          Printf.printf "schedule seed %d diverges: digest %s, committed %s (Test_schedule.log %d)\n"
+            seed got want seed)
       bad;
     Alcotest.failf "%d of %d seeds diverge from %s" (List.length bad) seeds digest_file
   end
@@ -208,9 +199,6 @@ let test_coverage () =
 
 let suite =
   [
-    Alcotest.test_case "schedule: every seed matches its committed digest" `Quick
-      (test_digests Ambient);
-    Alcotest.test_case "schedule: every seed matches its digest through compute_in" `Quick
-      (test_digests Engine_aware);
+    Alcotest.test_case "schedule: every seed matches its committed digest" `Quick test_digests;
     Alcotest.test_case "schedule: generator reaches every step kind" `Quick test_coverage;
   ]

@@ -238,7 +238,8 @@ let test_online_shrinks_while_coasting () =
    thread holds and may finish in place. *)
 
 (* Back-to-back bursts on an idle machine: all but the first finish in
-   place, and [Engine.run] counts them as the events they replace. *)
+   place, and [Engine.run] counts them as the events they replace.  The
+   ambient [compute] is [compute_in] on the running engine. *)
 let test_inline_counts () =
   let run compute =
     let eng = Engine.create (exact_machine ~cores:1 ()) in
@@ -258,7 +259,7 @@ let test_inline_counts () =
   (* A wake, the first burst's end, nine more burst ends and the flush. *)
   Alcotest.(check (triple int int int)) "compute_in" (12, 1_300, 10) (run Engine.compute_in);
   Alcotest.(check (triple int int int))
-    "ambient compute" (12, 1_300, 1)
+    "ambient compute" (12, 1_300, 10)
     (run (fun _ n -> Engine.compute n))
 
 (* A burst ending exactly at [run ~until] is processed in that call; one
@@ -294,23 +295,23 @@ let test_inline_until () =
   Alcotest.(check (list (pair string int))) "same log either way (cut early)" log log'
 
 (* A competitor event at the instant a burst ends: the full event key
-   decides which goes first, whichever path issued the burst.  On two
-   cores of the test machine, [burst] is dispatched at t=0 (100 ns
-   switch) and runs two bursts, the second ending at [t].  A wake pushed
-   at t=0 sorts before that end (earlier push time); a run coasting
-   since t=0 sorts after it, because a coasting end is pushed at its last
-   quantum boundary (20_100), after the burst started (15_100). *)
+   decides which goes first.  On two cores of the test machine, [burst]
+   is dispatched at t=0 (100 ns switch) and runs two bursts, the second
+   ending at [t].  A wake pushed at t=0 sorts before that end (earlier
+   push time); a run coasting since t=0 sorts after it, because a
+   coasting end is pushed at its last quantum boundary (20_100), after
+   the burst started (15_100). *)
 let test_inline_tie () =
   (* [burst]'s two bursts, and the instant the second one ends. *)
   let timing = function `Wake -> (1_000, 1_000, 2_100) | `Coasting -> (15_000, 10_000, 25_100) in
-  let order competitor compute =
+  let order competitor =
     let eng = Engine.create (machine ~cores:2 ()) in
     let log = ref [] in
     let first, second, t = timing competitor in
     let _ =
       Engine.spawn eng ~name:"burst" (fun () ->
           Engine.compute_in eng first;
-          compute eng second;
+          Engine.compute_in eng second;
           log := ("burst", Engine.now ()) :: !log)
     in
     let _ =
@@ -325,14 +326,9 @@ let test_inline_tie () =
   in
   let check what competitor want_first inlined =
     let _, _, t = timing competitor in
-    let want = List.map (fun who -> (who, t)) want_first in
-    List.iter
-      (fun (path, compute) ->
-        Alcotest.(check (list (pair string int)))
-          (what ^ ", " ^ path) want
-          (fst (order competitor compute)))
-      [ ("compute_in", Engine.compute_in); ("compute", fun _ n -> Engine.compute n) ];
-    check_int (what ^ ": bursts finished in place") inlined (snd (order competitor Engine.compute_in))
+    let log, finished_in_place = order competitor in
+    Alcotest.(check (list (pair string int))) what (List.map (fun who -> (who, t)) want_first) log;
+    check_int (what ^ ": bursts finished in place") inlined finished_in_place
   in
   check "a wake wins the tie" `Wake [ "competitor"; "burst" ] 0;
   check "a coasting end loses the tie" `Coasting [ "burst"; "competitor" ] 1
@@ -340,7 +336,7 @@ let test_inline_tie () =
 let test_cond_signal_wakes_fifo () =
   let eng = Engine.create (exact_machine ()) in
   let order = ref [] in
-  let c = Engine.cond_create () in
+  let c = Engine.cond_create eng in
   let waiter name =
     Engine.spawn eng ~name (fun () ->
         Engine.wait_on c;
@@ -594,6 +590,109 @@ let test_run_until () =
   ignore (Engine.run eng);
   check_int "resumed to completion" 100 !steps
 
+(* The ambient operations are direct calls: inside a simulated thread
+   they allocate nothing but their answer, where an effect would allocate
+   its continuation; outside every engine they raise [Invalid_argument],
+   and the platform's context queries answer [None]. *)
+let test_ambient_direct () =
+  let module P = Parcae_platform.Engine in
+  let calls = 10_000 in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    int_of_float (Gc.minor_words () -. before)
+  in
+  (* Each call and the words it may allocate: [current_task_id]'s answer
+     is a fresh [Some] box. *)
+  let ops =
+    [
+      ("now", 0, fun () -> ignore (Engine.now () : int));
+      ("self", 0, fun () -> ignore (Engine.self () : Engine.thread));
+      ("self_opt", 0, fun () -> ignore (Engine.self_opt () : Engine.thread option));
+      ("current_lane", 0, fun () -> ignore (P.current_lane () : int option));
+      ("current_task_id", 2, fun () -> ignore (P.current_task_id () : int option));
+    ]
+  in
+  let eng = Engine.create (exact_machine ()) in
+  let measured = ref [] in
+  let _ =
+    Engine.spawn eng ~name:"t" (fun () ->
+        (* After a burst the thread holds a core, so its lane is [Some]. *)
+        Engine.compute 1_000;
+        check_bool "lane on a core" true (P.current_lane () <> None);
+        check_bool "task id" true (P.current_task_id () = Some (Engine.self ()).Engine.tid);
+        measured := List.map (fun (what, words, f) -> (what, words, minor_words f)) ops)
+  in
+  ignore (Engine.run eng);
+  List.iter
+    (fun (what, words, got) -> check_int ("words inside a thread: " ^ what) (words * calls) got)
+    !measured;
+  check_bool "outside: no lane" true (P.current_lane () = None);
+  check_bool "outside: no task id" true (P.current_task_id () = None);
+  check_int "outside: current_lane allocates nothing" 0
+    (minor_words (fun () -> ignore (P.current_lane ())));
+  check_int "outside: current_task_id allocates nothing" 0
+    (minor_words (fun () -> ignore (P.current_task_id ())));
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "outside: %s returned" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "now" (fun () -> ignore (Engine.now ()));
+  raises "self" (fun () -> ignore (Engine.self ()));
+  raises "compute" (fun () -> Engine.compute 1);
+  raises "compute_in" (fun () -> Engine.compute_in eng 1);
+  raises "charge" (fun () -> Engine.charge eng 1);
+  raises "yield" Engine.yield;
+  raises "sleep" (fun () -> Engine.sleep 1);
+  raises "spawn_thread" (fun () -> ignore (Engine.spawn_thread ~name:"x" ignore));
+  raises "wait_on" (fun () -> Engine.wait_on (Engine.cond_create eng))
+
+(* [run] records its engine in the domain's slot for its duration only:
+   an engine run from a thread of another shadows it until [run] returns
+   or raises, and a finished run leaves nothing reachable from the slot. *)
+let test_slot_follows_run () =
+  let inner_seen = ref [] and outer_seen = ref [] in
+  let note r = r := (Engine.now (), (Engine.self ()).Engine.tname) :: !r in
+  let dropped = Weak.create 1 in
+  let outer = Engine.create (exact_machine ()) in
+  let _ =
+    Engine.spawn outer ~name:"a" (fun () ->
+        Engine.compute 1_000;
+        note outer_seen;
+        let inner = Engine.create (exact_machine ()) in
+        let _ =
+          Engine.spawn inner ~name:"b" (fun () ->
+              Engine.compute 50;
+              note inner_seen)
+        in
+        ignore (Engine.run inner);
+        note outer_seen;
+        let failing = Engine.create (exact_machine ()) in
+        Weak.set dropped 0 (Some failing);
+        let _ =
+          Engine.spawn failing ~name:"bad" (fun () ->
+              note inner_seen;
+              failwith "boom")
+        in
+        (match Engine.run failing with
+        | _ -> Alcotest.fail "the failing thread's run returned"
+        | exception Engine.Thread_failure ("bad", Failure _) -> ());
+        note outer_seen)
+  in
+  ignore (Engine.run outer);
+  Alcotest.(check (list (pair int string)))
+    "inner threads read the inner engine" [ (50, "b"); (0, "bad") ] (List.rev !inner_seen);
+  Alcotest.(check (list (pair int string)))
+    "the outer thread reads its own engine after each inner run"
+    [ (1_000, "a"); (1_000, "a"); (1_000, "a") ]
+    (List.rev !outer_seen);
+  check_bool "no thread after the outer run" true (Engine.self_opt () = None);
+  Gc.full_major ();
+  check_bool "a dropped engine is not retained" false (Weak.check dropped 0)
+
 let suite =
   [
     Alcotest.test_case "engine: single compute" `Quick test_single_compute;
@@ -625,4 +724,7 @@ let suite =
     Alcotest.test_case "engine: determinism" `Quick test_determinism;
     Alcotest.test_case "engine: thread failure" `Quick test_thread_failure_surfaces;
     Alcotest.test_case "engine: run until" `Quick test_run_until;
+    Alcotest.test_case "engine: ambient operations are direct calls" `Quick test_ambient_direct;
+    Alcotest.test_case "engine: the running engine's slot follows run" `Quick
+      test_slot_follows_run;
   ]
