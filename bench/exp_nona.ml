@@ -79,6 +79,9 @@ let fig8_8 () =
   let _ =
     Engine.spawn eng ~name:"driver" (fun () ->
         Engine.sleep 1_500_000_000;
+        (* The loop only loads the knob, so its working array is the
+           loop's own: this write also changes the loop's [knob], which
+           [Kernels.adaptive] builds fresh on every call. *)
         (List.assoc "knob" h.Compiler.rs.Flex.arrays).(0) <- 240_000)
   in
   ignore (Engine.run ~until:120_000_000_000 eng);

@@ -23,7 +23,7 @@ let operand_value env = function Instr.Const c -> c | Instr.Reg r -> Hashtbl.fin
    (Section 4.3.2). *)
 let run ?externals ?profile ?(max_iters = 10_000_000) (loop : Loop.t) =
   let ext = match externals with Some e -> e | None -> Externals.create () in
-  let arrays = List.map (fun (n, a) -> (n, Array.copy a)) loop.Loop.arrays in
+  let arrays = Loop.working_arrays loop in
   let env : (Instr.reg, int) Hashtbl.t = Hashtbl.create 64 in
   let phi_vals : (Instr.reg, int) Hashtbl.t = Hashtbl.create 8 in
   List.iter

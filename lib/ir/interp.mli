@@ -4,7 +4,10 @@
     semantics preservation against this. *)
 
 type result = {
-  arrays : (string * int array) list;  (** final array contents *)
+  arrays : (string * int array) list;
+      (** final array contents, from {!Loop.working_arrays}: the arrays
+          the body stores to are private copies, and each read-only input
+          is the loop's own array, shared rather than copied *)
   live_out : (Instr.reg * int) list;  (** final live-out phi values *)
   externals : Externals.observation;
   iterations : int;  (** completed iterations *)
@@ -12,7 +15,8 @@ type result = {
 }
 
 val run : ?externals:Externals.t -> ?profile:float array -> ?max_iters:int -> Loop.t -> result
-(** Run the loop (fresh externals by default).  [max_iters] bounds While
+(** Run the loop (fresh externals by default); it leaves
+    [loop.arrays] unchanged.  [max_iters] bounds While
     loops.  When [profile] is given (sized to [Loop.nodes]), per-node
     execution cost is accumulated into it — the execution-profile weights
     Nona's partitioner uses (the paper's Section 4.3.2). *)

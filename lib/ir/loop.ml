@@ -17,8 +17,9 @@ type t = {
   body : Instr.t list;
   trip : trip;
   arrays : (string * int array) list;
-      (* named arrays with their initial contents; the loop reads and
-         mutates these, and they are part of the observable result *)
+      (* named arrays with their initial contents; a run works on
+         [working_arrays], and their final contents are part of the
+         observable result *)
   live_out : Instr.reg list;
       (* registers whose final (last-iteration) values the surrounding code
          consumes, e.g. reduction results; must be phi destinations *)
@@ -29,6 +30,15 @@ type t = {
 
 let create ?(phis = []) ?(arrays = []) ?(live_out = []) ?(locs = [||]) ~name ~trip body =
   { name; phis; body; trip; arrays; live_out; locs }
+
+(* The arrays one run works on: a private copy of each array the body
+   stores to, and the loop's own array for each it only loads, so a run
+   never changes [t.arrays] and copies no read-only input. *)
+let working_arrays t =
+  let stored name =
+    List.exists (function Instr.Store { arr; _ } -> arr = name | _ -> false) t.body
+  in
+  List.map (fun ((name, a) as entry) -> if stored name then (name, Array.copy a) else entry) t.arrays
 
 (* Source location of node [id], if the frontend recorded one. *)
 let loc_of t id = if id >= 0 && id < Array.length t.locs then t.locs.(id) else None

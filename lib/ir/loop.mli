@@ -17,8 +17,9 @@ type t = {
   body : Instr.t list;
   trip : trip;
   arrays : (string * int array) list;
-      (** named arrays with initial contents; part of the observable
-          result *)
+      (** named arrays with initial contents; a run works on
+          {!working_arrays}, and their final contents are part of the
+          observable result *)
   live_out : Instr.reg list;
       (** phi destinations whose final values the surrounding code
           consumes *)
@@ -36,6 +37,12 @@ val create :
   trip:trip ->
   Instr.t list ->
   t
+
+val working_arrays : t -> (string * int array) list
+(** The arrays one run works on, in [arrays] order: a fresh copy of each
+    array the body stores to, and the loop's own array (physically
+    shared) for each it only loads.  A run therefore leaves [arrays]
+    unchanged, and relaunches of one loop start from the same data. *)
 
 val loc_of : t -> int -> loc option
 (** Source location of node [id], if the frontend recorded one. *)

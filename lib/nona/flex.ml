@@ -31,6 +31,7 @@ module Config = Parcae_core.Config
 module Task = Parcae_core.Task
 module Task_status = Parcae_core.Task_status
 module Hb = Parcae_obs.Hb
+module Lane_name = Parcae_util.Lane_name
 
 type flags = {
   hoist_state : bool;  (* Section 7.1: hoist phi save/restore out of the loop *)
@@ -173,7 +174,7 @@ let create ?(flags = default_flags) eng (pdg : Pdg.t) =
       | Instr.Const c -> phi_heap.(p.Instr.pdst) <- c
       | Instr.Reg _ -> invalid_arg "Flex.create: phi init must be a constant")
     loop.Loop.phis;
-  let arrays = List.map (fun (n, a) -> (n, Array.copy a)) loop.Loop.arrays in
+  let arrays = Loop.working_arrays loop in
   let reds = Array.of_list pdg.Pdg.reductions in
   {
     loop;
@@ -583,13 +584,16 @@ let make_psdswp_tasks rs (pipe : Mtcg.pipeline) ~max_lanes =
   let nstages = Array.length pipe.Mtcg.stages in
   rs.dops <- Array.make nstages 1;
   rs.epochs <- [ (0, Array.make nstages 1, 0) ];
-  (* Channel matrix per edge: producer lane x consumer lane. *)
+  (* Channel matrix per edge: producer lane x consumer lane, named
+     "e<edge>.<a>.<b>" from one prefix per row. *)
   let chans =
     Array.mapi
       (fun ei _ ->
+        let edge = Lane_name.append "e" ei ^ "." in
         Array.init max_lanes (fun a ->
+            let row = Lane_name.append edge a ^ "." in
             Array.init max_lanes (fun b ->
-                Chan.create ~capacity:8 rs.eng (Printf.sprintf "e%d.%d.%d" ei a b))))
+                Chan.create ~capacity:8 rs.eng (Lane_name.append row b))))
       pipe.Mtcg.edges
   in
   let infos =
@@ -982,7 +986,8 @@ let make_psdswp_tasks rs (pipe : Mtcg.pipeline) ~max_lanes =
 let make_doacross_task rs (plan : Doacross.plan) ~max_lanes =
   let ring =
     Array.init max_lanes (fun a ->
-        Array.init max_lanes (fun b -> Chan.create ~capacity:4 rs.eng (Printf.sprintf "ring%d.%d" a b)))
+        let row = Lane_name.append "ring" a ^ "." in
+        Array.init max_lanes (fun b -> Chan.create ~capacity:4 rs.eng (Lane_name.append row b)))
   in
   let reset_ring () =
     Array.iter (fun per -> Array.iter (fun ch -> ignore (Chan.drain ch : int)) per) ring

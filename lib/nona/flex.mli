@@ -48,7 +48,11 @@ type t = {
   flags : flags;
   nodes : Loop.node array;
   code : code;
-  arrays : (string * int array) list;  (** materialized working arrays *)
+  arrays : (string * int array) list;
+      (** the working arrays ({!Parcae_ir.Loop.working_arrays}): a private
+          copy of each array the body stores to, and the loop's own array
+          for each read-only input, shared rather than copied — so a write
+          through a read-only entry also writes [loop.arrays] *)
   ext : Externals.t;
   ext_lock : Parcae_platform.Lock.t;  (** the global commutative-call critical section *)
   red_lock : Parcae_platform.Lock.t;
@@ -74,6 +78,8 @@ type t = {
 }
 
 val create : ?flags:flags -> Parcae_platform.Engine.t -> Pdg.t -> t
+(** The run state of one launch of [pdg.loop]: its op table, and its
+    working arrays, where only the arrays the body stores to are copied. *)
 
 val make_seq_task : t -> Parcae_core.Task.t
 (** The sequential version of the region. *)

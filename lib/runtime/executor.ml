@@ -21,6 +21,7 @@ module Ledger = Parcae_obs.Ledger
 module Timeline = Parcae_obs.Timeline
 module Hb = Parcae_obs.Hb
 module Span = Parcae_obs.Span
+module Lane_name = Parcae_util.Lane_name
 
 (* Pause and reconfiguration are rare (controller-period) events, so their
    metrics go through the registry's family lookup directly instead of a
@@ -81,6 +82,11 @@ let finish_region (r : Region.t) =
           (Event.Region_stop { region = r.Region.name });
       Engine.broadcast r.Region.finished)
 
+(* A worker thread is named "<owner>/<task>.<lane>", where the owner is
+   the region or the nested descriptor: the prefix is built once per task
+   and each lane appended to it. *)
+let worker_prefix owner (task : Task.t) = String.concat "" [ owner; "/"; task.Task.name; "." ]
+
 (* ------------------------------------------------------------------ *)
 (* Nested (inner-loop) regions: fixed configuration, run to completion. *)
 (* ------------------------------------------------------------------ *)
@@ -98,11 +104,11 @@ let rec run_subregion eng (pd : Task.par_descriptor) (cfg : Config.t) =
   Array.iteri
     (fun i task ->
       let tc = cfg.Config.tasks.(i) in
+      let prefix = worker_prefix pd.Task.pd_name task in
       for lane = 0 to tc.Config.dop - 1 do
         let th =
-          Engine.spawn eng
-            ~name:(Printf.sprintf "%s/%s.%d" pd.Task.pd_name task.Task.name lane)
-            (fun () -> subregion_worker eng task tc lane)
+          Engine.spawn eng ~name:(Lane_name.append prefix lane) (fun () ->
+              subregion_worker eng task tc lane)
         in
         threads := th :: !threads
       done)
@@ -250,16 +256,16 @@ let region_worker (r : Region.t) (task : Task.t) idx tc lane =
         Engine.broadcast r.Region.parked
       end)
 
-(* Spawn one worker for lane [lane] of task [idx].  Caller holds the
-   region monitor, so the active-worker count is raised before any
-   spawned worker can run its park transition. *)
-let spawn_worker (r : Region.t) (task : Task.t) idx tc lane =
+(* Spawn one worker for lane [lane] of task [idx], named from the task's
+   [prefix] ([worker_prefix]).  Caller holds the region monitor, so the
+   active-worker count is raised before any spawned worker can run its
+   park transition. *)
+let spawn_worker (r : Region.t) (task : Task.t) idx tc ~prefix lane =
   r.Region.active_workers <- r.Region.active_workers + 1;
   r.Region.worker_count <- r.Region.worker_count + 1;
   ignore
-    (Engine.spawn r.Region.eng
-       ~name:(Printf.sprintf "%s/%s.%d" r.Region.name task.Task.name lane)
-       (fun () -> region_worker r task idx tc lane))
+    (Engine.spawn r.Region.eng ~name:(Lane_name.append prefix lane) (fun () ->
+         region_worker r task idx tc lane))
 
 (* Spawn the worker teams for the region's current configuration.  The
    whole launch — counting every lane and publishing Running — is one
@@ -275,8 +281,9 @@ let start_workers (r : Region.t) =
       Array.iteri
         (fun i task ->
           let tc = cfg.Config.tasks.(i) in
+          let prefix = worker_prefix r.Region.name task in
           for lane = 0 to tc.Config.dop - 1 do
-            spawn_worker r task i tc lane
+            spawn_worker r task i tc ~prefix lane
           done)
         tasks;
       r.Region.status <- Region.Running)
@@ -441,7 +448,9 @@ let resize (r : Region.t) cfg =
   let pd = Region.scheme r in
   let tasks = Array.of_list pd.Task.tasks in
   List.iter
-    (fun (i, lane) -> spawn_worker r tasks.(i) i cfg.Config.tasks.(i) lane)
+    (fun (i, lane) ->
+      let task = tasks.(i) in
+      spawn_worker r task i cfg.Config.tasks.(i) ~prefix:(worker_prefix r.Region.name task) lane)
     spawns
 
 (* The full reconfiguration sequence of Section 6.2: pause, swap the

@@ -12,10 +12,14 @@
    parameter keeps the external interface typed; safety rests on the
    usual container invariant that only values pushed as ['a] are read
    back as ['a].  Vacated slots are overwritten with an immediate so the
-   ring never pins dead values against the GC. *)
+   ring never pins dead values against the GC.
+
+   A ring allocates no slot buffer until its first push: creating one
+   allocates only its record, because most rings are never pushed to (a
+   thread's completion waiters, the unused lanes of a channel matrix). *)
 
 type 'a t = {
-  mutable buf : Obj.t array;  (* capacity is always a power of two *)
+  mutable buf : Obj.t array;  (* empty, or a power-of-two capacity *)
   mutable head : int;  (* index of the oldest element *)
   mutable size : int;
 }
@@ -23,16 +27,19 @@ type 'a t = {
 let nil = Obj.repr 0
 let initial_capacity = 16
 
-let create () = { buf = Array.make initial_capacity nil; head = 0; size = 0 }
+(* The empty buffer is the shared zero-length array: every index
+   computation below masks with [-1] on it and touches no slot, since
+   [size = 0]. *)
+let create () = { buf = [||]; head = 0; size = 0 }
 
 let length t = t.size
 let is_empty t = t.size = 0
 
-(* Double the slot array, unrolling the wrap so the live elements start at
-   index 0 of the new buffer. *)
+(* Allocate the first slot array, or double it, unrolling the wrap so the
+   live elements start at index 0 of the new buffer. *)
 let grow t =
   let cap = Array.length t.buf in
-  let nbuf = Array.make (2 * cap) nil in
+  let nbuf = Array.make (if cap = 0 then initial_capacity else 2 * cap) nil in
   let mask = cap - 1 in
   for i = 0 to t.size - 1 do
     nbuf.(i) <- t.buf.((t.head + i) land mask)

@@ -9,12 +9,15 @@
 type 'a t
 
 val create : unit -> 'a t
+(** An empty ring.  Allocates only its record: the 16-slot buffer is
+    allocated by the first {!push}. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
 (** Append at the tail.  O(1) amortized, allocation-free unless the ring
-    must grow. *)
+    must grow (its first push allocates the initial buffer). *)
 
 val pop : 'a t -> 'a
 (** Remove and return the head.  Allocation-free.

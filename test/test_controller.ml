@@ -83,6 +83,9 @@ let test_controller_workload_change () =
      throughput drop and re-enter calibration. *)
   let driver _eng (h : Compiler.handle) _ctl =
     Engine.sleep 400_000_000;
+    (* The loop only loads the knob, so its working array is the loop's
+       own: this write also changes the loop's [knob], which
+       [Kernels.adaptive] builds fresh on every call. *)
     let knob = List.assoc "knob" h.Compiler.rs.Flex.arrays in
     knob.(0) <- 240_000
   in

@@ -513,6 +513,30 @@ let test_native_empty_reservoir_contracts () =
   Engine.shutdown eng;
   check_bool "contract checks ran on the native domain" true !checked
 
+(* A compiled loop on real domains: DOANY kmeans on two native lanes
+   computes what the sequential interpreter does, reads its input from the
+   loop's own array rather than a copy, and leaves that array unchanged. *)
+let test_native_doany_shares_inputs () =
+  let module Loop = Parcae_ir.Loop in
+  let module Compiler = Parcae_nona.Compiler in
+  let loop = Parcae_ir.Kernels.kmeans ~n:200 () in
+  let points = List.assoc "points" loop.Loop.arrays in
+  let initial = Array.copy points in
+  let c = Compiler.compile loop in
+  let eng = Engine.create_native ~pool:2 () in
+  let h = Compiler.launch ~budget:4 eng c in
+  ignore
+    (Engine.spawn eng ~name:"driver" (fun () ->
+         Executor.reconfigure h.Compiler.region (Compiler.config_for h ~dop:2 "DOANY");
+         Executor.await h.Compiler.region));
+  ignore (Engine.run eng);
+  Engine.shutdown eng;
+  check_bool "done" true (Region.is_done h.Compiler.region);
+  check_bool "semantics preserved" true (Compiler.preserves_semantics h);
+  check_bool "points is the loop's array" true
+    (List.assoc "points" h.Compiler.rs.Parcae_nona.Flex.arrays == points);
+  Alcotest.(check (array int)) "points unchanged" initial points
+
 let suite =
   [
     Alcotest.test_case "differential: sim and native agree, traces pass oracle" `Quick
@@ -532,4 +556,6 @@ let suite =
       test_batch_single_charge;
     Alcotest.test_case "native: batch ops and drain pass the trace oracle" `Quick
       test_native_batch_and_flush;
+    Alcotest.test_case "native: DOANY kmeans shares its read-only input" `Quick
+      test_native_doany_shares_inputs;
   ]

@@ -12,6 +12,10 @@ open Parcae_sim
 module Engine = Parcae_platform.Engine
 module Chan = Parcae_platform.Chan
 module Lock = Parcae_platform.Lock
+module Config = Parcae_core.Config
+module Task = Parcae_core.Task
+module Task_status = Parcae_core.Task_status
+module Obs = Parcae_obs
 open Parcae_nona
 module R = Parcae_runtime
 
@@ -137,11 +141,9 @@ let test_kernel_expectations () =
 
 (* ------------------------- execution ------------------------- *)
 
-(* Run a compiled kernel under a fixed scheme/DoP and check semantics. *)
-let run_scheme ?(n_override = None) kernel scheme_name dop =
-  ignore n_override;
-  let loop = kernel () in
-  let c = Compiler.compile loop in
+(* Run a compiled loop under a fixed scheme/DoP and check semantics. *)
+let run_compiled (c : Compiler.compiled) scheme_name dop =
+  let loop = c.Compiler.loop in
   let eng = Engine.create machine in
   let h = Compiler.launch ~budget:24 eng c in
   let cfg = Compiler.config_for h ~dop scheme_name in
@@ -161,23 +163,22 @@ let run_scheme ?(n_override = None) kernel scheme_name dop =
     (Compiler.preserves_semantics h);
   (h, Engine.time eng)
 
+let run_scheme kernel scheme_name dop = run_compiled (Compiler.compile (kernel ())) scheme_name dop
+
+(* A kernel of the suite shrunk to 120 iterations. *)
+let small_kernel (k : Kernels.expectation) =
+  match k.Kernels.k_name with
+  | "blackscholes" -> Kernels.blackscholes ~n:120 ()
+  | "crc32" -> Kernels.crc32 ~n:120 ()
+  | "url" -> Kernels.url ~n:120 ()
+  | "kmeans" -> Kernels.kmeans ~n:120 ()
+  | "histogram" -> Kernels.histogram ~n:120 ()
+  | "montecarlo" -> Kernels.montecarlo ~n:120 ()
+  | "stringsearch" -> Kernels.stringsearch ~n:120 ()
+  | _ -> Kernels.recurrence ~n:120 ()
+
 let test_seq_execution_all_kernels () =
-  List.iter
-    (fun k ->
-      let small () =
-        (* shrink kernels for the sequential run *)
-        match k.Kernels.k_name with
-        | "blackscholes" -> Kernels.blackscholes ~n:120 ()
-        | "crc32" -> Kernels.crc32 ~n:120 ()
-        | "url" -> Kernels.url ~n:120 ()
-        | "kmeans" -> Kernels.kmeans ~n:120 ()
-        | "histogram" -> Kernels.histogram ~n:120 ()
-        | "montecarlo" -> Kernels.montecarlo ~n:120 ()
-        | "stringsearch" -> Kernels.stringsearch ~n:120 ()
-        | _ -> Kernels.recurrence ~n:120 ()
-      in
-      ignore (run_scheme small "SEQ" 1))
-    Kernels.suite
+  List.iter (fun k -> ignore (run_scheme (fun () -> small_kernel k) "SEQ" 1)) Kernels.suite
 
 let test_doany_execution () =
   ignore (run_scheme (fun () -> Kernels.blackscholes ~n:400 ()) "DOANY" 8);
@@ -272,6 +273,150 @@ let test_flags_unoptimized_still_correct () =
   ignore (Engine.run eng);
   check_bool "semantics preserved without optimizations" true (Compiler.preserves_semantics h)
 
+(* ------------------------- run set-up ------------------------- *)
+
+(* The names of the arrays [loop]'s body stores to. *)
+let written_arrays (loop : Loop.t) =
+  List.filter_map
+    (fun (name, _) ->
+      if List.exists (function Instr.Store { arr; _ } -> arr = name | _ -> false) loop.Loop.body
+      then Some name
+      else None)
+    loop.Loop.arrays
+
+(* Each of [arrays] is the loop's own array when the body only loads it,
+   and a private copy when the body stores to it. *)
+let check_working_arrays what (loop : Loop.t) arrays =
+  let written = written_arrays loop in
+  List.iter
+    (fun (name, a) ->
+      let copied = List.mem name written in
+      check_bool
+        (Printf.sprintf "%s %s: %s is %s" loop.Loop.name what name
+           (if copied then "a private copy" else "the loop's array"))
+        (not copied)
+        (List.assoc name arrays == a))
+    loop.Loop.arrays
+
+(* The interpreter and every scheme the compiler emits share each
+   read-only input with the loop, copy each array they write, and leave
+   the loop's arrays as they were. *)
+let test_working_arrays () =
+  List.iter
+    (fun k ->
+      let loop = small_kernel k in
+      let initial = List.map (fun (name, a) -> (name, Array.copy a)) loop.Loop.arrays in
+      check_working_arrays "Interp.run" loop (Interp.run loop).Interp.arrays;
+      let c = Compiler.compile loop in
+      List.iter
+        (fun scheme ->
+          let h, _ = run_compiled c scheme 4 in
+          check_working_arrays scheme loop h.Compiler.rs.Flex.arrays;
+          List.iter
+            (fun (name, a) ->
+              Alcotest.(check (array int))
+                (Printf.sprintf "%s under %s leaves %s unchanged" loop.Loop.name scheme name)
+                (List.assoc name initial) a)
+            loop.Loop.arrays)
+        (Compiler.scheme_names c))
+    Kernels.suite
+
+(* Run [f] under a trace sink; return its result and the sets of channel
+   names it flushed and thread names it spawned. *)
+let traced_names f =
+  let sink = Obs.Sink.create ~capacity:200_000 () in
+  let r = Obs.Trace.with_sink sink f in
+  check_int "no trace event dropped" 0 (Obs.Sink.dropped sink);
+  let flushed = Hashtbl.create 16_384 and spawned = Hashtbl.create 256 in
+  Obs.Sink.iter sink (fun e ->
+      match e.Obs.Event.kind with
+      | Obs.Event.Chan_flush { chan; _ } -> Hashtbl.replace flushed chan ()
+      | Obs.Event.Task_spawn { name; _ } -> Hashtbl.replace spawned name ()
+      | _ -> ());
+  (r, flushed, spawned)
+
+(* The names in [seen] that start with [prefix] are exactly [expected]. *)
+let check_names what ~prefix expected seen =
+  let seen =
+    Hashtbl.fold
+      (fun name () acc -> if String.starts_with ~prefix name then name :: acc else acc)
+      seen []
+  in
+  Alcotest.(check (list string)) what (List.sort_uniq compare expected) (List.sort compare seen)
+
+(* Channel and thread names are built from a prefix and a table of lane
+   digits; each must equal its [Printf] form, lanes past the table (64)
+   included.  crc32 at budget 70 builds both channel matrices, 70 x 70
+   lanes each, and every full pause drains, and so traces, each of their
+   channels; it runs PS-DSWP and then DOACROSS at DoP 70.  A nested
+   descriptor then runs 70 sub-region threads. *)
+let test_lane_names () =
+  let lanes = 70 in
+  let c = Compiler.compile (Kernels.crc32 ~n:2000 ()) in
+  let configs = ref [] in
+  let h, flushed, spawned =
+    traced_names (fun () ->
+        let eng = Engine.create machine in
+        let h = Compiler.launch ~budget:lanes eng c in
+        let region = h.Compiler.region in
+        configs := [ R.Region.config region ];
+        let _ =
+          Engine.spawn eng ~name:"driver" (fun () ->
+              List.iter
+                (fun scheme ->
+                  check_bool (scheme ^ ": region still running") false (R.Region.is_done region);
+                  let cfg = Compiler.config_for h ~dop:lanes scheme in
+                  configs := cfg :: !configs;
+                  R.Executor.reconfigure region cfg;
+                  Engine.sleep 50_000)
+                [ "PS-DSWP"; "DOACROSS" ];
+              R.Executor.await region)
+        in
+        ignore (Engine.run eng);
+        h)
+  in
+  check_bool "semantics" true (Compiler.preserves_semantics h);
+  let edges = Array.length (Option.get c.Compiler.pipeline).Mtcg.edges in
+  let pairs f = List.concat (List.init lanes (fun a -> List.init lanes (fun b -> f a b))) in
+  check_names "PS-DSWP channels" ~prefix:"e"
+    (List.concat (List.init edges (fun ei -> pairs (Printf.sprintf "e%d.%d.%d" ei))))
+    flushed;
+  check_names "DOACROSS channels" ~prefix:"ring" (pairs (Printf.sprintf "ring%d.%d")) flushed;
+  check_int "no other channel" ((edges + 1) * lanes * lanes) (Hashtbl.length flushed);
+  let region = h.Compiler.region in
+  let workers (cfg : Config.t) =
+    let pd = List.nth region.R.Region.schemes cfg.Config.choice in
+    List.concat
+      (List.mapi
+         (fun i (task : Task.t) ->
+           List.init cfg.Config.tasks.(i).Config.dop
+             (Printf.sprintf "%s/%s.%d" region.R.Region.name task.Task.name))
+         pd.Task.tasks)
+  in
+  check_names "region workers" ~prefix:"crc32/" (List.concat_map workers !configs) spawned;
+  let inner () =
+    Task.descriptor ~name:"inner" [ Task.parallel ~name:"w" (fun _ -> Task_status.Complete) ]
+  in
+  let outer =
+    Task.parallel ~name:"outer"
+      ~nested:[ Task.nested_choice ~name:"inner" ~seq:[ false ] inner ]
+      (fun ctx ->
+        Option.iter ctx.Task.run_nested ctx.Task.nested_cfg;
+        Task_status.Complete)
+  in
+  let cfg = Config.make [ Config.task ~nested:(Config.make [ Config.task lanes ]) 1 ] in
+  let (), _, spawned =
+    traced_names (fun () ->
+        let eng = Engine.create machine in
+        let pd = Task.descriptor ~name:"outer" [ outer ] in
+        ignore (R.Executor.launch ~budget:lanes ~name:"nest" eng [ pd ] cfg);
+        ignore (Engine.run eng))
+  in
+  check_names "outer worker" ~prefix:"nest/" [ "nest/outer.0" ] spawned;
+  check_names "sub-region threads" ~prefix:"inner/"
+    (List.init lanes (Printf.sprintf "inner/w.%d"))
+    spawned
+
 let suite =
   [
     Alcotest.test_case "interp: counted loop" `Quick test_interp_counted;
@@ -293,4 +438,6 @@ let suite =
     Alcotest.test_case "exec: reconfigure mid-run" `Quick test_reconfiguration_mid_run;
     Alcotest.test_case "exec: PS-DSWP DoP changes preserve order" `Quick test_psdswp_dop_changes;
     Alcotest.test_case "exec: unoptimized flags correct" `Quick test_flags_unoptimized_still_correct;
+    Alcotest.test_case "run: inputs untouched, read-only inputs shared" `Quick test_working_arrays;
+    Alcotest.test_case "run: lane names match Printf" `Quick test_lane_names;
   ]

@@ -1,5 +1,5 @@
 (* Unit and property tests for Parcae_util: RNG, statistics, priority queue,
-   time series, table rendering. *)
+   ring buffer, time series, table rendering. *)
 
 open Parcae_util
 
@@ -266,6 +266,60 @@ let prop_pqueue_sorted =
       let cmp (t, p, f, s) (t', p', f', s') = compare (t, p, -f, s) (t', p', -f', s') in
       pqueue_drain q = List.sort cmp keys)
 
+(* ---------------------------- Ring --------------------------- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+let test_ring () =
+  (* A fresh ring allocates its record (three fields and a header) and
+     no slot buffer. *)
+  let rings = Array.make 64 (Ring.create ()) in
+  check_int "create allocates only the record" (4 * 64)
+    (minor_words (fun () ->
+         for i = 0 to 63 do
+           rings.(i) <- Ring.create ()
+         done));
+  (* Every operation works on a ring that was never pushed to. *)
+  let r : int Ring.t = Ring.create () in
+  check_int "length" 0 (Ring.length r);
+  Alcotest.(check bool) "is_empty" true (Ring.is_empty r);
+  Alcotest.(check (option int)) "pop_opt" None (Ring.pop_opt r);
+  Ring.iter (fun _ -> Alcotest.fail "iter visited an element") r;
+  Ring.clear r;
+  check_int "filter_in_place drops nothing" 0 (Ring.filter_in_place (fun _ -> false) r);
+  Alcotest.check_raises "pop" (Invalid_argument "Ring.pop: empty") (fun () -> ignore (Ring.pop r));
+  Alcotest.check_raises "peek" (Invalid_argument "Ring.peek: empty") (fun () ->
+      ignore (Ring.peek r));
+  check_int "still empty" 0 (Ring.length r);
+  (* The first push allocates one 16-slot buffer (and a header); the next
+     fifteen reuse it, and the seventeenth doubles it. *)
+  check_int "first push" 17 (minor_words (fun () -> Ring.push r 0));
+  check_int "pushes up to capacity" 0
+    (minor_words (fun () ->
+         for i = 1 to 15 do
+           Ring.push r i
+         done));
+  check_int "growth doubles" 33 (minor_words (fun () -> Ring.push r 16));
+  (* FIFO order across the growth and a wrap of the doubled buffer. *)
+  for i = 0 to 9 do
+    check_int "pop in order" i (Ring.pop r)
+  done;
+  for i = 17 to 40 do
+    Ring.push r i
+  done;
+  check_int "filter_in_place drops the odd" 15 (Ring.filter_in_place (fun v -> v mod 2 = 0) r);
+  let seen = ref [] in
+  Ring.iter (fun v -> seen := v :: !seen) r;
+  Alcotest.(check (list int))
+    "survivors in order"
+    (List.init 16 (fun k -> 10 + (2 * k)))
+    (List.rev !seen);
+  Ring.clear r;
+  Alcotest.(check bool) "cleared" true (Ring.is_empty r)
+
 (* --------------------------- Series -------------------------- *)
 
 let test_series () =
@@ -337,6 +391,7 @@ let suite =
     Alcotest.test_case "pqueue: order" `Quick test_pqueue_order;
     Alcotest.test_case "pqueue: peek/length" `Quick test_pqueue_peek;
     QCheck_alcotest.to_alcotest prop_pqueue_sorted;
+    Alcotest.test_case "ring: never-pushed ring, first push, FIFO" `Quick test_ring;
     Alcotest.test_case "series: basic" `Quick test_series;
     Alcotest.test_case "series: bucketed" `Quick test_series_bucketed;
     Alcotest.test_case "table: render" `Quick test_table_render;
