@@ -52,9 +52,7 @@ let wqt_h_flat (app : App.t) =
     ~light:(App.config app "even") ~heavy:(App.config app "oversubscribed") ()
 
 let wq_linear_flat (app : App.t) =
-  (* Stage queues are bounded at 8 entries, so the per-item weight must be
-     small enough that a full queue maps to a large DoP. *)
-  Mech.Wq_linear.per_task ~loads:app.App.per_task_loads ~per_item:0.6 ~dpmin:2 ~dpmax:24 ()
+  Mech.Wq_linear.per_task ~loads:app.App.per_task_loads ~dpmin:2 ~dpmax:24 ()
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2.4: execution time / throughput / response time vs load.    *)

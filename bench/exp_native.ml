@@ -131,7 +131,7 @@ let measure_native ~dop =
         end)
   in
   let transform =
-    Pipeline.stage ~name:"transform" ~input:q1 ~load:(Pipeline.load q1)
+    Pipeline.drain_stage ~max_batch:1 ~name:"transform" ~input:q1 ~load:(Pipeline.load q1)
       ~forward:(Pipeline.forward_to q2)
       (fun _ctx v ->
         Engine.compute work_ns;
@@ -139,7 +139,7 @@ let measure_native ~dop =
         Task_status.Iterating)
   in
   let consume =
-    Pipeline.stage ~ttype:Task.Seq ~name:"consume" ~input:q2
+    Pipeline.drain_stage ~max_batch:1 ~ttype:Task.Seq ~name:"consume" ~input:q2
       ~forward:(fun _ -> ())
       (fun _ctx _ ->
         incr consumed;

@@ -53,10 +53,18 @@ let checked_conv parse print ok what =
 let positive_int =
   checked_conv int_of_string_opt Format.pp_print_int (fun n -> n > 0) "a positive integer"
 
+let non_negative_int =
+  checked_conv int_of_string_opt Format.pp_print_int (fun n -> n >= 0) "a non-negative integer"
+
 let positive_float =
   checked_conv float_of_string_opt Format.pp_print_float
     (fun f -> f > 0.0 && Float.is_finite f)
     "a positive finite number"
+
+let non_negative_float =
+  checked_conv float_of_string_opt Format.pp_print_float
+    (fun f -> f >= 0.0 && Float.is_finite f)
+    "a non-negative finite number"
 
 let fraction =
   checked_conv float_of_string_opt Format.pp_print_float
@@ -105,7 +113,7 @@ let load_arg =
 
 let requests_arg =
   let doc = "Number of requests to process." in
-  Arg.(value & opt int 500 & info [ "n"; "requests" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 500 & info [ "n"; "requests" ] ~docv:"N" ~doc)
 
 let file_arg =
   let doc = "Parse the loop from a .loop source file instead of a built-in kernel." in
@@ -370,7 +378,7 @@ let linger_arg =
     "With $(b,--listen), keep serving the endpoints for $(docv) wall seconds after the \
      run completes, so external scrapers can read the final state."
   in
-  Arg.(value & opt float 0.0 & info [ "linger" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt non_negative_float 0.0 & info [ "linger" ] ~docv:"SECONDS" ~doc)
 
 (* The live exposition wrapper: force-install a metrics registry and a span
    collector (the endpoints read both), serve /metrics, /healthz, and
@@ -635,17 +643,8 @@ let run kernel file machine backend budget trace metrics_out profile_out flight_
     with_metrics ?metrics_out ?profile_out @@ fun () ->
     with_trace ~check_budget:true trace @@ fun () ->
     with_flight flight_out (fun () ->
-        let eng =
-          match backend with
-          | `Sim -> Engine.create machine
-          | `Native pool -> Engine.create_native ?pool ()
-        in
-        let budget =
-          Option.value budget
-            ~default:
-              (if Engine.is_native eng then max 4 (Engine.online_cores eng)
-               else machine.Machine.cores)
-        in
+        let eng = Experiments.make_engine ~backend machine in
+        let budget = Option.value budget ~default:(Experiments.engine_budget eng machine) in
         let h = Compiler.launch ~budget eng c in
         let ctl =
           R.Controller.create
@@ -703,11 +702,15 @@ let dops_arg =
 
 let doctor_items_arg =
   let doc = "Items pushed through the diagnostic pipeline per DoP." in
-  Arg.(value & opt int 240 & info [ "items" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 240 & info [ "items" ] ~docv:"N" ~doc)
 
 let doctor_work_arg =
   let doc = "Transform cost per item in nanoseconds (the consumer costs a quarter)." in
-  Arg.(value & opt int 1_500_000 & info [ "work-ns" ] ~docv:"NS" ~doc)
+  (* The bound [Doctor.run] itself enforces. *)
+  let work_ns =
+    checked_conv int_of_string_opt Format.pp_print_int (fun n -> n >= 4) "an integer >= 4"
+  in
+  Arg.(value & opt work_ns 1_500_000 & info [ "work-ns" ] ~docv:"NS" ~doc)
 
 (* Exit codes: 0 diagnosis produced, 3 a Runtime_events cursor leaked —
    the CI smoke job treats a leak as a hard failure. *)
@@ -755,7 +758,7 @@ let slo_budget_arg =
 
 let top_k_arg =
   let doc = "How many slowest-request exemplars to include in the report." in
-  Arg.(value & opt int 5 & info [ "top" ] ~docv:"K" ~doc)
+  Arg.(value & opt non_negative_int 5 & info [ "top" ] ~docv:"K" ~doc)
 
 (* Run a server workload with the full latency observatory attached —
    span collector, flight recorder, and (on native) the runtime-events GC
@@ -933,7 +936,7 @@ let sanitize_suite_arg =
 
 let sanitize_corpus_arg =
   let doc = "Additionally sanitize $(docv) seeded random kernels (see $(b,--seed))." in
-  Arg.(value & opt int 0 & info [ "corpus" ] ~docv:"N" ~doc)
+  Arg.(value & opt non_negative_int 0 & info [ "corpus" ] ~docv:"N" ~doc)
 
 (* Small kernel instances for sanitizing: the sanitizer shadows every
    load/store, and a few hundred iterations already exercise every
@@ -941,11 +944,11 @@ let sanitize_corpus_arg =
    so 256 iterations give four hits per bin). *)
 let sanitize_n_arg =
   let doc = "Iteration count for built-in kernels." in
-  Arg.(value & opt int 256 & info [ "iters" ] ~docv:"N" ~doc)
+  Arg.(value & opt non_negative_int 256 & info [ "iters" ] ~docv:"N" ~doc)
 
 let sanitize_dop_arg =
   let doc = "Degree of parallelism for the parallel schemes." in
-  Arg.(value & opt int 3 & info [ "dop" ] ~docv:"D" ~doc)
+  Arg.(value & opt positive_int 3 & info [ "dop" ] ~docv:"D" ~doc)
 
 let inject_arg =
   let doc =

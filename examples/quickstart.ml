@@ -25,7 +25,8 @@ let () =
   let n_items = 150_000 in
 
   (* The three tasks, built with the Pipeline helpers that implement the
-     pause/flush protocol of the paper's Section 4.6. *)
+     pause/flush protocol of the paper's Section 4.6.  [~max_batch:1]
+     makes a stage take one item per invocation. *)
   let produce =
     Pipeline.source ~name:"produce" ~forward:(Pipeline.forward_to q1) (fun _ctx ->
         if !produced >= n_items then Task_status.Complete
@@ -37,7 +38,7 @@ let () =
         end)
   in
   let transform =
-    Pipeline.stage ~name:"transform" ~input:q1 ~load:(Pipeline.load q1)
+    Pipeline.drain_stage ~max_batch:1 ~name:"transform" ~input:q1 ~load:(Pipeline.load q1)
       ~forward:(Pipeline.forward_to q2) (fun ctx item ->
         ctx.Task.hook_begin ();
         Engine.compute 40_000 (* 40 us of real work *);
@@ -46,7 +47,8 @@ let () =
         Task_status.Iterating)
   in
   let consume =
-    Pipeline.stage ~ttype:Task.Seq ~name:"consume" ~input:q2 ~forward:(fun _ -> ())
+    Pipeline.drain_stage ~max_batch:1 ~ttype:Task.Seq ~name:"consume" ~input:q2
+      ~forward:(fun _ -> ())
       (fun _ctx _item ->
         Engine.compute 1_000;
         incr consumed;

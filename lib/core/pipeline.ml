@@ -20,7 +20,10 @@
    - Between pause and resume, the runtime strips leftover [Flush]
      sentinels from the channels ([reset_channel]) while keeping pending
      work items and any [Eos] (moved behind the items, if any follow
-     it), and resets the per-stage exit counters. *)
+     it), and resets the per-stage exit counters.
+
+   [drain_stage] builds every consuming stage; [~max_batch:1] makes it the
+   per-item stage, one [recv] and one body call per invocation. *)
 
 module Chan = Parcae_platform.Chan
 module Span = Parcae_obs.Span
@@ -102,44 +105,15 @@ let make_exit ~forward =
   in
   (exit_path, reset)
 
-(* Build a pipeline stage task.
+(* Build a pipeline stage (DESIGN.md section 14).
 
    [poll] — poll [get_status] before blocking on input (master stages).
    [input] — the stage's input channel.
    [forward] — invoked once, by the last exiting lane, to propagate the
    sentinel downstream (e.g. [forward_to q2]); pass [ignore] for sinks.
-   [body ctx v] — process one work item. *)
-let stage ?(ttype = Task.Par) ?(poll = false) ?load ?init ?nested ~name ~input
-    ~forward (body : Task.ctx -> 'a -> Task_status.t) : 'a stage_handle =
-  let exit_path, reset = make_exit ~forward in
-  let task_body (ctx : Task.ctx) =
-    if poll && ctx.Task.get_status () = Task_status.Paused then exit_path ctx Task_status.Paused
-    else
-      match Chan.recv input with
-      | Flush ->
-          (* Put the sentinel back for sibling lanes before exiting. *)
-          Chan.force_send input Flush;
-          let status =
-            match ctx.Task.get_status () with
-            | Task_status.Paused -> Task_status.Paused
-            | _ -> Task_status.Complete
-          in
-          exit_path ctx status
-      | Eos ->
-          Chan.force_send input Eos;
-          exit_path ctx ~eos:true Task_status.Complete
-      | Item v -> (
-          match body ctx v with
-          | Task_status.Iterating -> Task_status.Iterating
-          | Task_status.Complete -> exit_path ctx ~eos:true Task_status.Complete
-          | Task_status.Paused -> exit_path ctx Task_status.Paused)
-  in
-  let task = Task.create ~ttype ?load ?init ?nested ~name task_body in
-  { task; reset }
+   [body ctx v] — process one work item.
 
-(* Build a batch-draining pipeline stage (DESIGN.md section 14).
-
-   Like [stage], but each invocation claims up to [max_batch] messages in
+   Each invocation claims up to [max_batch] messages in
    one [Chan.recv_batch] — one synchronization charge for the whole claim,
    the serve-side mirror of the load generator's [send_batch] — and, when
    [next] is given, forwards the processed items downstream with one
@@ -149,7 +123,8 @@ let stage ?(ttype = Task.Par) ?(poll = false) ?load ?init ?nested ~name ~input
    greedy claim would let one lane serialize work the team could overlap)
    and a slow trickle degenerates to per-item behaviour.  [max_batch]
    additionally caps the claim to bound the latency a
-   claimed-but-unprocessed item can suffer.
+   claimed-but-unprocessed item can suffer; with [~max_batch:1] every
+   claim takes the singleton path below.
 
    Allocation discipline: on the fast path (a claim of plain items, every
    body call Iterating) the *same* list cells and [Item] boxes received
@@ -159,8 +134,8 @@ let stage ?(ttype = Task.Par) ?(poll = false) ?load ?init ?nested ~name ~input
 
    Claims never straddle a reconfiguration barrier: a sentinel cuts the
    claim where it stands, everything behind it is force-sent back to the
-   input (items first re-ordered behind the sentinel exactly as [stage]'s
-   single-item put-back does), and the processed prefix is flushed
+   input (items first re-ordered behind the sentinel exactly as the
+   singleton path's put-back does), and the processed prefix is flushed
    downstream *before* this lane's exit is counted, preserving the
    last-lane-forwards ordering invariant.  A pause observed between items
    (with [poll]) likewise returns the claimed-but-unprocessed suffix to

@@ -7,7 +7,10 @@
     that consumes a sentinel puts it back for its sibling lanes; the
     {e last} lane of a stage to exit forwards the sentinel downstream,
     which guarantees every in-flight item precedes the sentinel — the
-    ordering hazard of the paper's Section 7.2.2 cannot occur. *)
+    ordering hazard of the paper's Section 7.2.2 cannot occur.
+
+    {!drain_stage} builds every consuming stage; [~max_batch:1] makes it
+    the per-item stage, one [recv] and one body call per invocation. *)
 
 type 'a msg =
   | Item of 'a
@@ -43,23 +46,6 @@ type 'a stage_handle = {
   reset : unit -> unit;  (** clear exit bookkeeping between pause/resume *)
 }
 
-val stage :
-  ?ttype:Task.ttype ->
-  ?poll:bool ->
-  ?load:(unit -> float) ->
-  ?init:(unit -> unit) ->
-  ?nested:Task.nested_choice list ->
-  name:string ->
-  input:'a msg Parcae_platform.Chan.t ->
-  forward:(sentinel -> unit) ->
-  (Task.ctx -> 'a -> Task_status.t) ->
-  'a stage_handle
-(** A pipeline stage: receives items from [input], processes them with the
-    body, exits on a sentinel.  [poll] makes the stage check [get_status]
-    before blocking on input — master stages use this.  [forward] is
-    invoked once, by the last exiting lane, to propagate the sentinel
-    downstream (pass [fun _ -> ()] for sinks). *)
-
 val drain_stage :
   ?ttype:Task.ttype ->
   ?poll:bool ->
@@ -75,9 +61,15 @@ val drain_stage :
   forward:(sentinel -> unit) ->
   (Task.ctx -> 'a -> Task_status.t) ->
   'a stage_handle
-(** A batch-draining stage: each invocation claims up to [max_batch]
-    (default 32) messages with one [recv_batch] — never more than this
-    lane's share of the input's current depth (depth / DoP), so batching
+(** A pipeline stage: receives items from [input], processes them with
+    the body, exits on a sentinel.  [poll] makes the stage check
+    [get_status] before blocking on input — master stages use this.
+    [forward] is invoked once, by the last exiting lane, to propagate the
+    sentinel downstream (pass [fun _ -> ()] for sinks).
+
+    Each invocation claims up to [max_batch] (default 4) messages with
+    one [recv_batch] — never more than this lane's share of the input's
+    current depth (depth / DoP), and at least one — so batching
     cannot starve sibling lanes and light load degenerates to per-item
     behaviour — runs the body on each item, and (when [next] is given)
     forwards the processed items downstream with one [send_batch],
@@ -88,7 +80,8 @@ val drain_stage :
     sentinel or a pause cuts the claim: the unprocessed suffix is
     returned to the input (surviving reconfiguration), the processed
     prefix is flushed downstream before the exit is counted, and the
-    sentinel protocol proceeds exactly as in {!stage}.
+    sentinel protocol proceeds as for a single item.  With
+    [~max_batch:1] every claim is one [recv] of one message.
 
     When both [span_of] (item → its request span) and [span_clock] (a
     non-allocating monotonic-ns read, typically [fun () -> Engine.time

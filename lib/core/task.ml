@@ -5,8 +5,10 @@
      returning its status,
    - an optional load callback exposing the task's current workload
      (e.g. input queue occupancy),
-   - optional init/fini callbacks bringing the task into / out of a globally
-     consistent state around pauses (Tinit and FiniCB of Sections 4.5-4.6),
+   - an optional init callback bringing the task into a globally
+     consistent state on each activation (Tinit of Sections 4.5-4.6; the
+     paper's FiniCB, which forwarded the pause sentinel, is replaced by
+     the last-lane forwarding of the [Pipeline] stage helpers),
    - a task type (sequential or parallel), and
    - optional nested parallelism choices the runtime may switch on and off
      (Section 5.1.1's TaskDescriptor.pd[]).
@@ -51,7 +53,6 @@ type t = {
   body : ctx -> Task_status.t;
   load : (unit -> float) option;
   init : (unit -> unit) option;  (** run once per worker activation (Tinit) *)
-  fini : (unit -> unit) option;  (** run once per worker on pause/complete *)
   nested : nested_choice list;  (** alternative inner parallelizations *)
 }
 
@@ -71,14 +72,13 @@ and nested_choice = {
   nc_make : unit -> par_descriptor;
 }
 
-let create ?(ttype = Par) ?load ?init ?fini ?(nested = []) ~name body =
-  { name; ttype; body; load; init; fini; nested }
+let create ?(ttype = Par) ?load ?init ?(nested = []) ~name body =
+  { name; ttype; body; load; init; nested }
 
-let sequential ?load ?init ?fini ?nested ~name body =
-  create ~ttype:Seq ?load ?init ?fini ?nested ~name body
+let sequential ?load ?init ?nested ~name body =
+  create ~ttype:Seq ?load ?init ?nested ~name body
 
-let parallel ?load ?init ?fini ?nested ~name body =
-  create ~ttype:Par ?load ?init ?fini ?nested ~name body
+let parallel ?load ?init ?nested ~name body = create ~ttype:Par ?load ?init ?nested ~name body
 
 let descriptor ~name tasks =
   if tasks = [] then invalid_arg "Task.descriptor: empty task list";

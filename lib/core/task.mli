@@ -1,8 +1,10 @@
 (** The Parcae application-developer API (the paper's Chapter 5).
 
     A task packages a functor executing one dynamic instance, optional
-    load/init/fini callbacks, a task type, and optional nested-parallelism
-    choices.  The control-flow abstraction repeatedly invoking the functor
+    load/init callbacks, a task type, and optional nested-parallelism
+    choices.  The paper's FiniCB, which forwarded the pause sentinel, has
+    no field here: the last lane of a {!Pipeline} stage to exit forwards
+    it.  The control-flow abstraction repeatedly invoking the functor
     (Figure 5.2a) lives in the Morta executor. *)
 
 type ttype = Seq | Par
@@ -34,7 +36,6 @@ type t = {
   body : ctx -> Task_status.t;  (** one dynamic instance *)
   load : (unit -> float) option;  (** current workload (LoadCB) *)
   init : (unit -> unit) option;  (** once per worker activation (Tinit) *)
-  fini : (unit -> unit) option;  (** once per worker on pause/complete *)
   nested : nested_choice list;  (** alternative inner parallelizations *)
 }
 
@@ -55,7 +56,6 @@ val create :
   ?ttype:ttype ->
   ?load:(unit -> float) ->
   ?init:(unit -> unit) ->
-  ?fini:(unit -> unit) ->
   ?nested:nested_choice list ->
   name:string ->
   (ctx -> Task_status.t) ->
@@ -64,7 +64,6 @@ val create :
 val sequential :
   ?load:(unit -> float) ->
   ?init:(unit -> unit) ->
-  ?fini:(unit -> unit) ->
   ?nested:nested_choice list ->
   name:string ->
   (ctx -> Task_status.t) ->
@@ -73,7 +72,6 @@ val sequential :
 val parallel :
   ?load:(unit -> float) ->
   ?init:(unit -> unit) ->
-  ?fini:(unit -> unit) ->
   ?nested:nested_choice list ->
   name:string ->
   (ctx -> Task_status.t) ->

@@ -12,6 +12,4 @@ let to_string = function
   | Paused -> "task_paused"
   | Complete -> "task_complete"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let equal (a : t) (b : t) = a = b

@@ -8,5 +8,4 @@ type t =
   | Complete  (** the loop exit branch was taken *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -16,13 +16,13 @@ type result = {
 
 let operand_value env = function Instr.Const c -> c | Instr.Reg r -> Hashtbl.find env r
 
-(* Run [loop] against [externals] (fresh by default).  [max_iters] bounds
-   While loops against non-termination in tests.  When [profile] is given
-   (an array sized to [Loop.nodes]), per-node execution cost is accumulated
-   into it — the execution profile weights Nona's partitioner uses
-   (Section 4.3.2). *)
-let run ?externals ?profile ?(max_iters = 10_000_000) (loop : Loop.t) =
-  let ext = match externals with Some e -> e | None -> Externals.create () in
+(* Run [loop] against fresh externals.  [max_iters] bounds While loops
+   against non-termination in tests.  When [profile] is given (an array
+   sized to [Loop.nodes]), per-node execution cost is accumulated into it
+   — the execution profile weights Nona's partitioner uses (Section
+   4.3.2). *)
+let run ?profile ?(max_iters = 10_000_000) (loop : Loop.t) =
+  let ext = Externals.create () in
   let arrays = Loop.working_arrays loop in
   let env : (Instr.reg, int) Hashtbl.t = Hashtbl.create 64 in
   let phi_vals : (Instr.reg, int) Hashtbl.t = Hashtbl.create 8 in

@@ -14,12 +14,12 @@ type result = {
   work_ns : int;  (** total instruction cost, sequential *)
 }
 
-val run : ?externals:Externals.t -> ?profile:float array -> ?max_iters:int -> Loop.t -> result
-(** Run the loop (fresh externals by default); it leaves
-    [loop.arrays] unchanged.  [max_iters] bounds While
-    loops.  When [profile] is given (sized to [Loop.nodes]), per-node
-    execution cost is accumulated into it — the execution-profile weights
-    Nona's partitioner uses (the paper's Section 4.3.2). *)
+val run : ?profile:float array -> ?max_iters:int -> Loop.t -> result
+(** Run the loop against fresh externals; it leaves [loop.arrays]
+    unchanged.  [max_iters] bounds While loops.  When [profile] is given
+    (sized to [Loop.nodes]), per-node execution cost is accumulated into
+    it — the execution-profile weights Nona's partitioner uses (the
+    paper's Section 4.3.2). *)
 
 val equal_observable : result -> result -> bool
 (** Structural equality of observable results ([work_ns] included; set it

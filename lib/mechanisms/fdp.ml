@@ -77,7 +77,14 @@ let limiter_excluding region failed =
            (fun best i -> if capacity region cfg i < capacity region cfg best then i else best)
            (List.hd par) par)
 
-let make ?(tolerance = 0.98) ?(max_flat = 8) () : Morta.mechanism =
+(* The regression threshold for reverting a grant: throughput below this
+   share of the previous window's. *)
+let tolerance = 0.98
+
+(* Consecutive non-improving probes before convergence. *)
+let max_flat = 8
+
+let make () : Morta.mechanism =
   let st = { phase = Start; last_snapshot = None } in
   (* Tasks whose last grant made things worse; cleared on any clear
      improvement so a changed workload re-opens them. *)

@@ -9,7 +9,6 @@
     improves.  When no free threads remain, reclaim one from the
     highest-capacity task. *)
 
-val make : ?tolerance:float -> ?max_flat:int -> unit -> Parcae_runtime.Morta.mechanism
-(** [tolerance] is the regression threshold for reverting a grant
-    (default 0.98); [max_flat] bounds consecutive non-improving probes
-    before convergence (default 8). *)
+val make : unit -> Parcae_runtime.Morta.mechanism
+(** A grant is reverted when throughput falls below 0.98 of the
+    previous window's; 8 consecutive non-improving probes converge. *)

@@ -55,9 +55,12 @@ let imbalance_of pd decima =
       let lo = List.fold_left Float.min t rest and hi = List.fold_left Float.max t rest in
       if hi <= 0.0 then 0.0 else (hi -. lo) /. hi
 
+(* The fusion trigger (paper: 0.5, i.e. slowest < half of the mean). *)
+let imbalance = 0.5
+
 (* [fused_choice], if given, is the index of the scheme with collapsed
    parallel stages; [warmup] instances must complete before TBF acts. *)
-let make ?fused_choice ?(imbalance = 0.5) ?(warmup = 30) () : Morta.mechanism =
+let make ?fused_choice ?(warmup = 30) () : Morta.mechanism =
  fun region ->
   let decima = Region.decima region in
   let pd = Region.scheme region in

@@ -18,12 +18,7 @@ val imbalance_of : Parcae_core.Task.par_descriptor -> Parcae_runtime.Decima.t ->
 (** (max - min) / max of per-stage execution times across parallel tasks;
     0 when balanced. *)
 
-val make :
-  ?fused_choice:int ->
-  ?imbalance:float ->
-  ?warmup:int ->
-  unit ->
-  Parcae_runtime.Morta.mechanism
-(** [fused_choice] is the scheme index with collapsed stages; [imbalance]
-    the fusion trigger (default 0.5); [warmup] the instances required per
-    task before acting (default 30). *)
+val make : ?fused_choice:int -> ?warmup:int -> unit -> Parcae_runtime.Morta.mechanism
+(** [fused_choice] is the scheme index with collapsed stages, chosen when
+    {!imbalance_of} exceeds 0.5; [warmup] the instances required per task
+    before acting (default 30). *)

@@ -28,12 +28,14 @@ let dop_of_load ~dpmin ~dpmax ~qmax q =
   let d = float_of_int dpmax -. (k *. q) in
   max dpmin (min dpmax (int_of_float (Float.round d)))
 
-(* The work-queue occupancy is smoothed with an EWMA before Equation 6.1 is
-   applied, so transient bursts don't cause reconfiguration thrash (each
-   reconfiguration drains the in-flight requests, so flapping between
-   adjacent DoPs is pure overhead). *)
-let nested ?(smooth = 0.3) ~load ~dpmin ~dpmax ~qmax ~make_config () : Morta.mechanism =
-  let ewma = Parcae_util.Stats.Ewma.create ~alpha:smooth in
+(* The work-queue occupancy is smoothed with an EWMA of this weight before
+   Equation 6.1 is applied, so transient bursts don't cause
+   reconfiguration thrash (each reconfiguration drains the in-flight
+   requests, so flapping between adjacent DoPs is pure overhead). *)
+let nested_smooth = 0.3
+
+let nested ~load ~dpmin ~dpmax ~qmax ~make_config () : Morta.mechanism =
+  let ewma = Parcae_util.Stats.Ewma.create ~alpha:nested_smooth in
   fun region ->
     Parcae_util.Stats.Ewma.observe ewma (load ());
     let q = Parcae_util.Stats.Ewma.value ewma in
@@ -46,16 +48,20 @@ let nested ?(smooth = 0.3) ~load ~dpmin ~dpmax ~qmax ~make_config () : Morta.mec
    dpmin + ceil(loads.(i) / per_item) threads, capped at dpmax.  Sequential
    tasks (signalled by a [None] load) stay at DoP 1.
 
-   Queue occupancies are EWMA-smoothed and a task's DoP only moves when the
-   target differs from the current value by at least [deadband] — every
-   applied change pauses and drains the pipeline, so chasing queue noise
-   costs more latency than it saves. *)
-let per_task ~loads ?(per_item = 4.0) ?(smooth = 0.4) ?(deadband = 2) ~dpmin ~dpmax ()
-    : Morta.mechanism =
+   Queue occupancies are EWMA-smoothed (weight [per_task_smooth]) and a
+   task's DoP only moves when the target differs from the current value by
+   at least [deadband] — every applied change pauses and drains the
+   pipeline, so chasing queue noise costs more latency than it saves.
+
+   The flat apps' stage queues are bounded at 8 entries, so [per_item]
+   must be small enough that a full queue maps to a large DoP. *)
+let per_item = 0.6
+let per_task_smooth = 0.4
+let deadband = 2
+
+let per_task ~loads ~dpmin ~dpmax () : Morta.mechanism =
   let ewmas =
-    Array.map
-      (fun l -> match l with None -> None | Some _ -> Some (Parcae_util.Stats.Ewma.create ~alpha:smooth))
-      loads
+    Array.map (Option.map (fun _ -> Parcae_util.Stats.Ewma.create ~alpha:per_task_smooth)) loads
   in
   fun region ->
     let cur = Region.config region in

@@ -9,7 +9,6 @@ val dop_of_load : dpmin:int -> dpmax:int -> qmax:float -> float -> int
 (** Equation 6.1 on a single occupancy reading. *)
 
 val nested :
-  ?smooth:float ->
   load:(unit -> float) ->
   dpmin:int ->
   dpmax:int ->
@@ -19,19 +18,18 @@ val nested :
   Parcae_runtime.Morta.mechanism
 (** The two-level loop-nest form (transcoding-style servers): dP is the
     inner DoP; [make_config] maps it to a full configuration (outer DoP
-    typically budget / dP).  Occupancy is EWMA-smoothed ([smooth]) so
+    typically budget / dP).  Occupancy is EWMA-smoothed (weight 0.3) so
     queue noise doesn't cause reconfiguration thrash. *)
 
 val per_task :
   loads:(unit -> float) option array ->
-  ?per_item:float ->
-  ?smooth:float ->
-  ?deadband:int ->
   dpmin:int ->
   dpmax:int ->
   unit ->
   Parcae_runtime.Morta.mechanism
 (** The flat-pipeline form (ferret, Figure 8.5): each parallel stage's DoP
     is sized from its own input-queue occupancy — threads proportional to
-    the load on each task.  A stage only moves when the target differs
-    from the current DoP by at least [deadband]. *)
+    the load on each task, one more per 0.6 queued items above [dpmin].
+    Occupancy is EWMA-smoothed (weight 0.4), and
+    a stage only moves when the target differs from the current DoP by at
+    least 2. *)

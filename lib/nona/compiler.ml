@@ -39,9 +39,13 @@ let schemes c =
   @ (match c.doacross with Some p -> [ Verify.Doacross p ] | None -> [])
   @ match c.pipeline with Some p -> [ Verify.Psdswp p ] | None -> []
 
+(* Iterations of the truncated profiling run whose per-node costs weight
+   the partitioner. *)
+let profile_iters = 40
+
 (* Compile a loop: dependence analysis, profiling, and all applicable
    parallelizations. *)
-let compile ?(profile_iters = 40) ?(verify = true) (loop : Loop.t) =
+let compile ?(verify = true) (loop : Loop.t) =
   Loop.validate loop;
   let pdg = Pdg.build loop in
   (* Profile a truncated run to estimate per-node weights (Section 4.3.2's

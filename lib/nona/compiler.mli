@@ -17,7 +17,7 @@ type compiled = {
       (** emitted only when DOANY does not apply (it dominates DOACROSS) *)
 }
 
-val compile : ?profile_iters:int -> ?verify:bool -> Loop.t -> compiled
+val compile : ?verify:bool -> Loop.t -> compiled
 (** Compile the loop and statically verify every emitted scheme (disable
     with [~verify:false]).
     @raise Verify.Illegal_plan when a produced plan fails the legality

@@ -36,10 +36,12 @@ module Lane_name = Parcae_util.Lane_name
 type flags = {
   hoist_state : bool;  (* Section 7.1: hoist phi save/restore out of the loop *)
   privatize_reductions : bool;  (* Section 7.4: privatize-and-merge *)
-  heap_op_ns : int;  (* cost of one heap save or restore *)
 }
 
-let default_flags = { hoist_state = true; privatize_reductions = true; heap_op_ns = 40 }
+let default_flags = { hoist_state = true; privatize_reductions = true }
+
+(* Cost of one heap save or restore, in ns. *)
+let heap_op_ns = 40
 
 (* Identity element of an associative-commutative reduction operator. *)
 let identity = function
@@ -231,7 +233,7 @@ let make_lane_state rs =
   }
 
 (* Charge a heap access cost (state save/restore, Section 7.1). *)
-let charge_heap rs st n = st.pending <- st.pending + (n * rs.flags.heap_op_ns)
+let charge_heap st n = st.pending <- st.pending + (n * heap_op_ns)
 
 let flush rs st =
   if st.pending > 0 then begin
@@ -242,12 +244,12 @@ let flush rs st =
 (* Load this lane's cross-iteration state from the heap (Tinit). *)
 let restore_phis rs st ~owned =
   Array.iter (fun r -> st.phis.(r) <- rs.phi_heap.(r)) owned;
-  charge_heap rs st (Array.length owned)
+  charge_heap st (Array.length owned)
 
 (* Write it back (on pause or completion). *)
 let save_phis rs st ~owned =
   Array.iter (fun r -> rs.phi_heap.(r) <- st.phis.(r)) owned;
-  charge_heap rs st (Array.length owned)
+  charge_heap st (Array.length owned)
 
 let reset_privates rs st ~reds =
   st.private_reds <- reds;
@@ -334,7 +336,7 @@ let rec exec_from rs st mode hb_task members k =
                    cores: the read-modify-write holds the lock for two
                    heap accesses (Section 7.4's per-iteration critical
                    section). *)
-                Engine.compute_in rs.eng (2 * rs.flags.heap_op_ns);
+                Engine.compute_in rs.eng (2 * heap_op_ns);
                 let v = Instr.eval_binop op rs.phi_heap.(phi) x in
                 rs.phi_heap.(phi) <- v;
                 env.(dst) <- v));
@@ -391,7 +393,7 @@ let advance_phis rs st ~owned =
   done;
   (* With the Section 7.1 optimization off, the state crosses the heap on
      every iteration: one store and one load per phi. *)
-  if not rs.flags.hoist_state then charge_heap rs st (2 * Array.length owned)
+  if not rs.flags.hoist_state then charge_heap st (2 * Array.length owned)
 
 (* Copy the registers [regs] of [env] into a fresh message payload, and
    back. *)
@@ -1013,7 +1015,7 @@ let make_doacross_task rs (plan : Doacross.plan) ~max_lanes =
     merge_privates rs st;
     if last_iter >= 0 && last_iter = rs.next_iter - 1 then begin
       scatter rs.phi_heap phi_regs last_carries;
-      charge_heap rs st (Array.length phi_regs)
+      charge_heap st (Array.length phi_regs)
     end;
     (* Induction values follow the prefix, as in DOANY. *)
     publish_inductions rs;

@@ -17,11 +17,11 @@ open Parcae_pdg
 type flags = {
   hoist_state : bool;  (** Section 7.1: hoist phi save/restore out of the loop *)
   privatize_reductions : bool;  (** Section 7.4: privatize-and-merge *)
-  heap_op_ns : int;  (** cost of one heap save or restore *)
 }
 
 val default_flags : flags
-(** All Chapter 7 optimizations on; heap op 40 ns. *)
+(** All Chapter 7 optimizations on.  Under any flags a heap save or
+    restore costs 40 ns. *)
 
 val identity : Instr.binop -> int
 (** Identity element of a reduction operator.

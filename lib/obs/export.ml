@@ -49,7 +49,7 @@ let tid_scheduler = 1004
 let us_of_ns ns = float_of_int ns /. 1000.0
 let ts_us ns = Json.Float (us_of_ns ns)
 
-let chrome ?(process = "parcae") events =
+let chrome events =
   (* Assign region tids in order of first appearance so the layout is
      stable across runs of the same experiment. *)
   let region_tids = Hashtbl.create 7 in
@@ -151,7 +151,7 @@ let chrome ?(process = "parcae") events =
         ("tid", Json.Int tid); ("args", Json.Obj [ ("name", Json.Str label) ]) ]
   in
   let metas =
-    meta "process_name" 0 process
+    meta "process_name" 0 "parcae"
     :: Hashtbl.fold (fun r tid acc -> meta "thread_name" tid r :: acc) region_tids []
     @ [ meta "thread_name" tid_daemon "daemon"; meta "thread_name" tid_decima "decima";
         meta "thread_name" tid_platform "platform"; meta "thread_name" tid_channels "channels";
@@ -177,7 +177,7 @@ let events_of_sink sink =
     Event.make ~t:t0 (Event.Trace_overflow { dropped = d }) :: events
 
 let jsonl_of_sink sink = jsonl (events_of_sink sink)
-let chrome_of_sink ?process sink = chrome ?process (events_of_sink sink)
+let chrome_of_sink sink = chrome (events_of_sink sink)
 
 let write_file path contents =
   let oc = open_out path in

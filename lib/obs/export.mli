@@ -17,11 +17,12 @@ val parse_jsonl : string -> Event.t list
 (** Exact inverse of {!jsonl}; blank lines are skipped.
     @raise Json.Parse_error on malformed records. *)
 
-val chrome : ?process:string -> Event.t list -> string
-(** Chrome trace_event object format: regions become named threads with
-    region-lifetime and pause duration slices; controller state, DoP,
-    budget, cores, and Decima samples become counter tracks; the remaining
-    protocol events become instants with their payload in [args]. *)
+val chrome : Event.t list -> string
+(** Chrome trace_event object format: regions become named threads of one
+    ["parcae"] process, with region-lifetime and pause duration slices;
+    controller state, DoP, budget, cores, and Decima samples become
+    counter tracks; the remaining protocol events become instants with
+    their payload in [args]. *)
 
 val us_of_ns : int -> float
 (** The ns-to-us conversion the Chrome exporter applies to every [ts]:
@@ -35,7 +36,7 @@ val events_of_sink : Sink.t -> Event.t list
 val jsonl_of_sink : Sink.t -> string
 (** {!jsonl} of {!events_of_sink}. *)
 
-val chrome_of_sink : ?process:string -> Sink.t -> string
+val chrome_of_sink : Sink.t -> string
 (** {!chrome} of {!events_of_sink}. *)
 
 val write_file : string -> string -> unit

@@ -12,19 +12,19 @@
    profile is byte-deterministic whenever the underlying counters are. *)
 
 let default_family = "parcae_task_compute_ns_total"
-let default_frames = [ "region"; "scheme"; "task" ]
+let frames = [ "region"; "scheme"; "task" ]
 
 (* flamegraph.pl splits on the last space; ';' and ' ' inside a frame would
    corrupt the stack, so map them away. *)
 let sanitize_frame s =
   String.map (fun c -> match c with ';' | ' ' | '\n' -> '_' | c -> c) s
 
-let folded ?(family = default_family) ?(frames = default_frames) reg =
+let folded reg =
   let fams = Metrics.snapshot reg in
   let lines =
     List.concat_map
       (fun (f : Metrics.fam_snapshot) ->
-        if f.Metrics.name <> family then []
+        if f.Metrics.name <> default_family then []
         else
           List.filter_map
             (fun { Metrics.labels; value } ->

@@ -13,14 +13,12 @@
 val default_family : string
 (** ["parcae_task_compute_ns_total"]. *)
 
-val default_frames : string list
-(** [\["region"; "scheme"; "task"\]]. *)
-
-val folded : ?family:string -> ?frames:string list -> Metrics.t -> string
-(** Render the [family] counter series whose labels cover every name in
-    [frames] as sorted folded-stack lines (newline-terminated; [""] when
-    the family is absent or all-zero).  Byte-deterministic whenever the
-    underlying counters are. *)
+val folded : Metrics.t -> string
+(** Render the {!default_family} series whose labels cover [region],
+    [scheme] and [task] as sorted folded-stack lines, one frame per label
+    in that order (newline-terminated; [""] when the family is absent or
+    all-zero).  Byte-deterministic whenever the underlying counters
+    are. *)
 
 val parse : string -> (string list * int) list
 (** Inverse of {!folded}: [(frames, value)] per line.

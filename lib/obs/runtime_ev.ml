@@ -33,7 +33,6 @@ type stats = {
 type t = {
   mutable cursor : RE.cursor option;
   mutable callbacks : RE.Callbacks.t option;
-  map_lane : int -> int option;
   rings : (int, ring_state) Hashtbl.t;
   mutable minor_pauses : int;
   mutable major_pauses : int;
@@ -44,9 +43,6 @@ type t = {
 
 let live = Atomic.make 0
 let live_cursors () = Atomic.get live
-
-let default_map_lane ~lanes ring =
-  if ring >= 1 && ring <= lanes then Some (ring - 1) else None
 
 type handles = {
   h_minor : Metrics.counter;
@@ -92,29 +88,19 @@ let finish_pause t ring rs ts =
      span accumulator so completion carves the overlap into the Gc
      phase. *)
   Span.note_gc dur;
+  (* Ring [i + 1] is pool worker [i]'s domain, timeline lane [i]; ring 0
+     (the initial domain) and rings past the lane count map to no lane. *)
   (match Timeline.get () with
-  | Some tl -> (
-      match t.map_lane ring with
-      | Some lane when lane >= 0 && lane < Timeline.lanes tl ->
-          Timeline.attribute tl ~lane Timeline.Gc dur
-      | _ -> t.unattributed_ns <- t.unattributed_ns + dur)
-  | None -> t.unattributed_ns <- t.unattributed_ns + dur);
+  | Some tl when ring >= 1 && ring <= Timeline.lanes tl ->
+      Timeline.attribute tl ~lane:(ring - 1) Timeline.Gc dur
+  | _ -> t.unattributed_ns <- t.unattributed_ns + dur);
   if Metrics.enabled () then begin
     let m = gc_metrics () in
     Metrics.inc (if rs.top_major then m.h_major else m.h_minor);
     Metrics.inc_by (if rs.top_major then m.h_major_ns else m.h_minor_ns) dur
   end
 
-let start ?map_lane () =
-  let map_lane =
-    match map_lane with
-    | Some f -> f
-    | None ->
-        fun ring -> (
-          match Timeline.get () with
-          | Some tl -> default_map_lane ~lanes:(Timeline.lanes tl) ring
-          | None -> None)
-  in
+let start () =
   RE.start ();
   let cursor = RE.create_cursor None in
   Atomic.incr live;
@@ -122,7 +108,6 @@ let start ?map_lane () =
     {
       cursor = Some cursor;
       callbacks = None;
-      map_lane;
       rings = Hashtbl.create 7;
       minor_pauses = 0;
       major_pauses = 0;

@@ -18,10 +18,11 @@
 
     {b Lane mapping.}  [Runtime_events] identifies domains by ring id,
     which for a process that spawns its pool once is the spawn order: the
-    initial domain is ring 0 and pool worker [i] is ring [i + 1].  That
-    heuristic is [default_map_lane]; pass [map_lane] to override.  Spans
-    on rings that map to no lane (the main domain, expired domains) are
-    still counted in {!stats} but attributed to no timeline lane.
+    initial domain is ring 0 and pool worker [i] is ring [i + 1], which
+    maps to timeline lane [i].  Spans on rings that map to no lane (the
+    main domain, expired domains, rings past the installed timeline's
+    lane count) are still counted in {!stats} but attributed to no
+    timeline lane.
 
     {b Lifecycle.}  A cursor is an OS-level resource; {!stop} frees it.
     {!live_cursors} counts cursors opened but not yet freed — the doctor
@@ -30,14 +31,9 @@
 
 type t
 
-val start : ?map_lane:(int -> int option) -> unit -> t
+val start : unit -> t
 (** Enable runtime instrumentation ([Runtime_events.start]) and open a
-    cursor onto this process's rings.  [map_lane] maps a ring id to a
-    timeline lane (default {!default_map_lane} over the installed
-    timeline's lane count). *)
-
-val default_map_lane : lanes:int -> int -> int option
-(** [Some (ring - 1)] for rings [1 .. lanes], [None] otherwise. *)
+    cursor onto this process's rings. *)
 
 val poll : t -> int
 (** Drain currently available events; returns how many were consumed.

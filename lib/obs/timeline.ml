@@ -81,12 +81,12 @@ type lane = {
 
 type t = { cap : int; t0 : int; lanes_ : lane array }
 
-let create ?(capacity = 4096) ?(initial = Park) ~lanes ~now () =
+let create ?(capacity = 4096) ~lanes ~now () =
   if lanes < 1 then invalid_arg "Timeline.create: lanes must be >= 1";
   if capacity < 1 then invalid_arg "Timeline.create: capacity must be >= 1";
   let mk () =
     {
-      cur = state_index initial;
+      cur = state_index Park;
       since = now;
       acc = Array.make n_states 0;
       attr = Array.make n_states 0;

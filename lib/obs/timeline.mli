@@ -47,11 +47,11 @@ val all_states : state list
 
 type t
 
-val create : ?capacity:int -> ?initial:state -> lanes:int -> now:int -> unit -> t
+val create : ?capacity:int -> lanes:int -> now:int -> unit -> t
 (** [capacity] is the per-lane span ring size (default 4096); the rings
-    are preallocated at creation so recording never allocates.  [initial]
-    is the state every lane is in at [now] (default [Park]), which is
-    also the origin every breakdown starts from.
+    are preallocated at creation so recording never allocates.  Every
+    lane is in [Park] at [now], which is also the origin every breakdown
+    starts from.
     @raise Invalid_argument if [lanes < 1] or [capacity < 1]. *)
 
 val lanes : t -> int

@@ -7,9 +7,9 @@ module Nc = Parcae_native.Chan
 
 type 'a t = S of 'a Sc.t | N of 'a Nc.t
 
-let create ?capacity ?op_cost eng name =
+let create ?capacity eng name =
   match Engine.sim_engine eng with
-  | Some se -> S (Sc.create ?capacity ?op_cost se name)
+  | Some se -> S (Sc.create ?capacity se name)
   | None -> (
       match Engine.native_engine eng with
       | Some ne -> N (Nc.create ?capacity ne name)

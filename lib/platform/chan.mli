@@ -8,10 +8,9 @@
 
 type 'a t
 
-val create : ?capacity:int -> ?op_cost:int -> Engine.t -> string -> 'a t
+val create : ?capacity:int -> Engine.t -> string -> 'a t
 (** [create eng name] makes an unbounded channel; [capacity > 0] bounds
-    it.  [op_cost] overrides the sim machine's per-operation cost and is
-    ignored on native (real costs are measured, not modelled). *)
+    it. *)
 
 val length : 'a t -> int
 val total_sent : 'a t -> int

@@ -3,9 +3,9 @@ module Nl = Parcae_native.Lock
 
 type t = S of Sl.t | N of Nl.t
 
-let create ?op_cost eng name =
+let create eng name =
   match Engine.sim_engine eng with
-  | Some se -> S (Sl.create ?op_cost se name)
+  | Some se -> S (Sl.create se name)
   | None -> (
       match Engine.native_engine eng with
       | Some ne -> N (Nl.create ne name)

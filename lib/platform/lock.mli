@@ -4,8 +4,7 @@
 
 type t
 
-val create : ?op_cost:int -> Engine.t -> string -> t
-(** [op_cost] overrides the sim machine's lock cost; ignored on native. *)
+val create : Engine.t -> string -> t
 
 val with_lock : t -> (unit -> 'a) -> 'a
 (** Run the function holding the lock; releases even on exception. *)

@@ -46,9 +46,13 @@ type params = {
   poll_ns : int;  (* polling granularity while waiting for iterations *)
   monitor_ns : int;  (* sampling period in the Monitor state *)
   change_frac : float;  (* relative throughput change that re-triggers *)
-  efficiency_floor : float;  (* minimum parallel efficiency to keep a scheme *)
   max_monitor_rounds : int;  (* 0 = unlimited *)
 }
+
+(* Profitability: a scheme's parallel efficiency (throughput over threads
+   times sequential throughput) must clear this floor, else the scheme is
+   not worth its threads. *)
+let efficiency_floor = 0.5
 
 let default_params =
   {
@@ -58,7 +62,6 @@ let default_params =
     poll_ns = 20_000;
     monitor_ns = 50_000_000;
     change_frac = 0.25;
-    efficiency_floor = 0.5;
     max_monitor_rounds = 0;
   }
 
@@ -67,7 +70,6 @@ type t = {
   params : params;
   mutable state : state;
   mutable state_since : int;  (* virtual time of the last state entry *)
-  mutable stop : bool;
   mutable resource_dirty : bool;  (* budget changed since last look *)
   mutable last_budget : int;
   mutable best_throughput : float;  (* T* *)
@@ -84,7 +86,6 @@ let create ?(params = default_params) region =
     params;
     state = Init;
     state_since = Engine.time region.Region.eng;
-    stop = false;
     resource_dirty = false;
     last_budget = Region.budget region;
     best_throughput = 0.0;
@@ -97,7 +98,6 @@ let create ?(params = default_params) region =
 
 let states t = t.states
 let throughputs t = t.throughputs
-let request_stop t = t.stop <- true
 
 (* The daemon pokes this when it changes the region's budget. *)
 let notify_resource_change t =
@@ -160,7 +160,7 @@ let note_throughput t thr =
          ~help:"Most recent throughput sample observed by the controller.")
       thr
 
-let finished t = Region.is_done t.region || t.stop
+let finished t = Region.is_done t.region
 
 (* Apply [cfg] if it differs from the current configuration. *)
 let apply t cfg = Executor.reconfigure t.region cfg
@@ -432,12 +432,9 @@ let optimize_pass t ~seq_choice ~par_choices =
                   | Some thr ->
                       let optimized = Region.config region in
                       let used = Config.threads optimized in
-                      (* Profitability: parallel efficiency must clear the
-                         floor, else the scheme is not worth its threads. *)
                       let profitable =
                         t.seq_throughput <= 0.0
-                        || thr
-                           >= t.params.efficiency_floor *. float_of_int used *. t.seq_throughput
+                        || thr >= efficiency_floor *. float_of_int used *. t.seq_throughput
                       in
                       if profitable then begin
                         Hashtbl.replace t.cache (choice, budget) optimized;

@@ -31,7 +31,6 @@ type params = {
   poll_ns : int;  (** polling granularity while waiting for iterations *)
   monitor_ns : int;  (** sampling period in the Monitor state *)
   change_frac : float;  (** relative throughput drift that re-triggers *)
-  efficiency_floor : float;  (** minimum parallel efficiency to keep a scheme *)
   max_monitor_rounds : int;  (** 0 = unlimited *)
 }
 
@@ -45,8 +44,6 @@ val run : t -> unit
 (** The controller main loop; the body of a dedicated simulated thread. *)
 
 val spawn : Parcae_platform.Engine.t -> t -> Parcae_platform.Engine.thread
-
-val request_stop : t -> unit
 
 val notify_resource_change : t -> unit
 (** Called by the daemon after changing the region's budget; the Monitor

@@ -127,8 +127,6 @@ let register t region controller =
   t.generation <- t.generation + 1;
   repartition t
 
-let request_stop t = t.stop <- true
-
 (* Daemon main loop: watch for program terminations and re-partition.
    Run as the body of a simulated thread. *)
 let run t =

@@ -16,8 +16,6 @@ val register : t -> Region.t -> Controller.t -> unit
 val repartition : t -> unit
 val redistribute : t -> unit
 
-val request_stop : t -> unit
-
 val run : t -> unit
 (** Daemon main loop (watch terminations, re-partition); the body of a
     simulated thread. *)

@@ -3,7 +3,7 @@
    Morta owns the worker threads of every region.  Each worker runs the
    task-instance loop of Algorithm 2: invoke the task functor; on
    [task_iterating] count the instance and continue; on [task_paused] or
-   [task_complete] run the task's fini callback, park, and exit.  Parking
+   [task_complete] park and exit.  Parking
    decrements the region's active-worker count under the region monitor;
    the last worker out broadcasts [parked], which a pause waits on.
    Reconfiguration (Section 6.2) pauses the region at a consistent state,
@@ -138,8 +138,7 @@ and subregion_worker eng task tc lane =
     match task.Task.body ctx with
     | Task_status.Iterating -> ctx.Task.iter <- ctx.Task.iter + 1
     | Task_status.Paused | Task_status.Complete -> continue_ := false
-  done;
-  Option.iter (fun f -> f ()) task.Task.fini
+  done
 
 (* Instantiate and run the nested descriptor [cfg.choice] of [task]. *)
 and run_nested eng (task : Task.t) (cfg : Config.t) =
@@ -234,7 +233,6 @@ let region_worker (r : Region.t) (task : Task.t) idx tc lane =
         outcome := Task_status.Complete;
         continue_ := false
   done;
-  Option.iter (fun f -> f ()) task.Task.fini;
   (* The park transition runs under the control-plane monitor: worker
      counting, the first-park ledger stamp and the last-worker status
      decision must be atomic against pause/resume and each other. *)

@@ -2,8 +2,8 @@
 
     Each worker runs the task-instance loop of Algorithm 2: invoke the
     functor; on [task_iterating] count the instance and continue; on
-    [task_paused]/[task_complete] run the fini callback, park (a count
-    under the region monitor that a pause waits out), and exit.
+    [task_paused]/[task_complete] park (a count under the region monitor
+    that a pause waits out) and exit.
     Reconfiguration pauses the region at a consistent state, applies a new
     configuration — possibly a different parallelization scheme — and
     relaunches. *)

@@ -31,7 +31,7 @@ type 'a t = {
 
 (* The operation cost is resolved once, so a send or receive reads no
    machine. *)
-let create ?(capacity = 0) ?op_cost eng name =
+let create ?(capacity = 0) eng name =
   {
     name;
     capacity;
@@ -39,10 +39,7 @@ let create ?(capacity = 0) ?op_cost eng name =
     eng;
     nonempty = Engine.cond_create eng;
     nonfull = Engine.cond_create eng;
-    op_cost =
-      (match op_cost with
-      | Some c -> c
-      | None -> (Engine.machine eng).Machine.chan_op);
+    op_cost = (Engine.machine eng).Machine.chan_op;
     total_sent = 0;
     total_received = 0;
     mx = Chan_metrics.none;

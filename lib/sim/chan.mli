@@ -10,10 +10,10 @@
 
 type 'a t
 
-val create : ?capacity:int -> ?op_cost:int -> Engine.t -> string -> 'a t
+val create : ?capacity:int -> Engine.t -> string -> 'a t
 (** [create eng name] makes an unbounded channel; [capacity > 0] bounds it
-    (senders block when full).  [op_cost] overrides the machine's default
-    per-operation cost, resolved once at creation.  Operation costs are
+    (senders block when full).  Each operation costs the machine's
+    [chan_op], read once at creation.  Operation costs are
     deferred through {!Engine.charge}, so a single channel hop does not
     pay an effect suspension. *)
 

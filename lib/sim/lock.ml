@@ -24,13 +24,13 @@ type t = {
 }
 
 (* The lock cost is resolved once, so an acquisition reads no machine. *)
-let create ?op_cost eng name =
+let create eng name =
   {
     name;
     eng;
     held_by = None;
     available = Engine.cond_create eng;
-    op_cost = (match op_cost with Some c -> c | None -> (Engine.machine eng).Machine.lock_op);
+    op_cost = (Engine.machine eng).Machine.lock_op;
     mx = None;
   }
 

@@ -7,9 +7,9 @@
 
 type t
 
-val create : ?op_cost:int -> Engine.t -> string -> t
-(** A lock between threads of the given engine.  [op_cost], the CPU
-    charged per acquisition, defaults to the machine's [lock_op].  The
+val create : Engine.t -> string -> t
+(** A lock between threads of the given engine.  Each acquisition charges
+    the machine's [lock_op] of CPU, read once at creation.  The
     lock charges through {!Engine.compute_in} and reads the calling
     thread and the clock from the engine, not through effects. *)
 

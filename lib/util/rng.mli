@@ -11,9 +11,6 @@ type t
 val create : int -> t
 (** [create seed] makes a generator with the given seed. *)
 
-val copy : t -> t
-(** Duplicate the generator state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns an independent generator derived
     from it (the splitmix splitting construction). *)

@@ -212,8 +212,8 @@ let render ?(title = "parcae top") ~now_s reg =
 
 (* Spawn the refresher thread: every [interval_ns] of virtual time, force
    the engine's energy/busy-time accounting up to date and write a fresh
-   render of the installed registry to [out]. *)
-let spawn ?(out = stdout) ?title ?(interval_ns = 1_000_000_000) ~stop eng =
+   render of the installed registry to stdout. *)
+let spawn ?title ?(interval_ns = 1_000_000_000) ~stop eng =
   if interval_ns <= 0 then invalid_arg "Dashboard.spawn: interval must be positive";
   Engine.spawn eng ~name:"dashboard" (fun () ->
       while not (stop ()) do
@@ -221,9 +221,7 @@ let spawn ?(out = stdout) ?title ?(interval_ns = 1_000_000_000) ~stop eng =
         ignore (Engine.energy_joules eng);
         Pool.sample_allocs ();
         if Obs.enabled () then begin
-          output_string out
-            (render ?title ~now_s:(Engine.seconds_of_ns (Engine.time eng)) (Obs.current ()));
-          output_char out '\n';
-          flush out
+          print_endline
+            (render ?title ~now_s:(Engine.seconds_of_ns (Engine.time eng)) (Obs.current ()))
         end
       done)

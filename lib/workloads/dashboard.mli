@@ -15,13 +15,13 @@ val render : ?title:string -> now_s:float -> Parcae_obs.Metrics.t -> string
     series. *)
 
 val spawn :
-  ?out:out_channel ->
   ?title:string ->
   ?interval_ns:int ->
   stop:(unit -> bool) ->
   Parcae_platform.Engine.t ->
   Parcae_platform.Engine.thread
-(** Spawn the refresher; it polls [stop] after each interval (default 1 s
-    of virtual time) and exits when it returns [true].  Forces the
+(** Spawn the refresher, which writes each render to stdout; it polls
+    [stop] after each interval (default 1 s of virtual time) and exits
+    when it returns [true].  Forces the
     engine's energy/busy-time accounting up to date before each render.
     @raise Invalid_argument if [interval_ns <= 0]. *)

@@ -86,8 +86,7 @@ let mechanisms : (string * (bool -> mech)) list =
         Some
           (fun app ->
             if flat then
-              Mech.Wq_linear.per_task ~loads:app.App.per_task_loads ~per_item:0.6 ~dpmin:2
-                ~dpmax:24 ()
+              Mech.Wq_linear.per_task ~loads:app.App.per_task_loads ~dpmin:2 ~dpmax:24 ()
             else
               Mech.Wq_linear.nested ~load:app.App.wq_load ~dpmin:1 ~dpmax:app.App.dpmax
                 ~qmax:20.0 ~make_config:(Option.get app.App.inner_dop_config) ()) );
@@ -143,41 +142,33 @@ let run_app ~horizon_ns ~config ?mechanism ?(period_ns = 100_000_000) ?on_start 
 
 (* Measure the maximum sustainable throughput (requests/s) of the
    application: M requests in batch, outer loop wide open, inner loops
-   sequential — exactly the paper's definition of max throughput. *)
-let max_throughput ?(m = 300) ?(seed = 17) ?backend ~machine make_app =
+   sequential — exactly the paper's definition of max throughput.  Flat
+   pipelines have no "outer-only" config; their baseline is the even
+   static distribution. *)
+let batch_max_throughput ~flat ?(m = 300) ?(seed = 17) ?backend ~machine make_app =
   let eng = make_engine ?backend machine in
   let budget = engine_budget eng machine in
   let app : App.t = make_app ~budget eng in
   let rng = Rng.create seed in
   ignore
     (Load_gen.spawn_batch ~rng ~m ~queue:app.App.queue ~metrics:app.App.metrics eng);
-  let horizon_ns =
-    (* Generous: m requests, fully serialized, 4x slack. *)
-    m * app.App.seq_request_ns / budget * 8 + 2_000_000_000
+  let config, horizon_ns =
+    if flat then ("even", (m * app.App.seq_request_ns) + 10_000_000_000)
+    else
+      (* Generous: m requests, fully serialized, 4x slack. *)
+      ("outer-only", (m * app.App.seq_request_ns / budget * 8) + 2_000_000_000)
   in
   let app, _region =
-    run_app ~horizon_ns ~config:(App.config app "outer-only") ~feed:(fun _ -> ())
-      ~budget app
+    run_app ~horizon_ns ~config:(App.config app config) ~feed:(fun _ -> ()) ~budget app
   in
   Engine.shutdown eng;
   Metrics.throughput app.App.metrics
 
-(* For flat pipelines the "outer-only" config doesn't exist; their max
-   throughput baseline is the even static distribution. *)
-let max_throughput_flat ?(m = 300) ?(seed = 17) ?backend ~machine make_app =
-  let eng = make_engine ?backend machine in
-  let budget = engine_budget eng machine in
-  let app : App.t = make_app ~budget eng in
-  let rng = Rng.create seed in
-  ignore
-    (Load_gen.spawn_batch ~rng ~m ~queue:app.App.queue ~metrics:app.App.metrics eng);
-  let horizon_ns = (m * app.App.seq_request_ns) + 10_000_000_000 in
-  let app, _region =
-    run_app ~horizon_ns ~config:(App.config app "even") ~feed:(fun _ -> ())
-      ~budget app
-  in
-  Engine.shutdown eng;
-  Metrics.throughput app.App.metrics
+let max_throughput ?m ?seed ?backend ~machine make_app =
+  batch_max_throughput ~flat:false ?m ?seed ?backend ~machine make_app
+
+let max_throughput_flat ?m ?seed ?backend ~machine make_app =
+  batch_max_throughput ~flat:true ?m ?seed ?backend ~machine make_app
 
 (* Run a server experiment: [m] Poisson arrivals at [rate_per_s], initial
    configuration [config], optional mechanism. *)

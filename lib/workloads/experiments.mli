@@ -38,6 +38,14 @@ type backend = [ `Sim | `Native of int option ]
     optional domain-pool size ([machine] then only sizes budgets and
     horizons — the work really runs on domains in real time). *)
 
+val make_engine : ?backend:backend -> Parcae_sim.Machine.t -> Parcae_platform.Engine.t
+(** A simulator engine over the machine, or a native engine with the
+    backend's pool size. *)
+
+val engine_budget : Parcae_platform.Engine.t -> Parcae_sim.Machine.t -> int
+(** The thread budget an engine offers: the machine's cores on the
+    simulator, the online cores but at least 4 on native. *)
+
 val max_throughput :
   ?m:int ->
   ?seed:int ->

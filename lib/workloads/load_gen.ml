@@ -14,11 +14,14 @@ module Chan = Parcae_platform.Chan
 module Pipeline = Parcae_core.Pipeline
 module Rng = Parcae_util.Rng
 
+(* Relative standard deviation of the gaussian per-request scale factors
+   around 1.0. *)
+let jitter = 0.08
+
 (* Generate [m] requests at [rate_per_s] (Poisson) into [queue], recording
-   submissions in [metrics].  Per-request scale factors are gaussian around
-   1.0 with [jitter] relative standard deviation.  When [eos] is set, a
-   flush sentinel follows the last request. *)
-let generator ?(jitter = 0.08) ?(eos = true) ~rng ~rate_per_s ~m ~queue ~metrics () =
+   submissions in [metrics]; an end-of-stream sentinel follows the last
+   request. *)
+let generator ~rng ~rate_per_s ~m ~queue ~metrics () =
   let next_id = ref 0 in
   for _ = 1 to m do
     let gap = Rng.exponential rng ~rate:rate_per_s in
@@ -30,12 +33,12 @@ let generator ?(jitter = 0.08) ?(eos = true) ~rng ~rate_per_s ~m ~queue ~metrics
     Metrics.note_submit metrics;
     Pipeline.send queue req
   done;
-  if eos then Pipeline.inject_eos queue
+  Pipeline.inject_eos queue
 
 (* Enqueue [m] requests all arriving at time ~0 — the batch mode used by
    the throughput experiments (Table 8.5, Figures 8.6-8.7).  Like
    [generator], this is a simulated-thread body. *)
-let batch ?(jitter = 0.08) ?(eos = true) ~rng ~m ~queue ~metrics () =
+let batch ~rng ~m ~queue ~metrics () =
   (* One batched enqueue for the whole burst: a single [chan_op] charge
      (amortized communication) instead of m, which matters exactly here —
      the work-queue hot path every batch experiment funnels through. *)
@@ -48,11 +51,11 @@ let batch ?(jitter = 0.08) ?(eos = true) ~rng ~m ~queue ~metrics () =
         Pipeline.Item req)
   in
   Chan.send_batch queue reqs;
-  if eos then Pipeline.inject_eos queue
+  Pipeline.inject_eos queue
 
-let spawn_generator ?jitter ?eos ~rng ~rate_per_s ~m ~queue ~metrics eng =
+let spawn_generator ~rng ~rate_per_s ~m ~queue ~metrics eng =
   Engine.spawn eng ~name:"load-generator" (fun () ->
-      generator ?jitter ?eos ~rng ~rate_per_s ~m ~queue ~metrics ())
+      generator ~rng ~rate_per_s ~m ~queue ~metrics ())
 
-let spawn_batch ?jitter ?eos ~rng ~m ~queue ~metrics eng =
-  Engine.spawn eng ~name:"batch-loader" (fun () -> batch ?jitter ?eos ~rng ~m ~queue ~metrics ())
+let spawn_batch ~rng ~m ~queue ~metrics eng =
+  Engine.spawn eng ~name:"batch-loader" (fun () -> batch ~rng ~m ~queue ~metrics ())

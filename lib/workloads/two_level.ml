@@ -62,16 +62,16 @@ let run_inner_pipe eng ~alpha (req : Request.t) ~items ~stage_ns (cfg : Config.t
   let middles =
     List.init (nstages - 2) (fun s ->
         let i = s + 1 in
-        Pipeline.stage ~name:(Printf.sprintf "stage%d" i) ~input:queues.(i - 1)
-          ~forward:(Pipeline.forward_to queues.(i))
+        Pipeline.drain_stage ~max_batch:1 ~name:(Printf.sprintf "stage%d" i)
+          ~input:queues.(i - 1) ~forward:(Pipeline.forward_to queues.(i))
           (fun _ctx item ->
             App.compute_scaled_fp eng ~alpha_fp req stage_ns.(i);
             Pipeline.send queues.(i) item;
             Task_status.Iterating))
   in
   let tail =
-    Pipeline.stage ~ttype:Task.Seq ~name:"write" ~input:queues.(nstages - 2)
-      ~forward:(fun _ -> ())
+    Pipeline.drain_stage ~max_batch:1 ~ttype:Task.Seq ~name:"write"
+      ~input:queues.(nstages - 2) ~forward:(fun _ -> ())
       (fun _ctx _item ->
         App.compute_scaled_fp eng ~alpha_fp req stage_ns.(nstages - 1);
         Task_status.Iterating)

@@ -27,4 +27,5 @@ let () =
       ("timeline", Test_timeline.suite);
       ("sanitize", Test_sanitize.suite);
       ("span", Test_span.suite);
+      ("claims", Test_claims.suite);
     ]

@@ -141,6 +141,76 @@ let test_forward_to () =
   ignore (Engine.run eng);
   check_bool "sentinels in order" true !ok
 
+(* The claim size of [drain_stage]: with the input well past 2 x DoP, a
+   [~max_batch:1] stage takes one item per invocation for one receive,
+   the per-item stage every inner pipeline uses; a default stage claims
+   [min 4 (depth / dop)] items, at least 1, for one receive.  Each
+   invocation is timed with its deferred channel charges flushed: one
+   receive is one [chan_op]. *)
+let test_drain_stage_claim_size () =
+  let depth = 40 and dop = 3 in
+  let op = (Machine.test_machine ()).Machine.chan_op in
+  (* (depth before, ctx.items, body calls, items taken, ns) per invocation *)
+  let claims ?max_batch () =
+    let eng = Engine.create (Machine.test_machine ()) in
+    let se = Option.get (Engine.sim_engine eng) in
+    let input = Chan.create eng "in" in
+    let calls = ref 0 and out = ref [] in
+    let st =
+      Pipeline.drain_stage ?max_batch ~name:"s" ~input ~forward:ignore (fun _ _ ->
+          incr calls;
+          Task_status.Iterating)
+    in
+    let ctx =
+      {
+        Task.lane = 0;
+        dop;
+        iter = 0;
+        items = -1;
+        get_status = (fun () -> Task_status.Iterating);
+        hook_begin = ignore;
+        hook_end = ignore;
+        nested_cfg = None;
+        run_nested = ignore;
+      }
+    in
+    let _ =
+      Engine.spawn eng ~name:"t" (fun () ->
+          for i = 1 to depth do
+            Pipeline.send input i
+          done;
+          while Chan.length input > 0 do
+            let d = Chan.length input and c0 = !calls in
+            ignore (Parcae_sim.Engine.flush_charges se : bool);
+            let t0 = Engine.now () in
+            ctx.Task.items <- -1;
+            let status = st.Pipeline.task.Task.body ctx in
+            ignore (Parcae_sim.Engine.flush_charges se : bool);
+            check_bool "stage keeps iterating" true (status = Task_status.Iterating);
+            out :=
+              (d, ctx.Task.items, !calls - c0, d - Chan.length input, Engine.now () - t0) :: !out
+          done)
+    in
+    ignore (Engine.run eng);
+    check_int "every item processed" depth !calls;
+    List.rev !out
+  in
+  let check_claims what expect cs =
+    List.iter
+      (fun (d, items, calls, taken, ns) ->
+        let k = expect d in
+        let at = Printf.sprintf "%s at depth %d" what d in
+        check_int (at ^ ": ctx.items") k items;
+        check_int (at ^ ": body calls") k calls;
+        check_int (at ^ ": items taken") k taken;
+        check_int (at ^ ": one receive") op ns)
+      cs
+  in
+  let single = claims ~max_batch:1 () in
+  check_int "max_batch:1: one invocation per item" depth (List.length single);
+  check_claims "max_batch:1" (fun _ -> 1) single;
+  check_claims "default" (fun d -> max 1 (min 4 (d / dop))) (claims ())
+
 (* ---------------------------- Machine ---------------------------- *)
 
 let test_machine_power () =
@@ -167,5 +237,6 @@ let suite =
     Alcotest.test_case "pipeline: reset moves a stranding eos" `Quick
       test_pipeline_reset_moves_stranding_eos;
     Alcotest.test_case "pipeline: forward_to" `Quick test_forward_to;
+    Alcotest.test_case "pipeline: drain_stage claim size" `Quick test_drain_stage_claim_size;
     Alcotest.test_case "machine: power model" `Quick test_machine_power;
   ]

@@ -382,7 +382,7 @@ let ledger_pipeline eng =
         end)
   in
   let transform =
-    Pipeline.stage ~name:"transform" ~input:q1 ~load:(Pipeline.load q1)
+    Pipeline.drain_stage ~max_batch:1 ~name:"transform" ~input:q1 ~load:(Pipeline.load q1)
       ~forward:(Pipeline.forward_to q2)
       (fun _ctx v ->
         Engine.compute 50_001;
@@ -390,7 +390,7 @@ let ledger_pipeline eng =
         Task_status.Iterating)
   in
   let consume =
-    Pipeline.stage ~ttype:Task.Seq ~name:"consume" ~input:q2
+    Pipeline.drain_stage ~max_batch:1 ~ttype:Task.Seq ~name:"consume" ~input:q2
       ~forward:(fun _ -> ())
       (fun _ctx _ ->
         incr consumed;

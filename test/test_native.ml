@@ -36,7 +36,7 @@ let run_pipeline eng =
         end)
   in
   let transform =
-    Pipeline.stage ~name:"transform" ~input:q1 ~load:(Pipeline.load q1)
+    Pipeline.drain_stage ~max_batch:1 ~name:"transform" ~input:q1 ~load:(Pipeline.load q1)
       ~forward:(Pipeline.forward_to q2)
       (fun _ctx v ->
         Engine.compute work_ns;
@@ -44,7 +44,7 @@ let run_pipeline eng =
         Task_status.Iterating)
   in
   let consume =
-    Pipeline.stage ~ttype:Task.Seq ~name:"consume" ~input:q2
+    Pipeline.drain_stage ~max_batch:1 ~ttype:Task.Seq ~name:"consume" ~input:q2
       ~forward:(fun _ -> ())
       (fun _ctx _ ->
         incr consumed;
@@ -186,7 +186,7 @@ let wl_pipe ~seed eng =
         end)
   in
   let transform =
-    Pipeline.stage ~name:"transform" ~input:q1 ~load:(Pipeline.load q1)
+    Pipeline.drain_stage ~max_batch:1 ~name:"transform" ~input:q1 ~load:(Pipeline.load q1)
       ~forward:(Pipeline.forward_to q2)
       (fun _ctx v ->
         Engine.compute 20_000;
@@ -194,7 +194,7 @@ let wl_pipe ~seed eng =
         Task_status.Iterating)
   in
   let consume =
-    Pipeline.stage ~ttype:Task.Seq ~name:"consume" ~input:q2
+    Pipeline.drain_stage ~max_batch:1 ~ttype:Task.Seq ~name:"consume" ~input:q2
       ~forward:(fun _ -> ())
       (fun _ctx v ->
         Atomic.incr count;
@@ -234,7 +234,7 @@ let wl_flat ~seed eng =
         end)
   in
   let work =
-    Pipeline.stage ~name:"work" ~input:q1 ~load:(Pipeline.load q1)
+    Pipeline.drain_stage ~max_batch:1 ~name:"work" ~input:q1 ~load:(Pipeline.load q1)
       ~forward:(fun _ -> ())
       (fun _ctx v ->
         Engine.compute 20_000;

@@ -258,9 +258,7 @@ let test_psdswp_dop_changes () =
 
 let test_flags_unoptimized_still_correct () =
   (* Chapter 7 optimizations off: slower but still correct. *)
-  let flags =
-    { Flex.hoist_state = false; privatize_reductions = false; heap_op_ns = 40 }
-  in
+  let flags = { Flex.hoist_state = false; privatize_reductions = false } in
   let loop = Kernels.kmeans ~n:300 () in
   let c = Compiler.compile loop in
   let eng = Engine.create machine in

@@ -36,7 +36,7 @@ let make_pipeline ?(work = 100) eng n =
         end)
   in
   let transform =
-    Pipeline.stage ~name:"transform" ~input:q1 ~load:(Pipeline.load q1)
+    Pipeline.drain_stage ~max_batch:1 ~name:"transform" ~input:q1 ~load:(Pipeline.load q1)
       ~forward:(Pipeline.forward_to q2)
       (fun ctx v ->
         ctx.Task.hook_begin ();
@@ -46,7 +46,7 @@ let make_pipeline ?(work = 100) eng n =
         Task_status.Iterating)
   in
   let consume =
-    Pipeline.stage ~ttype:Task.Seq ~name:"consume" ~input:q2
+    Pipeline.drain_stage ~max_batch:1 ~ttype:Task.Seq ~name:"consume" ~input:q2
       ~forward:(fun _ -> ())
       (fun _ctx v ->
         consumed := v :: !consumed;
@@ -280,7 +280,7 @@ let test_pause_on_blocked_master () =
   let wq = Chan.create eng "wq" in
   let served = ref 0 in
   let master =
-    Pipeline.stage ~poll:true ~name:"serve" ~input:wq
+    Pipeline.drain_stage ~max_batch:1 ~poll:true ~name:"serve" ~input:wq
       ~forward:(fun _ -> ())
       (fun _ctx () ->
         incr served;

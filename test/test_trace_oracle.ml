@@ -54,7 +54,7 @@ let mechanism_for name (flat : bool) : App.t -> R.Morta.mechanism =
   | "wq-linear" ->
       fun app ->
         if flat then
-          Mech.Wq_linear.per_task ~loads:app.App.per_task_loads ~per_item:0.6 ~dpmin:2 ~dpmax:24 ()
+          Mech.Wq_linear.per_task ~loads:app.App.per_task_loads ~dpmin:2 ~dpmax:24 ()
         else
           Mech.Wq_linear.nested ~load:app.App.wq_load ~dpmin:1 ~dpmax:app.App.dpmax ~qmax:20.0
             ~make_config:(Option.get app.App.inner_dop_config) ()
