@@ -6,10 +6,11 @@
     gives every event a unique key (see {!Parcae_sim.Engine}), which makes
     it fully deterministic even when it pushes an event late.
 
-    Storage is parallel arrays (the four key parts and the payload), so
-    [push] and the [top_time]/[pop_into] pair allocate nothing — the
-    simulator's event loop runs them once per scheduling decision.  A
-    popped payload is not retained by the queue. *)
+    Storage is one [int array] of five-int rows (the four key parts and a
+    payload slot) plus a slot table for the payloads, so sifting moves
+    ints only, and [push] and the [top_time]/[pop_into] pair allocate
+    nothing — the simulator's event loop runs them once per scheduling
+    decision.  A popped payload is not retained by the queue. *)
 
 type 'a t
 

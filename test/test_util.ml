@@ -6,6 +6,11 @@ open Parcae_util
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
 
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
 (* ---------------------------- Rng ---------------------------- *)
 
 let test_rng_determinism () =
@@ -255,6 +260,9 @@ let test_pqueue_peek () =
   Alcotest.(check string) "pop_into payload" "early" (Pqueue.pop_into q k);
   Alcotest.(check (list int)) "pop_into key" [ 2; 1; 2; 1 ] [ k.time; k.push; k.first; k.seq ]
 
+(* The documented order, written independently of [Pqueue.key_before]. *)
+let pq_cmp (t, p, f, s) (t', p', f', s') = compare (t, p, -f, s) (t', p', -f', s')
+
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops keys in nondecreasing order" ~count:200
     QCheck.(list (quad small_int small_int small_int small_int))
@@ -263,15 +271,154 @@ let prop_pqueue_sorted =
       (* The index makes every key unique, as the simulator's keys are. *)
       let keys = List.mapi (fun i (t, p, f, s) -> (t, p, f, (s * 1000) + i)) keys in
       List.iter (fun ((time, push, first, seq) as k) -> Pqueue.push q ~time ~push ~first ~seq k) keys;
-      let cmp (t, p, f, s) (t', p', f', s') = compare (t, p, -f, s) (t', p', -f', s') in
-      pqueue_drain q = List.sort cmp keys)
+      pqueue_drain q = List.sort pq_cmp keys)
+
+type pq_op = Push_a | Push_b | Pop_a | Pop_b
+
+(* Interleaved pushes and pops on two queues, [a] taking most of the
+   traffic.  Each operation carries a key: the pushed key (made unique by
+   the push index), or a probe for [before_top].  Every key part takes two
+   or three values, so each tie-break decides some comparisons.  [a]
+   climbs to a peak of 12 to 160 entries while popping, crossing the 16-,
+   32-, 64- and 128-entry doublings on the larger peaks, and then both
+   queues drain; a pop of an empty queue stays in the sequence. *)
+let gen_pq_ops st =
+  let peak = [| 12; 24; 48; 96; 160 |].(Random.State.int st 5) in
+  let ops = ref [] and na = ref 0 and nb = ref 0 and climbing = ref true in
+  while !climbing || !na > 0 || !nb > 0 do
+    if !na >= peak then climbing := false;
+    let r = Random.State.int st 10 in
+    (* Cumulative odds out of 10: climbing favours pushes to [a]. *)
+    let push_a, push_b, pop_a = if !climbing then (6, 7, 9) else (2, 3, 8) in
+    let op =
+      if r < push_a then Push_a
+      else if r < push_b then Push_b
+      else if r < pop_a then Pop_a
+      else Pop_b
+    in
+    (match op with
+    | Push_a -> incr na
+    | Push_b -> incr nb
+    | Pop_a -> na := max 0 (!na - 1)
+    | Pop_b -> nb := max 0 (!nb - 1));
+    let part n = Random.State.int st n in
+    let key = (part 3, part 3, part 3, part 2) in
+    ops := (op, key) :: !ops
+  done;
+  List.rev !ops
+
+let print_pq_ops ops =
+  String.concat " "
+    (List.map
+       (fun (op, (t, p, f, s)) ->
+         let o = match op with Push_a -> "+a" | Push_b -> "+b" | Pop_a -> "-a" | Pop_b -> "-b" in
+         Printf.sprintf "%s(%d,%d,%d,%d)" o t p f s)
+       ops)
+
+(* Run [ops] against sorted-list models, checking after every operation
+   each queue's length, top time and [before_top] on the operation's key,
+   [key_before] against the model order, and which queue [min_of] picks;
+   every pop must return the model's minimum key and its payload. *)
+let pq_check_ops ops =
+  let a = Pqueue.create () and b = Pqueue.create () in
+  let ma = ref [] and mb = ref [] in
+  let k = { Pqueue.time = 0; push = 0; first = 0; seq = 0 } in
+  let pushed = ref 0 in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let head m = match m with [] -> None | key :: _ -> Some key in
+  let step (op, ((t, p, f, s) as probe)) =
+    (match op with
+    | Push_a | Push_b ->
+        let q, m = if op = Push_a then (a, ma) else (b, mb) in
+        let seq = (s * 1000) + !pushed in
+        let key = (t, p, f, seq) in
+        incr pushed;
+        (* The payload is the key itself: a fresh block per push. *)
+        Pqueue.push q ~time:t ~push:p ~first:f ~seq key;
+        m := List.merge pq_cmp [ key ] !m
+    | Pop_a | Pop_b -> (
+        let q, m = if op = Pop_a then (a, ma) else (b, mb) in
+        match !m with
+        | [] -> (
+            match Pqueue.pop_into q k with
+            | _ -> fail "pop_into of an empty queue returned"
+            | exception Invalid_argument _ -> ())
+        | want :: rest ->
+            let got = Pqueue.pop_into q k in
+            if (k.time, k.push, k.first, k.seq) <> want then
+              fail "popped key differs from the model";
+            if got != want then fail "popped payload differs from the model";
+            m := rest));
+    List.iter
+      (fun (name, q, m) ->
+        if Pqueue.length q <> List.length m then
+          fail "%s: length %d, model %d" name (Pqueue.length q) (List.length m);
+        if Pqueue.is_empty q <> (m = []) then fail "%s: is_empty" name;
+        let top = match head m with None -> max_int | Some (t, _, _, _) -> t in
+        if Pqueue.top_time q <> top then
+          fail "%s: top_time %d, model %d" name (Pqueue.top_time q) top;
+        let want = match head m with None -> true | Some h -> pq_cmp probe h < 0 in
+        if Pqueue.before_top q t p f s <> want then fail "%s: before_top" name;
+        match head m with
+        | Some ((t', p', f', s') as h) ->
+            if Pqueue.key_before t p f s t' p' f' s' <> (pq_cmp probe h < 0) then fail "key_before"
+        | None -> ())
+      [ ("a", a, !ma); ("b", b, !mb) ];
+    let want =
+      match (head !ma, head !mb) with
+      | None, _ -> b
+      | _, None -> a
+      | Some ha, Some hb -> if pq_cmp ha hb < 0 then a else b
+    in
+    if Pqueue.min_of a b != want then fail "min_of picked the wrong queue"
+  in
+  List.iter step ops;
+  true
+
+let prop_pqueue_interleaved =
+  QCheck.Test.make ~name:"pqueue: interleaved push/pop matches a sorted-list model" ~count:300
+    (QCheck.make ~print:print_pq_ops ~shrink:QCheck.Shrink.list gen_pq_ops)
+    pq_check_ops
+
+(* Pushed from its own frame, so no local of the test keeps the payload
+   alive; [w] is the only other reference to it. *)
+let[@inline never] pqueue_push_watched q w ~time =
+  let v = Bytes.make 8 'x' in
+  Weak.set w 0 (Some v);
+  Pqueue.push q ~time ~push:0 ~first:time ~seq:time v
+
+let[@inline never] pqueue_pop_ignore q k = ignore (Pqueue.pop_into q k : Bytes.t)
+
+let test_pqueue_alloc_retention () =
+  let k = { Pqueue.time = 0; push = 0; first = 0; seq = 0 } in
+  let q = Pqueue.create () and v = "payload" in
+  for i = 0 to 63 do
+    Pqueue.push q ~time:i ~push:0 ~first:i ~seq:i v
+  done;
+  (* Full at 64 entries: one pop leaves room for the pairs' pushes.
+     Pseudo-random times: each push sifts up some levels, each pop down. *)
+  ignore (Pqueue.pop_into q k : string);
+  check_int "10 000 push/pop_into pairs after warm-up growth" 0
+    (minor_words (fun () ->
+         for i = 64 to 10_063 do
+           let time = i * 7919 mod 1009 in
+           Pqueue.push q ~time ~push:0 ~first:time ~seq:i v;
+           ignore (Pqueue.pop_into q k : string)
+         done));
+  check_int "length" 63 (Pqueue.length q);
+  (* A popped payload is not pinned by the slot table of a live queue. *)
+  let q = Pqueue.create () and w = Weak.create 1 in
+  for i = 1 to 20 do
+    Pqueue.push q ~time:i ~push:0 ~first:i ~seq:i (Bytes.make 8 'y')
+  done;
+  pqueue_push_watched q w ~time:0;
+  pqueue_pop_ignore q k;
+  check_int "popped the watched payload" 0 k.time;
+  Gc.full_major ();
+  Alcotest.(check bool) "popped payload collected" false (Weak.check w 0);
+  check_int "the others stay queued" 20 (Pqueue.length q)
 
 (* ---------------------------- Ring --------------------------- *)
-
-let minor_words f =
-  let before = Gc.minor_words () in
-  f ();
-  int_of_float (Gc.minor_words () -. before)
 
 let test_ring () =
   (* A fresh ring allocates its record (three fields and a header) and
@@ -391,6 +538,9 @@ let suite =
     Alcotest.test_case "pqueue: order" `Quick test_pqueue_order;
     Alcotest.test_case "pqueue: peek/length" `Quick test_pqueue_peek;
     QCheck_alcotest.to_alcotest prop_pqueue_sorted;
+    QCheck_alcotest.to_alcotest prop_pqueue_interleaved;
+    Alcotest.test_case "pqueue: no allocation, popped payloads collectable" `Quick
+      test_pqueue_alloc_retention;
     Alcotest.test_case "ring: never-pushed ring, first push, FIFO" `Quick test_ring;
     Alcotest.test_case "series: basic" `Quick test_series;
     Alcotest.test_case "series: bucketed" `Quick test_series_bucketed;
