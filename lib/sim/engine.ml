@@ -11,6 +11,12 @@
    engine owns a virtual clock, a preemptive round-robin scheduler with a
    finite number of cores, and integrates platform power over time.
 
+   The event loop is a chain of tail calls ([step]): the handler arm of
+   a suspension pops the next event and continues the next thread's
+   continuation itself, without returning to a loop, so a run takes
+   the same stack for any number of events.  Only a thread's first turn
+   starts from [process]'s own frame ([drive]).
+
    Determinism: every event carries a unique explicit key (see [push_wake]
    and [start_run]) and all waiter sets are FIFO queues, so a simulation
    with a fixed seed always produces the same trace. *)
@@ -67,6 +73,11 @@ let bind_metrics reg =
   }
 
 let unbound = bind_metrics Metrics.null
+
+(* Int-only [min] and [max].  Stdlib's are polymorphic and compare
+   through a C call; the event loop takes about two per event. *)
+let min (a : int) b = if a <= b then a else b
+let max (a : int) b = if a >= b then a else b
 
 type time = int
 
@@ -144,6 +155,9 @@ and t = {
   spare : Pqueue.key;  (* scratch for [materialize] *)
   mutable limit : time;  (* [until] of the [run] in progress *)
   mutable inlined : int;  (* burst ends processed by [inline_burst] *)
+  mutable processed : int;  (* events popped by [step] *)
+  mutable starting : thread option;
+      (* a thread whose first turn [step] met: [drive] starts it *)
   mutable mx : scheduler_metrics;  (* see [bind_installed] *)
 }
 
@@ -193,6 +207,8 @@ let create machine =
     spare = { time = 0; push = 0; first = 0; seq = 0 };
     limit = max_int;
     inlined = 0;
+    processed = 0;
+    starting = None;
     mx = unbound;
   }
 
@@ -402,7 +418,7 @@ let queue_run eng th ~from ~push ~first ~seq =
   end
 
 (* Competition appeared: move every coasting run to [eng.events] at its
-   next quantum boundary, where [handle_event] extends or preempts it as
+   next quantum boundary, where [step] extends or preempts it as
    it always has.  A boundary at [now] has already passed iff its key
    sorts before the key of the event being processed. *)
 let materialize eng =
@@ -497,23 +513,89 @@ let broadcast c =
     wake c.ceng (Ring.pop c.cwaiters)
   done
 
-(* Run one "turn" of a thread: resume it and let it execute OCaml code until
-   it performs the next blocking effect (or returns). *)
-let run_turn eng th =
-  let saved = eng.current in
-  eng.current <- th.self_opt;
+(* ------------------------------------------------------------------ *)
+(* The event loop: a chain of tail calls.                              *)
+(*                                                                     *)
+(* [step] pops events until one resumes a thread and continues that    *)
+(* thread in tail position.  Every handler arm ends by tail-calling    *)
+(* [step], so a suspending thread switches straight to the next        *)
+(* thread's continuation and the stack does not grow.  Nothing may     *)
+(* follow a call to [step] or [resume] on the chain: no code after it, *)
+(* no [try], no [Fun.protect], or each event leaves a frame behind.    *)
+(* [step] returns to [process] when both queues are empty, when the    *)
+(* next event is past [limit], or when the next thread to run has not  *)
+(* started: a first turn goes through [match_with], which is not a     *)
+(* tail call, so [drive] starts it from its own frame.                 *)
+(* ------------------------------------------------------------------ *)
+
+let rec step eng =
+  let q = Pqueue.min_of eng.coasting eng.events in
+  let t = Pqueue.top_time q in
+  if (t = max_int && Pqueue.is_empty q) || t > eng.limit then ()
+  else begin
+    let ev = Pqueue.pop_into q eng.cur in
+    eng.now <- max eng.now t;
+    eng.processed <- eng.processed + 1;
+    bind_installed eng;
+    match ev with
+    | Wake th when th.state <> Finished -> resume eng th
+    | Slice_end th when th.state = Running ->
+        th.need <- th.need - th.chunk;
+        th.busy_ns <- th.busy_ns + th.chunk;
+        if th.need <= 0 then
+          (* Burst complete: keep the core and resume the thread; its next
+             effect decides whether the core is released. *)
+          resume eng th
+        else begin
+          eng.current <- None;
+          if uncontended eng then
+            (* No competition: extend on the same core without a switch;
+               the run keeps its first boundary and sequence number. *)
+            queue_run eng th ~from:eng.now ~push:eng.now ~first:eng.cur.first ~seq:eng.cur.seq
+          else begin
+            (* Preempt: go to the back of the run queue. *)
+            release_core eng th;
+            make_runnable eng th
+          end;
+          step eng
+        end
+    | Wake _ | Slice_end _ ->
+        (* Stale: the thread finished, or left its core. *)
+        eng.current <- None;
+        step eng
+  end
+
+(* Give [th] its turn: continue it in tail position, or leave its first
+   turn to [drive]. *)
+and resume eng th =
   let k = th.kont in
   if k != kont_nil then begin
+    eng.current <- th.self_opt;
     th.kont <- kont_nil;
     Effect.Deep.continue (Obj.obj k : (unit, unit) Effect.Deep.continuation) ()
   end
-  else (
+  else
     match th.cont with
-    | None -> ()
-    | Some go ->
-        th.cont <- None;
-        go ());
-  eng.current <- saved
+    | Some _ -> eng.starting <- th.self_opt
+    | None ->
+        eng.current <- None;
+        step eng
+
+(* Start the pending first turns.  Each runs the chain from this frame
+   until [step] returns; a first turn met on the way is started before
+   any later event, so none overtakes it. *)
+let rec drive eng =
+  match eng.starting with
+  | None -> ()
+  | Some th ->
+      eng.starting <- None;
+      (match th.cont with
+      | Some go ->
+          th.cont <- None;
+          eng.current <- th.self_opt;
+          go ()
+      | None -> ());
+      drive eng
 
 let finish eng th =
   if Trace.enabled () then Trace.task_done ~t:eng.now ~task:th.tid ~busy_ns:th.busy_ns;
@@ -528,7 +610,8 @@ let finish eng th =
 (* The handler's [effc] runs once per suspension; anything it allocates
    is a per-suspension tax on the serve path.  So every arm's
    continuation-consumer is built ONCE here (per thread, at spawn) and the
-   arms return the prebuilt [Some fn]. *)
+   arms return the prebuilt [Some fn].  Each arm, and [retc], ends with
+   [step] in tail position. *)
 let rec handler eng th : (unit, unit) Effect.Deep.handler =
   let open Effect.Deep in
   let on_burst =
@@ -546,7 +629,8 @@ let rec handler eng th : (unit, unit) Effect.Deep.handler =
              below the held cores: go through the scheduler. *)
           release_core eng th;
           make_runnable eng th
-        end)
+        end;
+        step eng)
   in
   let on_yield =
     Some
@@ -554,7 +638,8 @@ let rec handler eng th : (unit, unit) Effect.Deep.handler =
         th.kont <- Obj.repr k;
         th.need <- 0;
         release_core eng th;
-        make_runnable eng th)
+        make_runnable eng th;
+        step eng)
   in
   let on_sleep =
     Some
@@ -562,7 +647,8 @@ let rec handler eng th : (unit, unit) Effect.Deep.handler =
         th.kont <- Obj.repr k;
         th.state <- Blocked;
         release_core eng th;
-        push_wake eng th.wake_at th)
+        push_wake eng th.wake_at th;
+        step eng)
   in
   let on_block =
     Some
@@ -570,14 +656,19 @@ let rec handler eng th : (unit, unit) Effect.Deep.handler =
         th.kont <- Obj.repr k;
         th.state <- Blocked;
         release_core eng th;
-        Ring.push th.wait_cond.cwaiters th)
+        Ring.push th.wait_cond.cwaiters th;
+        step eng)
   in
   {
-    retc = (fun () -> finish eng th);
+    retc =
+      (fun () ->
+        finish eng th;
+        step eng);
     exnc =
       (fun e ->
         th.failed <- Some e;
         finish eng th;
+        eng.current <- None;
         raise (Thread_failure (th.tname, e)));
     effc =
       (fun (type a) (eff : a Effect.t) :
@@ -702,59 +793,23 @@ let join th =
     wait_on th.done_cond
   done
 
-let handle_event eng ev =
-  match ev with
-  | Wake th -> if th.state <> Finished then run_turn eng th
-  | Slice_end th ->
-      if th.state = Running then begin
-        th.need <- th.need - th.chunk;
-        th.busy_ns <- th.busy_ns + th.chunk;
-        if th.need <= 0 then begin
-          (* Burst complete: keep the core and resume the thread; its next
-             effect decides whether the core is released. *)
-          run_turn eng th
-        end
-        else if uncontended eng then
-          (* No competition: extend on the same core without a switch;
-             the run keeps its first boundary and sequence number. *)
-          queue_run eng th ~from:eng.now ~push:eng.now ~first:eng.cur.first ~seq:eng.cur.seq
-        else begin
-          (* Preempt: go to the back of the run queue. *)
-          release_core eng th;
-          make_runnable eng th
-        end
-      end
-
-(* Process events until the queue is empty or virtual time would exceed
-   [until].  Returns the number of events processed, burst ends finished
-   by [inline_burst] included. *)
+(* Process events until both queues are empty or virtual time would
+   exceed [until].  Returns the number of events processed, burst ends
+   finished by [inline_burst] included. *)
 let process eng until =
-  let processed = ref 0 and inlined = eng.inlined in
-  let continue_ = ref true in
+  let processed = eng.processed and inlined = eng.inlined and saved = eng.current in
   eng.limit <- until;
   bind_installed eng;
-  while !continue_ do
-    let q = Pqueue.min_of eng.coasting eng.events in
-    let t = Pqueue.top_time q in
-    if t = max_int && Pqueue.is_empty q then continue_ := false
-    else if t > until then begin
-      eng.now <- max eng.now until;
-      account_energy eng;
-      continue_ := false
-    end
-    else begin
-      let ev = Pqueue.pop_into q eng.cur in
-      eng.now <- max eng.now t;
-      incr processed;
-      bind_installed eng;
-      handle_event eng ev
-    end
-  done;
+  step eng;
+  drive eng;
+  eng.current <- saved;
+  if not (Pqueue.is_empty eng.events && Pqueue.is_empty eng.coasting) then
+    eng.now <- max eng.now until;
   eng.cur.push <- max_int;
   eng.cur.first <- min_int;
   eng.cur.seq <- max_int;
   account_energy eng;
-  !processed + (eng.inlined - inlined)
+  eng.processed - processed + (eng.inlined - inlined)
 
 let run ?(until = max_int) eng =
   let outer = Domain.DLS.get running in

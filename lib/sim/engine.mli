@@ -85,6 +85,11 @@ val run : ?until:time -> t -> int
     processed without suspending included; a quantum boundary nobody
     competed at is not one.
 
+    The loop is a chain of tail calls: a suspending thread's handler
+    pops the next event and resumes the next thread itself, so a run
+    needs the same stack for any number of events.  A thread's first
+    turn starts from [run]'s own frame, before any later event.
+
     [run] records [t] in a slot of the calling domain while it runs, and
     restores the previous value when it returns or raises.  A systhread
     sharing the domain sees the slot too; the [--listen] exposition

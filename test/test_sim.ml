@@ -574,6 +574,94 @@ let test_thread_failure_surfaces () =
     (Engine.Thread_failure ("bad", Failure "boom"))
     (fun () -> ignore (Engine.run eng))
 
+(* A thread that fails after many turns fails inside the chain of
+   handler-to-handler turns, not in a first turn: the run raises at the
+   failure with the other threads still live and no thread current, and
+   the next run finishes them. *)
+let test_thread_failure_mid_chain () =
+  let eng = Engine.create (machine ~cores:2 ()) in
+  let _ =
+    Engine.spawn eng ~name:"bad" (fun () ->
+        for _ = 1 to 50 do
+          Engine.compute 137;
+          Engine.yield ()
+        done;
+        failwith "boom")
+  in
+  for i = 1 to 4 do
+    ignore
+      (Engine.spawn eng ~name:(Printf.sprintf "w%d" i) (fun () ->
+           for _ = 1 to 1_000 do
+             Engine.compute (100 + i);
+             Engine.yield ()
+           done))
+  done;
+  (match Engine.run eng with
+  | _ -> Alcotest.fail "the failing thread's run returned"
+  | exception Engine.Thread_failure (name, e) ->
+      Alcotest.(check string) "failed thread" "bad" name;
+      check_bool "its exception" true (e = Failure "boom"));
+  check_int "failed at" 31_318 (Engine.time eng);
+  check_int "workers still live" 4 (Engine.live_threads eng);
+  check_bool "no thread current" true (Engine.self_opt () = None);
+  check_bool "the engine has no current thread" true (Option.is_none (Engine.current eng));
+  check_int "the next run's events" 7_504 (Engine.run eng);
+  check_int "finished at" 411_278 (Engine.time eng);
+  check_int "no thread live" 0 (Engine.live_threads eng)
+
+(* Each handler arm continues the next thread in tail position, so a run
+   needs the same stack for any number of events: 240 048 of them (9
+   finished in place) fit in a 256 KB stack.  A call left in front of
+   [step] on the chain leaves one frame per event and overflows here.
+   The second run checks [retc]: 25 000 threads, all started before the
+   first finishes, so each one's end continues the next thread's turn. *)
+let test_constant_stack () =
+  let stack_limit = (Gc.get ()).Gc.stack_limit in
+  let set_limit words = Gc.set { (Gc.get ()) with Gc.stack_limit = words } in
+  let run what threads bursts =
+    let eng = Engine.create Machine.xeon_x7460 in
+    for i = 0 to threads - 1 do
+      ignore
+        (Engine.spawn eng ~name:"w" (fun () ->
+             for _ = 1 to bursts do
+               Engine.compute (1000 + i)
+             done))
+    done;
+    match Engine.run eng with
+    | n -> (n, Engine.inlined_bursts eng)
+    | exception Stack_overflow -> Alcotest.failf "%s overflowed a 256 KB stack" what
+  in
+  Fun.protect
+    ~finally:(fun () -> set_limit stack_limit)
+    (fun () ->
+      set_limit 32_768;
+      Alcotest.(check (pair int int))
+        "bursts: events, finished in place" (240_048, 9) (run "a run of bursts" 48 5_000);
+      Alcotest.(check (pair int int))
+        "thread ends: events, finished in place" (50_000, 0)
+        (run "a run of thread ends" 25_000 1))
+
+(* A suspended burst allocates its continuation and nothing else: 2.0
+   minor words per event on OCaml 5.1.  The bound leaves room for a word
+   more on another release, and fails on a [Some] box (2 words) or a
+   closure (3 or more) per event. *)
+let test_suspension_allocation () =
+  let eng = Engine.create Machine.xeon_x7460 in
+  for i = 0 to 23 do
+    ignore
+      (Engine.spawn eng ~name:(Printf.sprintf "w%d" i) (fun () ->
+           for _ = 1 to 10_000 do
+             Engine.compute (1000 + i)
+           done))
+  done;
+  let before = Gc.minor_words () in
+  let events = Engine.run eng in
+  let words = Gc.minor_words () -. before in
+  check_int "events" 240_024 events;
+  check_bool "bursts suspend" true (Engine.inlined_bursts eng * 100 < events);
+  let per_event = words /. float_of_int events in
+  if per_event > 3.5 then Alcotest.failf "%.2f minor words per event, over 3.5" per_event
+
 let test_run_until () =
   let eng = Engine.create (exact_machine ()) in
   let steps = ref 0 in
@@ -723,6 +811,10 @@ let suite =
     Alcotest.test_case "engine: set_online_cores" `Quick test_set_online_cores;
     Alcotest.test_case "engine: determinism" `Quick test_determinism;
     Alcotest.test_case "engine: thread failure" `Quick test_thread_failure_surfaces;
+    Alcotest.test_case "engine: thread failure mid-chain" `Quick test_thread_failure_mid_chain;
+    Alcotest.test_case "engine: the event loop runs in constant stack" `Quick test_constant_stack;
+    Alcotest.test_case "engine: a suspended burst allocates only its continuation" `Quick
+      test_suspension_allocation;
     Alcotest.test_case "engine: run until" `Quick test_run_until;
     Alcotest.test_case "engine: ambient operations are direct calls" `Quick test_ambient_direct;
     Alcotest.test_case "engine: the running engine's slot follows run" `Quick
