@@ -6,12 +6,6 @@
    EXPERIMENTS.md records the paper-vs-measured comparison. *)
 
 open Parcae_sim
-
-(* Engine/value types come from the platform dispatch layer (the runtime's
-   own types); [Machine]/[Power]/etc. remain from [Parcae_sim] above. *)
-module Engine = Parcae_platform.Engine
-module Chan = Parcae_platform.Chan
-module Lock = Parcae_platform.Lock
 open Parcae_workloads
 module Mech = Parcae_mechanisms
 module Table = Parcae_util.Table
@@ -30,29 +24,8 @@ let mk_dedup ~budget eng = Dedup.make ~budget eng
 let fmt3 v = Printf.sprintf "%.3f" v
 let fmt2 v = Printf.sprintf "%.2f" v
 
-(* ---- Mechanisms for the two-level (nested) servers ---- *)
-
-let wqt_h_nested (app : App.t) =
-  (* Threshold and hysteresis derived from the acceptable response-time
-     degradation (Section 6.3.1): flip to throughput mode only when the
-     queue has clearly built up, and require several consecutive
-     observations so transient bursts don't toggle the state. *)
-  Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:8.0 ~non:3 ~noff:3
-    ~light:(App.config app "inner-max") ~heavy:(App.config app "outer-only") ()
-
-let wq_linear_nested (app : App.t) =
-  let make_config = Option.get app.App.inner_dop_config in
-  Mech.Wq_linear.nested ~load:app.App.wq_load ~dpmin:1 ~dpmax:app.App.dpmax ~qmax:20.0
-    ~make_config ()
-
-(* ---- Mechanisms for ferret (flat pipeline) ---- *)
-
-let wqt_h_flat (app : App.t) =
-  Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:6.0 ~non:2 ~noff:2
-    ~light:(App.config app "even") ~heavy:(App.config app "oversubscribed") ()
-
-let wq_linear_flat (app : App.t) =
-  Mech.Wq_linear.per_task ~loads:app.App.per_task_loads ~dpmin:2 ~dpmax:24 ()
+(* A mechanism by its CLI name, with the parameters the CLI runs. *)
+let mech name = List.assoc name Experiments.mechanisms
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2.4: execution time / throughput / response time vs load.    *)
@@ -113,8 +86,8 @@ let response_sweep_nested ~title ~static_outer ~static_inner mk =
         [ fmt2 lf;
           fmt3 (run (`Named "outer-only"));
           fmt3 (run (`Named "inner-max"));
-          fmt3 (run ~mechanism:wqt_h_nested (`Named "inner-max"));
-          fmt3 (run ~mechanism:wq_linear_nested (`Named "inner-max"))
+          fmt3 (run ?mechanism:(mech "wqt-h") (`Named "inner-max"));
+          fmt3 (run ?mechanism:(mech "wq-linear") (`Named "inner-max"))
         ])
     load_factors;
   Table.print t
@@ -143,7 +116,7 @@ let fig8_4 () =
 (* ------------------------------------------------------------------ *)
 
 let fig8_5 () =
-  let maxthr = Experiments.max_throughput_flat ~m:300 ~machine mk_ferret in
+  let maxthr = Experiments.max_throughput ~m:300 ~machine mk_ferret in
   let t =
     Table.create ~title:"Figure 8.5: image search response time (s) vs load"
       ~header:[ "load"; "(PIPE,<1,6,6,6,6,1>)"; "(PIPE,<1,24,24,24,24,1>)"; "WQT-H"; "WQ-Linear" ]
@@ -160,8 +133,8 @@ let fig8_5 () =
         [ fmt2 lf;
           fmt3 (run (`Named "even"));
           fmt3 (run (`Named "oversubscribed"));
-          fmt3 (run ~mechanism:wqt_h_flat (`Named "even"));
-          fmt3 (run ~mechanism:wq_linear_flat (`Named "even"))
+          fmt3 (run ?mechanism:(mech "wqt-h") (`Named "even"));
+          fmt3 (run ?mechanism:(mech "wq-linear") (`Named "even"))
         ])
     load_factors;
   Table.print t
@@ -187,13 +160,10 @@ let tab8_5 () =
     [
       ("Pthreads-Baseline", 1.0);
       ("Pthreads-OS", ratio (`Named "oversubscribed"));
-      ("Parcae-SEDA", ratio ~mechanism:(fun _ -> Mech.Seda.make ~threshold:6.0 ~max_per_stage:8 ())
-         ~period_ns:50_000_000 (`Named "single"));
-      ("Parcae-FDP", ratio ~mechanism:(fun _ -> Mech.Fdp.make ()) ~period_ns:50_000_000 (`Named "even"));
-      ("Parcae-TB", ratio ~mechanism:(fun _ -> Mech.Tbf.make ()) (`Named "even"));
-      ("Parcae-TBF",
-       ratio ~mechanism:(fun app -> Mech.Tbf.make ?fused_choice:app.App.fused_choice ())
-         (`Named "even"));
+      ("Parcae-SEDA", ratio ?mechanism:(mech "seda") ~period_ns:50_000_000 (`Named "single"));
+      ("Parcae-FDP", ratio ?mechanism:(mech "fdp") ~period_ns:50_000_000 (`Named "even"));
+      ("Parcae-TB", ratio ?mechanism:(mech "tb") (`Named "even"));
+      ("Parcae-TBF", ratio ?mechanism:(mech "tbf") (`Named "even"));
     ]
   in
   let ferret = measure mk_ferret and dedup = measure mk_dedup in
@@ -235,17 +205,11 @@ let fig8_6 () =
 (* ------------------------------------------------------------------ *)
 
 let fig8_7 () =
-  let eng_holder = ref None in
   let target = 0.9 *. Machine.peak_power machine in
   let res, thr, power =
     Experiments.run_batch ~m:120_000 ~machine ~config:(`Named "single")
       ~period_ns:2_000_000_000 ~sample_ns:4_000_000_000 ~power_sensor_period:2_000_000_000
-      ~mechanism:(fun app ->
-        eng_holder := Some app.App.eng;
-        let sim_eng = Option.get (Engine.sim_engine app.App.eng) in
-        let sensor = Power.create ~period_ns:2_000_000_000 sim_eng in
-        Mech.Tpc.make ~sensor ~target_watts:target ())
-      mk_ferret
+      ?mechanism:(mech "tpc") mk_ferret
   in
   Printf.printf "Figure 8.7: target power %.0f W (90%% of peak %.0f W); achieved %.0f queries/s\n"
     target (Machine.peak_power machine) res.Experiments.throughput_rps;

@@ -46,14 +46,9 @@ let latency_fields prefix (r : Experiments.result) =
 (* Calibrate max throughput with a halved request count, then serve at 0.8
    load — the same shape as `parcae_demo serve`, sized down so the native
    runs (real wall-clock) stay cheap in CI. *)
-let measure_serve_latency ?backend ~machine ~flat ~m mk =
-  let thr =
-    if flat then Experiments.max_throughput_flat ~m:(max 20 (m / 2)) ~machine ?backend mk
-    else Experiments.max_throughput ~m:(max 20 (m / 2)) ~machine ?backend mk
-  in
-  Experiments.run_server ~m ~machine ?backend ~rate_per_s:(0.8 *. thr)
-    ~config:(`Named (if flat then "even" else "inner-max"))
-    mk
+let measure_serve_latency ?backend ~machine ~m mk =
+  let thr = Experiments.max_throughput ~m:(max 20 (m / 2)) ~machine ?backend mk in
+  Experiments.run_server ~m ~machine ?backend ~rate_per_s:(0.8 *. thr) ~config:`Serve mk
 
 (* ---- native_speedup ---- *)
 
@@ -213,11 +208,11 @@ let native_speedup () =
   Printf.printf "measuring native request-latency ladders (m=%d)...\n%!" lat_m;
   let machine = Parcae_sim.Machine.xeon_x7460 in
   let ferret_r =
-    measure_serve_latency ~backend:(`Native None) ~machine ~flat:true ~m:lat_m
+    measure_serve_latency ~backend:(`Native None) ~machine ~m:lat_m
       (fun ~budget eng -> Ferret.make ~budget eng)
   in
   let x264_r =
-    measure_serve_latency ~backend:(`Native None) ~machine ~flat:false ~m:lat_m
+    measure_serve_latency ~backend:(`Native None) ~machine ~m:lat_m
       (fun ~budget eng -> Transcode.make ~budget eng)
   in
   Printf.printf "  ferret p99 %.3fms, x264 p99 %.3fms\n%!"
@@ -275,7 +270,7 @@ let sim_headline () =
   let mk_x264 ~budget eng = Transcode.make ~budget eng in
   let mk_ferret ~budget eng = Ferret.make ~budget eng in
   let x264_thr = Experiments.max_throughput ~m:200 ~machine mk_x264 in
-  let ferret_thr = Experiments.max_throughput_flat ~m:300 ~machine mk_ferret in
+  let ferret_thr = Experiments.max_throughput ~m:300 ~machine mk_ferret in
   let serve =
     Experiments.run_server ~m:250 ~machine ~rate_per_s:(0.8 *. x264_thr)
       ~config:(`Named "inner-max") mk_x264

@@ -265,7 +265,6 @@ let app_arg =
   Arg.(value & opt (enum (names apps)) "x264" & info [ "a"; "app" ] ~docv:"APP" ~doc)
 
 let app_factory name = List.assoc name apps
-let is_flat name = name = "ferret" || name = "dedup"
 
 (* Each built-in kernel builds its loop for an iteration count, listed
    with the count compile/check/run use; sanitize passes its own. *)
@@ -302,8 +301,6 @@ let mech_arg =
   Arg.(
     value & opt (enum (names Experiments.mechanisms)) "static" & info [ "m"; "mechanism" ] ~docv:"MECH" ~doc)
 
-let mechanism_for name flat = (List.assoc name Experiments.mechanisms) flat
-
 let print_result (r : Experiments.result) =
   Printf.printf "completed:          %d / %d requests\n" r.Experiments.completed
     r.Experiments.submitted;
@@ -319,11 +316,11 @@ let print_result (r : Experiments.result) =
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared serve-like setup: calibrate max throughput, pick the initial
-   config, and run the server experiment.  [wrap] runs around the measured
-   server run only (not the calibration run), which is where the trace and
-   metrics wrappers go; [on_start] lets `top` attach its dashboard thread
-   to the live region. *)
+(* Shared serve-like setup: calibrate max throughput, then run the server
+   experiment from the app's serve configuration.  [wrap] runs around the
+   measured server run only (not the calibration run), which is where the
+   trace and metrics wrappers go; [on_start] lets `top` attach its
+   dashboard thread to the live region. *)
 let run_serve ?on_start ?(wrap = fun f -> f ()) ?(backend = `Sim) ?(quiet = false) app
     mech load m machine seed =
   (match (mech, backend) with
@@ -332,11 +329,7 @@ let run_serve ?on_start ?(wrap = fun f -> f ()) ?(backend = `Sim) ?(quiet = fals
       exit 1
   | _ -> ());
   let mk = app_factory app in
-  let flat = is_flat app in
-  let maxthr =
-    if flat then Experiments.max_throughput_flat ~machine ~seed ~backend mk
-    else Experiments.max_throughput ~machine ~seed ~backend mk
-  in
+  let maxthr = Experiments.max_throughput ~machine ~seed ~backend mk in
   if not quiet then begin
     Printf.printf "%s on %s: max sustainable throughput %.2f requests/s\n" app
       (match backend with
@@ -345,10 +338,9 @@ let run_serve ?on_start ?(wrap = fun f -> f ()) ?(backend = `Sim) ?(quiet = fals
       maxthr;
     Printf.printf "running %d requests at load %.2f under %s...\n\n" m load mech
   end;
-  let config = if flat then `Named "even" else `Named "inner-max" in
   wrap (fun () ->
       Experiments.run_server ~m ~seed ~machine ~backend ~rate_per_s:(load *. maxthr)
-        ?mechanism:(mechanism_for mech flat) ?on_start ~config mk)
+        ?mechanism:(List.assoc mech Experiments.mechanisms) ?on_start ~config:`Serve mk)
 
 (* HOST:PORT, or a bare PORT on 127.0.0.1; an empty HOST is 127.0.0.1. *)
 let listen_conv =
@@ -517,16 +509,14 @@ let top_cmd =
 (* ------------------------------------------------------------------ *)
 
 let batch app mech m machine seed trace metrics_out profile_out flight_out =
-  let mk = app_factory app in
-  let flat = is_flat app in
-  let config = if flat then `Named "even" else `Named "outer-only" in
   Printf.printf "running %d requests in batch mode under %s...\n\n" m mech;
   let r, _, _ =
     with_metrics ?metrics_out ?profile_out (fun () ->
         with_trace trace (fun () ->
             with_flight flight_out (fun () ->
-                Experiments.run_batch ~m ~seed ~machine ?mechanism:(mechanism_for mech flat)
-                  ~config mk)))
+                Experiments.run_batch ~m ~seed ~machine
+                  ?mechanism:(List.assoc mech Experiments.mechanisms)
+                  ~config:`Default (app_factory app))))
   in
   print_result r
 

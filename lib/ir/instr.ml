@@ -85,8 +85,8 @@ let eval_binop op a b =
   | Mul -> a * b
   | Div -> if b = 0 then 0 else a / b
   | Rem -> if b = 0 then 0 else a mod b
-  | Min -> min a b
-  | Max -> max a b
+  | Min -> Int.min a b
+  | Max -> Int.max a b
   | Xor -> a lxor b
   | And -> a land b
   | Or -> a lor b

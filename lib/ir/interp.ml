@@ -66,7 +66,7 @@ let run ?profile ?(max_iters = 10_000_000) (loop : Loop.t) =
               if i < 0 || i >= Array.length a then invalid_arg (loop.Loop.name ^ ": store out of bounds");
               a.(i) <- operand_value env v
           | Instr.Work { amount } ->
-              let c = max 0 (operand_value env amount) in
+              let c = Int.max 0 (operand_value env amount) in
               work := !work + c;
               note_cost pos c
           | Instr.Call { dst; fn; arg; _ } ->

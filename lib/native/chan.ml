@@ -76,7 +76,7 @@ let create ?(capacity = 0) eng name =
     mx = Chan_metrics.none;
   }
 
-let length ch = max 0 (Atomic.get ch.qlen)
+let length ch = Int.max 0 (Atomic.get ch.qlen)
 let total_sent ch = Atomic.get ch.sent
 
 (* ------------------------------------------------------------------ *)
@@ -343,7 +343,7 @@ let send_batch ch vs =
           end;
           let room =
             if ch.capacity = 0 then max_int
-            else max 1 (ch.capacity - Atomic.get ch.qlen)
+            else Int.max 1 (ch.capacity - Atomic.get ch.qlen)
           in
           let first = node (Some v) in
           let rec link last k = function
@@ -377,7 +377,7 @@ let recv_batch ?max ch =
   in
   (* Blocks only while the channel is empty; returns 1..limit items. *)
   let take () =
-    let limit = if limit = max_int then Stdlib.max 1 (length ch) else limit in
+    let limit = if limit = max_int then Int.max 1 (length ch) else limit in
     try_dequeue_batch ch limit
   in
   (* The claimed list is returned verbatim: the fast path re-sends these

@@ -38,7 +38,7 @@ let create () =
   }
 
 (* Owner-side size; thieves may see it lag by their in-flight steals. *)
-let size d = max 0 (Atomic.get d.bottom - Atomic.get d.top)
+let size d = Int.max 0 (Atomic.get d.bottom - Atomic.get d.top)
 let is_empty d = size d = 0
 
 let grow d b t =

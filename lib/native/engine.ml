@@ -382,11 +382,11 @@ let worker_loop eng wid () =
           end
           else begin
             tl_enter eng wid Timeline.Park;
-            let exp = min 10 (!backoff - spin_rounds) in
-            let park = min max_park_ns (1_000 * (1 lsl exp)) in
+            let exp = Int.min 10 (!backoff - spin_rounds) in
+            let park = Int.min max_park_ns (1_000 * (1 lsl exp)) in
             let park =
               match next_deadline eng with
-              | Some d -> max 0 (min park (d - now eng))
+              | Some d -> Int.max 0 (Int.min park (d - now eng))
               | None -> park
             in
             if park > 0 then sleep_ns park else Domain.cpu_relax ()
@@ -406,7 +406,7 @@ let create ?pool () =
     | Some n ->
         if n < 1 then invalid_arg "Parcae_native.Engine.create: pool must be >= 1";
         n
-    | None -> max 1 (Domain.recommended_domain_count () - 1)
+    | None -> Int.max 1 (Domain.recommended_domain_count () - 1)
   in
   (* Calibrate before any fiber exists so the first compute isn't skewed
      and pool domains only ever read the calibration. *)
@@ -660,6 +660,6 @@ let steal_attempt_count eng = Atomic.get eng.steal_attempts
 let instant_power _ = 0.0
 let energy_joules _ = 0.0
 
-let set_online_cores eng n = Atomic.set eng.online (max 1 (min eng.pool n))
+let set_online_cores eng n = Atomic.set eng.online (Int.max 1 (Int.min eng.pool n))
 
 let seconds_of_ns ns = float_of_int ns /. 1e9

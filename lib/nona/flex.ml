@@ -162,10 +162,12 @@ let create ?(flags = default_flags) eng (pdg : Pdg.t) =
     let m = ref 0 in
     Array.iter
       (fun n ->
-        (match Loop.node_defs n with Some r -> m := max !m r | None -> ());
-        List.iter (fun r -> m := max !m r) (Loop.node_uses n))
+        (match Loop.node_defs n with Some r -> m := Int.max !m r | None -> ());
+        List.iter (fun r -> m := Int.max !m r) (Loop.node_uses n))
       nodes;
-    List.iter (fun (p : Instr.phi) -> m := max !m (max p.Instr.pdst p.Instr.carry)) loop.Loop.phis;
+    List.iter
+      (fun (p : Instr.phi) -> m := Int.max !m (Int.max p.Instr.pdst p.Instr.carry))
+      loop.Loop.phis;
     !m
   in
   let phi_heap = Array.make (max_reg + 1) 0 and carry_of = Array.make (max_reg + 1) 0 in
@@ -350,7 +352,7 @@ let rec exec_from rs st mode hb_task members k =
         arr.(address rs env hb_task ~write:true ~name arr idx id) <- operand env v;
         exec_from rs st mode hb_task members (k + 1)
     | Work { cost; amount } ->
-        st.pending <- st.pending + cost + max 0 (operand env amount);
+        st.pending <- st.pending + cost + Int.max 0 (operand env amount);
         exec_from rs st mode hb_task members (k + 1)
     | Call { cost; dst; fn; arg } ->
         let x = operand env arg in

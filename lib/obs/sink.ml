@@ -152,7 +152,7 @@ let grow s r =
   let k = r.cols in
   let n = Array.length k.ts in
   if Atomic.get r.written = n && n < s.capacity then begin
-    let n' = min s.capacity (if n = 0 then initial_slots else 2 * n) in
+    let n' = Int.min s.capacity (if n = 0 then initial_slots else 2 * n) in
     let extend col fill =
       let col' = Array.make n' fill in
       Array.blit col 0 col' 0 n;
@@ -272,10 +272,10 @@ let decode k i =
   Event.make ~t:k.ts.(i) kind
 
 (* Events a ring retains: its newest [capacity]. *)
-let retained s r = min (Atomic.get r.written) s.capacity
+let retained s r = Int.min (Atomic.get r.written) s.capacity
 
 let length s =
-  min s.capacity (Array.fold_left (fun n r -> n + retained s r) 0 (Atomic.get s.rings))
+  Int.min s.capacity (Array.fold_left (fun n r -> n + retained s r) 0 (Atomic.get s.rings))
 
 let dropped s =
   Array.fold_left (fun n r -> n + Atomic.get r.written) 0 (Atomic.get s.rings) - length s
@@ -293,11 +293,11 @@ let allocated_slots s =
 let copy s r =
   let n1 = Atomic.get r.written in
   let k = r.cols in
-  let lo = max 0 (n1 - s.capacity) in
+  let lo = Int.max 0 (n1 - s.capacity) in
   let evs = Array.init (n1 - lo) (fun j -> decode k ((lo + j) mod s.capacity)) in
   let n2 = Atomic.get r.written in
   let in_flight = if r.owner = domain_id () then 0 else 1 in
-  let first = min n1 (max lo (n2 - s.capacity + in_flight)) in
+  let first = Int.min n1 (Int.max lo (n2 - s.capacity + in_flight)) in
   if first = lo then evs else Array.sub evs (first - lo) (n1 - first)
 
 (* Merge the rings' copies by time, stable on ring creation order, and keep

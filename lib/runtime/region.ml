@@ -126,7 +126,6 @@ let set_budget t n =
   if Trace.enabled () then
     Trace.emit ~t:(Engine.time t.eng)
       (Event.Budget_grant { region = t.name; budget = t.budget })
-let threads_in_use t = Config.threads t.config
 let is_done t = t.status = Done
 let reconfig_count t = t.reconfig_count
 let light_resizes t = t.light_resizes

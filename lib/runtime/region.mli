@@ -72,7 +72,6 @@ val status : t -> status
 val decima : t -> Decima.t
 val budget : t -> int
 val set_budget : t -> int -> unit
-val threads_in_use : t -> int
 val is_done : t -> bool
 
 (** Overhead accounting (the paper's Section 8.3.6 / Chapter 7). *)

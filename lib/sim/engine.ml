@@ -87,7 +87,6 @@ type time = int
 type cond = { cwaiters : thread Ring.t; ceng : t }
 
 and thread_state =
-  | Created  (* spawned, first turn not yet scheduled *)
   | Runnable  (* wants CPU, waiting in the run queue *)
   | Running  (* currently assigned a core *)
   | Blocked  (* waiting on a condition or timer *)
@@ -692,7 +691,7 @@ and spawn eng ~name body : thread =
     {
       tid = eng.tid_counter;
       tname = name;
-      state = Created;
+      state = Blocked;
       need = 0;
       chunk = 0;
       run_start = 0;
@@ -734,7 +733,6 @@ and spawn eng ~name body : thread =
     ignore (flush_charges eng : bool)
   in
   th.cont <- Some (fun () -> Effect.Deep.match_with body_settled () (handler eng th));
-  th.state <- Blocked;
   push_wake eng eng.now th;
   th
 

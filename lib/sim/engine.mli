@@ -27,7 +27,7 @@ type cond
 (** A condition variable of one engine, with Mesa semantics: a woken
     thread must re-check its predicate.  Waiters are FIFO. *)
 
-type thread_state = Created | Runnable | Running | Blocked | Finished
+type thread_state = Runnable | Running | Blocked | Finished
 
 type event
 (** A scheduler event; each thread preallocates its two event values at

@@ -60,8 +60,6 @@ let pop t =
   t.size <- t.size - 1;
   (Obj.obj v : _)
 
-let pop_opt t = if t.size = 0 then None else Some (pop t)
-
 let peek t =
   if t.size = 0 then invalid_arg "Ring.peek: empty";
   (Obj.obj t.buf.(t.head) : _)

@@ -23,7 +23,6 @@ val pop : 'a t -> 'a
 (** Remove and return the head.  Allocation-free.
     @raise Invalid_argument when empty. *)
 
-val pop_opt : 'a t -> 'a option
 val peek : 'a t -> 'a
 
 val iter : ('a -> unit) -> 'a t -> unit

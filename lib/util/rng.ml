@@ -54,13 +54,3 @@ let gaussian t ~mu ~sigma =
 
 (* Uniform float in [lo, hi). *)
 let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
-
-(* Fisher-Yates shuffle of an array, in place. *)
-let shuffle t arr =
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

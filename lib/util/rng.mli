@@ -35,6 +35,3 @@ val gaussian : t -> mu:float -> sigma:float -> float
 
 val uniform : t -> lo:float -> hi:float -> float
 (** Uniform draw in [\[lo, hi)]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

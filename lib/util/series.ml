@@ -42,16 +42,6 @@ let iter t f =
 
 let last t = if t.len = 0 then None else Some (t.times.(t.len - 1), t.values.(t.len - 1))
 
-(* Mean of the values whose timestamps fall in [t0, t1). *)
-let mean_in t ~t0 ~t1 =
-  let sum = ref 0.0 and n = ref 0 in
-  iter t (fun time v ->
-      if time >= t0 && time < t1 then begin
-        sum := !sum +. v;
-        incr n
-      end);
-  if !n = 0 then None else Some (!sum /. float_of_int !n)
-
 (* Downsample into [buckets] equal-width time buckets over [t0, t1],
    averaging the values in each bucket.  Buckets with no samples repeat the
    previous bucket's value so plotted series stay continuous. *)

@@ -22,9 +22,6 @@ val iter : t -> (float -> float -> unit) -> unit
 
 val last : t -> (float * float) option
 
-val mean_in : t -> t0:float -> t1:float -> float option
-(** Mean of the values with timestamps in [\[t0, t1)]; [None] if empty. *)
-
 val bucketed : t -> t0:float -> t1:float -> buckets:int -> (float * float) array
 (** Downsample into equal-width time buckets, averaging per bucket; empty
     buckets repeat the previous bucket's value so plotted series stay

@@ -144,33 +144,3 @@ module Reservoir = struct
     t.min_v <- infinity;
     t.max_v <- neg_infinity
 end
-
-(* Windowed mean over the last [capacity] observations; used where a bounded
-   memory of recent iterations matters more than smooth decay. *)
-module Window = struct
-  type t = {
-    buf : float array;
-    mutable len : int;
-    mutable next : int;
-    mutable sum : float;
-  }
-
-  let create capacity =
-    if capacity <= 0 then invalid_arg "Window.create: capacity must be positive";
-    { buf = Array.make capacity 0.0; len = 0; next = 0; sum = 0.0 }
-
-  let observe t x =
-    let cap = Array.length t.buf in
-    if t.len = cap then t.sum <- t.sum -. t.buf.(t.next) else t.len <- t.len + 1;
-    t.buf.(t.next) <- x;
-    t.sum <- t.sum +. x;
-    t.next <- (t.next + 1) mod cap
-
-  let mean t = if t.len = 0 then 0.0 else t.sum /. float_of_int t.len
-  let count t = t.len
-
-  let reset t =
-    t.len <- 0;
-    t.next <- 0;
-    t.sum <- 0.0
-end

@@ -96,16 +96,3 @@ module Reservoir : sig
 
   val reset : t -> unit
 end
-
-(** Mean over a sliding window of the last [capacity] observations. *)
-module Window : sig
-  type t
-
-  val create : int -> t
-  (** @raise Invalid_argument if the capacity is not positive. *)
-
-  val observe : t -> float -> unit
-  val mean : t -> float
-  val count : t -> int
-  val reset : t -> unit
-end

@@ -50,25 +50,18 @@ let config t name =
    still profitable for ferret (Table 8.5).  [alpha] is the per-app
    sensitivity; the factor is 1 when the thread count fits the cores.
    Live threads (not just runnable ones) drive the penalty because cache
-   footprint scales with resident working sets. *)
-let oversub_factor eng ~alpha =
-  if Engine.is_native eng then 1.0
-    (* Real hardware charges its own oversubscription penalty (scheduler
-       churn lands in wall time); modelling it on top would double-count. *)
-  else begin
-    let online = max 1 (Engine.online_cores eng) in
-    let pressure = float_of_int (Engine.live_threads eng) /. float_of_int online in
-    1.0 +. (alpha *. Float.max 0.0 (pressure -. 1.0))
-  end
+   footprint scales with resident working sets.
 
-(* [oversub_factor] in 16.16 fixed point with [alpha] pre-converted, so
+   The factor is kept in 16.16 fixed point with [alpha] pre-converted, so
    the serve path's per-stage cost scaling performs no float operation:
    factor = 1 + alpha * max 0 (live/online - 1)
           = 65536 + alpha_fp * (live - online) / online. *)
 let oversub_factor_fp eng ~alpha_fp =
   if Engine.is_native eng then 65536
+    (* Real hardware charges its own oversubscription penalty (scheduler
+       churn lands in wall time); modelling it on top would double-count. *)
   else begin
-    let online = max 1 (Engine.online_cores eng) in
+    let online = Int.max 1 (Engine.online_cores eng) in
     let over = Engine.live_threads eng - online in
     if over <= 0 then 65536 else 65536 + (alpha_fp * over / online)
   end

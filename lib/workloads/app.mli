@@ -28,13 +28,6 @@ val config : t -> string -> Parcae_core.Config.t
 (** Named static configuration lookup.
     @raise Invalid_argument if absent (the message lists the names). *)
 
-val oversub_factor : Parcae_platform.Engine.t -> alpha:float -> float
-(** Oversubscription penalty: when the process keeps many more threads
-    alive than there are cores, context-switch churn and cache pollution
-    inflate each thread's work (what makes "Pthreads-OS" unprofitable for
-    memory-bound dedup but still profitable for ferret, Table 8.5).
-    [alpha] is the per-app sensitivity; 1.0 when not oversubscribed. *)
-
 val alpha_fp : float -> int
 (** [alpha] in 16.16 fixed point, for {!compute_scaled_fp}.  Stage
     factories convert once and close over the result. *)

@@ -65,48 +65,61 @@ type mech = (App.t -> Morta.mechanism) option
 
 let tpc_needs_sim = "tpc needs the simulator's power model (run with --backend sim)"
 
-(* Every named mechanism, as a factory given whether the app is flat
-   (ferret, dedup) or nested (x264 and the other two-level apps). *)
-let mechanisms : (string * (bool -> mech)) list =
+(* Every named mechanism.  WQT-H and WQ-Linear are tuned once per app
+   shape (Chapter 8): the two-level servers, which map an inner DoP to a
+   configuration, and the flat pipelines, which have no inner loop. *)
+let mechanisms : (string * mech) list =
   let module Mech = Parcae_mechanisms in
   [
-    ("static", fun _ -> None);
+    ("static", None);
     ( "wqt-h",
-      fun flat ->
-        Some
-          (fun app ->
-            if flat then
-              Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:6.0 ~non:2 ~noff:2
-                ~light:(App.config app "even") ~heavy:(App.config app "oversubscribed") ()
-            else
+      Some
+        (fun app ->
+          match app.App.inner_dop_config with
+          | Some _ ->
+              (* Flip only once the queue has clearly built up, over several
+                 observations, so bursts do not toggle it (Section 6.3.1). *)
               Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:8.0 ~non:3 ~noff:3
-                ~light:(App.config app "inner-max") ~heavy:(App.config app "outer-only") ()) );
+                ~light:(App.config app "inner-max") ~heavy:(App.config app "outer-only") ()
+          | None ->
+              Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:6.0 ~non:2 ~noff:2
+                ~light:(App.config app "even") ~heavy:(App.config app "oversubscribed") ()) );
     ( "wq-linear",
-      fun flat ->
-        Some
-          (fun app ->
-            if flat then
-              Mech.Wq_linear.per_task ~loads:app.App.per_task_loads ~dpmin:2 ~dpmax:24 ()
-            else
+      Some
+        (fun app ->
+          match app.App.inner_dop_config with
+          | Some make_config ->
               Mech.Wq_linear.nested ~load:app.App.wq_load ~dpmin:1 ~dpmax:app.App.dpmax
-                ~qmax:20.0 ~make_config:(Option.get app.App.inner_dop_config) ()) );
-    ("tbf", fun _ -> Some (fun app -> Mech.Tbf.make ?fused_choice:app.App.fused_choice ()));
-    ("tb", fun _ -> Some (fun _ -> Mech.Tbf.make ()));
-    ("fdp", fun _ -> Some (fun _ -> Mech.Fdp.make ()));
-    ("seda", fun _ -> Some (fun _ -> Mech.Seda.make ~threshold:6.0 ~max_per_stage:8 ()));
+                ~qmax:20.0 ~make_config ()
+          | None -> Mech.Wq_linear.per_task ~loads:app.App.per_task_loads ~dpmin:2 ~dpmax:24 ()) );
+    ("tbf", Some (fun app -> Mech.Tbf.make ?fused_choice:app.App.fused_choice ()));
+    ("tb", Some (fun _ -> Mech.Tbf.make ()));
+    ("fdp", Some (fun _ -> Mech.Fdp.make ()));
+    ("seda", Some (fun _ -> Mech.Seda.make ~threshold:6.0 ~max_per_stage:8 ()));
     ( "tpc",
-      fun _ ->
-        Some
-          (fun app ->
-            let sim_eng =
-              match Engine.sim_engine app.App.eng with
-              | Some e -> e
-              | None -> failwith tpc_needs_sim
-            in
-            let machine = Engine.machine app.App.eng in
-            let sensor = Power.create ~period_ns:2_000_000_000 sim_eng in
-            Mech.Tpc.make ~sensor ~target_watts:(0.9 *. Machine.peak_power machine) ()) );
+      Some
+        (fun app ->
+          let sim_eng =
+            match Engine.sim_engine app.App.eng with
+            | Some e -> e
+            | None -> failwith tpc_needs_sim
+          in
+          let machine = Engine.machine app.App.eng in
+          let sensor = Power.create ~period_ns:2_000_000_000 sim_eng in
+          Mech.Tpc.make ~sensor ~target_watts:(0.9 *. Machine.peak_power machine) ()) );
   ]
+
+(* [`Default] is the app's launch default: "outer-only" on the two-level
+   servers, "even" on the flat pipelines.  [`Serve] is where a server run
+   starts: "inner-max" on the two-level servers, whose light-load response
+   time needs the inner loops, the default on the flat pipelines. *)
+type start = [ `Named of string | `Config of Config.t | `Default | `Serve ]
+
+let start_config app : start -> Config.t = function
+  | `Named n -> App.config app n
+  | `Config c -> c
+  | `Serve when Option.is_some app.App.inner_dop_config -> App.config app "inner-max"
+  | `Default | `Serve -> app.App.default_config
 
 let make_engine ?(backend = `Sim) machine =
   match backend with
@@ -141,34 +154,31 @@ let run_app ~horizon_ns ~config ?mechanism ?(period_ns = 100_000_000) ?on_start 
   (app, region)
 
 (* Measure the maximum sustainable throughput (requests/s) of the
-   application: M requests in batch, outer loop wide open, inner loops
-   sequential — exactly the paper's definition of max throughput.  Flat
-   pipelines have no "outer-only" config; their baseline is the even
-   static distribution. *)
-let batch_max_throughput ~flat ?(m = 300) ?(seed = 17) ?backend ~machine make_app =
+   application: M requests in batch from its default configuration — on
+   the two-level servers the outer loop wide open and the inner loops
+   sequential, exactly the paper's definition; on the flat pipelines the
+   even static distribution. *)
+let max_throughput ?(m = 300) ?(seed = 17) ?backend ~machine make_app =
   let eng = make_engine ?backend machine in
   let budget = engine_budget eng machine in
   let app : App.t = make_app ~budget eng in
   let rng = Rng.create seed in
   ignore
     (Load_gen.spawn_batch ~rng ~m ~queue:app.App.queue ~metrics:app.App.metrics eng);
-  let config, horizon_ns =
-    if flat then ("even", (m * app.App.seq_request_ns) + 10_000_000_000)
-    else
-      (* Generous: m requests, fully serialized, 4x slack. *)
-      ("outer-only", (m * app.App.seq_request_ns / budget * 8) + 2_000_000_000)
+  let horizon_ns =
+    match app.App.inner_dop_config with
+    | None -> (m * app.App.seq_request_ns) + 10_000_000_000
+    | Some _ ->
+        (* Generous: m requests, fully serialized, 4x slack. *)
+        (m * app.App.seq_request_ns / budget * 8) + 2_000_000_000
   in
   let app, _region =
-    run_app ~horizon_ns ~config:(App.config app config) ~feed:(fun _ -> ()) ~budget app
+    run_app ~horizon_ns ~config:app.App.default_config ~feed:(fun _ -> ()) ~budget app
   in
   Engine.shutdown eng;
   Metrics.throughput app.App.metrics
 
-let max_throughput ?m ?seed ?backend ~machine make_app =
-  batch_max_throughput ~flat:false ?m ?seed ?backend ~machine make_app
-
-let max_throughput_flat ?m ?seed ?backend ~machine make_app =
-  batch_max_throughput ~flat:true ?m ?seed ?backend ~machine make_app
+let max_throughput_flat = max_throughput
 
 (* Run a server experiment: [m] Poisson arrivals at [rate_per_s], initial
    configuration [config], optional mechanism. *)
@@ -178,7 +188,7 @@ let run_server ?(m = 300) ?(seed = 42) ?mechanism ?(period_ns = 500_000_000) ?on
   let budget = engine_budget eng machine in
   let app : App.t = make_app ~budget eng in
   let rng = Rng.create seed in
-  let cfg = match config with `Named n -> App.config app n | `Config c -> c in
+  let cfg = start_config app config in
   let feed (a : App.t) =
     ignore
       (Load_gen.spawn_generator ~rng ~rate_per_s ~m ~queue:a.App.queue
@@ -202,7 +212,7 @@ let run_batch ?(m = 500) ?(seed = 42) ?mechanism ?period_ns ?sample_ns ?power_se
   let budget = engine_budget eng machine in
   let app : App.t = make_app ~budget eng in
   let rng = Rng.create seed in
-  let cfg = match config with `Named n -> App.config app n | `Config c -> c in
+  let cfg = start_config app config in
   let throughput_tl = Series.create "throughput" in
   let power_tl = Series.create "power" in
   let feed (a : App.t) =

@@ -24,10 +24,20 @@ type mech = (App.t -> Parcae_runtime.Morta.mechanism) option
 (** A mechanism factory for a concrete app instance; [None] runs the
     launch configuration statically. *)
 
-val mechanisms : (string * (bool -> mech)) list
+val mechanisms : (string * mech) list
 (** Every named mechanism (static, wqt-h, wq-linear, tbf, tb, fdp, seda,
-    tpc), as a factory given whether the app is flat (ferret, dedup) or
-    nested.  The CLI's [-m] names are these. *)
+    tpc); the CLI's [-m] names are these.  WQT-H and WQ-Linear take the
+    parameters tuned for the app's shape: two-level when
+    [App.inner_dop_config] is [Some], flat pipeline otherwise. *)
+
+type start = [ `Named of string | `Config of Parcae_core.Config.t | `Default | `Serve ]
+(** A run's initial configuration: a named one, an explicit one, the app's
+    [default_config] ("outer-only" on the two-level servers, "even" on the
+    flat pipelines), or where a server starts ("inner-max" on the
+    two-level servers, the default on the flat pipelines). *)
+
+val start_config : App.t -> start -> Parcae_core.Config.t
+(** @raise Invalid_argument for a [`Named] configuration the app lacks. *)
 
 val tpc_needs_sim : string
 (** The error [tpc] fails with on the native backend. *)
@@ -53,8 +63,10 @@ val max_throughput :
   machine:Parcae_sim.Machine.t ->
   (budget:int -> Parcae_platform.Engine.t -> App.t) ->
   float
-(** The paper's definition of max sustainable throughput: M requests in
-    batch, outer loop wide open, inner loops sequential. *)
+(** Max sustainable throughput: M requests in batch from the app's
+    [default_config] — the paper's definition (outer loop wide open, inner
+    loops sequential) on the two-level servers, the even static
+    distribution on the flat pipelines. *)
 
 val max_throughput_flat :
   ?m:int ->
@@ -63,8 +75,7 @@ val max_throughput_flat :
   machine:Parcae_sim.Machine.t ->
   (budget:int -> Parcae_platform.Engine.t -> App.t) ->
   float
-(** For flat pipelines (no "outer-only" config): the even static
-    distribution is the baseline. *)
+(** {!max_throughput} under its older name, which [bench/perf] calls. *)
 
 val run_server :
   ?m:int ->
@@ -75,7 +86,7 @@ val run_server :
   ?backend:backend ->
   machine:Parcae_sim.Machine.t ->
   rate_per_s:float ->
-  config:[ `Named of string | `Config of Parcae_core.Config.t ] ->
+  config:start ->
   (budget:int -> Parcae_platform.Engine.t -> App.t) ->
   result
 (** [m] Poisson arrivals at [rate_per_s] under the given initial
@@ -94,7 +105,7 @@ val run_batch :
   ?on_start:(App.t -> Parcae_runtime.Region.t -> unit) ->
   ?backend:backend ->
   machine:Parcae_sim.Machine.t ->
-  config:[ `Named of string | `Config of Parcae_core.Config.t ] ->
+  config:start ->
   (budget:int -> Parcae_platform.Engine.t -> App.t) ->
   result * Parcae_util.Series.t * Parcae_util.Series.t
 (** Batch (throughput) run; when [sample_ns] is given, returns throughput

@@ -47,99 +47,58 @@ let make ?(alpha = 0.05) ?(dpmax = 24) ~name ~stages ~budget eng =
   let span_of (r : Request.t) = r.Request.span in
   let span_clock () = Engine.time eng in
 
-  (* ---- Scheme 0: the full pipeline. ----
-
-     Every stage is a batch drain (DESIGN.md section 14): one recv_batch
-     claims what is queued, one send_batch forwards the same message
-     cells downstream, and the tail frees each completed request back to
-     the pool — the steady-state request flow allocates nothing. *)
-  let q = Array.init (n - 1) (fun i -> Chan.create ~capacity:8 eng (Printf.sprintf "q%d" i)) in
-  let head =
-    Pipeline.drain_stage ~poll:true ~ttype:Task.Seq ~name:specs.(0).s_name ~input:queue
-      ~load:(Pipeline.load queue)
-      ~next:q.(0)
-      ~span_of ~span_clock
-      ~forward:(Pipeline.forward_to q.(0))
-      (fun _ctx req ->
-        Request.note_start req ~now:(Engine.time eng);
-        work req specs.(0).s_cost;
-        Task_status.Iterating)
+  (* A pipeline over [stages], its channels named [prefix ^ "q%d"]; the
+     head polls the work queue and stamps each request's start, the tail
+     completes it.  Every stage is a batch drain (DESIGN.md section 14):
+     one recv_batch claims what is queued, one send_batch forwards the
+     same message cells downstream, and the tail frees each completed
+     request back to the pool — the steady-state request flow allocates
+     nothing. *)
+  let pipeline ~prefix ~scheme stages =
+    let last = List.length stages - 1 in
+    let q =
+      Array.init last (fun i -> Chan.create ~capacity:8 eng (prefix ^ "q" ^ string_of_int i))
+    in
+    let stage i s =
+      let cost = s.s_cost and input = if i = 0 then queue else q.(i - 1) in
+      let next = if i = last then None else Some q.(i) in
+      let body =
+        if i = 0 then (fun _ctx req ->
+          Request.note_start req ~now:(Engine.time eng);
+          work req cost;
+          Task_status.Iterating)
+        else if i = last then (fun _ctx req ->
+          work req cost;
+          Metrics.note_complete metrics req;
+          Request.free req;
+          Task_status.Iterating)
+        else (fun ctx req ->
+          ctx.Task.hook_begin ();
+          work req cost;
+          ctx.Task.hook_end ();
+          Task_status.Iterating)
+      in
+      Pipeline.drain_stage ~poll:(i = 0)
+        ~ttype:(if s.s_par then Task.Par else Task.Seq)
+        ~name:s.s_name ~input ~load:(Pipeline.load input) ?next ~span_of ~span_clock
+        ~forward:(match next with Some c -> Pipeline.forward_to c | None -> fun _ -> ())
+        body
+    in
+    let handles = List.mapi stage stages in
+    let pd = Task.descriptor ~name:(name ^ scheme) (List.map (fun h -> h.Pipeline.task) handles) in
+    (q, handles, pd)
   in
-  let middles =
-    List.init (n - 2) (fun s ->
-        let i = s + 1 in
-        Pipeline.drain_stage
-          ~ttype:(if specs.(i).s_par then Task.Par else Task.Seq)
-          ~name:specs.(i).s_name ~input:q.(i - 1)
-          ~load:(Pipeline.load q.(i - 1))
-          ~next:q.(i)
-          ~span_of ~span_clock
-          ~forward:(Pipeline.forward_to q.(i))
-          (fun ctx req ->
-            ctx.Task.hook_begin ();
-            work req specs.(i).s_cost;
-            ctx.Task.hook_end ();
-            Task_status.Iterating))
-  in
-  let tail =
-    Pipeline.drain_stage ~ttype:Task.Seq ~name:specs.(n - 1).s_name ~input:q.(n - 2)
-      ~load:(Pipeline.load q.(n - 2))
-      ~span_of ~span_clock
-      ~forward:(fun _ -> ())
-      (fun _ctx req ->
-        work req specs.(n - 1).s_cost;
-        Metrics.note_complete metrics req;
-        Request.free req;
-        Task_status.Iterating)
-  in
-  let pipe_stages = (head :: middles) @ [ tail ] in
-  let pipe_pd =
-    Task.descriptor ~name:(name ^ "-pipe") (List.map (fun s -> s.Pipeline.task) pipe_stages)
-  in
-
-  (* ---- Scheme 1: parallel stages fused into one task. ---- *)
-  let fq0 = Chan.create ~capacity:8 eng "fq0" and fq1 = Chan.create ~capacity:8 eng "fq1" in
+  (* Scheme 0 runs [stages]; scheme 1 fuses the parallel ones into one
+     task between copies of the head and the tail. *)
+  let q, pipe_stages, pipe_pd = pipeline ~prefix:"" ~scheme:"-pipe" stages in
   let fused_cost =
     Array.to_list specs |> List.filteri (fun i _ -> i > 0 && i < n - 1)
     |> List.fold_left (fun acc s -> acc + s.s_cost) 0
   in
-  let fhead =
-    Pipeline.drain_stage ~poll:true ~ttype:Task.Seq ~name:(specs.(0).s_name ^ "-f")
-      ~input:queue
-      ~load:(Pipeline.load queue)
-      ~next:fq0
-      ~span_of ~span_clock
-      ~forward:(Pipeline.forward_to fq0)
-      (fun _ctx req ->
-        Request.note_start req ~now:(Engine.time eng);
-        work req specs.(0).s_cost;
-        Task_status.Iterating)
-  in
-  let fmid =
-    Pipeline.drain_stage ~ttype:Task.Par ~name:"combined" ~input:fq0
-      ~load:(Pipeline.load fq0) ~next:fq1
-      ~span_of ~span_clock
-      ~forward:(Pipeline.forward_to fq1)
-      (fun ctx req ->
-        ctx.Task.hook_begin ();
-        work req fused_cost;
-        ctx.Task.hook_end ();
-        Task_status.Iterating)
-  in
-  let ftail =
-    Pipeline.drain_stage ~ttype:Task.Seq ~name:(specs.(n - 1).s_name ^ "-f") ~input:fq1
-      ~load:(Pipeline.load fq1)
-      ~span_of ~span_clock
-      ~forward:(fun _ -> ())
-      (fun _ctx req ->
-        work req specs.(n - 1).s_cost;
-        Metrics.note_complete metrics req;
-        Request.free req;
-        Task_status.Iterating)
-  in
-  let fused_pd =
-    Task.descriptor ~name:(name ^ "-fused")
-      (List.map (fun s -> s.Pipeline.task) [ fhead; fmid; ftail ])
+  let copy s = { s with s_name = s.s_name ^ "-f" } in
+  let fq, fused_stages, fused_pd =
+    pipeline ~prefix:"f" ~scheme:"-fused"
+      [ copy specs.(0); spec ~name:"combined" ~cost:fused_cost ~par:true; copy specs.(n - 1) ]
   in
 
   (* ---- Configurations. ---- *)
@@ -172,9 +131,8 @@ let make ?(alpha = 0.05) ?(dpmax = 24) ~name ~stages ~budget eng =
     schemes = [ pipe_pd; fused_pd ];
     on_pause = (fun () -> Pipeline.inject_flush queue);
     on_reset =
-      Pipeline.make_reset
-        ~stages:(pipe_stages @ [ fhead; fmid; ftail ])
-        ~channels:((queue :: Array.to_list q) @ [ fq0; fq1 ]);
+      Pipeline.make_reset ~stages:(pipe_stages @ fused_stages)
+        ~channels:((queue :: Array.to_list q) @ Array.to_list fq);
     metrics;
     wq_load = Pipeline.load queue;
     inner_dop_config = None;

@@ -270,7 +270,7 @@ let test_budget () =
   check_int "budget" 8 (Region.budget r);
   Region.set_budget r 4;
   check_int "budget updated" 4 (Region.budget r);
-  check_int "threads in use" 4 (Region.threads_in_use r);
+  check_int "threads in use" 4 (Config.threads (Region.config r));
   ignore (Engine.run eng)
 
 let test_pause_on_blocked_master () =

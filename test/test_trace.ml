@@ -21,7 +21,6 @@ module Export = Obs.Export
 module Oracle = Obs.Oracle
 module Json = Obs.Json
 module R = Parcae_runtime
-module Mech = Parcae_mechanisms
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -592,9 +591,7 @@ let traced_batch ?mechanism ?(m = 25) ?(seed = 11) ~config mk =
   in
   (r, sink)
 
-let wqt_h (app : App.t) =
-  Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:8.0 ~non:3 ~noff:3
-    ~light:(App.config app "inner-max") ~heavy:(App.config app "outer-only") ()
+let wqt_h = Option.get (List.assoc "wqt-h" Experiments.mechanisms)
 
 let test_traced_run_exports_and_oracle () =
   let r, sink =
@@ -635,7 +632,7 @@ let test_trace_determinism () =
   let run () =
     let _, sink =
       traced_batch ~seed:23
-        ~mechanism:(fun (app : App.t) -> Mech.Tbf.make ?fused_choice:app.App.fused_choice ())
+        ~mechanism:(Option.get (List.assoc "tbf" Experiments.mechanisms))
         ~config:(`Named "even")
         (fun ~budget eng -> Ferret.make ~budget eng)
     in
@@ -659,20 +656,20 @@ let test_trace_determinism () =
 let trace_digest_file = "trace_digests.txt"
 let metrics_digest_file = "metrics_digests.txt"
 
-(* (app, factory, launch config, mechanism, request rate); ferret is the
-   flat app. *)
+(* (app, factory, mechanism, request rate); each run starts where the
+   CLI's serve does: "even" on ferret, "inner-max" on x264. *)
 let digest_apps =
   [
-    ("ferret", (fun ~budget eng -> Ferret.make ~budget eng), "even", "tbf", 400.0);
-    ("x264", (fun ~budget eng -> Transcode.make ~budget eng), "inner-max", "wq-linear", 8.8);
+    ("ferret", (fun ~budget eng -> Ferret.make ~budget eng), "tbf", 400.0);
+    ("x264", (fun ~budget eng -> Transcode.make ~budget eng), "wq-linear", 8.8);
   ]
 
-let serve_into sink (app, make, config, mech, rate) =
+let serve_into sink (_, make, mech, rate) =
   ignore
     (Trace.with_sink sink (fun () ->
          Experiments.run_server ~m:200 ~seed:7 ~machine ~rate_per_s:rate
-           ?mechanism:((List.assoc mech Experiments.mechanisms) (app = "ferret"))
-           ~config:(`Named config) make))
+           ?mechanism:(List.assoc mech Experiments.mechanisms)
+           ~config:`Serve make))
 
 let digest_run run ~capacity =
   let sink = Sink.create ~capacity () in
@@ -681,7 +678,7 @@ let digest_run run ~capacity =
 
 let digest_cases =
   List.concat_map
-    (fun ((app, _, _, mech, _) as run) ->
+    (fun ((app, _, mech, _) as run) ->
       List.map
         (fun (size, capacity) -> (Printf.sprintf "%s-%s-%s" app mech size, run, capacity))
         [ ("full", 1_000_000); ("wrap1000", 1_000) ])

@@ -19,7 +19,6 @@ module Sink = Obs.Sink
 module Trace = Obs.Trace
 module Oracle = Obs.Oracle
 module R = Parcae_runtime
-module Mech = Parcae_mechanisms
 module Rng = Parcae_util.Rng
 
 let check_bool = Alcotest.(check bool)
@@ -27,46 +26,19 @@ let check_bool = Alcotest.(check bool)
 let machine = Machine.xeon_x7460
 let requests = 25
 
-(* The six workloads; [flat] selects the flat-pipeline config/mechanism
-   variants, as in bin/parcae_demo. *)
-let workloads : (string * (budget:int -> Engine.t -> App.t) * bool) list =
+(* The six workloads of Table 8.2. *)
+let workloads : (string * (budget:int -> Engine.t -> App.t)) list =
   [
-    ("bzip", (fun ~budget eng -> Bzip.make ~budget eng), false);
-    ("swaptions", (fun ~budget eng -> Swaptions.make ~budget eng), false);
-    ("transcode", (fun ~budget eng -> Transcode.make ~budget eng), false);
-    ("gimp_oilify", (fun ~budget eng -> Gimp_oilify.make ~budget eng), false);
-    ("ferret", (fun ~budget eng -> Ferret.make ~budget eng), true);
-    ("dedup", (fun ~budget eng -> Dedup.make ~budget eng), true);
+    ("bzip", fun ~budget eng -> Bzip.make ~budget eng);
+    ("swaptions", fun ~budget eng -> Swaptions.make ~budget eng);
+    ("transcode", fun ~budget eng -> Transcode.make ~budget eng);
+    ("gimp_oilify", fun ~budget eng -> Gimp_oilify.make ~budget eng);
+    ("ferret", fun ~budget eng -> Ferret.make ~budget eng);
+    ("dedup", fun ~budget eng -> Dedup.make ~budget eng);
   ]
 
+(* Looked up in the mechanism table the CLI's [-m] runs. *)
 let mechanisms = [ "wqt-h"; "wq-linear"; "tbf"; "fdp"; "seda"; "tpc" ]
-
-let mechanism_for name (flat : bool) : App.t -> R.Morta.mechanism =
-  match name with
-  | "wqt-h" ->
-      fun app ->
-        if flat then
-          Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:6.0 ~non:2 ~noff:2
-            ~light:(App.config app "even") ~heavy:(App.config app "oversubscribed") ()
-        else
-          Mech.Wqt_h.make ~load:app.App.wq_load ~threshold:8.0 ~non:3 ~noff:3
-            ~light:(App.config app "inner-max") ~heavy:(App.config app "outer-only") ()
-  | "wq-linear" ->
-      fun app ->
-        if flat then
-          Mech.Wq_linear.per_task ~loads:app.App.per_task_loads ~dpmin:2 ~dpmax:24 ()
-        else
-          Mech.Wq_linear.nested ~load:app.App.wq_load ~dpmin:1 ~dpmax:app.App.dpmax ~qmax:20.0
-            ~make_config:(Option.get app.App.inner_dop_config) ()
-  | "tbf" -> fun app -> Mech.Tbf.make ?fused_choice:app.App.fused_choice ()
-  | "fdp" -> fun _ -> Mech.Fdp.make ()
-  | "seda" -> fun _ -> Mech.Seda.make ~threshold:6.0 ~max_per_stage:8 ()
-  | "tpc" ->
-      fun app ->
-        let sim_eng = Option.get (Engine.sim_engine app.App.eng) in
-        let sensor = Power.create ~period_ns:2_000_000_000 sim_eng in
-        Mech.Tpc.make ~sensor ~target_watts:(0.9 *. Machine.peak_power (Engine.machine app.App.eng)) ()
-  | s -> failwith ("unknown mechanism " ^ s)
 
 let assert_ok label result =
   match result with
@@ -78,20 +50,20 @@ let assert_ok label result =
 
 (* --------------------- mechanisms over workloads --------------------- *)
 
-let run_under_mechanism mk flat mech_name =
+let run_under_mechanism mk mech_name =
   let sink = Sink.create ~capacity:500_000 () in
-  let config = if flat then `Named "even" else `Named "outer-only" in
   let r, _, _ =
     Trace.with_sink sink (fun () ->
         Experiments.run_batch ~m:requests ~seed:5 ~machine
-          ~mechanism:(mechanism_for mech_name flat) ~config mk)
+          ~mechanism:(Option.get (List.assoc mech_name Experiments.mechanisms))
+          ~config:`Default mk)
   in
   (r, sink)
 
-let test_mechanisms_satisfy_oracle (name, mk, flat) () =
+let test_mechanisms_satisfy_oracle (name, mk) () =
   List.iter
     (fun mech_name ->
-      let r, sink = run_under_mechanism mk flat mech_name in
+      let r, sink = run_under_mechanism mk mech_name in
       check_bool
         (Printf.sprintf "%s/%s completed requests" name mech_name)
         true
@@ -115,9 +87,9 @@ let controller_params =
     change_frac = 0.3;
   }
 
-let test_controller_satisfies_oracle (name, mk, flat) () =
+let test_controller_satisfies_oracle (name, mk) () =
   let sink = Sink.create ~capacity:500_000 () in
-  let events =
+  let events, two_level =
     Trace.with_sink sink (fun () ->
         let eng = Engine.create machine in
         let app : App.t = mk ~budget:machine.Machine.cores eng in
@@ -131,7 +103,7 @@ let test_controller_satisfies_oracle (name, mk, flat) () =
         ignore (R.Controller.spawn eng (R.Controller.create ~params:controller_params region));
         let horizon = (requests * app.App.seq_request_ns) + 60_000_000_000 in
         ignore (Engine.run ~until:horizon eng);
-        Sink.events sink)
+        (Sink.events sink, Option.is_some app.App.inner_dop_config))
   in
   check_bool (name ^ ": trace captured") true (List.length events > 3);
   (* The closed-loop controller must flush channels on every
@@ -140,11 +112,11 @@ let test_controller_satisfies_oracle (name, mk, flat) () =
      per-stage shares up and may exceed the budget by rounding, so budget
      conformance is only asserted for the two-level workloads. *)
   assert_ok (name ^ "/controller")
-    (Oracle.check ~require_flush:true ~check_budget:(not flat) events)
+    (Oracle.check ~require_flush:true ~check_budget:two_level events)
 
 let suite =
   List.concat_map
-    (fun ((name, _, _) as w) ->
+    (fun ((name, _) as w) ->
       [
         Alcotest.test_case
           (Printf.sprintf "%s: controller trace satisfies oracle" name)

@@ -212,17 +212,6 @@ let test_ewma () =
   Stats.Ewma.observe e 20.0;
   check_float "decayed" 15.0 (Stats.Ewma.value e)
 
-let test_window () =
-  let w = Stats.Window.create 3 in
-  Stats.Window.observe w 1.0;
-  Stats.Window.observe w 2.0;
-  Stats.Window.observe w 3.0;
-  check_float "full window mean" 2.0 (Stats.Window.mean w);
-  Stats.Window.observe w 7.0;
-  (* Window now holds 2,3,7. *)
-  check_float "sliding mean" 4.0 (Stats.Window.mean w);
-  check_int "count capped" 3 (Stats.Window.count w)
-
 (* --------------------------- Pqueue -------------------------- *)
 
 (* Drain [q], returning the payloads in pop order. *)
@@ -433,7 +422,6 @@ let test_ring () =
   let r : int Ring.t = Ring.create () in
   check_int "length" 0 (Ring.length r);
   Alcotest.(check bool) "is_empty" true (Ring.is_empty r);
-  Alcotest.(check (option int)) "pop_opt" None (Ring.pop_opt r);
   Ring.iter (fun _ -> Alcotest.fail "iter visited an element") r;
   Ring.clear r;
   check_int "filter_in_place drops nothing" 0 (Ring.filter_in_place (fun _ -> false) r);
@@ -478,9 +466,6 @@ let test_series () =
   let t, v = Series.get s 1 in
   check_float "time" 1.0 t;
   check_float "value" 3.0 v;
-  (match Series.mean_in s ~t0:0.5 ~t1:2.5 with
-  | Some m -> check_float "mean in window" 4.0 m
-  | None -> Alcotest.fail "expected samples in window");
   match Series.last s with
   | Some (t, v) ->
       check_float "last time" 2.0 t;
@@ -534,7 +519,6 @@ let suite =
     Alcotest.test_case "stats: reservoir deterministic under fixed seed" `Quick
       test_reservoir_seeded_determinism;
     Alcotest.test_case "stats: ewma" `Quick test_ewma;
-    Alcotest.test_case "stats: window" `Quick test_window;
     Alcotest.test_case "pqueue: order" `Quick test_pqueue_order;
     Alcotest.test_case "pqueue: peek/length" `Quick test_pqueue_peek;
     QCheck_alcotest.to_alcotest prop_pqueue_sorted;

@@ -85,8 +85,7 @@ let test_ferret_even_vs_tbf () =
   in
   let tbf, _, _ =
     Experiments.run_batch ~m:300 ~machine ~config:(`Named "even")
-      ~mechanism:(fun app ->
-        Parcae_mechanisms.Tbf.make ?fused_choice:app.App.fused_choice ())
+      ~mechanism:(Option.get (List.assoc "tbf" Experiments.mechanisms))
       mk_ferret
   in
   let gain = tbf.Experiments.throughput_rps /. even.Experiments.throughput_rps in
@@ -126,10 +125,7 @@ let test_wq_linear_improves_heavy_load_response () =
   in
   let wql =
     Experiments.run_server ~m:120 ~machine ~rate_per_s:rate ~config:(`Named "inner-max")
-      ~mechanism:(fun app ->
-        let make_config = Option.get app.App.inner_dop_config in
-        Parcae_mechanisms.Wq_linear.nested ~load:app.App.wq_load ~dpmin:1
-          ~dpmax:app.App.dpmax ~qmax:20.0 ~make_config ())
+      ~mechanism:(Option.get (List.assoc "wq-linear" Experiments.mechanisms))
       mk_transcode
   in
   check_bool
@@ -148,7 +144,7 @@ let test_batch_completes_under_every_mechanism () =
       List.iter
         (fun (mech, factory) ->
           let r, _, _ =
-            Experiments.run_batch ~m:2000 ~machine ?mechanism:(factory true)
+            Experiments.run_batch ~m:2000 ~machine ?mechanism:factory
               ~config:(`Named "even") mk
           in
           Alcotest.(check int)
@@ -156,6 +152,28 @@ let test_batch_completes_under_every_mechanism () =
             2000 r.Experiments.completed)
         Experiments.mechanisms)
     [ ("ferret", mk_ferret); ("dedup", mk_dedup) ]
+
+(* Where runs start is derived from the app's shape: a server starts the
+   two-level apps with their inner loops on and the flat pipelines evenly,
+   and a batch or max-throughput run starts from the app's default. *)
+let test_start_configs_follow_shape () =
+  List.iter
+    (fun (name, (mk : budget:int -> Engine.t -> App.t), serve, default) ->
+      let app = mk ~budget:machine.Machine.cores (Engine.create machine) in
+      let is what expected actual =
+        check_bool (Printf.sprintf "%s: %s is %s" name what expected) true
+          (Parcae_core.Config.equal (App.config app expected) actual)
+      in
+      is "serve config" serve (Experiments.start_config app `Serve);
+      is "default config" default app.App.default_config)
+    [
+      ("x264", mk_transcode, "inner-max", "outer-only");
+      ("swaptions", (fun ~budget eng -> Swaptions.make ~budget eng), "inner-max", "outer-only");
+      ("bzip", (fun ~budget eng -> Bzip.make ~budget eng), "inner-max", "outer-only");
+      ("gimp", (fun ~budget eng -> Gimp_oilify.make ~budget eng), "inner-max", "outer-only");
+      ("ferret", mk_ferret, "even", "even");
+      ("dedup", mk_dedup, "even", "even");
+    ]
 
 let suite =
   [
@@ -169,4 +187,6 @@ let suite =
     Alcotest.test_case "transcode: WQ-Linear at heavy load" `Slow test_wq_linear_improves_heavy_load_response;
     Alcotest.test_case "batch: every mechanism completes every request" `Slow
       test_batch_completes_under_every_mechanism;
+    Alcotest.test_case "experiments: start configs follow the app's shape" `Quick
+      test_start_configs_follow_shape;
   ]
