@@ -17,7 +17,6 @@ module Lock = Parcae_platform.Lock
 open Parcae_core
 open Parcae_runtime
 open Parcae_workloads
-module Mech = Parcae_mechanisms
 module Rng = Parcae_util.Rng
 
 let () =
@@ -32,10 +31,7 @@ let () =
       ~on_pause:app.App.on_pause ~on_reset:app.App.on_reset
       (App.config app "inner-max")
   in
-  let mechanism =
-    Mech.Wq_linear.nested ~load:app.App.wq_load ~dpmin:1 ~dpmax:app.App.dpmax ~qmax:20.0
-      ~make_config:(Option.get app.App.inner_dop_config) ()
-  in
+  let mechanism = Option.get (List.assoc "wq-linear" Experiments.mechanisms) app in
   ignore
     (Morta.spawn
        ~stop:(fun () -> Region.is_done region)

@@ -3,21 +3,21 @@
    Tasks are effect-based fibers, not systhreads.  Each pool domain runs a
    scheduler loop over a private Chase–Lev deque ([Deque]): the owner
    pushes and pops LIFO for locality, idle domains steal FIFO from victims
-   chosen in randomized order, and a domain that finds nothing backs off
-   exponentially to an idle park (short sleeps bounded by the next timer
-   deadline).  A blocking operation — condition wait, sleep, join — does
+   chosen in randomized order, and a domain that finds nothing spins a
+   few rounds and then parks on a condition until work arrives (see
+   [park]).  A blocking operation — condition wait, sleep, join — does
    not block the domain: it performs the [Suspend] effect, the scheduler
    captures the fiber's continuation, and a later [signal]/timer/finish
    re-enqueues it, possibly on a different domain.
 
    There is no big runtime lock.  The engine's own shared state is a set
    of atomics (live/spawned/completed counters, shutdown flag, steal
-   statistics) plus two small mutexes with disjoint footprints: the
-   global injection queue (spawns and wake-ups from outside the pool) and
-   the timer list.  Synchronisation *between* tasks lives in the
-   structures that need it — each channel, lock and region carries its
-   own [Monitor] — so the data plane of one structure never contends with
-   another's.
+   statistics) plus three small mutexes with disjoint footprints: the
+   global injection queue (spawns and wake-ups from outside the pool),
+   the timer list, and the park condition of idle workers.
+   Synchronisation *between* tasks lives in the structures that need it —
+   each channel, lock and region carries its own [Monitor] — so the data
+   plane of one structure never contends with another's.
 
    Consequence for client code: unlike the PR-4 big-lock engine, task code
    is NOT serialized between blocking points.  Shared mutable state must
@@ -61,6 +61,11 @@ and t = {
   tim_mu : Mutex.t;
   mutable timers : (int * (unit -> unit)) list;
   tim_len : int Atomic.t;
+  (* Idle workers: see [park]. *)
+  park_mu : Mutex.t;
+  park_cv : Condition.t;
+  sleepers : int Atomic.t;  (* workers inside [park] that may wait on [park_cv] *)
+  keeper_until : int Atomic.t;  (* when the timekeeper wakes; max_int: none *)
   (* Sharded engine state: one atomic per concern, no shared lock. *)
   stop : bool Atomic.t;
   live : int Atomic.t;
@@ -126,17 +131,37 @@ type _ Effect.t +=
 
 let suspend f = Effect.perform (Suspend f)
 
+(* Wake one parked worker.  Publishers make their work visible first and
+   read [sleepers] second; [park] counts itself first and re-checks for
+   work second.  OCaml atomics are sequentially consistent, so one side
+   sees the other and no wake-up is lost; signalling under [park_mu]
+   cannot fall between a parker's re-check and its wait.  With nobody
+   parked this is one atomic load. *)
+let wake_one eng =
+  if Atomic.get eng.sleepers > 0 then begin
+    Mutex.lock eng.park_mu;
+    Condition.signal eng.park_cv;
+    Mutex.unlock eng.park_mu
+  end
+
 let inject eng r =
   Mutex.lock eng.inj_mu;
   Queue.push r eng.inj_q;
   Atomic.incr eng.inj_len;
-  Mutex.unlock eng.inj_mu
+  Mutex.unlock eng.inj_mu;
+  wake_one eng
 
 (* Enqueue a runnable: onto the calling worker's own deque when the caller
-   is a pool domain of this engine, otherwise onto the injection queue. *)
+   is a pool domain of this engine, otherwise onto the injection queue.
+   A lone runnable on the own deque wakes nobody, because its pusher runs
+   it next; a fiber that keeps the domain busy instead yields through
+   [inject] within [yield_quantum_ns], which wakes a sleeper then. *)
 let schedule eng r =
   match Domain.DLS.get worker_key with
-  | Some w when w.weng == eng -> Deque.push w.wdeque r
+  | Some w when w.weng == eng ->
+      let lone = Deque.is_empty w.wdeque in
+      Deque.push w.wdeque r;
+      if not lone then wake_one eng
   | _ -> inject eng r
 
 let take_inject eng =
@@ -161,7 +186,9 @@ let add_timer eng deadline resume =
   in
   eng.timers <- ins eng.timers;
   Atomic.incr eng.tim_len;
-  Mutex.unlock eng.tim_mu
+  Mutex.unlock eng.tim_mu;
+  (* If nobody keeps time, a woken sleeper parks as the timekeeper. *)
+  wake_one eng
 
 (* Fire due timers; their resumes enqueue the sleeping fibers. *)
 let poll_timers eng =
@@ -334,13 +361,51 @@ let find_work eng w =
           | Some r -> Some r
           | None -> if fired then Deque.pop w.wdeque else None))
 
-let spin_rounds = 64
-let max_park_ns = 1_000_000 (* 1 ms: bounds wake-up latency when fully idle *)
+let spin_rounds = 16
+let max_park_ns = 1_000_000 (* 1 ms: bounds a timekeeper's slice *)
 
 let sleep_ns ns =
   if ns > 0 then
     try Unix.sleepf (float_of_int ns /. 1e9)
     with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+(* Idle path, after [spin_rounds] empty [find_work] rounds.  Under
+   [park_mu] the worker counts itself a sleeper, then re-checks every
+   deque, the inject queue, the timers and [stop]; only then does it wait
+   ([wake_one] pairs with this).  While a timer is pending, one idle
+   worker, the timekeeper, sleeps instead, in a slice bounded by the next
+   deadline and [max_park_ns] (OCaml's [Condition] has no timed wait); the
+   others wait untimed.  A deadline earlier than the timekeeper's wake-up
+   makes the parker a second timekeeper, so a new short sleep is not held
+   to an older, longer slice.  Returns whether this worker kept time. *)
+let park eng =
+  Mutex.lock eng.park_mu;
+  Atomic.incr eng.sleepers;
+  let slice =
+    if
+      Atomic.get eng.stop
+      || Atomic.get eng.inj_len > 0
+      || Array.exists (fun d -> not (Deque.is_empty d)) eng.deques
+    then Some 0
+    else
+      match next_deadline eng with
+      | Some d when d < Atomic.get eng.keeper_until ->
+          Some (Int.max 0 (Int.min max_park_ns (d - now eng)))
+      | _ -> None
+  in
+  if Option.is_none slice then Condition.wait eng.park_cv eng.park_mu;
+  Atomic.decr eng.sleepers;
+  match slice with
+  | Some ns when ns > 0 ->
+      let until = now eng + ns in
+      Atomic.set eng.keeper_until until;
+      Mutex.unlock eng.park_mu;
+      sleep_ns ns;
+      ignore (Atomic.compare_and_set eng.keeper_until until max_int : bool);
+      true
+  | _ ->
+      Mutex.unlock eng.park_mu;
+      false
 
 let worker_loop eng wid () =
   let w =
@@ -355,12 +420,15 @@ let worker_loop eng wid () =
     }
   in
   Domain.DLS.set worker_key (Some w);
-  let backoff = ref 0 in
-  let rec loop () =
+  (* [idle] counts empty rounds since the last task; [kept] says this
+     worker came back from a timekeeper slice and has not run a task. *)
+  let rec loop idle kept =
     maybe_sample eng w;
     match find_work eng w with
     | Some r ->
-        backoff := 0;
+        (* A timekeeper that goes back to work hands its role on: a woken
+           sleeper that finds nothing parks as the next timekeeper. *)
+        if kept && Atomic.get eng.tim_len > 0 then wake_one eng;
         tl_enter eng wid Timeline.Run;
         w.cur <- Some r.rtask;
         (* [exec] only raises if the runtime itself is broken — fiber
@@ -368,33 +436,20 @@ let worker_loop eng wid () =
            surface the error through [run]. *)
         (try r.exec () with e -> record_failure eng "scheduler" e);
         w.cur <- None;
-        loop ()
+        loop 0 false
     | None ->
         if Atomic.get eng.stop then ()
+        else if idle < spin_rounds then begin
+          tl_enter eng wid Timeline.Steal_search;
+          Domain.cpu_relax ();
+          loop (idle + 1) kept
+        end
         else begin
-          (* Exponential backoff to idle-park: spin a little for latency,
-             then sleep in doubling slices capped at [max_park_ns] and at
-             the next timer deadline. *)
-          incr backoff;
-          if !backoff <= spin_rounds then begin
-            tl_enter eng wid Timeline.Steal_search;
-            Domain.cpu_relax ()
-          end
-          else begin
-            tl_enter eng wid Timeline.Park;
-            let exp = Int.min 10 (!backoff - spin_rounds) in
-            let park = Int.min max_park_ns (1_000 * (1 lsl exp)) in
-            let park =
-              match next_deadline eng with
-              | Some d -> Int.max 0 (Int.min park (d - now eng))
-              | None -> park
-            in
-            if park > 0 then sleep_ns park else Domain.cpu_relax ()
-          end;
-          loop ()
+          tl_enter eng wid Timeline.Park;
+          loop 0 (park eng)
         end
   in
-  loop ()
+  loop 0 false
 
 (* ------------------------------------------------------------------ *)
 (* Construction, spawning, draining.                                   *)
@@ -422,6 +477,10 @@ let create ?pool () =
       tim_mu = Mutex.create ();
       timers = [];
       tim_len = Atomic.make 0;
+      park_mu = Mutex.create ();
+      park_cv = Condition.create ();
+      sleepers = Atomic.make 0;
+      keeper_until = Atomic.make max_int;
       stop = Atomic.make false;
       live = Atomic.make 0;
       spawned = Atomic.make 0;
@@ -500,7 +559,12 @@ let shutdown eng =
   if not (Atomic.exchange eng.stop true) then begin
     (* Workers drain their runnable work and exit; fibers blocked on a
        condition or timer are abandoned (their continuations are simply
-       dropped — no OS thread is stuck, so the domains always join). *)
+       dropped — no OS thread is stuck, so the domains always join).
+       Parked workers re-check [stop] under [park_mu], so this broadcast
+       reaches every one of them. *)
+    Mutex.lock eng.park_mu;
+    Condition.broadcast eng.park_cv;
+    Mutex.unlock eng.park_mu;
     List.iter Domain.join eng.domains;
     eng.domains <- []
   end

@@ -7,11 +7,12 @@
 
     {b Scheduling.}  Each pool domain owns a Chase–Lev deque ({!Deque}):
     it pushes and pops its own work LIFO for locality, and when empty it
-    steals the oldest task from a victim chosen in randomized order,
-    backing off exponentially to an idle park when the whole engine is
-    quiet.  Blocking operations (condition wait, [sleep], [join]) suspend
-    the fiber — the domain moves on to other work — and the wake-up may
-    resume the fiber on a different domain.
+    steals the oldest task from a victim chosen in randomized order.  A
+    worker that finds nothing for a few rounds parks on a condition until
+    a spawn, wake-up, yield or timer makes work available.  Blocking
+    operations (condition wait, [sleep], [join]) suspend the fiber — the
+    domain moves on to other work — and the wake-up may resume the fiber
+    on a different domain.
 
     {b Concurrency model.}  There is {e no} big runtime lock: task code
     runs genuinely in parallel.  Code between two blocking points is NOT

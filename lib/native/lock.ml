@@ -11,6 +11,7 @@ module Hb = Parcae_obs.Hb
 
 type t = {
   name : string;
+  hb_key : string;  (* ["lock:" ^ name], the sanitizer's sync key *)
   mon : Monitor.m;
   free : Monitor.c;
   mutable owner : Engine.task option;  (* guarded by mon *)
@@ -18,7 +19,7 @@ type t = {
 
 let create _eng name =
   let mon = Monitor.create () in
-  { name; mon; free = Monitor.cond mon; owner = None }
+  { name; hb_key = "lock:" ^ name; mon; free = Monitor.cond mon; owner = None }
 
 let acquire lk =
   Monitor.locked lk.mon (fun () ->
@@ -37,7 +38,7 @@ let acquire lk =
       done;
       lk.owner <- Some me;
       if Hb.enabled () then
-        Hb.on_acquire ~task:(Engine.task_id me) ~key:("lock:" ^ lk.name))
+        Hb.on_acquire ~task:(Engine.task_id me) ~key:lk.hb_key)
 
 let release lk =
   Monitor.locked lk.mon (fun () ->
@@ -48,7 +49,7 @@ let release lk =
             (Printf.sprintf "Lock.release %s: caller does not hold the lock" lk.name));
       (if Hb.enabled () then
          match Engine.self_opt () with
-         | Some t -> Hb.on_release ~task:(Engine.task_id t) ~key:("lock:" ^ lk.name)
+         | Some t -> Hb.on_release ~task:(Engine.task_id t) ~key:lk.hb_key
          | None -> ());
       lk.owner <- None;
       Monitor.signal lk.free)

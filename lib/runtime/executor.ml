@@ -167,13 +167,13 @@ and run_nested eng (task : Task.t) (cfg : Config.t) =
 let hb_release r =
   if Hb.enabled () then
     match Engine.current_task_id () with
-    | Some task -> Hb.on_release ~task ~key:("region:" ^ r.Region.name)
+    | Some task -> Hb.on_release ~task ~key:r.Region.hb_key
     | None -> ()
 
 let hb_acquire r =
   if Hb.enabled () then
     match Engine.current_task_id () with
-    | Some task -> Hb.on_acquire ~task ~key:("region:" ^ r.Region.name)
+    | Some task -> Hb.on_acquire ~task ~key:r.Region.hb_key
     | None -> ()
 
 let region_worker (r : Region.t) (task : Task.t) idx tc lane =

@@ -22,6 +22,7 @@ type status =
 
 type t = {
   name : string;
+  hb_key : string;  (* ["region:" ^ name], the sanitizer's sync key *)
   eng : Engine.t;
   schemes : Task.par_descriptor list;
       (* alternative top-level parallelizations; config.choice picks one *)
@@ -87,6 +88,7 @@ let create ?(budget = max_int) ?on_pause ?on_reset ~name eng schemes config =
   let mon = Engine.monitor_create eng in
   {
     name;
+    hb_key = "region:" ^ name;
     eng;
     schemes;
     config;

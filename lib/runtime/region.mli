@@ -15,6 +15,7 @@ type status =
 
 type t = {
   name : string;
+  hb_key : string;  (** ["region:" ^ name], the race sanitizer's sync key *)
   eng : Parcae_platform.Engine.t;
   schemes : Parcae_core.Task.par_descriptor list;
       (** alternative top-level parallelizations; [config.choice] picks *)

@@ -16,6 +16,7 @@ type lock_metrics = {
 
 type t = {
   name : string;
+  hb_key : string;  (* ["lock:" ^ name], the sanitizer's sync key *)
   eng : Engine.t;
   mutable held_by : Engine.thread option;
   available : Engine.cond;
@@ -27,6 +28,7 @@ type t = {
 let create eng name =
   {
     name;
+    hb_key = "lock:" ^ name;
     eng;
     held_by = None;
     available = Engine.cond_create eng;
@@ -75,7 +77,7 @@ let acquire l =
   let waited = take l me false in
   (* Acquire the lock's release clock: the previous critical section
      happens-before this one. *)
-  if Hb.enabled () then Hb.on_acquire ~task:me.Engine.tid ~key:("lock:" ^ l.name);
+  if Hb.enabled () then Hb.on_acquire ~task:me.Engine.tid ~key:l.hb_key;
   if Metrics.enabled () then begin
     let h = handles l in
     Metrics.inc h.lm_acquisitions;
@@ -90,7 +92,7 @@ let release l =
   (match l.held_by with
   | Some owner when owner == me -> ()
   | _ -> invalid_arg (l.name ^ ": release by non-owner"));
-  if Hb.enabled () then Hb.on_release ~task:me.Engine.tid ~key:("lock:" ^ l.name);
+  if Hb.enabled () then Hb.on_release ~task:me.Engine.tid ~key:l.hb_key;
   l.held_by <- None;
   Engine.signal l.available
 

@@ -85,10 +85,7 @@ let test_bursty_load_on_server () =
     R.Executor.launch ~budget:24 ~name:"bursty" eng app.App.schemes
       ~on_pause:app.App.on_pause ~on_reset:app.App.on_reset (App.config app "inner-max")
   in
-  let mechanism =
-    Mech.Wq_linear.nested ~load:app.App.wq_load ~dpmin:1 ~dpmax:app.App.dpmax ~qmax:20.0
-      ~make_config:(Option.get app.App.inner_dop_config) ()
-  in
+  let mechanism = Option.get (List.assoc "wq-linear" Experiments.mechanisms) app in
   ignore
     (R.Morta.spawn
        ~stop:(fun () -> R.Region.is_done region)

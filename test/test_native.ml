@@ -537,6 +537,162 @@ let test_native_doany_shares_inputs () =
     (List.assoc "points" h.Compiler.rs.Parcae_nona.Flex.arrays == points);
   Alcotest.(check (array int)) "points unchanged" initial points
 
+(* ------------------------------------------------------------------ *)
+(* The idle protocol: parked workers wake when work arrives.           *)
+(* ------------------------------------------------------------------ *)
+
+(* Every wait below is bounded, so a lost wake-up fails an assertion
+   instead of hanging the suite. *)
+module N = Parcae_native.Engine
+module NChan = Parcae_native.Chan
+module Calibrate = Parcae_native.Calibrate
+
+let ms = 1_000_000
+
+(* Wait (spinning, so the wait itself is short) until [pred] holds or
+   [deadline] (host ns) passes; answers [pred ()]. *)
+let spin_until ~deadline pred =
+  while (not (pred ())) && Calibrate.now_ns () < deadline do
+    Domain.cpu_relax ()
+  done;
+  pred ()
+
+(* The same, sleeping between checks, for waits that must leave the
+   host's cores to the workers. *)
+let poll_until ~deadline pred =
+  while (not (pred ())) && Calibrate.now_ns () < deadline do
+    Thread.delay 0.000_5
+  done;
+  pred ()
+
+let spin_for ns =
+  let until = Calibrate.now_ns () + ns in
+  while Calibrate.now_ns () < until do
+    Domain.cpu_relax ()
+  done
+
+(* Run [f] on a system thread and wait at most [limit_ns] for it to
+   return: a shutdown that never wakes a parked worker fails here rather
+   than blocking the suite forever. *)
+let within label ~limit_ns f =
+  let finished = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        f ();
+        Atomic.set finished true)
+      ()
+  in
+  if not (poll_until ~deadline:(Calibrate.now_ns () + limit_ns) (fun () -> Atomic.get finished))
+  then
+    Alcotest.failf "%s: not done within %d ms" label (limit_ns / ms);
+  Thread.join th
+
+let shutdown_within eng = within "shutdown" ~limit_ns:(5_000 * ms) (fun () -> N.shutdown eng)
+
+(* A fresh pool whose workers have all had time to park. *)
+let parked_pool pool =
+  let eng = N.create ~pool () in
+  Thread.delay 0.02;
+  eng
+
+(* The gap before hand-off [i]: 0 to 5 us in a scrambled order, so
+   hand-offs land while the workers spin, as they go to park and after
+   they have parked. *)
+let handoff_gap i = (i * 37) mod 200 * 25
+
+let handoffs = 2_000
+
+(* A system thread hands tasks over one at a time; each hand-off goes
+   through the inject queue to a pool that is idle by then.  Run on one
+   domain too, where a hand-off racing the only worker's park has no
+   other sleeper to fall back on. *)
+let test_idle_handoffs () =
+  List.iter
+    (fun pool ->
+      let eng = parked_pool pool in
+      let ran = Atomic.make 0 in
+      let deadline = Calibrate.now_ns () + (20_000 * ms) in
+      for i = 1 to handoffs do
+        spin_for (handoff_gap i);
+        ignore (N.spawn eng ~name:"handoff" (fun () -> Atomic.incr ran));
+        if not (spin_until ~deadline (fun () -> Atomic.get ran >= i)) then
+          Alcotest.failf "pool %d: hand-off %d of %d never ran" pool i handoffs
+      done;
+      shutdown_within eng;
+      check_int (Printf.sprintf "pool %d: every hand-off ran" pool) handoffs (Atomic.get ran))
+    [ 1; 2 ]
+
+(* The generator's path: a fiber blocked in [recv] is resumed by a [send]
+   from a system thread, through the inject queue. *)
+let test_idle_chan_wakeups () =
+  let eng = parked_pool 2 in
+  let ch = NChan.create eng "wake" in
+  let got = Atomic.make 0 in
+  ignore
+    (N.spawn eng ~name:"receiver" (fun () ->
+         for _ = 1 to handoffs do
+           Atomic.set got (NChan.recv ch)
+         done));
+  let deadline = Calibrate.now_ns () + (20_000 * ms) in
+  for i = 1 to handoffs do
+    spin_for (handoff_gap i);
+    NChan.send ch i;
+    if not (spin_until ~deadline (fun () -> Atomic.get got = i)) then
+      Alcotest.failf "send %d of %d never woke the receiver" i handoffs
+  done;
+  shutdown_within eng;
+  check_int "the receiver saw every send" handoffs (Atomic.get got)
+
+let test_idle_shutdown () =
+  let eng = parked_pool 2 in
+  within "shutdown with every worker parked" ~limit_ns:(100 * ms) (fun () -> N.shutdown eng)
+
+(* A fiber sleeps 2 ms while its own worker is then held by a task that
+   spins 100 ms without yielding; the other worker is parked, so only the
+   wake from [add_timer] lets it keep the timer. *)
+let test_idle_timer () =
+  let eng = parked_pool 2 in
+  let slept = Atomic.make (-1) in
+  ignore
+    (N.spawn eng ~name:"sleeper" (fun () ->
+         ignore
+           (N.spawn eng ~name:"hog" (fun () -> ignore (Calibrate.spin_ns (100 * ms) : int)));
+         let t0 = N.now eng in
+         N.sleep eng (2 * ms);
+         Atomic.set slept (N.now eng - t0)));
+  let deadline = Calibrate.now_ns () + (5_000 * ms) in
+  if not (poll_until ~deadline (fun () -> Atomic.get slept >= 0)) then
+    Alcotest.fail "the sleeping fiber never resumed";
+  shutdown_within eng;
+  let slept = Atomic.get slept in
+  check_bool
+    (Printf.sprintf "a 2 ms sleep resumed after %.1f ms (bound 50 ms)"
+       (float_of_int slept /. float_of_int ms))
+    true
+    (slept >= 2 * ms && slept < 50 * ms)
+
+(* A fiber spawns four tasks onto its own deque, each spinning 5 ms
+   without yielding; the second push finds work already queued and wakes
+   the parked domain, which steals. *)
+let test_idle_steal () =
+  let eng = parked_pool 2 in
+  let finished = Atomic.make 0 in
+  ignore
+    (N.spawn eng ~name:"spawner" (fun () ->
+         for _ = 1 to 4 do
+           ignore
+             (N.spawn eng ~name:"spinner" (fun () ->
+                  ignore (Calibrate.spin_ns (5 * ms) : int);
+                  Atomic.incr finished))
+         done));
+  let deadline = Calibrate.now_ns () + (5_000 * ms) in
+  if not (poll_until ~deadline (fun () -> Atomic.get finished = 4)) then
+    Alcotest.failf "only %d of 4 spinners finished" (Atomic.get finished);
+  let steals = N.steal_count eng in
+  shutdown_within eng;
+  check_bool (Printf.sprintf "the parked domain stole (%d steals)" steals) true (steals > 0)
+
 let suite =
   [
     Alcotest.test_case "differential: sim and native agree, traces pass oracle" `Quick
@@ -558,4 +714,14 @@ let suite =
       test_native_batch_and_flush;
     Alcotest.test_case "native: DOANY kmeans shares its read-only input" `Quick
       test_native_doany_shares_inputs;
+    Alcotest.test_case "idle: 2000 hand-offs from a system thread all run" `Quick
+      test_idle_handoffs;
+    Alcotest.test_case "idle: a send from a system thread wakes a blocked recv" `Quick
+      test_idle_chan_wakeups;
+    Alcotest.test_case "idle: shutdown wakes parked workers within 100 ms" `Quick
+      test_idle_shutdown;
+    Alcotest.test_case "idle: a 2 ms sleep resumes while the other worker is parked" `Quick
+      test_idle_timer;
+    Alcotest.test_case "idle: a parked domain wakes and steals queued work" `Quick
+      test_idle_steal;
   ]
