@@ -27,11 +27,8 @@
    runtime only calls them inside a pause window, where producers are
    parked. *)
 
-module Metrics = Parcae_obs.Metrics
-module Chan_metrics = Parcae_obs.Chan_metrics
-module Trace = Parcae_obs.Trace
-module Event = Parcae_obs.Event
-module Timeline = Parcae_obs.Timeline
+module Observed = Parcae_obs.Observed
+module Chan_obs = Parcae_obs.Chan_obs
 module Monitor = Engine.Monitor
 module Hb = Parcae_obs.Hb
 
@@ -53,7 +50,7 @@ type 'a t = {
   mon : Monitor.m;
   nonempty : Monitor.c;
   nonfull : Monitor.c;
-  mutable mx : Chan_metrics.t;  (* benign racy cache *)
+  mutable obs : Chan_obs.t;  (* benign racy cache *)
 }
 
 let create ?(capacity = 0) eng name =
@@ -73,7 +70,7 @@ let create ?(capacity = 0) eng name =
     mon;
     nonempty = Monitor.cond mon;
     nonfull = Monitor.cond mon;
-    mx = Chan_metrics.none;
+    obs = Chan_obs.none;
   }
 
 let length ch = Int.max 0 (Atomic.get ch.qlen)
@@ -177,50 +174,32 @@ let wake_send ch ~all =
     if all then Monitor.broadcast ch.nonfull else Monitor.signal ch.nonfull
 
 (* ------------------------------------------------------------------ *)
-(* Metrics (Chan_metrics: the same families and labels as sim).        *)
+(* Observation (Chan_obs: the same families, lanes and events as sim).  *)
 (* ------------------------------------------------------------------ *)
 
-(* The channel's metric handles for the installed registry, rebound when
-   it changes; [Chan_metrics.none] while none is installed. *)
-let metrics ch =
-  let reg = Metrics.current () in
-  if ch.mx.Chan_metrics.reg != reg then ch.mx <- Chan_metrics.bind reg ch.name;
-  ch.mx
+(* Every site reads the installed-observer word in place, so with nothing
+   installed an operation pays one load per site. *)
+let observed () = Atomic.get Observed.word <> 0
 
-(* Registry updates after an operation moved [k] items; [waited] blocks
-   are measured from [t0] on the engine's real clock. *)
-let note_send ch k waited t0 =
-  let m = metrics ch in
-  if m != Chan_metrics.none then begin
-    m.sends.count <- m.sends.count + k;
-    m.depth.level <- float_of_int (length ch);
-    if waited then Metrics.observe_summary (Chan_metrics.send_block m) (Engine.now ch.eng - t0)
-  end
+(* The clock reading a block is measured from. *)
+let[@inline] start ch = if observed () then Engine.now ch.eng else 0
 
-let note_recv ch k waited t0 =
-  let m = metrics ch in
-  if m != Chan_metrics.none then begin
-    m.recvs.count <- m.recvs.count + k;
-    m.depth.level <- float_of_int (length ch);
-    if waited then Metrics.observe_summary (Chan_metrics.recv_block m) (Engine.now ch.eng - t0)
-  end
+(* The calling task's id and compute ns: -1 and 0 outside any task. *)
+let task_of = function Some t -> Engine.task_id t | None -> -1
+let busy_of = function Some t -> Engine.task_busy_ns t | None -> 0
 
-(* The wait instruments want a start time when either sink is live. *)
-let observing () = Metrics.enabled () || Timeline.enabled ()
-
-(* A measured block explains this worker lane's time as Chan_wait.  On the
-   native engine the blocked *fiber* suspends and the domain may run other
-   work meanwhile, so this can over-report; the timeline's clamped
-   attribution transfer absorbs that (idle donor states first). *)
-let tl_wait ch waited t0 =
-  if waited then
-    match Timeline.get () with
-    | Some tl -> (
-        match Engine.worker_id_opt () with
-        | Some lane when lane < Timeline.lanes tl ->
-            Timeline.attribute tl ~lane Timeline.Chan_wait (Engine.now ch.eng - t0)
-        | _ -> ())
-    | None -> ()
+(* Report an operation that moved [k] items, numbered from [seq], to the
+   installed observers.  A block is charged to this worker's lane. *)
+let report ch dir ~seq ~k ~waited ~t0 =
+  let now = Engine.now ch.eng in
+  let self = Engine.self_opt () in
+  let m =
+    Chan_obs.op ch.obs dir ~chan:ch.name ~now ~task:(task_of self) ~busy_ns:(busy_of self) ~seq
+      ~k ~depth:(length ch)
+      ~wait_ns:(if waited then now - t0 else -1)
+      ~lane:(if waited then Option.value (Engine.worker_id_opt ()) ~default:(-1) else -1)
+  in
+  if m != ch.obs then ch.obs <- m
 
 (* Sanitizer edges.  Native channels cannot use exact (chan, seq) pairing:
    the item becomes visible to consumers at the enqueue CAS, before its
@@ -229,36 +208,17 @@ let tl_wait ch waited t0 =
    acquires it after dequeueing — an over-approximation (a receive joins
    every earlier send on the channel) that can only add happens-before
    edges, never miss a real one, so it cannot produce false races. *)
-let hb_send ch =
-  if Hb.enabled () then
+let[@inline] hb_send ch =
+  if Atomic.get Observed.word land Observed.hb <> 0 then
     match Engine.self_opt () with
     | Some t -> Hb.on_send ~task:(Engine.task_id t) ~chan:ch.name ~seq:(-1)
     | None -> ()
 
-let hb_recv ch =
-  if Hb.enabled () then
+let[@inline] hb_recv ch =
+  if Atomic.get Observed.word land Observed.hb <> 0 then
     match Engine.self_opt () with
     | Some t -> Hb.on_recv ~task:(Engine.task_id t) ~chan:ch.name ~seq:(-1)
     | None -> ()
-
-(* [emit] is [Trace.chan_send] or [Trace.chan_recv]; a caller outside any
-   task records task -1 with no compute. *)
-let emit_op emit ch seq =
-  if Trace.enabled () then
-    match Engine.self_opt () with
-    | Some task ->
-        emit ~t:(Engine.now ch.eng) ~chan:ch.name ~seq ~task:(Engine.task_id task)
-          ~busy_ns:(Engine.task_busy_ns task)
-    | None -> emit ~t:(Engine.now ch.eng) ~chan:ch.name ~seq ~task:(-1) ~busy_ns:0
-
-let emit_send ch seq = emit_op Trace.chan_send ch seq
-let emit_recv ch seq = emit_op Trace.chan_recv ch seq
-
-let emit_send_range ch base k =
-  if Trace.enabled () then
-    for i = 0 to k - 1 do
-      emit_send ch (base + i)
-    done
 
 (* ------------------------------------------------------------------ *)
 (* Blocking protocol.                                                  *)
@@ -281,33 +241,33 @@ let await_inside ch waiters cond ready =
 
 let send ch v =
   let waited = (not (has_room ch)) && ch.capacity > 0 in
-  let t0 = if waited && observing () then Engine.now ch.eng else 0 in
+  let t0 = if waited then start ch else 0 in
   if waited then await_inside ch ch.send_waiters ch.nonfull (fun () -> has_room ch);
   hb_send ch;
   let seq = enqueue ch v in
   wake_recv ch ~all:false;
-  note_send ch 1 waited t0;
-  tl_wait ch waited t0;
-  emit_send ch seq
+  if observed () then report ch Chan_obs.Send ~seq ~k:1 ~waited ~t0
 
 let force_send ch v =
   (* Sentinel re-enqueue must never block: ignore capacity. *)
   hb_send ch;
   let seq = enqueue ch v in
   wake_recv ch ~all:false;
-  note_send ch 1 false 0;
-  emit_send ch seq
+  if observed () then report ch Chan_obs.Send ~seq ~k:1 ~waited:false ~t0:0
+
+(* After a dequeue: the sanitizer edge, a blocked sender's wake-up and
+   the report. *)
+let received ch (v, seq) ~waited ~t0 =
+  hb_recv ch;
+  wake_send ch ~all:false;
+  if observed () then report ch Chan_obs.Recv ~seq ~k:1 ~waited ~t0;
+  v
 
 let recv ch =
   match try_dequeue ch with
-  | Some (v, seq) ->
-      hb_recv ch;
-      wake_send ch ~all:false;
-      note_recv ch 1 false 0;
-      emit_recv ch seq;
-      v
+  | Some vs -> received ch vs ~waited:false ~t0:0
   | None ->
-      let t0 = if observing () then Engine.now ch.eng else 0 in
+      let t0 = start ch in
       let out = ref None in
       await_inside ch ch.recv_waiters ch.nonempty (fun () ->
           match try_dequeue ch with
@@ -315,18 +275,11 @@ let recv ch =
               out := Some vs;
               true
           | None -> false);
-      let v, seq = Option.get !out in
-      hb_recv ch;
-      wake_send ch ~all:false;
-      note_recv ch 1 true t0;
-      tl_wait ch true t0;
-      emit_recv ch seq;
-      v
+      received ch (Option.get !out) ~waited:true ~t0
 
 let send_batch ch vs =
   if vs <> [] then begin
-    let total = List.length vs in
-    let t0 = if observing () then Engine.now ch.eng else 0 in
+    let t0 = start ch in
     let waited = ref false in
     (* Bounded channels take the batch in capacity-sized chunks, waiting
        for room between chunks, so a batch larger than the capacity wraps
@@ -359,12 +312,15 @@ let send_batch ch vs =
           ignore (Atomic.fetch_and_add ch.qlen k : int);
           let base = Atomic.fetch_and_add ch.sent k in
           wake_recv ch ~all:(k > 1);
-          emit_send_range ch base k;
+          if observed () then begin
+            let self = Engine.self_opt () in
+            Chan_obs.trace Chan_obs.Send ~chan:ch.name ~now:(Engine.now ch.eng)
+              ~task:(task_of self) ~busy_ns:(busy_of self) ~seq:base k
+          end;
           go rest
     in
     go vs;
-    note_send ch total !waited t0;
-    tl_wait ch !waited t0
+    if observed () then report ch Chan_obs.Send ~seq:(-1) ~k:(List.length vs) ~waited:!waited ~t0
   end
 
 let recv_batch ?max ch =
@@ -385,18 +341,13 @@ let recv_batch ?max ch =
   let deliver items base waited t0 =
     hb_recv ch;
     wake_send ch ~all:true;
-    note_recv ch (List.length items) waited t0;
-    tl_wait ch waited t0;
-    if Trace.enabled () then
-      for i = 0 to List.length items - 1 do
-        emit_recv ch (base + i)
-      done;
+    if observed () then report ch Chan_obs.Recv ~seq:base ~k:(List.length items) ~waited ~t0;
     items
   in
   match take () with
   | (_ :: _ as items), base -> deliver items base false 0
   | [], _ ->
-      let t0 = if observing () then Engine.now ch.eng else 0 in
+      let t0 = start ch in
       let out = ref ([], 0) in
       await_inside ch ch.recv_waiters ch.nonempty (fun () ->
           match take () with
@@ -413,13 +364,12 @@ let recv_batch ?max ch =
 
 let flush_note ch removed =
   if removed > 0 then wake_send ch ~all:true;
-  if Parcae_obs.Trace.enabled () then
-    Parcae_obs.Trace.emit ~t:(Engine.now ch.eng)
-      (Parcae_obs.Event.Chan_flush { chan = ch.name; dropped = removed });
-  let m = metrics ch in
-  if m != Chan_metrics.none then begin
-    m.flushed.count <- m.flushed.count + removed;
-    m.depth.level <- float_of_int (length ch)
+  if observed () then begin
+    let m =
+      Chan_obs.flush ch.obs ~chan:ch.name ~now:(Engine.now ch.eng) ~dropped:removed
+        ~depth:(length ch)
+    in
+    if m != ch.obs then ch.obs <- m
   end
 
 let take_all ch =

@@ -96,6 +96,7 @@ type sched_metrics = {
 
 type worker = {
   wid : int;
+  wlane : int option;  (* [Some wid], built once so [worker_id_opt] boxes nothing *)
   weng : t;
   wdeque : runnable Deque.t;
   wrng : Random.State.t;  (* randomized steal order *)
@@ -112,7 +113,7 @@ let self_opt () =
 let in_fiber () = self_opt () <> None
 
 let worker_id_opt () =
-  match Domain.DLS.get worker_key with Some w -> Some w.wid | None -> None
+  match Domain.DLS.get worker_key with Some w -> w.wlane | None -> None
 
 (* Timeline transition for this worker's lane: one load when disabled. *)
 let tl_enter eng wid st =
@@ -411,6 +412,7 @@ let worker_loop eng wid () =
   let w =
     {
       wid;
+      wlane = Some wid;
       weng = eng;
       wdeque = eng.deques.(wid);
       wrng = Random.State.make [| 0x5eed; wid |];

@@ -131,7 +131,8 @@ val task_id : task -> int
 
 val worker_id_opt : unit -> int option
 (** The pool-domain index (timeline lane) of the calling domain, [None]
-    off the pool.  O(1), domain-local. *)
+    off the pool.  O(1), domain-local, and allocation-free: each worker
+    builds its [Some] once. *)
 
 val task_busy_ns : task -> int
 (** Total measured compute ns, the native analogue of the sim thread's

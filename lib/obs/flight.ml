@@ -36,11 +36,8 @@ type t = {
 let create () = { entries = []; count = 0; next_epoch = 0 }
 let null = create ()
 let cell = Atomic.make null
-let enabled () = Atomic.get cell != null
-
-let with_recorder r f =
-  let prev = Atomic.exchange cell r in
-  Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
+let enabled () = Atomic.get Observed.word land Observed.flight <> 0
+let with_recorder r f = Observed.install cell Observed.flight ~live:(fun r -> r != null) r f
 
 let entries r = List.rev r.entries
 let count r = r.count

@@ -67,8 +67,8 @@ type entry = Decision of decision | Overhead of overhead
 
     Same discipline as {!Trace}: an [Atomic] cell written only by
     {!with_recorder} holds the recorder or a private null sentinel, so
-    {!enabled} is one load and one pointer comparison and with no
-    recorder installed the runtime pays nothing. *)
+    {!enabled} is one bit of {!Observed.word} and with no recorder
+    installed the runtime pays nothing. *)
 
 type t
 

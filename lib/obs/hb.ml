@@ -80,11 +80,8 @@ let create () =
 let cell : t option Atomic.t = Atomic.make None
 
 let get () = Atomic.get cell
-let enabled () = Option.is_some (Atomic.get cell)
-
-let with_tracker tr f =
-  let prev = Atomic.exchange cell (Some tr) in
-  Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
+let enabled () = Atomic.get Observed.word land Observed.hb <> 0
+let with_tracker tr f = Observed.install cell Observed.hb ~live:Option.is_some (Some tr) f
 
 let locked tr f =
   Mutex.lock tr.mu;

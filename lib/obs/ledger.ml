@@ -9,11 +9,10 @@ let create () = { table = Hashtbl.create 17 }
 let null = { table = Hashtbl.create 0 }
 let cell = Atomic.make null
 
-let with_ledger l f =
-  let prev = Atomic.exchange cell l in
-  Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
+let with_ledger l f = Observed.install cell Observed.ledger ~live:(fun l -> l != null) l f
 
-let active () = Atomic.get cell != null || Metrics.enabled () || Flight.enabled ()
+let active () =
+  Atomic.get Observed.word land (Observed.ledger lor Observed.metrics lor Observed.flight) <> 0
 
 let note ~t ~region ~phase ns =
   let ns = max 0 ns in

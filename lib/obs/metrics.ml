@@ -13,7 +13,7 @@
 
        if Metrics.enabled () then Metrics.inc (handles ()).sends
 
-     so disabled metrics cost one load and one pointer comparison, and no
+     so disabled metrics cost one bit test of [Observed.word], and no
      label lists or handle records are ever allocated.
    - Deterministic exposition: families and series are emitted in sorted
      order, and floats print through a fixed format, so two same-seed runs
@@ -99,11 +99,8 @@ let is_null r = r == null
 let cell = Atomic.make null
 
 let current () = Atomic.get cell
-let enabled () = not (is_null (Atomic.get cell))
-
-let with_registry r f =
-  let prev = Atomic.exchange cell r in
-  Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
+let enabled () = Atomic.get Observed.word land Observed.metrics <> 0
+let with_registry r f = Observed.install cell Observed.metrics ~live:(fun r -> not (is_null r)) r f
 
 (* Memoize instrument handles against the installed registry: the returned
    thunk rebuilds only when a different registry is installed, so hot paths

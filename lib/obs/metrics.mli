@@ -9,7 +9,7 @@
 
     A registry is installed only through {!with_registry}, into an
     [Atomic] cell.  Disabled mode mirrors {!Trace}: a physical [null]
-    registry makes {!enabled} one load and one pointer comparison, and every
+    registry leaves {!enabled}, one bit of {!Observed.word}, false, and every
     emitter in the runtime guards with
 
     {[ if Metrics.enabled () then Metrics.inc (handles ()).something ]}

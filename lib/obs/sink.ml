@@ -3,8 +3,8 @@
 
    The sink keeps the most recent [capacity] events and counts what it
    overwrote, so a long run with a small sink degrades to a suffix trace
-   instead of unbounded memory.  [null] is a physical sentinel: emitters
-   compare against it with one load and one pointer equality, which is the
+   instead of unbounded memory.  [null] is a physical sentinel: installed,
+   it leaves the trace bit of [Observed.word] clear, and a bit test is the
    whole cost of disabled tracing.
 
    One ring per writing domain.  A domain creates its ring on its first

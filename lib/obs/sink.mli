@@ -7,11 +7,11 @@
     Systhreads of one domain share its ring and never interleave inside a
     write, since nothing from the claim to the publish allocates.  A
     simulator run writes from one domain, so its sink is a single ring.
-    [null] is a physical sentinel so that disabled tracing costs one
-    pointer comparison per potential event.  Events are stored flat, one
-    column per field, so recording allocates nothing; they are decoded
-    back to {!Event.t} only by the readers, which merge the rings by time
-    and keep the newest [capacity] events.
+    [null] is a physical sentinel: installed, it leaves {!Trace.enabled}
+    false, so disabled tracing costs one bit test per potential event.
+    Events are stored flat, one column per field, so recording allocates
+    nothing; they are decoded back to {!Event.t} only by the readers,
+    which merge the rings by time and keep the newest [capacity] events.
 
     Reading is safe while native domains write: a reader copies the
     published range of each ring and discards any slot its writer

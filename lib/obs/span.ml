@@ -165,11 +165,8 @@ let create ?(capacity = 4096) () =
 let cell : t option Atomic.t = Atomic.make None
 
 let get () = Atomic.get cell
-let enabled () = Option.is_some (Atomic.get cell)
-
-let with_collector t f =
-  let prev = Atomic.exchange cell (Some t) in
-  Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
+let enabled () = Atomic.get Observed.word land Observed.span <> 0
+let with_collector t f = Observed.install cell Observed.span ~live:Option.is_some (Some t) f
 
 (* ---- Registry handles (null-object cached, like every emitter). ---- *)
 

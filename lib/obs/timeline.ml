@@ -242,8 +242,5 @@ let breakdown_to_json bds =
 let cell : t option Atomic.t = Atomic.make None
 
 let get () = Atomic.get cell
-let enabled () = Option.is_some (Atomic.get cell)
-
-let with_timeline tl f =
-  let prev = Atomic.exchange cell (Some tl) in
-  Fun.protect ~finally:(fun () -> Atomic.set cell prev) f
+let enabled () = Atomic.get Observed.word land Observed.timeline <> 0
+let with_timeline tl f = Observed.install cell Observed.timeline ~live:Option.is_some (Some tl) f

@@ -7,8 +7,8 @@
 
      if Trace.enabled () then Trace.emit ~t:(Engine.time eng) (Event.Pause ...)
 
-   so that with tracing disabled the entire cost is one load and one
-   physical comparison, and the event payload is never allocated.  The
+   so that with tracing disabled the entire cost is a bit test of
+   [Observed.word], and the event payload is never allocated.  The
    per-operation kinds have typed emitters that take the payload's fields
    and record them without building an event at all:
 
@@ -16,7 +16,7 @@
 
 let current = Atomic.make Sink.null
 
-let enabled () = not (Sink.is_null (Atomic.get current))
+let enabled () = Atomic.get Observed.word land Observed.trace <> 0
 
 let emit ~t kind = Sink.record (Atomic.get current) ~t kind
 
@@ -39,5 +39,4 @@ let steal ~t ~task ~from_lane ~to_lane =
 (* Run [f] with [s] installed, restoring the previous sink on exit (also
    on exception), so nested scopes and tests compose. *)
 let with_sink s f =
-  let prev = Atomic.exchange current s in
-  Fun.protect ~finally:(fun () -> Atomic.set current prev) f
+  Observed.install current Observed.trace ~live:(fun s -> not (Sink.is_null s)) s f

@@ -8,11 +8,8 @@
    multi-consumer; used single-producer single-consumer they preserve
    sequential order, which the pause/reconfigure protocol relies on. *)
 
-module Metrics = Parcae_obs.Metrics
-module Chan_metrics = Parcae_obs.Chan_metrics
-module Trace = Parcae_obs.Trace
-module Event = Parcae_obs.Event
-module Timeline = Parcae_obs.Timeline
+module Observed = Parcae_obs.Observed
+module Chan_obs = Parcae_obs.Chan_obs
 module Hb = Parcae_obs.Hb
 module Ring = Parcae_util.Ring
 
@@ -26,7 +23,7 @@ type 'a t = {
   op_cost : int;  (* resolved against the machine at creation *)
   mutable total_sent : int;
   mutable total_received : int;  (* receive sequence number *)
-  mutable mx : Chan_metrics.t;
+  mutable obs : Chan_obs.t;
 }
 
 (* The operation cost is resolved once, so a send or receive reads no
@@ -42,86 +39,53 @@ let create ?(capacity = 0) eng name =
     op_cost = (Engine.machine eng).Machine.chan_op;
     total_sent = 0;
     total_received = 0;
-    mx = Chan_metrics.none;
+    obs = Chan_obs.none;
   }
 
-(* The channel's metric handles for the installed registry, rebound when
-   it changes; [Chan_metrics.none] while none is installed. *)
-let metrics ch =
-  let reg = Metrics.current () in
-  if ch.mx.Chan_metrics.reg != reg then ch.mx <- Chan_metrics.bind reg ch.name;
-  ch.mx
+(* Observation.  Every site reads the installed-observer word in place,
+   so with nothing installed an operation pays one load per site;
+   {!Chan_obs} decides what the installed observers record. *)
+let observed () = Atomic.get Observed.word <> 0
 
-(* Registry updates after an operation moved [k] items; [waited] blocks
-   are measured from [t0] on the virtual clock. *)
-let note_send ch k waited t0 =
-  let m = metrics ch in
-  if m != Chan_metrics.none then begin
-    m.sends.count <- m.sends.count + k;
-    m.depth.level <- float_of_int (Ring.length ch.q);
-    if waited then Metrics.observe_summary (Chan_metrics.send_block m) (Engine.time ch.eng - t0)
-  end
+(* The clock reading a block is measured from. *)
+let[@inline] start ch = if observed () then Engine.time ch.eng else 0
 
-let note_recv ch k waited t0 =
-  let m = metrics ch in
-  if m != Chan_metrics.none then begin
-    m.recvs.count <- m.recvs.count + k;
-    m.depth.level <- float_of_int (Ring.length ch.q);
-    if waited then Metrics.observe_summary (Chan_metrics.recv_block m) (Engine.time ch.eng - t0)
-  end
+(* The calling thread's id and compute ns: -1 and 0 outside any thread. *)
+let task_of = function Some th -> th.Engine.tid | None -> -1
+let busy_of = function Some th -> th.Engine.busy_ns | None -> 0
 
-let note_flush ch removed =
-  let m = metrics ch in
-  if m != Chan_metrics.none then begin
-    m.flushed.count <- m.flushed.count + removed;
-    m.depth.level <- float_of_int (Ring.length ch.q)
-  end
+(* Report an operation that moved [k] items, numbered from [seq], to the
+   installed observers.  A block is charged to the core the thread last
+   computed on (non-burst code runs off-core in the sim). *)
+let report ch dir ~seq ~k ~waited ~t0 =
+  let now = Engine.time ch.eng in
+  let self = Engine.self_opt () in
+  let m =
+    Chan_obs.op ch.obs dir ~chan:ch.name ~now ~task:(task_of self) ~busy_ns:(busy_of self) ~seq
+      ~k ~depth:(Ring.length ch.q)
+      ~wait_ns:(if waited then now - t0 else -1)
+      ~lane:(if waited then Option.value (Engine.core_opt ()) ~default:(-1) else -1)
+  in
+  if m != ch.obs then ch.obs <- m
 
-(* The wait instruments want a start time when either sink is live. *)
-let observing () = Metrics.enabled () || Timeline.enabled ()
-
-(* Explain a measured block as Chan_wait on the core the thread last
-   computed on (non-burst code runs off-core in the sim).  While blocked
-   the thread held no core — the wait displaced Park time on that lane,
-   which is exactly what the timeline's idle-first attribution transfer
-   expresses. *)
-let tl_wait ch waited t0 =
-  if waited then
-    match Timeline.get () with
-    | Some tl -> (
-        match Engine.core_opt () with
-        | Some core when core < Timeline.lanes tl ->
-            Timeline.attribute tl ~lane:core Timeline.Chan_wait (Engine.time ch.eng - t0)
-        | _ -> ())
-    | None -> ()
+let report_flush ch dropped =
+  let m =
+    Chan_obs.flush ch.obs ~chan:ch.name ~now:(Engine.time ch.eng) ~dropped
+      ~depth:(Ring.length ch.q)
+  in
+  if m != ch.obs then ch.obs <- m
 
 (* Sanitizer edges use the exact (chan, seq) FIFO pairing.  The send-side
    clock must be published before any other thread can observe the item:
    these run at the seq-assignment point, before the consumer woken by
    [signal] can run. *)
-let hb_send ch seq =
-  if Hb.enabled () then Hb.on_send ~task:(Engine.self ()).Engine.tid ~chan:ch.name ~seq
+let[@inline] hb_send ch seq =
+  if Atomic.get Observed.word land Observed.hb <> 0 then
+    Hb.on_send ~task:(Engine.self ()).Engine.tid ~chan:ch.name ~seq
 
-let hb_recv ch seq =
-  if Hb.enabled () then Hb.on_recv ~task:(Engine.self ()).Engine.tid ~chan:ch.name ~seq
-
-let emit_send ch seq =
-  if Trace.enabled () then begin
-    let th = Engine.self () in
-    Trace.chan_send ~t:(Engine.time ch.eng) ~chan:ch.name ~seq ~task:th.Engine.tid
-      ~busy_ns:th.Engine.busy_ns
-  end
-
-let emit_recv ch seq =
-  if Trace.enabled () then begin
-    let th = Engine.self () in
-    Trace.chan_recv ~t:(Engine.time ch.eng) ~chan:ch.name ~seq ~task:th.Engine.tid
-      ~busy_ns:th.Engine.busy_ns
-  end
-
-let emit_flush ch dropped =
-  if Trace.enabled () then
-    Trace.emit ~t:(Engine.time ch.eng) (Event.Chan_flush { chan = ch.name; dropped })
+let[@inline] hb_recv ch seq =
+  if Atomic.get Observed.word land Observed.hb <> 0 then
+    Hb.on_recv ~task:(Engine.self ()).Engine.tid ~chan:ch.name ~seq
 
 let length ch = Ring.length ch.q
 let total_sent ch = ch.total_sent
@@ -136,11 +100,12 @@ let total_sent ch = ch.total_sent
    flush — waiting right after one could miss a signal sent while the
    thread was off the waiter queue.
 
-   Each operation has one path.  Every hook carries its own guard, so with
-   all observers off — the serving steady state — an operation allocates
-   nothing: the wait helpers are top-level recursive functions that return
-   whether they blocked, where a local [let rec loop] would close over the
-   operation's locals and be allocated per call. *)
+   Each operation has one path.  Its observation reads the installed-
+   observer word first, so with all observers off — the serving steady
+   state — an operation allocates nothing: the wait helpers are top-level
+   recursive functions that return whether they blocked, where a local
+   [let rec loop] would close over the operation's locals and be
+   allocated per call. *)
 let rec wait_nonfull ch blocked =
   if ch.capacity > 0 && Ring.length ch.q >= ch.capacity then begin
     if not (Engine.flush_charges ch.eng) then Engine.wait_on ch.nonfull;
@@ -158,30 +123,26 @@ let rec wait_nonempty ch blocked =
 (* Enqueue [v], blocking while the channel is at capacity. *)
 let send ch v =
   Engine.compute_in ch.eng ch.op_cost;
-  let t0 = if observing () then Engine.time ch.eng else 0 in
+  let t0 = start ch in
   let waited = wait_nonfull ch false in
   let seq = ch.total_sent in
   Ring.push ch.q v;
   ch.total_sent <- seq + 1;
   hb_send ch seq;
   Engine.signal ch.nonempty;
-  note_send ch 1 waited t0;
-  tl_wait ch waited t0;
-  emit_send ch seq
+  if observed () then report ch Chan_obs.Send ~seq ~k:1 ~waited ~t0
 
 (* Dequeue, blocking while the channel is empty. *)
 let recv ch =
   Engine.charge ch.eng ch.op_cost;
-  let t0 = if observing () then Engine.time ch.eng else 0 in
+  let t0 = start ch in
   let waited = wait_nonempty ch false in
   let v = Ring.pop ch.q in
   let seq = ch.total_received in
   ch.total_received <- seq + 1;
   hb_recv ch seq;
   Engine.signal ch.nonfull;
-  note_recv ch 1 waited t0;
-  tl_wait ch waited t0;
-  emit_recv ch seq;
+  if observed () then report ch Chan_obs.Recv ~seq ~k:1 ~waited ~t0;
   v
 
 (* Enqueue [v] regardless of capacity.  Control sentinels use this: a lane
@@ -193,12 +154,12 @@ let force_send ch v =
   Ring.push ch.q v;
   ch.total_sent <- seq + 1;
   hb_send ch seq;
-  note_send ch 1 false 0;
-  emit_send ch seq;
+  if observed () then report ch Chan_obs.Send ~seq ~k:1 ~waited:false ~t0:0;
   Engine.signal ch.nonempty
 
 (* Enqueue the items one by one, each after waiting for room; returns
-   whether any of them blocked. *)
+   whether any of them blocked.  Each item is traced as it is enqueued:
+   a bounded channel can block partway through the batch. *)
 let rec send_all ch blocked = function
   | [] -> blocked
   | v :: tl ->
@@ -207,7 +168,11 @@ let rec send_all ch blocked = function
       Ring.push ch.q v;
       ch.total_sent <- seq + 1;
       hb_send ch seq;
-      emit_send ch seq;
+      if observed () then begin
+        let self = Engine.self_opt () in
+        Chan_obs.trace Chan_obs.Send ~chan:ch.name ~now:(Engine.time ch.eng)
+          ~task:(task_of self) ~busy_ns:(busy_of self) ~seq 1
+      end;
       Engine.signal ch.nonempty;
       send_all ch blocked tl
 
@@ -216,10 +181,10 @@ let rec send_all ch blocked = function
    next item would overflow a bounded channel. *)
 let send_batch ch vs =
   Engine.compute_in ch.eng ch.op_cost;
-  let t0 = if observing () then Engine.time ch.eng else 0 in
+  let t0 = start ch in
   let waited = send_all ch false vs in
-  note_send ch (List.length vs) waited t0;
-  tl_wait ch waited t0
+  if observed () && vs <> [] then
+    report ch Chan_obs.Send ~seq:(-1) ~k:(List.length vs) ~waited ~t0
 
 (* Claim up to [n] queued items in FIFO order; the caller has ensured the
    queue is nonempty.  Builds the result front-first so no reversal (and
@@ -243,22 +208,16 @@ let recv_batch ?max ch =
         m
     | None -> -1
   in
-  let t0 = if observing () then Engine.time ch.eng else 0 in
+  let t0 = start ch in
   let waited = wait_nonempty ch false in
   let base = ch.total_received in
   let out = take_n ch (if limit = -1 then Ring.length ch.q else limit) in
   let taken = ch.total_received - base in
-  if Hb.enabled () then
-    for i = 0 to taken - 1 do
-      hb_recv ch (base + i)
-    done;
-  if Trace.enabled () then
-    for i = 0 to taken - 1 do
-      emit_recv ch (base + i)
-    done;
+  for i = 0 to taken - 1 do
+    hb_recv ch (base + i)
+  done;
   Engine.broadcast ch.nonfull;
-  note_recv ch taken waited t0;
-  tl_wait ch waited t0;
+  if observed () then report ch Chan_obs.Recv ~seq:base ~k:taken ~waited ~t0;
   out
 
 (* Keep only the items satisfying [keep], preserving order; returns how many
@@ -270,8 +229,7 @@ let filter ch keep =
   Engine.compute_in ch.eng ch.op_cost;
   let removed = Ring.filter_in_place keep ch.q in
   if removed > 0 then Engine.broadcast ch.nonfull;
-  emit_flush ch removed;
-  note_flush ch removed;
+  if observed () then report_flush ch removed;
   removed
 
 (* Discard all queued items; used when the runtime resets communication
@@ -281,6 +239,5 @@ let drain ch =
   let n = Ring.length ch.q in
   Ring.clear ch.q;
   Engine.broadcast ch.nonfull;
-  emit_flush ch n;
-  note_flush ch n;
+  if observed () then report_flush ch n;
   n

@@ -391,6 +391,116 @@ let test_chan_block_series_native () =
   check_bool "receiver that never waits: no block series" true
     (chan_block_run (Engine.create_native ~pool:2 ()) ~k:5 ~receiver_waits:false = (0, 0))
 
+(* One script on each backend with a registry and a trace sink installed:
+   the channel families and the channel trace events must be the same.
+   An empty batch moves nothing, so the channel that only sees one
+   reports nothing. *)
+let chan_observation eng =
+  let reg = Metrics.create () and sink = Obs.Sink.create ~capacity:256 () in
+  Metrics.with_registry reg (fun () ->
+      Obs.Trace.with_sink sink (fun () ->
+          let ch = Chan.create eng "obs" and idle = Chan.create eng "idle" in
+          ignore
+            (Engine.spawn eng ~name:"script" (fun () ->
+                 Chan.send_batch idle [];
+                 Chan.send ch 1;
+                 Chan.force_send ch 2;
+                 Chan.send_batch ch [ 3; 4; 5 ];
+                 ignore (Chan.recv ch : int);
+                 ignore (Chan.recv_batch ~max:2 ch : int list);
+                 ignore (Chan.filter ch (fun v -> v <> 5) : int);
+                 ignore (Chan.drain ch : int)));
+          ignore (Engine.run ~until:10_000_000_000 eng);
+          Engine.shutdown eng));
+  let values =
+    List.concat_map
+      (fun (f : Metrics.fam_snapshot) ->
+        if not (String.starts_with ~prefix:"parcae_chan_" f.Metrics.name) then []
+        else
+          List.map
+            (fun { Metrics.labels; value } ->
+              let v =
+                match value with
+                | Metrics.Counter_v n -> string_of_int n
+                | Metrics.Gauge_v g -> string_of_float g
+                | _ -> "summary"
+              in
+              Printf.sprintf "%s{%s} %s" f.Metrics.name (String.concat "," (List.map snd labels)) v)
+            f.Metrics.samples)
+      (Metrics.snapshot reg)
+  in
+  let events =
+    List.filter_map
+      (fun (e : Obs.Event.t) ->
+        match e.Obs.Event.kind with
+        | Obs.Event.Chan_send_ev { chan; seq; _ } -> Some (Printf.sprintf "send %s %d" chan seq)
+        | Obs.Event.Chan_recv_ev { chan; seq; _ } -> Some (Printf.sprintf "recv %s %d" chan seq)
+        | Obs.Event.Chan_flush { chan; dropped } -> Some (Printf.sprintf "flush %s %d" chan dropped)
+        | _ -> None)
+      (Obs.Sink.events sink)
+  in
+  (values, events)
+
+let test_chan_observation_backends () =
+  let sim_values, sim_events =
+    chan_observation (Engine.create (Machine.test_machine ~cores:2 ()))
+  in
+  let nat_values, nat_events = chan_observation (Engine.create_native ~pool:1 ()) in
+  let check_list = Alcotest.(check (list string)) in
+  check_list "sim families"
+    [
+      "parcae_chan_depth{obs} 0.";
+      "parcae_chan_flushed_total{obs} 2";
+      "parcae_chan_recvs_total{obs} 3";
+      "parcae_chan_sends_total{obs} 5";
+    ]
+    sim_values;
+  check_list "native families equal sim's" sim_values nat_values;
+  check_list "sim channel events"
+    [
+      "send obs 0"; "send obs 1"; "send obs 2"; "send obs 3"; "send obs 4";
+      "recv obs 0"; "recv obs 1"; "recv obs 2"; "flush obs 1"; "flush obs 1";
+    ]
+    sim_events;
+  check_list "native channel events equal sim's" sim_events nat_events
+
+(* A sim receive that blocks charges its wait, as Chan_wait, to the lane
+   of the core the receiving thread last ran on, and to no other lane.  A
+   hog holds the other core throughout; which core each gets follows the
+   spawn order, so the two orders put the receiver on different lanes. *)
+let test_chan_wait_lane_sim () =
+  let run ~hog_first =
+    let eng = Engine.create (Machine.test_machine ~cores:2 ()) in
+    let tl = Obs.Timeline.create ~lanes:2 ~now:0 () in
+    let lane = ref (-1) in
+    let until =
+      Obs.Timeline.with_timeline tl (fun () ->
+          let ch = Chan.create eng "tw" in
+          let hog () = ignore (Engine.spawn eng ~name:"hog" (fun () -> Engine.compute 200_000)) in
+          if hog_first then hog ();
+          ignore
+            (Engine.spawn eng ~name:"recv" (fun () ->
+                 Engine.compute 1_000;
+                 ignore (Chan.recv ch : int);
+                 lane := Option.value (Engine.current_lane ()) ~default:(-1)));
+          if not hog_first then hog ();
+          ignore
+            (Engine.spawn eng ~name:"send" (fun () ->
+                 Engine.sleep 50_000;
+                 Chan.send ch 1));
+          Engine.run eng)
+    in
+    let b = Obs.Timeline.breakdown tl ~until in
+    let wait l = b.(l).Obs.Timeline.by_state.(Obs.Timeline.state_index Obs.Timeline.Chan_wait) in
+    check_bool "the receiver ran on a core" true (!lane = 0 || !lane = 1);
+    check_bool (Printf.sprintf "Chan_wait %d ns on lane %d" (wait !lane) !lane) true
+      (wait !lane >= 40_000);
+    check_int "no Chan_wait on the hog's lane" 0 (wait (1 - !lane));
+    !lane
+  in
+  check_bool "the spawn orders give the receiver different lanes" true
+    (run ~hog_first:true <> run ~hog_first:false)
+
 (* A crc32 launch builds a PS-DSWP plan with thousands of channels, few of
    which ever block.  Block series are created on a channel's first
    block, so the registry stays small; one eager HDR summary per channel
@@ -523,6 +633,10 @@ let suite =
       test_chan_block_series_native;
     Alcotest.test_case "chan metrics: crc32 registry stays small" `Quick
       test_crc32_registry_bounded;
+    Alcotest.test_case "chan observation: sim and native report the same" `Quick
+      test_chan_observation_backends;
+    Alcotest.test_case "chan observation: a blocked recv charges its core's lane (sim)" `Quick
+      test_chan_wait_lane_sim;
     Alcotest.test_case "profile: folded stacks match Decima totals" `Quick
       test_profile_matches_decima;
     Alcotest.test_case "profile: sanitize and parse round-trip" `Quick

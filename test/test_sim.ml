@@ -717,6 +717,17 @@ let test_ambient_direct () =
   List.iter
     (fun (what, words, got) -> check_int ("words inside a thread: " ^ what) (words * calls) got)
     !measured;
+  (* On a native worker the lane is the worker's own prebuilt [Some]. *)
+  let module N = Parcae_native.Engine in
+  let neng = N.create ~pool:1 () in
+  let native_words = ref (-1) in
+  ignore
+    (N.spawn neng ~name:"lane" (fun () ->
+         check_bool "native: lane on a worker" true (P.current_lane () <> None);
+         native_words := minor_words (fun () -> ignore (P.current_lane () : int option))));
+  ignore (N.run neng);
+  N.shutdown neng;
+  check_int "words inside a native task: current_lane" 0 !native_words;
   check_bool "outside: no lane" true (P.current_lane () = None);
   check_bool "outside: no task id" true (P.current_task_id () = None);
   check_int "outside: current_lane allocates nothing" 0

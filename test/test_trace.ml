@@ -76,8 +76,10 @@ let test_null_sink_disabled () =
   check_int "event landed in installed sink" 1 (Sink.length s)
 
 (* One row per observer layer: how to make an instance, install it for a
-   scope, and tell whether a given instance is the installed one.  Layers
-   with no accessor for their cell are probed by recording through it. *)
+   scope, and tell whether a given instance is the installed one; its bit
+   of the installed-observer word, and its null value if it has a public
+   one.  Layers with no accessor for their cell are probed by recording
+   through it. *)
 type observer =
   | Observer : {
       name : string;
@@ -85,6 +87,8 @@ type observer =
       scope : 'a. 'o -> (unit -> 'a) -> 'a;
       installed : 'o -> bool;
       enabled : unit -> bool;
+      bit : int;
+      null : 'o option;
     }
       -> observer
 
@@ -103,6 +107,8 @@ let observers =
             Trace.emit ~t:0 (Event.Region_stop { region = "probe" });
             Sink.length s > n);
         enabled = Trace.enabled;
+        bit = Obs.Observed.trace;
+        null = Some Sink.null;
       };
     Observer
       {
@@ -111,6 +117,8 @@ let observers =
         scope = Obs.Metrics.with_registry;
         installed = (fun r -> Obs.Metrics.current () == r);
         enabled = Obs.Metrics.enabled;
+        bit = Obs.Observed.metrics;
+        null = Some Obs.Metrics.null;
       };
     Observer
       {
@@ -123,6 +131,8 @@ let observers =
             Obs.Flight.overhead ~t:0 ~region:"probe" ~phase:"flush" ~ns:1;
             Obs.Flight.count r > n);
         enabled = Obs.Flight.enabled;
+        bit = Obs.Observed.flight;
+        null = None;
       };
     Observer
       {
@@ -136,6 +146,8 @@ let observers =
             Obs.Ledger.note ~t:0 ~region:"probe" ~phase:"flush" 1;
             ns () > before);
         enabled = Obs.Ledger.active;
+        bit = Obs.Observed.ledger;
+        null = None;
       };
     Observer
       {
@@ -144,6 +156,8 @@ let observers =
         scope = Obs.Hb.with_tracker;
         installed = installed_in Obs.Hb.get;
         enabled = Obs.Hb.enabled;
+        bit = Obs.Observed.hb;
+        null = None;
       };
     Observer
       {
@@ -152,6 +166,8 @@ let observers =
         scope = Obs.Span.with_collector;
         installed = installed_in Obs.Span.get;
         enabled = Obs.Span.enabled;
+        bit = Obs.Observed.span;
+        null = None;
       };
     Observer
       {
@@ -160,6 +176,8 @@ let observers =
         scope = Obs.Timeline.with_timeline;
         installed = installed_in Obs.Timeline.get;
         enabled = Obs.Timeline.enabled;
+        bit = Obs.Observed.timeline;
+        null = None;
       };
   ]
 
@@ -169,21 +187,51 @@ let with_all_observers f =
 
 (* Every observer installs only through its scope: an inner scope shadows
    the outer, an exception leaving it restores the outer, and nothing is
-   installed once the outer scope closes. *)
+   installed once the outer scope closes.  The observer's bit of the
+   installed-observer word follows its cell, the other six bits stay as
+   they were, and installing a null value clears the bit for its scope. *)
 let test_observer_scopes () =
+  let word () = Atomic.get Obs.Observed.word in
   List.iter
     (fun (Observer o) ->
       let outer = o.make () and inner = o.make () in
       let check what = check_bool (o.name ^ ": " ^ what) true in
+      let live what =
+        check (what ^ ": bit set") (word () = o.bit);
+        check (what ^ ": enabled") (o.enabled ())
+      in
       check "off by default" (not (o.enabled ()));
+      check "empty word" (word () = 0);
       o.scope outer (fun () ->
-          o.scope inner (fun () -> check "inner shadows outer" (o.installed inner));
+          live "outer";
+          o.scope inner (fun () ->
+              live "inner";
+              check "inner shadows outer" (o.installed inner));
+          live "after the inner scope";
           check "outer restored" (o.installed outer);
           (match o.scope inner (fun () -> raise Exit) with
           | () -> Alcotest.fail "the scope swallowed the exception"
           | exception Exit -> ());
-          check "outer restored after an exception" (o.installed outer));
-      check "nothing installed afterwards" (not (o.enabled ())))
+          live "after an exception";
+          check "outer restored after an exception" (o.installed outer);
+          Option.iter
+            (fun null ->
+              o.scope null (fun () ->
+                  check "null inside: bit clear" (word () = 0);
+                  check "null inside: disabled" (not (o.enabled ())));
+              live "after the null scope";
+              check "outer restored after the null scope" (o.installed outer))
+            o.null);
+      check "nothing installed afterwards" (not (o.enabled ()));
+      check "empty word afterwards" (word () = 0);
+      (match o.scope outer (fun () -> raise Exit) with
+      | () -> Alcotest.fail "the scope swallowed the exception"
+      | exception Exit -> ());
+      check "empty word after an exception" (word () = 0);
+      check "disabled after an exception" (not (o.enabled ()));
+      Option.iter
+        (fun null -> o.scope null (fun () -> check "null: bit clear" (word () = 0)))
+        o.null)
     observers
 
 (* A saturated ring must account for its losses everywhere the trace is
