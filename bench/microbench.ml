@@ -28,8 +28,8 @@ let test_pqueue =
   Test.make ~name:"pqueue: push+pop"
     (Staged.stage (fun () ->
          incr i;
-         Pqueue.push q ~time:!i ~push:0 ~first:!i ~seq:!i ();
-         Pqueue.pop_into q k))
+         Pqueue.push q ~time:!i ~push:0 ~first:!i ~seq:!i !i;
+         ignore (Pqueue.pop_into q k : int)))
 
 let test_engine_events =
   Test.make ~name:"engine: 1000 sim events"

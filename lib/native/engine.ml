@@ -30,6 +30,7 @@ module Trace = Parcae_obs.Trace
 module Event = Parcae_obs.Event
 module Timeline = Parcae_obs.Timeline
 module Hb = Parcae_obs.Hb
+module Observed = Parcae_obs.Observed
 
 type task = {
   tid : int;
@@ -115,12 +116,14 @@ let in_fiber () = self_opt () <> None
 let worker_id_opt () =
   match Domain.DLS.get worker_key with Some w -> w.wlane | None -> None
 
-(* Timeline transition for this worker's lane: one load when disabled. *)
+(* Timeline transition for this worker's lane: one bit test of the
+   observer word, read in place, when disabled. *)
 let tl_enter eng wid st =
-  match Timeline.get () with
-  | Some tl when wid < Timeline.lanes tl ->
-      Timeline.enter tl ~lane:wid ~now:(Calibrate.now_ns () - eng.t0) st
-  | _ -> ()
+  if Atomic.get Observed.word land Observed.timeline <> 0 then
+    match Timeline.get () with
+    | Some tl when wid < Timeline.lanes tl ->
+        Timeline.enter tl ~lane:wid ~now:(Calibrate.now_ns () - eng.t0) st
+    | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling.                                                         *)
@@ -228,10 +231,13 @@ let wake_drain eng =
 
 let finish_task task outcome =
   let eng = task.eng in
-  if Trace.enabled () then
-    Trace.task_done ~t:(Calibrate.now_ns () - eng.t0) ~task:task.tid ~busy_ns:task.busy_ns;
-  (* Publish the completion clock BEFORE joiners can observe [finished]. *)
-  if Hb.enabled () then Hb.on_task_done ~task:task.tid;
+  let w = Atomic.get Observed.word in
+  if w land (Observed.trace lor Observed.hb) <> 0 then begin
+    if w land Observed.trace <> 0 then
+      Trace.task_done ~t:(Calibrate.now_ns () - eng.t0) ~task:task.tid ~busy_ns:task.busy_ns;
+    (* Publish the completion clock BEFORE joiners can observe [finished]. *)
+    if w land Observed.hb <> 0 then Hb.on_task_done ~task:task.tid
+  end;
   Mutex.lock task.jmu;
   task.failed <- outcome;
   task.finished <- true;
@@ -522,16 +528,15 @@ let spawn eng ~name body =
   in
   Atomic.incr eng.live;
   Atomic.incr eng.spawned;
-  if Trace.enabled () then begin
+  let w = Atomic.get Observed.word in
+  if w land (Observed.trace lor Observed.hb) <> 0 then begin
     let parent = match self_opt () with Some p -> p.tid | None -> -1 in
-    Trace.task_spawn ~t:(now eng) ~task:tid ~parent ~name
+    if w land Observed.trace <> 0 then Trace.task_spawn ~t:(now eng) ~task:tid ~parent ~name;
+    (* The spawn edge must be published before the task is scheduled, or
+       the child could start with an empty clock and report phantom
+       races. *)
+    if w land Observed.hb <> 0 && parent >= 0 then Hb.on_spawn ~parent ~child:tid
   end;
-  (* The spawn edge must be published before the task is scheduled, or the
-     child could start with an empty clock and report phantom races. *)
-  (if Hb.enabled () then
-     match self_opt () with
-     | Some p -> Hb.on_spawn ~parent:p.tid ~child:tid
-     | None -> ());
   schedule eng { rtask = task; exec = run_fiber task body };
   task
 

@@ -17,6 +17,10 @@
    the same stack for any number of events.  Only a thread's first turn
    starts from [process]'s own frame ([drive]).
 
+   Every per-event store is an int store.  An event's payload names its
+   thread by the slot the thread holds in the engine's table while it
+   lives, and the running turn is that slot too ([turn_slot]).
+
    Determinism: every event carries a unique explicit key (see [push_wake]
    and [start_run]) and all waiter sets are FIFO queues, so a simulation
    with a fixed seed always produces the same trace. *)
@@ -28,6 +32,7 @@ module Event = Parcae_obs.Event
 module Metrics = Parcae_obs.Metrics
 module Timeline = Parcae_obs.Timeline
 module Hb = Parcae_obs.Hb
+module Observed = Parcae_obs.Observed
 
 (* Scheduler-level instruments, bound to the registry they were built for.
    Each engine keeps one record, rebuilt by [bind_installed] when the
@@ -95,38 +100,38 @@ and thread_state =
 and thread = {
   tid : int;
   tname : string;
+  slot : int;  (* index in the engine's [threads] while the thread lives *)
   mutable state : thread_state;
   mutable need : int;  (* remaining ns of the current compute burst *)
-  mutable chunk : int;  (* CPU ns the pending Slice_end accounts for *)
+  mutable chunk : int;  (* CPU ns the pending slice end accounts for *)
   mutable run_start : time;  (* when the current run started *)
   mutable on_core : bool;
   mutable core : int;  (* core index while on a core, -1 otherwise *)
   mutable last_core : int;  (* last core occupied; wait attribution lane *)
   mutable cont : (unit -> unit) option;  (* first-turn closure *)
   mutable kont : Obj.t;
-      (* suspended [(unit, unit) Effect.Deep.continuation], or [kont_nil].
-         Stored raw: a [Some k] box per suspension would tax every event
-         on the serve path. *)
+      (* the last suspended [(unit, unit) Effect.Deep.continuation], or
+         [kont_nil] before the first suspension.  Stored raw: a [Some k]
+         box per suspension would tax every event on the serve path.
+         Never cleared: [resume] tells a first turn by [cont]. *)
   mutable pending : int;  (* deferred CPU ns not yet folded into a burst *)
   mutable busy_ns : int;  (* total CPU consumed, for utilization stats *)
   mutable wake_at : time;  (* wake deadline staged for a Sleep suspension *)
   mutable wait_cond : cond;  (* condition staged for a Block suspension *)
+  mutable ev_seq : int;
+      (* [seq] of the thread's queued event; a popped event whose key
+         carries another is stale *)
   done_cond : cond;  (* broadcast when the thread finishes *)
   mutable failed : exn option;
-  ev_slice : event;  (* this thread's Slice_end, allocated once at spawn *)
-  ev_wake : event;  (* this thread's Wake, allocated once at spawn *)
   self_opt : thread option;
-      (* [Some this], allocated once at spawn: [eng.current] is set from it
-         on every turn, so building the option there would cost a box per
-         event *)
+      (* [Some this], allocated once at spawn: the thread's entry in the
+         engine's table, which [current] and [self_opt ()] return *)
 }
-
-and event = Slice_end of thread | Wake of thread
 
 and t = {
   machine : Machine.t;
-  events : event Pqueue.t;
-  coasting : event Pqueue.t;
+  events : Pqueue.t;  (* payload: [slot lsl 1 lor kind], see [wake_ev] *)
+  coasting : Pqueue.t;
       (* burst ends of coasting runs (see [queue_run]); never non-empty while
          a thread waits for a core or the busy count exceeds [online] *)
   mutable now : time;
@@ -138,7 +143,12 @@ and t = {
   mutable core_top : int;
   mutable live : int;  (* threads not yet finished *)
   mutable tid_counter : int;
-  mutable current : thread option;
+  mutable threads : thread option array;
+      (* live threads by slot, each entry its thread's [self_opt]; [None]
+         in a free slot *)
+  mutable free : int array;  (* free slots, [0, free_top) *)
+  mutable free_top : int;
+  mutable turn_slot : int;  (* slot of the running turn's thread, -1 outside a turn *)
   (* Energy integration.  Power is linear in the busy-core count
      (Machine.power), so the integral needs only one int accumulator of
      busy-core-ns; joules are derived lazily in [energy_joules].  Keeping
@@ -155,8 +165,9 @@ and t = {
   mutable limit : time;  (* [until] of the [run] in progress *)
   mutable inlined : int;  (* burst ends processed by [inline_burst] *)
   mutable processed : int;  (* events popped by [step] *)
-  mutable starting : thread option;
-      (* a thread whose first turn [step] met: [drive] starts it *)
+  mutable starting : int;
+      (* slot of a thread whose first turn [step] met, -1 if none:
+         [drive] starts it *)
   mutable mx : scheduler_metrics;  (* see [bind_installed] *)
 }
 
@@ -197,7 +208,10 @@ let create machine =
     core_top = machine.Machine.cores;
     live = 0;
     tid_counter = 0;
-    current = None;
+    threads = [||];
+    free = [||];
+    free_top = 0;
+    turn_slot = -1;
     busy_core_ns = 0;
     last_energy_t = 0;
     spawned = 0;
@@ -207,9 +221,31 @@ let create machine =
     limit = max_int;
     inlined = 0;
     processed = 0;
-    starting = None;
+    starting = -1;
     mx = unbound;
   }
+
+(* Double the thread table.  Called when every slot is taken, so the free
+   stack then holds exactly the new slots, the lowest on top. *)
+let grow_threads eng =
+  let cap = Array.length eng.threads in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let threads = Array.make ncap None in
+  Array.blit eng.threads 0 threads 0 cap;
+  eng.threads <- threads;
+  eng.free <- Array.init ncap (fun i -> ncap - 1 - i);
+  eng.free_top <- ncap - cap
+
+(* The thread of [eng]'s running turn, if any. *)
+let current eng =
+  let s = eng.turn_slot in
+  if s < 0 then None else Array.unsafe_get eng.threads s
+
+(* An event is an int: the slot of its thread, shifted, and its kind in
+   the low bit.  A wake resumes a blocked, sleeping or new thread; a
+   slice end closes a slice of a scheduler run (see [queue_run]). *)
+let[@inline] wake_ev th = th.slot lsl 1
+let[@inline] slice_ev th = (th.slot lsl 1) lor 1
 
 let fresh_seq eng =
   let s = eng.next_seq in
@@ -226,8 +262,9 @@ let fresh_seq eng =
    drawn when the run started.  Ties at the same instant therefore follow
    push time, then put younger runs first, then the order runs started. *)
 let push_wake eng at th =
-  let at = max at eng.now in
-  Pqueue.push eng.events ~time:at ~push:eng.now ~first:at ~seq:(fresh_seq eng) th.ev_wake
+  let at = max at eng.now and seq = fresh_seq eng in
+  th.ev_seq <- seq;
+  Pqueue.push eng.events ~time:at ~push:eng.now ~first:at ~seq (wake_ev th)
 
 (* No thread waits for a core and no core is held past [online]: a
    quantum boundary now would extend its run. *)
@@ -289,7 +326,7 @@ let burst eng th = if not (inline_burst eng th) then Effect.perform Burst
 let not_in_thread () = invalid_arg "Parcae_sim.Engine: not called from a simulated thread"
 
 (* The thread of [eng]'s running turn. *)
-let turn eng = match eng.current with Some th -> th | None -> not_in_thread ()
+let turn eng = match current eng with Some th -> th | None -> not_in_thread ()
 
 (* ------------------------------------------------------------------ *)
 (* Deferred micro-charging.                                            *)
@@ -308,20 +345,19 @@ let turn eng = match eng.current with Some th -> th | None -> not_in_thread ()
 let charge_quantum = 5_000
 
 let charge eng n =
-  if n > 0 then
-    match eng.current with
-    | Some th ->
-        let p = th.pending + n in
-        if p >= charge_quantum then begin
-          th.pending <- 0;
-          th.need <- p;
-          burst eng th
-        end
-        else th.pending <- p
-    | None -> not_in_thread ()
+  if n > 0 then begin
+    let th = turn eng in
+    let p = th.pending + n in
+    if p >= charge_quantum then begin
+      th.pending <- 0;
+      th.need <- p;
+      burst eng th
+    end
+    else th.pending <- p
+  end
 
 let flush_charges eng =
-  match eng.current with
+  match current eng with
   | Some th when th.pending > 0 ->
       th.need <- th.pending;
       th.pending <- 0;
@@ -332,29 +368,29 @@ let flush_charges eng =
 (* A burst of [n] ns on the thread of [eng]'s turn: a burst whose end
    would resume the thread at once does not suspend at all. *)
 let compute_in eng n =
-  if n > 0 then
-    match eng.current with
-    | Some th ->
-        th.need <- n;
-        burst eng th
-    | None -> not_in_thread ()
+  if n > 0 then begin
+    let th = turn eng in
+    th.need <- n;
+    burst eng th
+  end
 
 (* CPU consumed by the thread of the current turn, deferred charges
    included. *)
-let current_busy eng =
-  match eng.current with Some th -> th.busy_ns + th.pending | None -> 0
+let current_busy eng = match current eng with Some th -> th.busy_ns + th.pending | None -> 0
 
-(* The thread whose turn of [eng] is running. *)
-let current eng = eng.current
+let[@inline never] rebind eng =
+  let reg = Metrics.current () in
+  if eng.mx.reg != reg then eng.mx <- (if Metrics.is_null reg then unbound else bind_metrics reg)
 
 (* Bind the scheduler's handles to the installed registry if it changed:
    [run] does so before each event, so a registry installed between two
    events counts from the next one, and the entry points that may run
    outside an event ([spawn], [set_online_cores], [energy_joules]) do so
-   on entry. *)
-let bind_installed eng =
-  let reg = Metrics.current () in
-  if eng.mx.reg != reg then eng.mx <- (if Metrics.is_null reg then unbound else bind_metrics reg)
+   on entry.  The metrics bit of the observer word is read in place, so
+   with no registry installed and none bound this is one load and two
+   comparisons; [rebind] stays out of line, and with it the store. *)
+let[@inline] bind_installed eng =
+  if Atomic.get Observed.word land Observed.metrics <> 0 || eng.mx != unbound then rebind eng
 
 (* Bring the busy-core-time integral up to [eng.now] at the current busy
    level — pure int arithmetic, no boxing (this runs on every core
@@ -386,7 +422,7 @@ let set_busy eng b =
 (* A core's timeline lane: Run while a thread holds it, Park otherwise.
    The simulator's cooperative single-threadedness makes this exact. *)
 let tl_enter eng core st =
-  if core >= 0 then
+  if core >= 0 && Atomic.get Observed.word land Observed.timeline <> 0 then
     match Timeline.get () with
     | Some tl when core < Timeline.lanes tl ->
         Timeline.enter tl ~lane:core ~now:eng.now st
@@ -404,16 +440,17 @@ let tl_enter eng core st =
    or [set_online_cores], and both call [materialize] when it does. *)
 let queue_run eng th ~from ~push ~first ~seq =
   let ts = eng.machine.Machine.time_slice in
+  th.ev_seq <- seq;
   if th.need > ts && uncontended eng then begin
     let stop = from + th.need in
     th.chunk <- th.need;
     Pqueue.push eng.coasting ~time:stop ~push:(first + ((stop - first - 1) / ts * ts)) ~first ~seq
-      th.ev_slice
+      (slice_ev th)
   end
   else begin
     let chunk = min th.need ts in
     th.chunk <- chunk;
-    Pqueue.push eng.events ~time:(from + chunk) ~push ~first ~seq th.ev_slice
+    Pqueue.push eng.events ~time:(from + chunk) ~push ~first ~seq (slice_ev th)
   end
 
 (* Competition appeared: move every coasting run to [eng.events] at its
@@ -424,7 +461,8 @@ let materialize eng =
   let ts = eng.machine.Machine.time_slice and q = eng.coasting and k = eng.spare in
   while not (Pqueue.is_empty q) do
     let ev = Pqueue.pop_into q k in
-    let th = match ev with Slice_end th | Wake th -> th in
+    (* A coasting run's thread holds its core until the run's end pops. *)
+    let th = Option.get eng.threads.(ev lsr 1) in
     let stop = k.time and first = k.first and seq = k.seq and cur = eng.cur in
     (* The run's first boundary at or after [now], and its push time. *)
     let b = if eng.now <= first then first else first + ((eng.now - first + ts - 1) / ts * ts) in
@@ -536,71 +574,75 @@ let rec step eng =
     eng.now <- max eng.now t;
     eng.processed <- eng.processed + 1;
     bind_installed eng;
-    match ev with
-    | Wake th when th.state <> Finished -> resume eng th
-    | Slice_end th when th.state = Running ->
-        th.need <- th.need - th.chunk;
-        th.busy_ns <- th.busy_ns + th.chunk;
-        if th.need <= 0 then
-          (* Burst complete: keep the core and resume the thread; its next
-             effect decides whether the core is released. *)
-          resume eng th
+    match Array.unsafe_get eng.threads (ev lsr 1) with
+    | Some th when th.ev_seq = eng.cur.seq ->
+        if ev land 1 = 0 then resume eng th
         else begin
-          eng.current <- None;
-          if uncontended eng then
-            (* No competition: extend on the same core without a switch;
-               the run keeps its first boundary and sequence number. *)
-            queue_run eng th ~from:eng.now ~push:eng.now ~first:eng.cur.first ~seq:eng.cur.seq
+          th.need <- th.need - th.chunk;
+          th.busy_ns <- th.busy_ns + th.chunk;
+          if th.need <= 0 then
+            (* Burst complete: keep the core and resume the thread; its
+               next effect decides whether the core is released. *)
+            resume eng th
           else begin
-            (* Preempt: go to the back of the run queue. *)
-            release_core eng th;
-            make_runnable eng th
-          end;
-          step eng
+            eng.turn_slot <- -1;
+            if uncontended eng then
+              (* No competition: extend on the same core without a switch;
+                 the run keeps its first boundary and sequence number. *)
+              queue_run eng th ~from:eng.now ~push:eng.now ~first:eng.cur.first ~seq:eng.cur.seq
+            else begin
+              (* Preempt: go to the back of the run queue. *)
+              release_core eng th;
+              make_runnable eng th
+            end;
+            step eng
+          end
         end
-    | Wake _ | Slice_end _ ->
-        (* Stale: the thread finished, or left its core. *)
-        eng.current <- None;
+    | _ ->
+        (* Stale: the slot is free, or its thread's queued event is
+           another one (the thread that queued this one has finished). *)
+        eng.turn_slot <- -1;
         step eng
   end
 
 (* Give [th] its turn: continue it in tail position, or leave its first
    turn to [drive]. *)
 and resume eng th =
-  let k = th.kont in
-  if k != kont_nil then begin
-    eng.current <- th.self_opt;
-    th.kont <- kont_nil;
-    Effect.Deep.continue (Obj.obj k : (unit, unit) Effect.Deep.continuation) ()
-  end
-  else
-    match th.cont with
-    | Some _ -> eng.starting <- th.self_opt
-    | None ->
-        eng.current <- None;
-        step eng
+  match th.cont with
+  | Some _ -> eng.starting <- th.slot
+  | None ->
+      eng.turn_slot <- th.slot;
+      Effect.Deep.continue (Obj.obj th.kont : (unit, unit) Effect.Deep.continuation) ()
 
 (* Start the pending first turns.  Each runs the chain from this frame
    until [step] returns; a first turn met on the way is started before
    any later event, so none overtakes it. *)
 let rec drive eng =
-  match eng.starting with
-  | None -> ()
-  | Some th ->
-      eng.starting <- None;
-      (match th.cont with
-      | Some go ->
-          th.cont <- None;
-          eng.current <- th.self_opt;
-          go ()
-      | None -> ());
-      drive eng
+  let s = eng.starting in
+  if s >= 0 then begin
+    eng.starting <- -1;
+    (match eng.threads.(s) with
+    | Some ({ cont = Some go; _ } as th) ->
+        th.cont <- None;
+        eng.turn_slot <- s;
+        go ()
+    | _ -> ());
+    drive eng
+  end
 
 let finish eng th =
-  if Trace.enabled () then Trace.task_done ~t:eng.now ~task:th.tid ~busy_ns:th.busy_ns;
-  if Hb.enabled () then Hb.on_task_done ~task:th.tid;
+  let w = Atomic.get Observed.word in
+  if w land (Observed.trace lor Observed.hb) <> 0 then begin
+    if w land Observed.trace <> 0 then Trace.task_done ~t:eng.now ~task:th.tid ~busy_ns:th.busy_ns;
+    if w land Observed.hb <> 0 then Hb.on_task_done ~task:th.tid
+  end;
   th.state <- Finished;
   eng.live <- eng.live - 1;
+  (* Free the slot: the engine no longer reaches the thread, and an event
+     that names the slot is stale from now on. *)
+  eng.threads.(th.slot) <- None;
+  eng.free.(eng.free_top) <- th.slot;
+  eng.free_top <- eng.free_top + 1;
   let m = eng.mx in
   if m != unbound then m.m_live_threads.level <- float_of_int eng.live;
   release_core eng th;
@@ -667,7 +709,7 @@ let rec handler eng th : (unit, unit) Effect.Deep.handler =
       (fun e ->
         th.failed <- Some e;
         finish eng th;
-        eng.current <- None;
+        eng.turn_slot <- -1;
         raise (Thread_failure (th.tname, e)));
     effc =
       (fun (type a) (eff : a Effect.t) :
@@ -686,11 +728,15 @@ let rec handler eng th : (unit, unit) Effect.Deep.handler =
 and spawn eng ~name body : thread =
   eng.tid_counter <- eng.tid_counter + 1;
   eng.spawned <- eng.spawned + 1;
+  if eng.free_top = 0 then grow_threads eng;
+  eng.free_top <- eng.free_top - 1;
+  let slot = eng.free.(eng.free_top) in
   let done_cond = cond_create eng in
   let rec th =
     {
       tid = eng.tid_counter;
       tname = name;
+      slot;
       state = Blocked;
       need = 0;
       chunk = 0;
@@ -704,13 +750,13 @@ and spawn eng ~name body : thread =
       busy_ns = 0;
       wake_at = 0;
       wait_cond = done_cond (* until a [Block] stages another *);
+      ev_seq = -1;
       done_cond;
       failed = None;
-      ev_slice = Slice_end th;
-      ev_wake = Wake th;
       self_opt = Some th;
     }
   in
+  eng.threads.(slot) <- th.self_opt;
   eng.live <- eng.live + 1;
   bind_installed eng;
   let m = eng.mx in
@@ -718,14 +764,12 @@ and spawn eng ~name body : thread =
     m.m_spawned.count <- m.m_spawned.count + 1;
     m.m_live_threads.level <- float_of_int eng.live
   end;
-  if Trace.enabled () then begin
-    let parent = match eng.current with Some p -> p.tid | None -> -1 in
-    Trace.task_spawn ~t:eng.now ~task:th.tid ~parent ~name
+  let w = Atomic.get Observed.word in
+  if w land (Observed.trace lor Observed.hb) <> 0 then begin
+    let parent = match current eng with Some p -> p.tid | None -> -1 in
+    if w land Observed.trace <> 0 then Trace.task_spawn ~t:eng.now ~task:th.tid ~parent ~name;
+    if w land Observed.hb <> 0 && parent >= 0 then Hb.on_spawn ~parent ~child:th.tid
   end;
-  (if Hb.enabled () then
-     match eng.current with
-     | Some p -> Hb.on_spawn ~parent:p.tid ~child:th.tid
-     | None -> ());
   (* Settle any deferred bookkeeping debt before the body returns, so a
      thread cannot exit owing virtual time. *)
   let body_settled () =
@@ -752,19 +796,22 @@ let running : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 (* The engine whose turn is running on this domain. *)
 let engine () =
   match Domain.DLS.get running with
-  | Some eng when eng.current != None -> eng
+  | Some eng when eng.turn_slot >= 0 -> eng
   | _ -> not_in_thread ()
 
-let self_opt () = match Domain.DLS.get running with Some eng -> eng.current | None -> None
+let self_opt () = match Domain.DLS.get running with Some eng -> current eng | None -> None
 let self () = match self_opt () with Some th -> th | None -> not_in_thread ()
 
 (* The core the running thread holds, else the one it last held. *)
 let core_opt () =
   match Domain.DLS.get running with
-  | Some ({ current = Some th; _ } as eng) ->
-      let core = if th.core >= 0 then th.core else th.last_core in
-      if core >= 0 then eng.lanes.(core) else None
-  | _ -> None
+  | Some eng -> (
+      match current eng with
+      | Some th ->
+          let core = if th.core >= 0 then th.core else th.last_core in
+          if core >= 0 then eng.lanes.(core) else None
+      | None -> None)
+  | None -> None
 
 let now () = (engine ()).now
 let compute n = if n > 0 then compute_in (engine ()) n
@@ -795,12 +842,12 @@ let join th =
    exceed [until].  Returns the number of events processed, burst ends
    finished by [inline_burst] included. *)
 let process eng until =
-  let processed = eng.processed and inlined = eng.inlined and saved = eng.current in
+  let processed = eng.processed and inlined = eng.inlined and saved = eng.turn_slot in
   eng.limit <- until;
   bind_installed eng;
   step eng;
   drive eng;
-  eng.current <- saved;
+  eng.turn_slot <- saved;
   if not (Pqueue.is_empty eng.events && Pqueue.is_empty eng.coasting) then
     eng.now <- max eng.now until;
   eng.cur.push <- max_int;

@@ -29,13 +29,12 @@ type cond
 
 type thread_state = Runnable | Running | Blocked | Finished
 
-type event
-(** A scheduler event; each thread preallocates its two event values at
-    spawn so the hot path never allocates one. *)
-
 type thread = {
   tid : int;
   tname : string;
+  slot : int;
+      (** the thread's index in its engine's table while it lives; an
+          event names its thread by slot, so an event is an int *)
   mutable state : thread_state;
   mutable need : int;  (** remaining ns of the current compute burst *)
   mutable chunk : int;  (** CPU ns the pending slice event accounts for *)
@@ -45,18 +44,22 @@ type thread = {
   mutable last_core : int;  (** last core occupied, -1 if never dispatched *)
   mutable cont : (unit -> unit) option;  (** first-turn closure *)
   mutable kont : Obj.t;
-      (** suspended [(unit, unit) Effect.Deep.continuation], or the nil
-          sentinel; stored raw so a suspension does not box an option *)
+      (** the last suspended [(unit, unit) Effect.Deep.continuation], or
+          the nil sentinel before the first suspension; stored raw so a
+          suspension does not box an option, and not cleared on resume *)
   mutable pending : int;
       (** deferred CPU ns accumulated by {!charge}, not yet a burst *)
   mutable busy_ns : int;  (** total CPU consumed; Decima's hooks read this *)
   mutable wake_at : time;  (** wake deadline staged for a sleep suspension *)
   mutable wait_cond : cond;  (** condition staged for a blocking suspension *)
+  mutable ev_seq : int;
+      (** sequence number of the thread's one queued event; a popped
+          event whose key carries another is stale *)
   done_cond : cond;  (** broadcast when the thread finishes *)
   mutable failed : exn option;
-  ev_slice : event;
-  ev_wake : event;
-  self_opt : thread option;  (** [Some this], allocated once at spawn *)
+  self_opt : thread option;
+      (** [Some this], allocated once at spawn: the thread's entry in its
+          engine's table, returned by {!current} and {!self_opt} *)
 }
 (** A simulated thread.  The record is exposed because the monitor reads
     [busy_ns] to measure pure compute time across preemptions; treat the
@@ -133,7 +136,9 @@ val current_busy : t -> int
 
 val current : t -> thread option
 (** The thread whose turn of [t] is running ([None] outside one), read
-    from [t] rather than the domain's slot. *)
+    from [t] rather than the domain's slot.  The engine keeps the turn
+    as its thread's index in the engine's table and answers with the
+    thread's [self_opt], so this allocates nothing. *)
 
 val compute_in : t -> int -> unit
 (** {!compute} on the thread of [t]'s turn.  The burst length is staged

@@ -1,45 +1,30 @@
-(* Binary min-heap priority queue ordered by an explicit four-part key:
+(* Binary min-heap of int payloads, ordered by an explicit four-part key:
+   [time] ascending, [push] ascending, [first] descending, [seq]
+   ascending.  The discrete-event simulator defines the parts (see
+   Engine): the event time, the virtual time the event was pushed, the
+   first-boundary time of the scheduler run it belongs to, and a sequence
+   number.  The order is a pure function of the keys, not of insertion
+   order, so an entry may be pushed late, or into another queue, without
+   changing where it sorts.  Keys must be unique for the pop order to be
+   fully determined.
 
-     1. [time], ascending;
-     2. [push], ascending;
-     3. [first], descending;
-     4. [seq], ascending.
+   The heap is one [int array] of five-int rows, [time, push, first, seq,
+   payload], so a sift step moves five ints: no [caml_modify], no
+   float-array check.  Every helper that takes the rows annotates them as
+   [int array]; left polymorphic, its stores would go through
+   [caml_modify].  Sifts move a hole and compare times first, reading the
+   tie-break parts only when two times are equal.  [pop_into] is Floyd's
+   bottom-up pop: the root's hole walks down to a leaf, taking the smaller
+   child as [l + Bool.to_int (t_r < t_l)] (a [setl], no branch) unless the
+   times tie, and the last row sifts up from there.  The rows double from
+   16 entries; [push] and [pop_into] allocate nothing otherwise. *)
 
-   The discrete-event simulator defines the parts (see Engine): the event
-   time, the virtual time the event was pushed, the first-boundary time of
-   the scheduler run it belongs to, and a sequence number.  The order is a
-   pure function of the keys, not of insertion order, so an entry may be
-   pushed late, or into another queue, without changing where it sorts.
-   Keys must be unique for the pop order to be fully determined.
-
-   Layout: the heap is one [int array] of five-int rows, [time, push,
-   first, seq, slot], and the payloads live in a slot table that the
-   heap never reorders.  [push] writes its payload into a free slot once
-   and [pop_into] reads it back once, so a sift step moves five ints and
-   no pointer: no [caml_modify], no float-array check.  Sifting moves a
-   hole instead of swapping, and compares times first: the tie-break
-   parts are read only when two times are equal.  Every helper that takes
-   the row array annotates it as [int array]; left polymorphic, its
-   accesses compile to generic ones and each store goes through
-   [caml_modify].
-
-   The free slots are a stack kept in [free.(size) .. free.(cap - 1)]:
-   [push] takes [free.(size)] and [pop_into] returns its slot to the
-   position it vacates.  A popped slot is overwritten with an immediate,
-   so a popped payload is never pinned against the GC.  The three arrays
-   double together from 16 entries; [push] and the [top_time] /
-   [pop_into] pair allocate nothing otherwise. *)
-
-type 'a t = {
-  mutable rows : int array;  (* [5 * cap] *)
-  mutable payloads : Obj.t array;  (* [cap], by slot *)
-  mutable free : int array;  (* [cap]; the free slots from index [size] *)
+type t = {
+  mutable rows : int array;  (* [5 * capacity] *)
   mutable size : int;
 }
 
-let nil = Obj.repr 0
-let create () = { rows = [||]; payloads = [||]; free = [||]; size = 0 }
-
+let create () = { rows = [||]; size = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
@@ -77,25 +62,18 @@ let[@inline] move (k : int array) src dst =
   Array.unsafe_set k (d + 3) (Array.unsafe_get k (s + 3));
   Array.unsafe_set k (d + 4) (Array.unsafe_get k (s + 4))
 
-let[@inline] put (k : int array) i time push first seq slot =
+let[@inline] put (k : int array) i time push first seq v =
   let o = 5 * i in
   Array.unsafe_set k o time;
   Array.unsafe_set k (o + 1) push;
   Array.unsafe_set k (o + 2) first;
   Array.unsafe_set k (o + 3) seq;
-  Array.unsafe_set k (o + 4) slot
+  Array.unsafe_set k (o + 4) v
 
-(* Called when every slot is taken, so the new free stack holds exactly
-   the new slots. *)
 let grow t =
-  let cap = t.size in
-  let ncap = if cap = 0 then 16 else cap * 2 in
-  let rows = Array.make (5 * ncap) 0 and payloads = Array.make ncap nil in
-  Array.blit t.rows 0 rows 0 (5 * cap);
-  Array.blit t.payloads 0 payloads 0 cap;
-  t.rows <- rows;
-  t.payloads <- payloads;
-  t.free <- Array.init ncap Fun.id
+  let rows = Array.make (if t.size = 0 then 5 * 16 else 2 * Array.length t.rows) 0 in
+  Array.blit t.rows 0 rows 0 (5 * t.size);
+  t.rows <- rows
 
 (* Top-level, not local closures: a local recursive function capturing
    the key would allocate on every call. *)
@@ -109,24 +87,37 @@ let rec sift_up (k : int array) i time push first seq =
       sift_up k parent time push first seq
     end
 
-let rec sift_down (k : int array) n i time push first seq =
+(* Floyd's walk: move the smaller child of the hole [i] into it until
+   the hole has no child among the [n] rows; return the hole.  A tie in
+   time goes to [walk_tie] by a tail call, so the walk makes no call
+   that would make it spill its registers. *)
+let rec walk_down (k : int array) n i =
   let l = (2 * i) + 1 in
-  if l >= n then i
-  else
-    let c = if l + 1 < n && row_before k (l + 1) l then l + 1 else l in
-    if before k c time push first seq then begin
+  if l + 1 < n then begin
+    let tl = Array.unsafe_get k (5 * l) and tr = Array.unsafe_get k ((5 * l) + 5) in
+    if tl <> tr then begin
+      let c = l + Bool.to_int (tr < tl) in
       move k c i;
-      sift_down k n c time push first seq
+      walk_down k n c
     end
-    else i
+    else walk_tie k n i l
+  end
+  else if l < n then begin
+    move k l i;
+    l
+  end
+  else i
+
+and walk_tie (k : int array) n i l =
+  let c = if row_before k (l + 1) l then l + 1 else l in
+  move k c i;
+  walk_down k n c
 
 let push t ~time ~push ~first ~seq v =
   let n = t.size in
-  if n = Array.length t.payloads then grow t;
-  let slot = Array.unsafe_get t.free n in
-  Array.unsafe_set t.payloads slot (Obj.repr v);
+  if 5 * n = Array.length t.rows then grow t;
   let k = t.rows in
-  put k (sift_up k n time push first seq) time push first seq slot;
+  put k (sift_up k n time push first seq) time push first seq v;
   t.size <- n + 1
 
 let top_time t = if t.size = 0 then max_int else t.rows.(0)
@@ -149,8 +140,8 @@ let min_of a b =
 type key = { mutable time : int; mutable push : int; mutable first : int; mutable seq : int }
 
 (* Remove the minimum entry, copy its key into [key] and return its
-   payload, whose slot is cleared and freed.  One call instead of an
-   accessor per key part: the simulator pops once per event. *)
+   payload.  One call instead of an accessor per key part: the simulator
+   pops once per event. *)
 let pop_into t key =
   let n = t.size - 1 in
   if n < 0 then invalid_arg "Pqueue.pop_into: empty";
@@ -159,16 +150,13 @@ let pop_into t key =
   key.push <- Array.unsafe_get k 1;
   key.first <- Array.unsafe_get k 2;
   key.seq <- Array.unsafe_get k 3;
-  let slot = Array.unsafe_get k 4 in
-  let v = Array.unsafe_get t.payloads slot in
-  Array.unsafe_set t.payloads slot nil;
-  Array.unsafe_set t.free n slot;
+  let v = Array.unsafe_get k 4 in
   t.size <- n;
   if n > 0 then begin
     let o = 5 * n in
     let time = Array.unsafe_get k o and push = Array.unsafe_get k (o + 1)
     and first = Array.unsafe_get k (o + 2) and seq = Array.unsafe_get k (o + 3)
-    and slot = Array.unsafe_get k (o + 4) in
-    put k (sift_down k n 0 time push first seq) time push first seq slot
+    and last = Array.unsafe_get k (o + 4) in
+    put k (sift_up k (walk_down k n 0) time push first seq) time push first seq last
   end;
-  (Obj.obj v : _)
+  v

@@ -144,6 +144,135 @@ let test_preempted_threads_retain_nothing () =
     true
     (abs (large - small) < 1_000)
 
+(* An event names its thread by the slot the thread holds while it
+   lives, and a slot is reused by the next spawn once its thread
+   finishes.  On four cores, eight long-lived threads compute (past a
+   quantum, so they are preempted and coast), sleep and block for the
+   whole run, holding their slots, while a driver spawns waves of short
+   threads that compute, yield, compute, block on a condition a sibling
+   signals, compute and finish.  Each thread logs what it sees after
+   every step: its own tid through [self] and its CPU time, which its
+   program fixes exactly.  A turn given to the wrong thread, a wake-up
+   lost or taken for a burst end, or a slot kept after its thread
+   finished shows in a log, a join, the live count or the engine's
+   size.  The run is bounded, so a lost wake-up ends it with threads
+   live instead of hanging. *)
+let test_slot_reuse () =
+  let eng = Engine.create (machine ~cores:4 ()) in
+  let waves = [| 1500; 3000; 700; 2500; 64; 2000 |] in
+  let rounds = Array.length waves in
+  let checked = ref [] and peak = ref 0 and joined = ref 0 and driver_done = ref false in
+  let logged what log =
+    let me = Engine.self () in
+    log := (what, me.Engine.tid, me.Engine.busy_ns) :: !log
+  in
+  (* [program log] runs the thread's steps; [expected] is its log, as
+     (step, CPU time so far). *)
+  let spawn_checked spawn name expected program =
+    let log = ref [] in
+    let th = spawn ~name (fun () -> program log) in
+    checked := (th, expected, log) :: !checked;
+    th
+  in
+  let wave_done = Array.make rounds false and wave_cond = Engine.cond_create eng in
+  let long =
+    List.init 8 (fun i ->
+        let burst = 3_000 + (i * 4_100) and nap = 500 + (i * 130) in
+        let step what r = Printf.sprintf "%s %d" what r in
+        let expected =
+          List.concat_map
+            (fun r ->
+              let busy = (r + 1) * burst in
+              [ (step "compute" r, busy); (step "sleep" r, busy); (step "wave" r, busy) ])
+            (List.init rounds Fun.id)
+        in
+        spawn_checked (Engine.spawn eng) (Printf.sprintf "long%d" i) expected (fun log ->
+            for r = 0 to rounds - 1 do
+              Engine.compute burst;
+              logged (step "compute" r) log;
+              let t0 = Engine.now () in
+              Engine.sleep nap;
+              logged (step "sleep" r) log;
+              if Engine.now () - t0 < nap then logged "woke early" log;
+              while not wave_done.(r) do
+                Engine.wait_on wave_cond
+              done;
+              logged (step "wave" r) log
+            done))
+  in
+  (* Thread [j] of a wave; even [j] waits for [j + 1]'s signal. *)
+  let short flag cond j =
+    let a = 200 + (j mod 7 * 150) and b = 300 + (j mod 5 * 4_000) and c = 100 + (j mod 3 * 50) in
+    let expected = [ ("a", a); ("yield", a); ("b", a + b); ("met", a + b); ("c", a + b + c) ] in
+    let program log =
+      Engine.compute a;
+      logged "a" log;
+      Engine.yield ();
+      logged "yield" log;
+      Engine.compute b;
+      logged "b" log;
+      if j mod 2 = 0 then
+        while not !flag do
+          Engine.wait_on cond
+        done
+      else begin
+        flag := true;
+        Engine.signal cond
+      end;
+      logged "met" log;
+      Engine.compute c;
+      logged "c" log
+    in
+    spawn_checked Engine.spawn_thread "short" expected program
+  in
+  let _ =
+    Engine.spawn eng ~name:"driver" (fun () ->
+        Array.iteri
+          (fun w size ->
+            let pairs = Array.init (size / 2) (fun _ -> (ref false, Engine.cond_create eng)) in
+            let threads =
+              List.init size (fun j ->
+                  let flag, cond = pairs.(j / 2) in
+                  short flag cond j)
+            in
+            peak := max !peak (Engine.live_threads eng);
+            List.iter
+              (fun th ->
+                Engine.join th;
+                incr joined)
+              threads;
+            wave_done.(w) <- true;
+            Engine.broadcast wave_cond)
+          waves;
+        List.iter Engine.join long;
+        driver_done := true)
+  in
+  ignore (Engine.run ~until:1_000_000_000 eng);
+  check_bool "the driver's joins all returned" true !driver_done;
+  check_int "short threads joined" (Array.fold_left ( + ) 0 waves) !joined;
+  check_int "no thread live" 0 (Engine.live_threads eng);
+  check_int "peak live threads" (8 + 1 + 3_000) !peak;
+  let wrong =
+    List.filter
+      (fun (th, expected, log) ->
+        List.rev !log <> List.map (fun (what, busy) -> (what, th.Engine.tid, busy)) expected)
+      !checked
+  in
+  check_int "threads checked" (8 + Array.fold_left ( + ) 0 waves) (List.length !checked);
+  (match wrong with
+  | [] -> ()
+  | (th, _, log) :: _ ->
+      Alcotest.failf "%d threads' logs differ from their programs; %s (tid %d) logged %s"
+        (List.length wrong) th.Engine.tname th.Engine.tid
+        (String.concat "; "
+           (List.rev_map (fun (what, tid, busy) -> Printf.sprintf "%s tid %d busy %d" what tid busy)
+              !log)));
+  Gc.full_major ();
+  let words = Obj.reachable_words (Obj.repr eng) in
+  if words > 16 * !peak then
+    Alcotest.failf "the engine reaches %d words after the waves, over 16 per peak live thread (%d)"
+      words !peak
+
 (* Quantum boundaries of a run nobody competes with.  On one core of the
    test machine (10 us quantum, 100 ns switch), [long] is dispatched at
    t=0 with a 35 us burst: its boundaries fall at 10_100, 20_100 and
@@ -801,6 +930,7 @@ let suite =
     Alcotest.test_case "engine: sleep" `Quick test_sleep;
     Alcotest.test_case "engine: spawn/join" `Quick test_spawn_from_thread_and_join;
     Alcotest.test_case "engine: spawn/join retains nothing" `Quick test_spawn_join_retains_nothing;
+    Alcotest.test_case "engine: slot reuse never crosses turns" `Quick test_slot_reuse;
     Alcotest.test_case "engine: preempted threads retain nothing" `Quick
       test_preempted_threads_retain_nothing;
     Alcotest.test_case "engine: competitor arrival vs quantum boundary" `Quick

@@ -225,28 +225,28 @@ let test_pqueue_order () =
      then sequence number; insertion order plays no part. *)
   let q = Pqueue.create () in
   let add (time, push, first, seq) v = Pqueue.push q ~time ~push ~first ~seq v in
-  add (5, 0, 5, 0) "f";
-  add (1, 0, 1, 9) "c";
-  add (3, 1, 3, 1) "e";
-  add (1, 0, 1, 2) "b";
-  add (3, 0, 0, 7) "d";
-  add (1, 0, 3, 8) "a";
-  Alcotest.(check (list string)) "four-part key order" [ "a"; "b"; "c"; "d"; "e"; "f" ] (pqueue_drain q)
+  add (5, 0, 5, 0) 6;
+  add (1, 0, 1, 9) 3;
+  add (3, 1, 3, 1) 5;
+  add (1, 0, 1, 2) 2;
+  add (3, 0, 0, 7) 4;
+  add (1, 0, 3, 8) 1;
+  Alcotest.(check (list int)) "four-part key order" [ 1; 2; 3; 4; 5; 6 ] (pqueue_drain q)
 
 let test_pqueue_peek () =
   let q = Pqueue.create () in
   Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
   check_int "empty top_time" max_int (Pqueue.top_time q);
-  Pqueue.push q ~time:9 ~push:0 ~first:9 ~seq:0 "late";
-  Pqueue.push q ~time:2 ~push:1 ~first:2 ~seq:1 "early";
+  Pqueue.push q ~time:9 ~push:0 ~first:9 ~seq:0 90;
+  Pqueue.push q ~time:2 ~push:1 ~first:2 ~seq:1 20;
   check_int "min time" 2 (Pqueue.top_time q);
   check_int "length" 2 (Pqueue.length q);
   let r = Pqueue.create () in
   Alcotest.(check bool) "an empty queue loses" true (Pqueue.min_of r q == q);
-  Pqueue.push r ~time:2 ~push:0 ~first:2 ~seq:5 "other";
+  Pqueue.push r ~time:2 ~push:0 ~first:2 ~seq:5 25;
   Alcotest.(check bool) "min_of compares whole keys" true (Pqueue.min_of q r == r);
   let k = { Pqueue.time = 0; push = 0; first = 0; seq = 0 } in
-  Alcotest.(check string) "pop_into payload" "early" (Pqueue.pop_into q k);
+  check_int "pop_into payload" 20 (Pqueue.pop_into q k);
   Alcotest.(check (list int)) "pop_into key" [ 2; 1; 2; 1 ] [ k.time; k.push; k.first; k.seq ]
 
 (* The documented order, written independently of [Pqueue.key_before]. *)
@@ -257,10 +257,14 @@ let prop_pqueue_sorted =
     QCheck.(list (quad small_int small_int small_int small_int))
     (fun keys ->
       let q = Pqueue.create () in
-      (* The index makes every key unique, as the simulator's keys are. *)
-      let keys = List.mapi (fun i (t, p, f, s) -> (t, p, f, (s * 1000) + i)) keys in
-      List.iter (fun ((time, push, first, seq) as k) -> Pqueue.push q ~time ~push ~first ~seq k) keys;
-      pqueue_drain q = List.sort pq_cmp keys)
+      (* The index makes every key unique, as the simulator's keys are
+         (lists run to about 10 000 entries), and is the entry's
+         payload. *)
+      let entries = List.mapi (fun i (t, p, f, s) -> ((t, p, f, (s * 1_000_000) + i), i)) keys in
+      List.iter
+        (fun ((time, push, first, seq), i) -> Pqueue.push q ~time ~push ~first ~seq i)
+        entries;
+      pqueue_drain q = List.map snd (List.sort (fun (a, _) (b, _) -> pq_cmp a b) entries))
 
 type pq_op = Push_a | Push_b | Pop_a | Pop_b
 
@@ -304,27 +308,29 @@ let print_pq_ops ops =
          Printf.sprintf "%s(%d,%d,%d,%d)" o t p f s)
        ops)
 
-(* Run [ops] against sorted-list models, checking after every operation
-   each queue's length, top time and [before_top] on the operation's key,
-   [key_before] against the model order, and which queue [min_of] picks;
-   every pop must return the model's minimum key and its payload. *)
+(* Run [ops] against sorted-list models of (key, payload) entries,
+   checking after every operation each queue's length, top time and
+   [before_top] on the operation's key, [key_before] against the model
+   order, and which queue [min_of] picks; every pop must return the
+   model's minimum key and its payload. *)
 let pq_check_ops ops =
   let a = Pqueue.create () and b = Pqueue.create () in
   let ma = ref [] and mb = ref [] in
   let k = { Pqueue.time = 0; push = 0; first = 0; seq = 0 } in
   let pushed = ref 0 in
   let fail fmt = QCheck.Test.fail_reportf fmt in
-  let head m = match m with [] -> None | key :: _ -> Some key in
+  let head m = match m with [] -> None | (key, _) :: _ -> Some key in
+  let by_key (a, _) (b, _) = pq_cmp a b in
   let step (op, ((t, p, f, s) as probe)) =
     (match op with
     | Push_a | Push_b ->
         let q, m = if op = Push_a then (a, ma) else (b, mb) in
         let seq = (s * 1000) + !pushed in
-        let key = (t, p, f, seq) in
+        (* The payload is the push index: distinct for every entry. *)
+        let entry = ((t, p, f, seq), !pushed) in
         incr pushed;
-        (* The payload is the key itself: a fresh block per push. *)
-        Pqueue.push q ~time:t ~push:p ~first:f ~seq key;
-        m := List.merge pq_cmp [ key ] !m
+        Pqueue.push q ~time:t ~push:p ~first:f ~seq (snd entry);
+        m := List.merge by_key [ entry ] !m
     | Pop_a | Pop_b -> (
         let q, m = if op = Pop_a then (a, ma) else (b, mb) in
         match !m with
@@ -332,11 +338,11 @@ let pq_check_ops ops =
             match Pqueue.pop_into q k with
             | _ -> fail "pop_into of an empty queue returned"
             | exception Invalid_argument _ -> ())
-        | want :: rest ->
+        | (want, payload) :: rest ->
             let got = Pqueue.pop_into q k in
             if (k.time, k.push, k.first, k.seq) <> want then
               fail "popped key differs from the model";
-            if got != want then fail "popped payload differs from the model";
+            if got <> payload then fail "popped payload %d, model %d" got payload;
             m := rest));
     List.iter
       (fun (name, q, m) ->
@@ -369,43 +375,23 @@ let prop_pqueue_interleaved =
     (QCheck.make ~print:print_pq_ops ~shrink:QCheck.Shrink.list gen_pq_ops)
     pq_check_ops
 
-(* Pushed from its own frame, so no local of the test keeps the payload
-   alive; [w] is the only other reference to it. *)
-let[@inline never] pqueue_push_watched q w ~time =
-  let v = Bytes.make 8 'x' in
-  Weak.set w 0 (Some v);
-  Pqueue.push q ~time ~push:0 ~first:time ~seq:time v
-
-let[@inline never] pqueue_pop_ignore q k = ignore (Pqueue.pop_into q k : Bytes.t)
-
-let test_pqueue_alloc_retention () =
+let test_pqueue_alloc () =
   let k = { Pqueue.time = 0; push = 0; first = 0; seq = 0 } in
-  let q = Pqueue.create () and v = "payload" in
+  let q = Pqueue.create () in
   for i = 0 to 63 do
-    Pqueue.push q ~time:i ~push:0 ~first:i ~seq:i v
+    Pqueue.push q ~time:i ~push:0 ~first:i ~seq:i i
   done;
   (* Full at 64 entries: one pop leaves room for the pairs' pushes.
      Pseudo-random times: each push sifts up some levels, each pop down. *)
-  ignore (Pqueue.pop_into q k : string);
+  ignore (Pqueue.pop_into q k : int);
   check_int "10 000 push/pop_into pairs after warm-up growth" 0
     (minor_words (fun () ->
          for i = 64 to 10_063 do
            let time = i * 7919 mod 1009 in
-           Pqueue.push q ~time ~push:0 ~first:time ~seq:i v;
-           ignore (Pqueue.pop_into q k : string)
+           Pqueue.push q ~time ~push:0 ~first:time ~seq:i i;
+           ignore (Pqueue.pop_into q k : int)
          done));
-  check_int "length" 63 (Pqueue.length q);
-  (* A popped payload is not pinned by the slot table of a live queue. *)
-  let q = Pqueue.create () and w = Weak.create 1 in
-  for i = 1 to 20 do
-    Pqueue.push q ~time:i ~push:0 ~first:i ~seq:i (Bytes.make 8 'y')
-  done;
-  pqueue_push_watched q w ~time:0;
-  pqueue_pop_ignore q k;
-  check_int "popped the watched payload" 0 k.time;
-  Gc.full_major ();
-  Alcotest.(check bool) "popped payload collected" false (Weak.check w 0);
-  check_int "the others stay queued" 20 (Pqueue.length q)
+  check_int "length" 63 (Pqueue.length q)
 
 (* ---------------------------- Ring --------------------------- *)
 
@@ -523,8 +509,7 @@ let suite =
     Alcotest.test_case "pqueue: peek/length" `Quick test_pqueue_peek;
     QCheck_alcotest.to_alcotest prop_pqueue_sorted;
     QCheck_alcotest.to_alcotest prop_pqueue_interleaved;
-    Alcotest.test_case "pqueue: no allocation, popped payloads collectable" `Quick
-      test_pqueue_alloc_retention;
+    Alcotest.test_case "pqueue: steady push/pop allocates nothing" `Quick test_pqueue_alloc;
     Alcotest.test_case "ring: never-pushed ring, first push, FIFO" `Quick test_ring;
     Alcotest.test_case "series: basic" `Quick test_series;
     Alcotest.test_case "series: bucketed" `Quick test_series_bucketed;
