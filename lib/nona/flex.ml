@@ -114,10 +114,11 @@ type t = {
   red_lock : Lock.t;  (* guards reduction merges / unprivatized updates *)
   phi_heap : int array;  (* Section 4.5.2's heap state, by phi register *)
   trip_n : int option;
-  iter_mu : Mutex.t;
-      (* guards DOANY's iteration claim: free of contention on the sim
-         (cooperative scheduling already makes the claim atomic) but
-         required on native, where lanes run on distinct domains *)
+  iter_mon : Engine.monitor;
+      (* guards the updates parallel lanes make to [next_iter] (DOANY's
+         claim, DOACROSS's advance): free on the sim, where cooperative
+         scheduling already makes them atomic, and a mutex on native,
+         where lanes run on distinct domains *)
   mutable next_iter : int;  (* contiguous prefix of executed iterations *)
   mutable exited : bool;  (* a Break_if fired *)
   mutable epoch : int;
@@ -199,7 +200,7 @@ let create ?(flags = default_flags) eng (pdg : Pdg.t) =
     red_lock = Lock.create eng "reduction";
     phi_heap;
     trip_n = (match loop.Loop.trip with Loop.Count n -> Some n | Loop.While -> None);
-    iter_mu = Mutex.create ();
+    iter_mon = Engine.monitor_create eng;
     next_iter = 0;
     exited = false;
     epoch = 0;
@@ -299,13 +300,13 @@ type red_mode =
 let operand env = function Instr.Const c -> c | Instr.Reg r -> env.(r)
 
 (* The address of a load or store, bounds-checked, reported to the
-   installed race sanitizer (tagged with the IR node) when [hb_task] is
-   set. *)
+   installed race sanitizer (tagged with the IR node) when [hb_task] is a
+   task id (it is -1 when no sanitizer is installed). *)
 let address rs env hb_task ~write ~name arr idx id =
   let i = operand env idx in
   if i < 0 || i >= Array.length arr then
     invalid_arg (rs.loop.Loop.name ^ if write then ": store out of bounds" else ": load out of bounds");
-  (match hb_task with Some task -> Hb.on_access ~task ~arr:name ~idx:i ~node:id ~write | None -> ());
+  if hb_task >= 0 then Hb.on_access ~task:hb_task ~arr:name ~idx:i ~node:id ~write;
   i
 
 (* Execute [members.(k..)] (node ids, ascending) for one iteration.  A
@@ -377,7 +378,7 @@ let rec exec_from rs st mode hb_task members k =
    resolved once per iteration: an ambient lookup per access would fire a
    sim effect on every load/store. *)
 let exec_members rs st ~mode members =
-  let hb_task = if Hb.enabled () then Engine.current_task_id () else None in
+  let hb_task = if Hb.enabled () then Engine.current_task_id () else -1 in
   exec_from rs st mode hb_task members 0
 
 (* Set up env phi values for an iteration from the lane's local state. *)
@@ -468,6 +469,19 @@ let make_doany_task rs ~max_lanes =
   let present = Array.make max_lanes false in
   let reds = all_reds rs and members = all_nodes rs in
   let mode = if rs.flags.privatize_reductions then Private else Locked in
+  (* Claim the next iteration, or -1 when none is left.  Run under the
+     iteration monitor: an unguarded read-increment would let two native
+     lanes execute (and race on) the same iteration.  Built once, so a
+     claim allocates nothing. *)
+  let claim () =
+    let n = match rs.trip_n with Some n -> n | None -> assert false in
+    let i = rs.next_iter in
+    if i < n then begin
+      rs.next_iter <- i + 1;
+      i
+    end
+    else -1
+  in
   let park st =
     merge_privates rs st;
     (* Publish the induction values implied by the claimed prefix. *)
@@ -507,30 +521,19 @@ let make_doany_task rs ~max_lanes =
         Task_status.Paused
       end
       else begin
-        let n = match rs.trip_n with Some n -> n | None -> assert false in
-        (* Claim the next iteration under the claim mutex: on the sim this
-           never contends (claims are atomic between effects anyway), but
-           on the native backend lanes run on distinct domains and an
-           unguarded read-increment would let two lanes execute — and
-           race on — the same iteration. *)
-        let claimed =
-          Mutex.lock rs.iter_mu;
-          let i = rs.next_iter in
-          if i < n then rs.next_iter <- i + 1;
-          Mutex.unlock rs.iter_mu;
-          if i < n then Some i else None
-        in
-        match claimed with
-        | None ->
-            park st;
-            Task_status.Complete
-        | Some i -> (
-            set_inductions rs st i;
-            match exec_members rs st ~mode members with
-            | `Break -> assert false (* DOANY never applies to While loops *)
-            | `Ok ->
-                flush rs st;
-                Task_status.Iterating)
+        let i = Engine.locked rs.iter_mon claim in
+        if i < 0 then begin
+          park st;
+          Task_status.Complete
+        end
+        else begin
+          set_inductions rs st i;
+          match exec_members rs st ~mode members with
+          | `Break -> assert false (* DOANY never applies to While loops *)
+          | `Ok ->
+              flush rs st;
+              Task_status.Iterating
+        end
       end)
   in
   (* Light-resize hook: adjust the retirement threshold and report which
@@ -1011,6 +1014,13 @@ let make_doacross_task rs (plan : Doacross.plan) ~max_lanes =
   (* Each lane's carries as its body call found them: those of the last
      iteration it executed. *)
   let carried = Array.init max_lanes (fun _ -> Array.make (Array.length carry_regs) 0) in
+  (* Each lane's advance of the executed prefix past the iteration at its
+     cursor, run under the iteration monitor: native lanes finish out of
+     order.  One closure per lane, built once, so an advance allocates
+     nothing. *)
+  let advance =
+    Array.map (fun st () -> if st.cursor + 1 > rs.next_iter then rs.next_iter <- st.cursor + 1) states
+  in
   (* Park bookkeeping: publish the carries of the highest executed
      iteration (each lane remembers its own latest). *)
   let park st ~last_iter ~last_carries status =
@@ -1081,7 +1091,7 @@ let make_doacross_task rs (plan : Doacross.plan) ~max_lanes =
             | `Break -> assert false
             | `Ok ->
                 Chan.send ring.(ctx.Task.lane).(succ) (Go (gather st.env carry_regs));
-                if i + 1 > rs.next_iter then rs.next_iter <- i + 1;
+                Engine.locked rs.iter_mon advance.(ctx.Task.lane);
                 last_done.(ctx.Task.lane) <- i;
                 st.cursor <- i + p;
                 flush rs st;

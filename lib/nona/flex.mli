@@ -60,9 +60,10 @@ type t = {
       (** Section 4.5.2's heap state, indexed by phi register (the live-out
           values once the region finishes) *)
   trip_n : int option;
-  iter_mu : Mutex.t;
-      (** guards DOANY's iteration claim (uncontended on the sim, required
-          on the native backend's parallel lanes) *)
+  iter_mon : Parcae_platform.Engine.monitor;
+      (** guards the updates parallel lanes make to [next_iter]: DOANY's
+          claim and DOACROSS's advance (free on the sim, a mutex on the
+          native backend's parallel lanes) *)
   mutable next_iter : int;  (** contiguous prefix of executed iterations *)
   mutable exited : bool;  (** a Break_if fired *)
   mutable epoch : int;

@@ -125,12 +125,13 @@ let current_lane () =
   match Nat.worker_id_opt () with Some _ as lane -> lane | None -> Sim.core_opt ()
 
 (* The engine task id of the calling context, for the race sanitizer's
-   per-task vector clocks.  Like [current_lane] this is safe to call from
-   anywhere and answers [None] on a plain (non-engine) thread. *)
+   per-task vector clocks and the lock's holder.  Like [current_lane] this
+   is safe to call from anywhere; it answers -1 on a plain (non-engine)
+   thread, so it allocates nothing. *)
 let current_task_id () =
   match Nat.self_opt () with
-  | Some task -> Some (Nat.task_id task)
-  | None -> ( match Sim.self_opt () with Some th -> Some th.Sim.tid | None -> None)
+  | Some task -> Nat.task_id task
+  | None -> ( match Sim.self_opt () with Some th -> th.Sim.tid | None -> -1)
 
 let monitor_create = function S e -> Sm e | N _ -> Nm (Nat.Monitor.create ())
 let locked m f = match m with Sm _ -> f () | Nm m -> Nat.Monitor.locked m f
@@ -149,16 +150,17 @@ let wait_on = function
       if Nat.Monitor.held m then Nat.Monitor.wait c
       else Nat.Monitor.locked m (fun () -> Nat.Monitor.wait c)
 
+let signal = function Sc c -> Sim.signal c | Nc c -> Nat.Monitor.signal c
 let broadcast = function Sc c -> Sim.broadcast c | Nc c -> Nat.Monitor.broadcast c
+
 let join th =
   let joined_tid = match th with St th -> th.Sim.tid | Nt task -> Nat.task_id task in
   (match th with St th -> Sim.join th | Nt task -> Nat.join task);
   (* Joining a finished task acquires its completion clock: everything the
      joined task did happens-before the joiner from here on. *)
   if Parcae_obs.Hb.enabled () then
-    match current_task_id () with
-    | Some me -> Parcae_obs.Hb.on_join ~task:me ~joined:joined_tid
-    | None -> ()
+    let me = current_task_id () in
+    if me >= 0 then Parcae_obs.Hb.on_join ~task:me ~joined:joined_tid
 
 let time = function S e -> Sim.time e | N e -> Nat.time e
 let online_cores = function S e -> Sim.online_cores e | N e -> Nat.online_cores e

@@ -95,10 +95,11 @@ val current_lane : unit -> int option
     answers [None] outside an engine thread or when the simulated caller
     holds no core. *)
 
-val current_task_id : unit -> int option
+val current_task_id : unit -> int
 (** The engine task id of the calling context (native task id or simulated
-    thread id), or [None] on a plain thread.  The race sanitizer keys its
-    vector clocks on this. *)
+    thread id), or -1 on a plain thread; allocates nothing.  The race
+    sanitizer keys its vector clocks on this, and {!Lock} records its
+    holder with it. *)
 
 (** {1 Value-dispatched operations}
 
@@ -123,6 +124,10 @@ val wait_on : cond -> unit
     monitor and suspend the fiber; reacquires before returning.  Acquires
     the monitor first when the caller does not already hold it.  Mesa
     semantics on both backends: re-check the predicate in a loop. *)
+
+val signal : cond -> unit
+(** Wake one waiter (FIFO on the simulator; on native, fiber waiters
+    first).  Callable with or without the condition's monitor held. *)
 
 val broadcast : cond -> unit
 val join : thread -> unit

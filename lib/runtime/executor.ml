@@ -166,15 +166,13 @@ and run_nested eng (task : Task.t) (cfg : Config.t) =
    need none. *)
 let hb_release r =
   if Hb.enabled () then
-    match Engine.current_task_id () with
-    | Some task -> Hb.on_release ~task ~key:r.Region.hb_key
-    | None -> ()
+    let task = Engine.current_task_id () in
+    if task >= 0 then Hb.on_release ~task ~key:r.Region.hb_key
 
 let hb_acquire r =
   if Hb.enabled () then
-    match Engine.current_task_id () with
-    | Some task -> Hb.on_acquire ~task ~key:r.Region.hb_key
-    | None -> ()
+    let task = Engine.current_task_id () in
+    if task >= 0 then Hb.on_acquire ~task ~key:r.Region.hb_key
 
 let region_worker (r : Region.t) (task : Task.t) idx tc lane =
   Option.iter (fun f -> f ()) task.Task.init;

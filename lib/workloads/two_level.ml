@@ -84,12 +84,13 @@ let run_inner_pipe eng ~alpha (req : Request.t) ~items ~stage_ns (cfg : Config.t
 
 (* Inner DOALL: workers claim chunks from a shared countdown; each chunk has
    a parallel portion and a serial portion guarded by a lock (the reduction
-   update), which is what caps scalability per Amdahl. *)
+   update), which is what caps scalability per Amdahl.  An app with no
+   serial portion (x264) gets no lock. *)
 let run_inner_doall eng ~alpha (req : Request.t) ~chunks ~chunk_ns ~serial_ns ~beta
     (cfg : Config.t) =
   let alpha_fp = App.alpha_fp alpha in
   let remaining = ref chunks in
-  let lock = Lock.create eng "reduction" in
+  let lock = if serial_ns > 0 then Some (Lock.create eng "reduction") else None in
   let worker =
     Task.parallel ~name:"chunk" (fun ctx ->
         if !remaining <= 0 then Task_status.Complete
@@ -99,8 +100,10 @@ let run_inner_doall eng ~alpha (req : Request.t) ~chunks ~chunk_ns ~serial_ns ~b
           let comm = 1.0 +. (beta *. float_of_int (ctx.Task.dop - 1)) in
           let cost = int_of_float (Float.round (float_of_int chunk_ns *. comm)) in
           App.compute_scaled_fp eng ~alpha_fp req cost;
-          if serial_ns > 0 then
-            Lock.with_lock lock (fun () -> App.compute_scaled_fp eng ~alpha_fp req serial_ns);
+          (match lock with
+          | Some lock ->
+              Lock.with_lock lock (fun () -> App.compute_scaled_fp eng ~alpha_fp req serial_ns)
+          | None -> ());
           Task_status.Iterating
         end)
   in

@@ -672,18 +672,24 @@ let test_idle_timer () =
     true
     (slept >= 2 * ms && slept < 50 * ms)
 
-(* A fiber spawns four tasks onto its own deque, each spinning 5 ms
-   without yielding; the second push finds work already queued and wakes
-   the parked domain, which steals. *)
+(* A fiber spawns four tasks onto its own deque, each holding its worker
+   without yielding until the other domain has stolen or a shared 2 s
+   deadline passes; the second push finds work already queued and wakes
+   the parked domain, which steals.  Holding the worker, rather than
+   spinning a fixed time, leaves the woken domain as long as the host
+   takes to give it a CPU. *)
 let test_idle_steal () =
   let eng = parked_pool 2 in
   let finished = Atomic.make 0 in
+  let held_until = Calibrate.now_ns () + (2_000 * ms) in
   ignore
     (N.spawn eng ~name:"spawner" (fun () ->
          for _ = 1 to 4 do
            ignore
              (N.spawn eng ~name:"spinner" (fun () ->
-                  ignore (Calibrate.spin_ns (5 * ms) : int);
+                  while N.steal_count eng = 0 && Calibrate.now_ns () < held_until do
+                    Domain.cpu_relax ()
+                  done;
                   Atomic.incr finished))
          done));
   let deadline = Calibrate.now_ns () + (5_000 * ms) in
@@ -692,6 +698,190 @@ let test_idle_steal () =
   let steals = N.steal_count eng in
   shutdown_within eng;
   check_bool (Printf.sprintf "the parked domain stole (%d steals)" steals) true (steals > 0)
+
+(* ------------------------------------------------------------------ *)
+(* The lock contract, on the simulator and on a 2-domain pool.         *)
+(* ------------------------------------------------------------------ *)
+
+module Lock = Parcae_platform.Lock
+module Metrics = Parcae_obs.Metrics
+
+(* Build a fresh simulator engine, then a fresh 2-domain pool; [setup]
+   spawns the tasks of one run and answers the checks to make after it.
+   A native run stops waiting after 5 s, so a lost wake-up fails a check
+   instead of hanging the suite. *)
+let on_both_backends setup =
+  List.iter
+    (fun (backend, make) ->
+      let eng = make () in
+      let check = setup backend eng in
+      ignore (Engine.run ~until:(5_000 * ms) eng);
+      Engine.shutdown eng;
+      check ())
+    [
+      ("sim", fun () -> Engine.create (Machine.test_machine ~cores:4 ()));
+      ("native", fun () -> Engine.create_native ~pool:2 ());
+    ]
+
+let lock_tasks = 4
+let lock_rounds = 200
+
+(* [lock_tasks] tasks each make [lock_rounds] increments of a plain
+   counter under [l], with a compute inside.  Answers the counter and how
+   many times a task found another inside. *)
+let contend eng l =
+  let counter = ref 0 and inside = Atomic.make 0 and overlaps = Atomic.make 0 in
+  for t = 1 to lock_tasks do
+    ignore
+      (Engine.spawn eng ~name:(Printf.sprintf "w%d" t) (fun () ->
+           for _ = 1 to lock_rounds do
+             Lock.with_lock l (fun () ->
+                 if Atomic.fetch_and_add inside 1 > 0 then Atomic.incr overlaps;
+                 Engine.compute 1_000;
+                 incr counter;
+                 Atomic.decr inside)
+           done))
+  done;
+  (counter, overlaps)
+
+let test_lock_exclusion () =
+  on_both_backends (fun backend eng ->
+      let counter, overlaps = contend eng (Lock.create eng "exclusion") in
+      fun () ->
+        check_int (backend ^ ": every increment") (lock_tasks * lock_rounds) !counter;
+        check_int (backend ^ ": never two inside") 0 (Atomic.get overlaps))
+
+(* With a registry installed, both backends count every acquisition of a
+   lock, each wait among them, and one wait-time sample per wait. *)
+let test_lock_metrics () =
+  let reg = Metrics.create () in
+  Metrics.with_registry reg @@ fun () ->
+  on_both_backends (fun backend eng ->
+      let name = "counted-" ^ backend in
+      let counter, _ = contend eng (Lock.create eng name) in
+      fun () ->
+        let labels = [ ("lock", name) ] in
+        let acquisitions = Metrics.counter reg "parcae_lock_acquisitions_total" ~labels in
+        let contended = Metrics.counter reg "parcae_lock_contended_total" ~labels in
+        let waits = Metrics.summary reg "parcae_lock_wait_ns" ~labels in
+        check_int (backend ^ ": every increment") (lock_tasks * lock_rounds) !counter;
+        check_int (backend ^ ": acquisitions") (lock_tasks * lock_rounds)
+          (Metrics.counter_value acquisitions);
+        check_int (backend ^ ": one wait sample per contended acquisition")
+          (Metrics.counter_value contended) (Metrics.summary_count waits))
+
+(* A recursive acquire raises, a release by a task that does not hold
+   the lock raises, and so does a release of a free lock. *)
+let test_lock_misuse () =
+  on_both_backends (fun backend eng ->
+      let l = Lock.create eng "misuse" in
+      let raised = ref [] and reused = ref false in
+      let expect what f =
+        match f () with () -> () | exception Invalid_argument _ -> raised := what :: !raised
+      in
+      ignore
+        (Engine.spawn eng ~name:"holder" (fun () ->
+             expect "recursive acquire" (fun () -> Lock.with_lock l (fun () -> Lock.acquire l));
+             Lock.acquire l;
+             Engine.join
+               (Engine.spawn_thread ~name:"stranger" (fun () ->
+                    expect "release by a stranger" (fun () -> Lock.release l)));
+             Lock.release l;
+             expect "release of a free lock" (fun () -> Lock.release l);
+             Lock.with_lock l (fun () -> reused := true)));
+      fun () ->
+        Alcotest.(check (list string))
+          (backend ^ ": Invalid_argument raised")
+          [ "recursive acquire"; "release by a stranger"; "release of a free lock" ]
+          (List.rev !raised);
+        check_bool (backend ^ ": the lock is free afterwards") true !reused)
+
+(* An exception in the body releases the lock: a task waiting for it
+   gets it.  The holder computes 1 ms first, long enough for a parked
+   domain to wake, steal the waiter and block it on the lock. *)
+let test_lock_exception_releases () =
+  on_both_backends (fun backend eng ->
+      let l = Lock.create eng "raises" in
+      let caught = ref false and taken = ref false in
+      ignore
+        (Engine.spawn eng ~name:"raiser" (fun () ->
+             (match
+                Lock.with_lock l (fun () ->
+                    ignore
+                      (Engine.spawn_thread ~name:"waiter" (fun () ->
+                           Lock.with_lock l (fun () -> taken := true)));
+                    Engine.compute 1_000_000;
+                    raise Exit)
+              with
+             | () -> ()
+             | exception Exit -> caught := true)));
+      fun () ->
+        check_bool (backend ^ ": the exception escaped") true !caught;
+        check_bool (backend ^ ": the waiter took the lock") true !taken)
+
+(* An uncontended acquire and release on the simulator allocates nothing:
+   each lock built its two critical sections at creation. *)
+let test_lock_alloc () =
+  let eng = Engine.create (Machine.test_machine ()) in
+  let l = Lock.create eng "alloc" in
+  let count = ref 0 in
+  let body () = incr count in
+  let words = ref (-1) in
+  ignore
+    (Engine.spawn eng ~name:"t" (fun () ->
+         Lock.with_lock l body;
+         let before = Gc.minor_words () in
+         for _ = 1 to 10_000 do
+           Lock.with_lock l body
+         done;
+         words := int_of_float (Gc.minor_words () -. before)));
+  ignore (Engine.run eng);
+  check_int "calls" 10_001 !count;
+  check_int "words for 10 000 uncontended with_lock calls" 0 !words
+
+(* ------------------------------------------------------------------ *)
+(* Flex's shared iteration counter on two domains.                     *)
+(* ------------------------------------------------------------------ *)
+
+module Builder = Parcae_ir.Builder
+module Compiler = Parcae_nona.Compiler
+
+(* Launch [loop] on a 2-domain pool under [scheme] at [dop] and check
+   that it computes what the sequential interpreter does. *)
+let run_native_scheme loop scheme ~dop =
+  let c = Compiler.compile loop in
+  let eng = Engine.create_native ~pool:2 () in
+  let h = Compiler.launch ~budget:4 eng c in
+  ignore
+    (Engine.spawn eng ~name:"driver" (fun () ->
+         Executor.reconfigure h.Compiler.region (Compiler.config_for h ~dop scheme);
+         Executor.await h.Compiler.region));
+  ignore (Engine.run ~until:(20_000 * ms) eng);
+  Engine.shutdown eng;
+  check_bool "done" true (Region.is_done h.Compiler.region);
+  check_bool "semantics preserved" true (Compiler.preserves_semantics h)
+
+(* A zero-work reduction: the iteration claim is most of what an
+   iteration does, so the two lanes claim concurrently. *)
+let test_native_doany_claims () =
+  let b = Builder.create "claims" in
+  let i = Builder.induction b ~from:0 ~step:1 in
+  Builder.live_out b (Builder.reduce b Add ~init:(Const 0) (Reg i));
+  run_native_scheme (Builder.finish ~trip:(Parcae_ir.Loop.Count 200_000) b) "DOANY" ~dop:2
+
+(* A zero-work crc-like recurrence: three lanes advance the executed
+   prefix as they finish, out of order across the two domains. *)
+let test_native_doacross_advances () =
+  let n = 20_000 in
+  let b = Builder.create "advances" in
+  Builder.array b "data" (Array.init n (fun i -> i * 7919 land 0xffff));
+  let i = Builder.induction b ~from:0 ~step:1 in
+  let x = Builder.load b "data" (Reg i) in
+  let crc = Builder.phi b ~init:(Const 0xffff) in
+  let t = Builder.mul b (Reg crc) (Const 31) in
+  Builder.set_carry b ~phi:crc ~carry:(Builder.add b (Reg t) (Reg x));
+  Builder.live_out b crc;
+  run_native_scheme (Builder.finish ~trip:(Parcae_ir.Loop.Count n) b) "DOACROSS" ~dop:3
 
 let suite =
   [
@@ -724,4 +914,18 @@ let suite =
       test_idle_timer;
     Alcotest.test_case "idle: a parked domain wakes and steals queued work" `Quick
       test_idle_steal;
+    Alcotest.test_case "lock: mutual exclusion on the simulator and two domains" `Quick
+      test_lock_exclusion;
+    Alcotest.test_case "lock: acquisitions metric is exact on both backends" `Quick
+      test_lock_metrics;
+    Alcotest.test_case "lock: recursive acquire and a stranger's release raise" `Quick
+      test_lock_misuse;
+    Alcotest.test_case "lock: an exception in the body releases the lock" `Quick
+      test_lock_exception_releases;
+    Alcotest.test_case "lock: an uncontended sim with_lock allocates nothing" `Quick
+      test_lock_alloc;
+    Alcotest.test_case "flex: DOANY claims on two domains preserve semantics" `Quick
+      test_native_doany_claims;
+    Alcotest.test_case "flex: DOACROSS advances on two domains preserve semantics" `Quick
+      test_native_doacross_advances;
   ]

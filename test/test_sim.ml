@@ -597,26 +597,29 @@ let chan_case name script =
       let observed = Test_trace.with_all_observers script in
       Alcotest.(check (list int)) "same values and times under every observer" bare observed)
 
+(* The lock is the platform's, over a simulator engine. *)
 let test_lock_mutual_exclusion () =
-  let eng = Engine.create (exact_machine ~cores:4 ()) in
+  let module P = Parcae_platform.Engine in
+  let module Lock = Parcae_platform.Lock in
+  let eng = P.create (exact_machine ~cores:4 ()) in
   let l = Lock.create eng "l" in
   let counter = ref 0 in
   let max_inside = ref 0 and inside = ref 0 in
   for i = 1 to 4 do
     ignore
-      (Engine.spawn eng
+      (P.spawn eng
          ~name:(Printf.sprintf "w%d" i)
          (fun () ->
            for _ = 1 to 50 do
              Lock.with_lock l (fun () ->
                  incr inside;
                  max_inside := max !max_inside !inside;
-                 Engine.compute 10;
+                 P.compute 10;
                  incr counter;
                  decr inside)
            done))
   done;
-  ignore (Engine.run eng);
+  ignore (P.run eng);
   check_int "all increments" 200 !counter;
   check_int "never two inside" 1 !max_inside
 
@@ -821,15 +824,14 @@ let test_ambient_direct () =
     done;
     int_of_float (Gc.minor_words () -. before)
   in
-  (* Each call and the words it may allocate: [current_task_id]'s answer
-     is a fresh [Some] box. *)
+  (* Each call and the words it may allocate. *)
   let ops =
     [
       ("now", 0, fun () -> ignore (Engine.now () : int));
       ("self", 0, fun () -> ignore (Engine.self () : Engine.thread));
       ("self_opt", 0, fun () -> ignore (Engine.self_opt () : Engine.thread option));
       ("current_lane", 0, fun () -> ignore (P.current_lane () : int option));
-      ("current_task_id", 2, fun () -> ignore (P.current_task_id () : int option));
+      ("current_task_id", 0, fun () -> ignore (P.current_task_id () : int));
     ]
   in
   let eng = Engine.create (exact_machine ()) in
@@ -839,7 +841,7 @@ let test_ambient_direct () =
         (* After a burst the thread holds a core, so its lane is [Some]. *)
         Engine.compute 1_000;
         check_bool "lane on a core" true (P.current_lane () <> None);
-        check_bool "task id" true (P.current_task_id () = Some (Engine.self ()).Engine.tid);
+        check_int "task id" (Engine.self ()).Engine.tid (P.current_task_id ());
         measured := List.map (fun (what, words, f) -> (what, words, minor_words f)) ops)
   in
   ignore (Engine.run eng);
@@ -858,7 +860,7 @@ let test_ambient_direct () =
   N.shutdown neng;
   check_int "words inside a native task: current_lane" 0 !native_words;
   check_bool "outside: no lane" true (P.current_lane () = None);
-  check_bool "outside: no task id" true (P.current_task_id () = None);
+  check_int "outside: no task id" (-1) (P.current_task_id ());
   check_int "outside: current_lane allocates nothing" 0
     (minor_words (fun () -> ignore (P.current_lane ())));
   check_int "outside: current_task_id allocates nothing" 0
