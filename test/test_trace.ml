@@ -695,8 +695,9 @@ let test_trace_determinism () =
 (* [trace_digests.txt] pins the MD5 of [Export.jsonl_of_sink] for fixed-seed
    serve runs of ferret under tbf and x264 under wq-linear, each recorded
    into a sink that never wraps and into a 1000-slot sink that does (the
-   export then leads with the overflow marker).  Any change to the sink's
-   storage or to the emitters must reproduce every digest; on a mismatch
+   export then leads with the overflow marker), and of Nona runs
+   ([nona_runs] below).  Any change to the sink's storage, to the emitters
+   or to how Flex runs a scheme must reproduce every digest; on a mismatch
    the recomputed table is written next to the committed one in the build
    directory.  [metrics_digests.txt] does the same for
    [Metrics.to_prometheus] of the same runs repeated with a registry and a
@@ -747,6 +748,127 @@ let check_digest_table file actual =
     Alcotest.failf "recorded bytes diverge from %s (recomputed table: %s.actual)" file file
   end
 
+(* The Nona rows of [trace_digests.txt]: the JSONL trace of crc32 (SEQ,
+   DOACROSS, PS-DSWP) and kmeans (DOANY) compiled and launched under the
+   controller, and of blackscholes under a driver that light-resizes DOANY
+   and PS-DSWP and switches schemes between them.  Each run must finish
+   with the reference semantics, run every scheme it is there for and
+   light-resize the ones it scripts.  The last row is the sanitizer's JSON
+   report over the built-in kernels at 256 iterations and a 16-loop seeded
+   corpus: the bytes [parcae_demo sanitize --suite --corpus 16 --seed 1
+   --json] prints. *)
+module Compiler = Parcae_nona.Compiler
+module Kernels = Parcae_ir.Kernels
+
+let nona_params =
+  {
+    R.Controller.default_params with
+    R.Controller.nseq = 8;
+    poll_ns = 20_000;
+    monitor_ns = 10_000_000;
+    change_frac = 0.3;
+  }
+
+let under_controller eng (h : Compiler.handle) =
+  ignore (R.Controller.spawn eng (R.Controller.create ~params:nona_params h.Compiler.region))
+
+let scripted steps eng (h : Compiler.handle) =
+  ignore
+    (Engine.spawn eng ~name:"driver" (fun () ->
+         let region = h.Compiler.region in
+         List.iter
+           (fun (scheme, dop) ->
+             if not (R.Region.is_done region) then
+               R.Executor.reconfigure region (Compiler.config_for h ~dop scheme);
+             Engine.sleep 1_000_000)
+           steps;
+         R.Executor.await region))
+
+(* (row, loop, driver, schemes it runs, schemes it light-resizes) *)
+let nona_runs =
+  [
+    ( "nona-crc32-controller",
+      (fun () -> Kernels.crc32 ~n:3000 ()),
+      under_controller,
+      [ "SEQ"; "DOACROSS"; "PS-DSWP" ],
+      [] );
+    ("nona-kmeans-controller", (fun () -> Kernels.kmeans ~n:3000 ()), under_controller, [ "DOANY" ], []);
+    ( "nona-blackscholes-resize",
+      (fun () -> Kernels.blackscholes ~n:2000 ()),
+      scripted
+        [ ("DOANY", 4); ("DOANY", 12); ("PS-DSWP", 6); ("PS-DSWP", 10); ("SEQ", 1); ("DOANY", 3); ("DOANY", 7) ],
+      [ "SEQ"; "DOANY"; "PS-DSWP" ],
+      [ "DOANY"; "PS-DSWP" ] );
+  ]
+
+let nona_digest (row, make, drive, ran, resized) =
+  let c = Compiler.compile (make ()) in
+  let sink = Sink.create ~capacity:1_000_000 () in
+  let h =
+    Trace.with_sink sink (fun () ->
+        let eng = Engine.create machine in
+        let h = Compiler.launch ~budget:24 eng c in
+        drive eng h;
+        ignore (Engine.run ~until:60_000_000_000 eng);
+        h)
+  in
+  check_bool (row ^ ": done") true (R.Region.is_done h.Compiler.region);
+  check_bool (row ^ ": semantics") true (Compiler.preserves_semantics h);
+  check_int (row ^ ": the sink does not wrap") 0 (Sink.dropped sink);
+  let events = Sink.events sink in
+  let seen f scheme = List.exists (fun e -> f e.Event.kind = Some scheme) events in
+  List.iter
+    (fun s ->
+      check_bool (row ^ " runs " ^ s) true
+        (seen
+           (function
+             | Event.Region_start { scheme; _ } | Event.Resume { scheme; _ } -> Some scheme
+             | _ -> None)
+           s))
+    ran;
+  List.iter
+    (fun s ->
+      check_bool (row ^ " light-resizes " ^ s) true
+        (seen (function Event.Dop_change { scheme; light = true; _ } -> Some scheme | _ -> None) s))
+    resized;
+  (row, Digest.to_hex (Digest.string (Export.jsonl_of_sink sink)))
+
+let sanitize_digest () =
+  let n = 256 in
+  let named =
+    Kernels.
+      [
+        blackscholes ~n ();
+        crc32 ~n ();
+        url ~n ();
+        kmeans ~n ();
+        histogram ~n ();
+        montecarlo ~n ();
+        stringsearch ~n ();
+        recurrence ~n ();
+      ]
+  in
+  check_bool "the built-in kernels, in suite order" true
+    (List.map (fun (l : Parcae_ir.Loop.t) -> l.Parcae_ir.Loop.name) named
+    = List.map (fun (k : Kernels.expectation) -> k.Kernels.k_name) Kernels.suite);
+  let loops =
+    named @ List.map (fun g -> g.Parcae_ir.Kgen.g_loop) (Parcae_ir.Kgen.corpus ~seed:1 ~n:16)
+  in
+  let reports = List.map (fun loop -> Parcae_nona.Sanitize.run ~dop:3 loop) loops in
+  let errors =
+    List.fold_left
+      (fun acc r -> acc + Parcae_analysis.Diag.count_errors r.Parcae_nona.Sanitize.diags)
+      0 reports
+  in
+  let json =
+    Json.Obj
+      [
+        ("errors", Json.Int errors);
+        ("reports", Json.List (List.map Parcae_nona.Sanitize.to_json reports));
+      ]
+  in
+  ("sanitize-suite-corpus16", Digest.to_hex (Digest.string (Json.to_string json ^ "\n")))
+
 let test_trace_digests () =
   check_digest_table trace_digest_file
     (List.map
@@ -755,7 +877,9 @@ let test_trace_digests () =
          check_bool (name ^ ": the sink wraps iff it is the small one") (capacity = 1_000)
            (dropped > 0);
          (name, d))
-       digest_cases)
+       digest_cases
+    @ List.map nona_digest nona_runs
+    @ [ sanitize_digest () ])
 
 (* A wrapping run's line also pins [parcae_trace_dropped_total], which
    must equal the sink's own drop count. *)
