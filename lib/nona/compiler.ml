@@ -1,14 +1,15 @@
 (* The Nona compiler driver (Section 3.2, Figure 3.2).
 
    compile: build the PDG of the region, profile it, form the DAG_SCC,
-   apply each parallelizer (DOANY, PS-DSWP), and package the applicable
-   versions — always including the sequential one — as the region's
-   schemes.
+   apply each parallelizer (DOANY, DOACROSS, PS-DSWP), and package the
+   applicable versions — always including the sequential one — as the
+   region's schemes.
 
    launch: instantiate the flexible code on a simulated platform as a
    Parcae region whose configuration (scheme choice and DoP vector) the
-   Morta runtime can change during execution; the on_reset callback
-   implements the epoch switch of the channel-arbitration protocol.
+   Morta runtime can change during execution; each scheme is one
+   [Flex.scheme] value whose hooks the full pause and the barrier-less
+   resize run.
 
    result: extract the observable outcome of a finished run in the same
    shape the reference interpreter produces, so semantics preservation can
@@ -112,124 +113,44 @@ let config_for handle ?(dop = 1) name =
   { (Config.make tasks) with Config.choice }
 
 (* Instantiate the compiled loop on [eng] as a reconfigurable region.
-   [budget] bounds the maximum DoP (channel matrices are sized to it). *)
-let launch ?flags ?(budget = 24) ?(verify = true) ?config ?name eng (c : compiled) =
+   [budget] bounds the maximum DoP (channel matrices are sized to it).  The
+   region starts sequential; at every full pause the chosen scheme enters
+   a new epoch and every scheme resets, in choice order. *)
+let launch ?flags ?(budget = 24) ?name eng (c : compiled) =
   (* Re-verify at the trust boundary: [c] may have been assembled or
      edited by hand, and an illegal plan must not reach the executor. *)
-  if verify then List.iter (Verify.check_or_raise c.pdg) (schemes c);
+  let verified = schemes c in
+  List.iter (Verify.check_or_raise c.pdg) verified;
   let rs = Flex.create ?flags eng c.pdg in
-  let seq_pd = Task.descriptor ~name:"SEQ" [ Flex.make_seq_task rs ] in
-  let schemes = ref [ seq_pd ] in
-  let names = ref [ "SEQ" ] in
-  let doany_hooks = ref None in
-  if c.doany <> None then begin
-    let task, resize_hook, sync_present = Flex.make_doany_task rs ~max_lanes:budget in
-    doany_hooks := Some (resize_hook, sync_present);
-    schemes := !schemes @ [ Task.descriptor ~name:"DOANY" [ task ] ];
-    names := !names @ [ "DOANY" ]
-  end;
-  let reset_channels = ref (fun () -> ()) in
-  (match c.doacross with
-  | None -> ()
-  | Some plan ->
-      let task, reset_ring = Flex.make_doacross_task rs plan ~max_lanes:budget in
-      let prev = !reset_channels in
-      reset_channels := (fun () -> prev (); reset_ring ());
-      schemes := !schemes @ [ Task.descriptor ~name:"DOACROSS" [ task ] ];
-      names := !names @ [ "DOACROSS" ]);
-  let psdswp_light = ref false in
-  let psdswp_resize = ref (fun (_ : int array) -> ([] : (int * int) list)) in
-  let psdswp_sync = ref (fun (_ : int array option) -> ()) in
-  (match c.pipeline with
-  | None -> ()
-  | Some pipe ->
-      let tasks, reset, alternating, resize_hook, sync_present =
-        Flex.make_psdswp_tasks rs pipe ~max_lanes:budget
-      in
-      psdswp_light := alternating;
-      psdswp_resize := resize_hook;
-      psdswp_sync := sync_present;
-      let prev = !reset_channels in
-      reset_channels := (fun () -> prev (); reset ());
-      schemes := !schemes @ [ Task.descriptor ~name:"PS-DSWP" tasks ];
-      names := !names @ [ "PS-DSWP" ]);
-  let names = !names in
-  let region_ref = ref None in
-  let choice_named n =
-    let rec find i = function [] -> -1 | x :: rest -> if x = n then i else find (i + 1) rest in
-    find 0 names
+  let schemes =
+    List.map
+      (function
+        | Verify.Seq -> Flex.seq rs
+        | Verify.Doany _ -> Flex.doany rs ~max_lanes:budget
+        | Verify.Doacross plan -> Flex.doacross rs plan ~max_lanes:budget
+        | Verify.Psdswp pipe -> Flex.psdswp rs pipe ~max_lanes:budget)
+      verified
   in
-  let psdswp_choice = choice_named "PS-DSWP" in
-  let doany_choice = choice_named "DOANY" in
-  (* Per-scheme barrier-less resize support (Section 7.2): DOANY lanes
-     claim iterations from a shared counter, so resizing is a matter of
-     spawning/retiring lanes; alternating PS-DSWP pipelines use the epoch
-     protocol; SEQ and DOACROSS fall back to the full pause. *)
-  let sync_light_resize r =
-    let choice = (Region.config r).Config.choice in
-    (* Lane-presence bookkeeping follows the workers the executor is about
-       to start for the chosen scheme; the other schemes deactivate. *)
-    (match !doany_hooks with
-    | Some (_, sync) -> sync (if choice = doany_choice then (Config.dops (Region.config r)).(0) else 0)
-    | None -> ());
-    !psdswp_sync
-      (if choice = psdswp_choice && psdswp_choice >= 0 then Some (Config.dops (Region.config r))
-       else None);
-    if choice = doany_choice && doany_choice >= 0 then begin
-      r.Region.light_resizable <- true;
-      r.Region.on_resize <-
-        Some
-          (fun cfg ->
-            match !doany_hooks with Some (resize, _) -> resize (Config.dops cfg) | None -> [])
-    end
-    else if choice = psdswp_choice && psdswp_choice >= 0 && !psdswp_light then begin
-      r.Region.light_resizable <- true;
-      r.Region.on_resize <- Some (fun cfg -> !psdswp_resize (Config.dops cfg))
-    end
-    else begin
-      r.Region.light_resizable <- false;
-      r.Region.on_resize <- None
-    end
-  in
+  let region = ref None in
   let on_reset () =
-    (* Full-pause epoch switch: stamp the iteration at which the new
-       configuration takes effect, refresh the DoP vector the channel
-       arbitration reads, and clear leftover control tokens. *)
-    rs.Flex.epoch <- rs.Flex.epoch + 1;
-    rs.Flex.epoch_base <- rs.Flex.next_iter;
-    rs.Flex.psdswp_pending <- None;
-    (match !region_ref with
-    | Some r ->
-        (if psdswp_choice >= 0 && (Region.config r).Config.choice = psdswp_choice then begin
-           let d = Config.dops (Region.config r) in
-           rs.Flex.dops <- d;
-           let _, _, id = List.hd rs.Flex.epochs in
-           rs.Flex.epochs <- [ (rs.Flex.next_iter, d, id + 1) ]
-         end);
-        sync_light_resize r
-    | None -> ());
-    !reset_channels ()
+    let r = Option.get !region in
+    let cfg = Region.config r in
+    let chosen = List.nth schemes cfg.Config.choice in
+    Flex.new_epoch rs;
+    chosen.Flex.enter (Config.dops cfg);
+    List.iter (fun (s : Flex.scheme) -> s.Flex.reset ()) schemes;
+    r.Region.on_resize <- Option.map (fun resize cfg -> resize (Config.dops cfg)) chosen.Flex.resize
   in
-  let initial =
-    match config with
-    | Some cfg -> cfg
-    | None -> Task.default_config seq_pd
-  in
-  (* Seed the DoP vector for an initial PS-DSWP configuration. *)
-  (match c.pipeline with
-  | Some _ when psdswp_choice >= 0 && initial.Config.choice = psdswp_choice ->
-      let d = Config.dops initial in
-      rs.Flex.dops <- d;
-      rs.Flex.epochs <- [ (0, d, 0) ]
-  | _ -> ());
-  let region =
+  let pds = List.map (fun (s : Flex.scheme) -> s.Flex.pd) schemes in
+  let r =
     Executor.launch ~budget
-      ~name:(match name with Some n -> n | None -> c.loop.Loop.name)
-      eng !schemes initial ~on_reset
+      ~name:(Option.value name ~default:c.loop.Loop.name)
+      eng pds
+      (Task.default_config (List.hd pds))
+      ~on_reset
   in
-  region_ref := Some region;
-  sync_light_resize region;
-  { compiled = c; rs; region; names }
+  region := Some r;
+  { compiled = c; rs; region = r; names = List.map Verify.scheme_name verified }
 
 (* Observable outcome of a finished run, comparable with [Interp.run]. *)
 let result handle =

@@ -47,18 +47,10 @@ val config_for : handle -> ?dop:int -> string -> Parcae_core.Config.t
     parallel task (default 1). *)
 
 val launch :
-  ?flags:Flex.flags ->
-  ?budget:int ->
-  ?verify:bool ->
-  ?config:Parcae_core.Config.t ->
-  ?name:string ->
-  Parcae_platform.Engine.t ->
-  compiled ->
-  handle
-(** Instantiate the compiled loop as a reconfigurable region.  [budget]
-    bounds the maximum DoP (channel matrices are sized to it); the initial
-    configuration defaults to sequential.  The schemes are re-verified at
-    this trust boundary (disable with [~verify:false]).
+  ?flags:Flex.flags -> ?budget:int -> ?name:string -> Parcae_platform.Engine.t -> compiled -> handle
+(** Instantiate the compiled loop as a reconfigurable region that starts
+    sequential.  [budget] bounds the maximum DoP (channel matrices are
+    sized to it).  The schemes are re-verified at this trust boundary.
     @raise Verify.Illegal_plan when a scheme fails the legality check. *)
 
 val result : handle -> Interp.result

@@ -1,6 +1,7 @@
 (** Flexible code generation and execution (the paper's Sections 4.5-4.6):
     lowers a compiled loop onto the Parcae runtime as SEQ / DOANY /
-    PS-DSWP task versions over shared run state.
+    DOACROSS / PS-DSWP task versions over shared run state, each one
+    {!scheme} value.
 
     Key machinery: per-iteration yields to the worker loop; sequential
     tasks' cross-iteration registers saved to/restored from a heap table
@@ -38,10 +39,10 @@ type code
     carries indexed by register.  An iteration executes ops from it and
     performs no table lookup. *)
 
-(** Shared run state of one launched region.  Exposed so the compiler
-    driver can manage epochs and experiments can read progress; fields are
-    owned by the generated tasks. *)
-type t = {
+(** Shared run state of one launched region.  Read-only outside Flex:
+    callers read progress and results from it, and only the generated
+    tasks and {!new_epoch} write it. *)
+type t = private {
   loop : Loop.t;
   pdg : Pdg.t;
   eng : Parcae_platform.Engine.t;
@@ -61,20 +62,14 @@ type t = {
           values once the region finishes) *)
   trip_n : int option;
   iter_mon : Parcae_platform.Engine.monitor;
-      (** guards the updates parallel lanes make to [next_iter]: DOANY's
-          claim and DOACROSS's advance (free on the sim, a mutex on the
-          native backend's parallel lanes) *)
+      (** guards the updates parallel lanes make to [next_iter] (DOANY's
+          claim, DOACROSS's advance) and the heap publications a parking
+          lane derives from it (free on the sim, a mutex on the native
+          backend's parallel lanes) *)
   mutable next_iter : int;  (** contiguous prefix of executed iterations *)
   mutable exited : bool;  (** a Break_if fired *)
-  mutable epoch : int;
+  mutable epoch : int;  (** full-pause epochs started *)
   mutable epoch_base : int;  (** iteration number at current epoch start *)
-  mutable dops : int array;  (** current per-stage DoPs (PS-DSWP scheme) *)
-  mutable epochs : (int * int array * int) list;
-      (** (start iteration, per-stage DoPs, id), newest first: the epoch
-          table of the barrier-less resize protocol (Section 7.2) *)
-  mutable psdswp_pending : int array option;
-      (** DoP vector of a requested light resize, stamped by the master *)
-  mutable doany_dop : int;  (** current DOANY DoP; excess lanes retire *)
   max_reg : int;
 }
 
@@ -82,37 +77,48 @@ val create : ?flags:flags -> Parcae_platform.Engine.t -> Pdg.t -> t
 (** The run state of one launch of [pdg.loop]: its op table, and its
     working arrays, where only the arrays the body stores to are copied. *)
 
-val make_seq_task : t -> Parcae_core.Task.t
+val new_epoch : t -> unit
+(** Start a full-pause epoch: lanes started afterwards re-initialize their
+    state from the heap, and number their iterations from the executed
+    prefix.  Run at every full pause, before the chosen scheme's
+    [enter]. *)
+
+(** One version of the region: what the runtime needs to run it and to
+    switch to and from it.  The state only this version uses (DOANY's
+    retirement DoP, PS-DSWP's epoch table) lives in its hooks. *)
+type scheme = {
+  pd : Parcae_core.Task.par_descriptor;  (** named SEQ, DOANY, DOACROSS or PS-DSWP *)
+  enter : int array -> unit;
+      (** [enter dops] runs before workers start under a configuration
+          that picks this scheme with per-task DoPs [dops] *)
+  reset : unit -> unit;
+      (** runs at every full pause, whichever scheme was chosen: clears
+          what the scheme's last run left behind (control tokens in its
+          channels, a resize not yet stamped) *)
+  resize : (int array -> (int * int) list) option;
+      (** the barrier-less DoP change of Section 7.2: takes the new
+          per-task DoPs and returns the (task index, lane) workers to
+          spawn; [None] where the scheme changes DoP only through the full
+          pause *)
+}
+
+val seq : t -> scheme
 (** The sequential version of the region. *)
 
-val make_doany_task :
-  t -> max_lanes:int -> Parcae_core.Task.t * (int array -> (int * int) list) * (int -> unit)
+val doany : t -> max_lanes:int -> scheme
 (** The DOANY version: a single parallel task claiming iterations from a
-    shared counter.  Returns [(task, resize_hook, sync_present)]:
-    [resize_hook dops] adjusts the retirement threshold for a barrier-less
-    resize and reports the lanes needing fresh workers; [sync_present dop]
-    re-synchronizes lane bookkeeping around a full pause (0 deactivates). *)
+    shared counter.  Resizes without a barrier: lanes at or above the new
+    DoP retire, and lanes below it without a live worker are spawned. *)
 
-val make_psdswp_tasks :
-  t ->
-  Mtcg.pipeline ->
-  max_lanes:int ->
-  Parcae_core.Task.t list
-  * (unit -> unit)
-  * bool
-  * (int array -> (int * int) list)
-  * (int array option -> unit)
-(** The PS-DSWP version: the stage tasks, the channel-reset function to
-    run between full-pause epochs, whether the pipeline supports
-    barrier-less DoP resizes (alternating sequential/parallel networks,
-    the paper's Section 7.2), the resize-request hook (stamps the epoch
-    request and returns the lanes needing fresh workers), and the
-    presence synchronizer for full pauses ([None] deactivates). *)
+val psdswp : t -> Mtcg.pipeline -> max_lanes:int -> scheme
+(** The PS-DSWP version: one task per stage, on point-to-point channel
+    matrices.  Resizes without a barrier when the pipeline alternates
+    sequential and parallel stages (the paper's Section 7.2): the master
+    stamps a new epoch and the sequential stages announce it in-band. *)
 
-val make_doacross_task :
-  t -> Doacross.plan -> max_lanes:int -> Parcae_core.Task.t * (unit -> unit)
+val doacross : t -> Doacross.plan -> max_lanes:int -> scheme
 (** The DOACROSS version (an additional parallelizer, Section 3.2 of the
     paper): a single parallel task over a ring of point-to-point channels
     forwarding the hard recurrence values from each iteration to the next;
-    the independent part of the body overlaps across lanes.  Returns the
-    task and the ring-reset function to run between epochs. *)
+    the independent part of the body overlaps across lanes.  DoP changes
+    go through the full pause. *)

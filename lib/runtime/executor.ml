@@ -414,7 +414,7 @@ let dop_only_change (r : Region.t) (cfg : Config.t) =
    workers immediately; shrunk tasks retire their excess lanes at the
    epoch boundary the code generator's resize hook establishes.  The
    sequential stages never stop.  Only valid for DoP-only changes on a
-   scheme whose generated code opted in ([light_resizable]). *)
+   scheme whose generated code installed a resize hook ([on_resize]). *)
 let resize (r : Region.t) cfg =
  Engine.locked r.Region.mon @@ fun () ->
   (match r.Region.status with
@@ -462,7 +462,7 @@ let reconfigure (r : Region.t) cfg =
   if not (Region.is_done r) && not (Config.equal cfg r.Region.config) then begin
     let t0 = Engine.time r.Region.eng in
     if
-      r.Region.light_resizable
+      Option.is_some r.Region.on_resize
       && r.Region.status = Region.Running
       && (not r.Region.master_completed)
       && dop_only_change r cfg

@@ -58,9 +58,9 @@ val resize : Region.t -> Parcae_core.Config.t -> unit
 val reconfigure : Region.t -> Parcae_core.Config.t -> unit
 (** The full sequence of the paper's Section 6.2: pause, swap, resume.
     No-op if the region completed meanwhile or the configuration is
-    unchanged.  DoP-only changes on a scheme that opted into barrier-less
-    resizing ([Region.light_resizable]) go through {!resize} instead of
-    the pause. *)
+    unchanged.  DoP-only changes on a scheme with a barrier-less resize
+    hook ([Region.on_resize]) go through {!resize} instead of the
+    pause. *)
 
 val await : Region.t -> unit
 (** Block until the region completes. *)

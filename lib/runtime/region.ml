@@ -51,9 +51,9 @@ type t = {
       (* hook run when a light (barrier-less) DoP resize is applied
          (Section 7.2); stamps the epoch request and returns the
          (task index, lane) workers that must be spawned — lanes whose
-         previous worker has not retired yet are NOT re-spawned *)
-  mutable light_resizable : bool;
-      (* whether the current scheme supports barrier-less DoP changes *)
+         previous worker has not retired yet are NOT re-spawned.  [None]
+         when the current scheme changes DoP only through the full
+         pause. *)
   mutable light_resizes : int;  (* count of barrier-less reconfigurations *)
   (* Overhead accounting for Section 8.3.6 / Chapter 7 ablations. *)
   mutable reconfig_count : int;
@@ -105,7 +105,6 @@ let create ?(budget = max_int) ?on_pause ?on_reset ~name eng schemes config =
     on_pause;
     on_reset;
     on_resize = None;
-    light_resizable = false;
     light_resizes = 0;
     reconfig_count = 0;
     scheme_switches = 0;

@@ -41,8 +41,8 @@ type t = {
   mutable on_resize : (Parcae_core.Config.t -> (int * int) list) option;
       (** hook run when a light (barrier-less) DoP resize is applied
           (Section 7.2); stamps the epoch request and returns the
-          (task index, lane) workers to spawn *)
-  mutable light_resizable : bool;
+          (task index, lane) workers to spawn.  [None] when the current
+          scheme changes DoP only through the full pause. *)
   mutable light_resizes : int;
   mutable reconfig_count : int;
   mutable scheme_switches : int;

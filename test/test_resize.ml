@@ -163,6 +163,60 @@ let test_light_resize_interleaved_with_pause () =
   check_bool "semantics" true (Compiler.preserves_semantics h);
   check_bool "some resizes were light" true (R.Region.light_resizes h.Compiler.region >= 1)
 
+let test_return_to_light_resizable_scheme () =
+  (* Leave each light-resizable scheme and come back to it: only the chosen
+     scheme is entered at a full pause, so a scheme chosen again must
+     re-mark which of its lanes have workers before its next light resize,
+     or the resize spawns a second worker for a lane that has one.  Each
+     step names its scheme, DoP and whether it is light; right after it,
+     before any worker can run, the region has exactly one worker per
+     lane of the new configuration. *)
+  let n = 6000 in
+  let eng, h = launch (fun () -> Kernels.blackscholes ~n ()) in
+  let steps =
+    [
+      ("DOANY", 4, false);
+      ("DOANY", 12, true);
+      ("PS-DSWP", 6, false);
+      ("PS-DSWP", 10, true);
+      ("DOANY", 2, false);
+      ("DOANY", 6, true);
+      ("SEQ", 1, false);
+      ("DOANY", 8, false);
+    ]
+  in
+  let applied = ref 0 and wrong = ref [] and seq_hook = ref None in
+  let _ =
+    Engine.spawn eng ~name:"driver" (fun () ->
+        let region = h.Compiler.region in
+        List.iter
+          (fun (scheme, dop, light) ->
+            if not (R.Region.is_done region) then begin
+              incr applied;
+              let before = R.Region.light_resizes region in
+              R.Executor.reconfigure region (Compiler.config_for h ~dop scheme);
+              if
+                R.Region.light_resizes region - before <> Bool.to_int light
+                || region.R.Region.active_workers <> Config.threads (R.Region.config region)
+              then wrong := Printf.sprintf "%s %d" scheme dop :: !wrong;
+              if scheme = "SEQ" then seq_hook := Some (Option.is_some region.R.Region.on_resize)
+            end;
+            Engine.sleep 1_500_000)
+          steps;
+        R.Executor.await region)
+  in
+  ignore (Engine.run eng);
+  let region = h.Compiler.region in
+  check_bool "done" true (R.Region.is_done region);
+  check_int "every iteration exactly once" n h.Compiler.rs.Flex.next_iter;
+  check_bool "semantics" true (Compiler.preserves_semantics h);
+  check_int "every step applied before completion" (List.length steps) !applied;
+  check_bool "light resizes" true (R.Region.light_resizes region >= 3);
+  check_bool "every step took its path and started one worker per lane" true (!wrong = []);
+  (* SEQ installs no resize hook: a DoP change while it runs can only go
+     through the full pause. *)
+  check_bool "SEQ ran without a resize hook" true (!seq_hook = Some false)
+
 let suite =
   [
     Alcotest.test_case "resize: DOANY grow/shrink" `Quick test_doany_light_grow_shrink;
@@ -173,4 +227,6 @@ let suite =
       test_unsupported_scheme_falls_back;
     Alcotest.test_case "resize: rejects scheme change" `Quick test_resize_rejects_scheme_change;
     Alcotest.test_case "resize: interleaved with pauses" `Quick test_light_resize_interleaved_with_pause;
+    Alcotest.test_case "resize: returning to a light-resizable scheme" `Quick
+      test_return_to_light_resizable_scheme;
   ]
