@@ -34,7 +34,6 @@ type dop_result = {
   merged : (Timeline.state * float) list;
   steals : int;
   steal_attempts : int;
-  span_drops : int;
   gc : Runtime_ev.stats option;
 }
 
@@ -108,8 +107,6 @@ let run_one ~backend ~items ~work_ns ~sink_ns ~pool dop =
     | None -> (0, 0)
   in
   Engine.shutdown eng;
-  let span_drops = ref 0 in
-  Array.iteri (fun i _ -> span_drops := !span_drops + Timeline.span_drops tl ~lane:i) lanes_bd;
   {
     dop;
     wall_ns;
@@ -119,7 +116,6 @@ let run_one ~backend ~items ~work_ns ~sink_ns ~pool dop =
     merged = Timeline.merged_shares lanes_bd;
     steals;
     steal_attempts;
-    span_drops = !span_drops;
     gc = Option.map Runtime_ev.stats re;
   }
 
@@ -329,7 +325,6 @@ let dop_result_to_json d =
       ("timeline", Timeline.breakdown_to_json d.lanes);
       ("steals", Json.Int d.steals);
       ("steal_attempts", Json.Int d.steal_attempts);
-      ("span_drops", Json.Int d.span_drops);
       ("gc", gc_to_json d.gc);
     ]
 

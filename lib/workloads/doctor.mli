@@ -26,7 +26,6 @@ type dop_result = {
   merged : (Parcae_obs.Timeline.state * float) list;
   steals : int;  (** native: successful steals over the run *)
   steal_attempts : int;
-  span_drops : int;  (** timeline ring overwrites, summed over lanes *)
   gc : Parcae_obs.Runtime_ev.stats option;  (** native only *)
 }
 

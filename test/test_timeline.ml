@@ -38,42 +38,74 @@ let test_partition () =
   check_int "lane 0 steal ns" 50
     b0.Timeline.by_state.(Timeline.state_index Timeline.Steal_search)
 
-(* Spans are contiguous and non-overlapping: each closed span ends where
-   the next begins, and same-state transitions merge instead of splitting. *)
+(* Consecutive spans are contiguous, a transition into the open state
+   merges into it, and a clock that races backwards is clamped to the open
+   span's start.  Each shows in the per-state totals: had the Run at 40
+   closed and reopened the span, the two late readings would clamp to 40
+   and leave Run 40, Park 10; had the Park at 25 not been clamped, Run
+   would lose 5 ns. *)
 let test_spans_contiguous () =
   let tl = Timeline.create ~lanes:1 ~now:0 () in
   Timeline.enter tl ~lane:0 ~now:10 Timeline.Run;
-  Timeline.enter tl ~lane:0 ~now:20 Timeline.Run;
+  Timeline.enter tl ~lane:0 ~now:40 Timeline.Run;
   (* merge: no-op *)
-  Timeline.enter tl ~lane:0 ~now:30 Timeline.Park;
-  Timeline.enter tl ~lane:0 ~now:25 Timeline.Run;
+  Timeline.enter tl ~lane:0 ~now:20 Timeline.Park;
+  Timeline.enter tl ~lane:0 ~now:30 Timeline.Run;
+  Timeline.enter tl ~lane:0 ~now:25 Timeline.Park;
   (* racing clock: clamped to 30 *)
-  let spans = Timeline.spans tl ~lane:0 in
-  check_int "closed spans" 3 (List.length spans);
-  List.iter
-    (fun (s : Timeline.span) ->
-      check_bool "span non-negative" true (s.Timeline.s_t1 >= s.Timeline.s_t0))
-    spans;
-  let rec pairwise = function
-    | a :: (b :: _ as rest) ->
-        check_int "contiguous" a.Timeline.s_t1 b.Timeline.s_t0;
-        pairwise rest
-    | _ -> ()
-  in
-  pairwise spans
+  let b = (Timeline.breakdown tl ~until:50).(0) in
+  check_int "contiguous: the states partition the wall" 50 (sum_by_state b);
+  check_int "run: 10..20 after the merge, 30..30 after the clamp" 10
+    b.Timeline.by_state.(Timeline.state_index Timeline.Run);
+  check_int "park: 0..10, 20..30 and 30..50" 40
+    b.Timeline.by_state.(Timeline.state_index Timeline.Park)
 
-let test_ring_overflow () =
-  let tl = Timeline.create ~capacity:4 ~lanes:1 ~now:0 () in
+(* The totals stay exact however many transitions a lane records, and a
+   transition stores nothing of its own: the timeline is as large after
+   100 000 transitions as after 10.  Lane 1 takes no attribution, so its
+   totals must equal the durations the test adds up itself. *)
+let test_totals_exact_at_scale () =
+  let tl = Timeline.create ~lanes:2 ~now:0 () in
+  let state i =
+    match i mod 3 with 0 -> Timeline.Run | 1 -> Timeline.Park | _ -> Timeline.Steal_search
+  in
+  let model = Array.make Timeline.n_states 0 in
+  let cur = ref Timeline.Park and since = ref 0 in
+  let step i =
+    let now = i * 7 and st = state (i / 2) in
+    Timeline.enter tl ~lane:0 ~now st;
+    Timeline.enter tl ~lane:1 ~now st;
+    if st <> !cur then begin
+      let k = Timeline.state_index !cur in
+      model.(k) <- model.(k) + (now - !since);
+      cur := st;
+      since := now
+    end;
+    if i mod 5 = 0 then Timeline.attribute tl ~lane:0 Timeline.Chan_wait 3;
+    if i mod 11 = 0 then Timeline.attribute tl ~lane:0 Timeline.Gc 5;
+    if i mod 13 = 0 then Timeline.attribute tl ~lane:0 Timeline.Reconfig 9
+  in
   for i = 1 to 10 do
-    Timeline.enter tl ~lane:0 ~now:(i * 10)
-      (if i mod 2 = 0 then Timeline.Run else Timeline.Park)
+    step i
   done;
-  (* 9 transitions close 9 spans; the ring keeps 4. *)
-  check_int "spans retained" 4 (List.length (Timeline.spans tl ~lane:0));
-  check_int "drops counted" 5 (Timeline.span_drops tl ~lane:0);
-  (* The accumulators stay exact regardless of ring drops. *)
-  let b = (Timeline.breakdown tl ~until:100).(0) in
-  check_int "wall exact despite drops" 100 (sum_by_state b)
+  let words = Obj.reachable_words (Obj.repr tl) in
+  for i = 11 to 100_000 do
+    step i
+  done;
+  check_int "reachable words after 100 000 transitions" words (Obj.reachable_words (Obj.repr tl));
+  let until = 700_003 in
+  let k = Timeline.state_index !cur in
+  model.(k) <- model.(k) + (until - !since);
+  let bds = Timeline.breakdown tl ~until in
+  Array.iter
+    (fun b ->
+      check_int "by_state sums to wall exactly" until (sum_by_state b);
+      Alcotest.(check (float 1e-9)) "shares sum to 1" 1.0 (share_sum b))
+    bds;
+  check_bool "attribution moved time on lane 0" true
+    (bds.(0).Timeline.by_state.(Timeline.state_index Timeline.Chan_wait) > 0);
+  Alcotest.(check (array int)) "lane 1's totals are the summed durations" model
+    bds.(1).Timeline.by_state
 
 (* ---- attribution: zero-sum, clamped at donor holdings ---- *)
 
@@ -229,7 +261,7 @@ let suite =
   [
     ("timeline: states partition wall time", `Quick, test_partition);
     ("timeline: spans contiguous, merged, clamped", `Quick, test_spans_contiguous);
-    ("timeline: ring overflow counts drops, totals exact", `Quick, test_ring_overflow);
+    ("timeline: totals exact at scale, size constant", `Quick, test_totals_exact_at_scale);
     ("timeline: wait attribution clamps to idle", `Quick, test_attribute_clamp);
     ("timeline: gc attribution displaces run", `Quick, test_attribute_gc_takes_run_first);
     ("critpath: pipeline with known answer", `Quick, test_critpath_pipeline);
