@@ -120,10 +120,7 @@ let worker_id_opt () =
    observer word, read in place, when disabled. *)
 let tl_enter eng wid st =
   if Atomic.get Observed.word land Observed.timeline <> 0 then
-    match Timeline.get () with
-    | Some tl when wid < Timeline.lanes tl ->
-        Timeline.enter tl ~lane:wid ~now:(Calibrate.now_ns () - eng.t0) st
-    | _ -> ()
+    Timeline.record_enter ~lane:wid ~now:(Calibrate.now_ns () - eng.t0) st
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling.                                                         *)
