@@ -1,6 +1,7 @@
 (* The installed-observer word (see the .mli). *)
 
 let word = Atomic.make 0
+let epoch = Atomic.make 0
 let trace = 1
 let metrics = 2
 let timeline = 4
@@ -21,6 +22,7 @@ let swap cell bit live v =
   if live v then set_bit bit true;
   let prev = Atomic.exchange cell v in
   if not (live v) then set_bit bit false;
+  Atomic.incr epoch;
   prev
 
 let install cell bit ~live v f =
