@@ -90,10 +90,8 @@ let finish_pause t ring rs ts =
   Span.note_gc dur;
   (* Ring [i + 1] is pool worker [i]'s domain, timeline lane [i]; ring 0
      (the initial domain) and rings past the lane count map to no lane. *)
-  (match Timeline.get () with
-  | Some tl when ring >= 1 && ring <= Timeline.lanes tl ->
-      Timeline.attribute tl ~lane:(ring - 1) Timeline.Gc dur
-  | _ -> t.unattributed_ns <- t.unattributed_ns + dur);
+  if not (Timeline.record_attribute ~lane:(ring - 1) Timeline.Gc dur) then
+    t.unattributed_ns <- t.unattributed_ns + dur;
   if Metrics.enabled () then begin
     let m = gc_metrics () in
     Metrics.inc (if rs.top_major then m.h_major else m.h_minor);
