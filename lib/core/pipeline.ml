@@ -27,6 +27,7 @@
 
 module Chan = Parcae_platform.Chan
 module Span = Parcae_obs.Span
+module Observed = Parcae_obs.Observed
 
 type 'a msg =
   | Item of 'a
@@ -156,7 +157,7 @@ let drain_stage ?(ttype = Task.Par) ?(poll = false) ?(max_batch = 4) ?load ?init
     match (span_of, span_clock) with
     | Some span_of, Some clock ->
         fun ctx v ->
-          if Span.enabled () then begin
+          if Atomic.get Observed.word land Observed.span <> 0 then begin
             let sp = span_of v in
             let tok = Span.enter sp ~now:(clock ()) in
             let st = body ctx v in

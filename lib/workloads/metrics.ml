@@ -14,6 +14,7 @@ module Stats = Parcae_util.Stats
 module Obs = Parcae_obs.Metrics
 module Hdr = Parcae_obs.Hdr
 module Span = Parcae_obs.Span
+module Observed = Parcae_obs.Observed
 
 type req_metrics = {
   rm_submitted : Obs.counter;
@@ -94,7 +95,7 @@ let note_complete t (req : Request.t) =
   (* Close the request's span first so the completion stamp matches the
      latency observed below; publishes to the installed span collector
      (no-op without one). *)
-  if Span.enabled () then Span.finish req.Request.span ~now;
+  if Atomic.get Observed.word land Observed.span <> 0 then Span.finish req.Request.span ~now;
   let lat_ns = now - req.Request.arrival_ns in
   Hdr.observe t.lat_hdr lat_ns;
   let resp = Engine.seconds_of_ns lat_ns in

@@ -13,6 +13,7 @@
 
 module Pool = Parcae_core.Pool
 module Span = Parcae_obs.Span
+module Observed = Parcae_obs.Observed
 
 type t = {
   mutable id : int;
@@ -57,7 +58,7 @@ let alloc ~id ~arrival_ns ~scale =
      upgrade from [Span.null] is the one-time cost of enabling tracing
      on a warm pool (and the ordinary record-construction cost of a
      traced pool miss). *)
-  if Span.enabled () then begin
+  if Atomic.get Observed.word land Observed.span <> 0 then begin
     if r.span == Span.null then r.span <- Span.make_span ();
     Span.reset r.span ~id ~arrival_ns
   end;
