@@ -4,8 +4,8 @@
    scheduler loop over a private Chase–Lev deque ([Deque]): the owner
    pushes and pops LIFO for locality, idle domains steal FIFO from victims
    chosen in randomized order, and a domain that finds nothing spins a
-   few rounds and then parks on a condition until work arrives (see
-   [park]).  A blocking operation — condition wait, sleep, join — does
+   few rounds and then parks until work arrives (see [park]).  A blocking
+   operation — condition wait, sleep, join — does
    not block the domain: it performs the [Suspend] effect, the scheduler
    captures the fiber's continuation, and a later [signal]/timer/finish
    re-enqueues it, possibly on a different domain.
@@ -14,7 +14,9 @@
    of atomics (live/spawned/completed counters, shutdown flag, steal
    statistics) plus three small mutexes with disjoint footprints: the
    global injection queue (spawns and wake-ups from outside the pool),
-   the timer list, and the park condition of idle workers.
+   the timer list, and the park condition of idle workers.  The two
+   timed waits, the timekeeper's and [run]'s, are [select]s on self-pipes
+   that their events ring.
    Synchronisation *between* tasks lives in the structures that need it —
    each channel, lock and region carries its own [Monitor] — so the data
    plane of one structure never contends with another's.
@@ -31,6 +33,11 @@ module Event = Parcae_obs.Event
 module Timeline = Parcae_obs.Timeline
 module Hb = Parcae_obs.Hb
 module Observed = Parcae_obs.Observed
+
+(* A self-pipe, both ends non-blocking: [ring] makes a [select] on [rd]
+   return, and the byte stays until [drain] reads it, so a ring that
+   comes before the wait still ends it. *)
+type pipe = { rd : Unix.file_descr; wr : Unix.file_descr; buf : Bytes.t }
 
 type task = {
   tid : int;
@@ -66,7 +73,8 @@ and t = {
   park_mu : Mutex.t;
   park_cv : Condition.t;
   sleepers : int Atomic.t;  (* workers inside [park] that may wait on [park_cv] *)
-  keeper_until : int Atomic.t;  (* when the timekeeper wakes; max_int: none *)
+  keeper_until : int Atomic.t;  (* the timekeeper's deadline, [no_keeper] or [rung] *)
+  keeper : pipe;  (* the timekeeper waits on it *)
   (* Sharded engine state: one atomic per concern, no shared lock. *)
   stop : bool Atomic.t;
   live : int Atomic.t;
@@ -77,9 +85,9 @@ and t = {
   steals : int Atomic.t;
   steal_attempts : int Atomic.t;
   failure : (string * exn) option Atomic.t;  (* first failure wins, via CAS *)
-  (* External waiters ([run] on a system thread). *)
-  drain_mu : Mutex.t;
-  drain_cv : Condition.t;
+  (* External waiters: [run] on a system thread. *)
+  runners : int Atomic.t;
+  drained : pipe;  (* rung when the last task finishes or one fails *)
   t0 : int;  (* monotonic ns at creation *)
 }
 
@@ -132,16 +140,91 @@ type _ Effect.t +=
 
 let suspend f = Effect.perform (Suspend f)
 
-(* Wake one parked worker.  Publishers make their work visible first and
-   read [sleepers] second; [park] counts itself first and re-checks for
-   work second.  OCaml atomics are sequentially consistent, so one side
-   sees the other and no wake-up is lost; signalling under [park_mu]
-   cannot fall between a parker's re-check and its wait.  With nobody
-   parked this is one atomic load. *)
+(* ------------------------------------------------------------------ *)
+(* Self-pipes.                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let pipe () =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock rd;
+  Unix.set_nonblock wr;
+  { rd; wr; buf = Bytes.create 64 }
+
+let close_pipe p =
+  Unix.close p.rd;
+  Unix.close p.wr
+
+(* A full pipe already holds a wake-up, so a ring that finds it full is
+   dropped. *)
+let rec ring p =
+  match Unix.single_write_substring p.wr "!" 0 1 with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ring p
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+
+let rec drain p =
+  match Unix.read p.rd p.buf 0 (Bytes.length p.buf) with
+  | n -> if n = Bytes.length p.buf then drain p
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain p
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+
+let sleep_ns ns =
+  if ns > 0 then
+    try Unix.sleepf (float_of_int ns /. 1e9)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+(* [select] takes its timeout as a float of seconds, which some systems
+   reject when it is far off; a far deadline is waited for in slices of
+   an hour. *)
+let max_wait_ns = 3_600_000_000_000
+
+(* Wait until [p] is rung or [ns] pass.  The byte stays in the pipe for
+   the caller to [drain]; callers re-check their condition afterwards, so
+   a signal that cuts the wait short is a spurious wake-up.  [select]
+   rejects a descriptor past [FD_SETSIZE], which a pipe gets in a process
+   already holding that many: the wait then polls in 1 ms slices. *)
+let await p ns =
+  let ns = Int.min ns max_wait_ns in
+  match Unix.select [ p.rd ] [] [] (float_of_int ns *. 1e-9) with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> sleep_ns (Int.min ns 1_000_000)
+
+(* ------------------------------------------------------------------ *)
+(* Waking idle workers.                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [keeper_until] is the deadline the timekeeper sleeps until, or one of
+   these. *)
+let no_keeper = max_int
+let rung = min_int (* its pipe is written: it is waking up *)
+
+(* Under [park_mu]: end the timekeeper's sleep, with one byte however
+   many publishers ask. *)
+let ring_keeper eng =
+  let k = Atomic.get eng.keeper_until in
+  if k <> no_keeper && k <> rung then begin
+    Atomic.set eng.keeper_until rung;
+    ring eng.keeper
+  end
+
+(* Wake one idle worker: a parked one, or else the sleeping timekeeper.
+   Publishers make their work visible first, then read [sleepers], then
+   [keeper_until]; [park] counts itself a sleeper before it re-checks for
+   work, and a timekeeper publishes its deadline before it stops
+   counting.  OCaml atomics are sequentially consistent, so one side sees
+   the other and no wake-up is lost; deciding under [park_mu] cannot fall
+   between a parker's re-check and its wait.  With nobody parked and no
+   timekeeper asleep this is two atomic loads. *)
 let wake_one eng =
-  if Atomic.get eng.sleepers > 0 then begin
+  if
+    Atomic.get eng.sleepers > 0
+    ||
+    let k = Atomic.get eng.keeper_until in
+    k <> no_keeper && k <> rung
+  then begin
     Mutex.lock eng.park_mu;
-    Condition.signal eng.park_cv;
+    if Atomic.get eng.sleepers > 0 then Condition.signal eng.park_cv else ring_keeper eng;
     Mutex.unlock eng.park_mu
   end
 
@@ -188,8 +271,15 @@ let add_timer eng deadline resume =
   eng.timers <- ins eng.timers;
   Atomic.incr eng.tim_len;
   Mutex.unlock eng.tim_mu;
-  (* If nobody keeps time, a woken sleeper parks as the timekeeper. *)
-  wake_one eng
+  (* A deadline before the timekeeper's wakes it to sleep until the new
+     one.  If nobody keeps time, a woken sleeper parks as the timekeeper. *)
+  if deadline < Atomic.get eng.keeper_until then begin
+    Mutex.lock eng.park_mu;
+    let k = Atomic.get eng.keeper_until in
+    if k <> no_keeper then (if deadline < k then ring_keeper eng)
+    else if Atomic.get eng.sleepers > 0 then Condition.signal eng.park_cv;
+    Mutex.unlock eng.park_mu
+  end
 
 (* Fire due timers; their resumes enqueue the sleeping fibers. *)
 let poll_timers eng =
@@ -205,11 +295,12 @@ let poll_timers eng =
     due <> []
   end
 
+(* The earliest pending deadline; [max_int] when no timer is pending. *)
 let next_deadline eng =
-  if Atomic.get eng.tim_len = 0 then None
+  if Atomic.get eng.tim_len = 0 then max_int
   else begin
     Mutex.lock eng.tim_mu;
-    let d = match eng.timers with [] -> None | (d, _) :: _ -> Some d in
+    let d = match eng.timers with [] -> max_int | (d, _) :: _ -> d in
     Mutex.unlock eng.tim_mu;
     d
   end
@@ -221,10 +312,10 @@ let next_deadline eng =
 let record_failure eng name e =
   ignore (Atomic.compare_and_set eng.failure None (Some (name, e)) : bool)
 
-let wake_drain eng =
-  Mutex.lock eng.drain_mu;
-  Condition.broadcast eng.drain_cv;
-  Mutex.unlock eng.drain_mu
+(* The last task finished or one failed.  A [run] counts itself in
+   [runners] before it reads [live] and [failure], and [finish_task]
+   writes both before it calls this, so a waiting [run] is rung. *)
+let wake_drain eng = if Atomic.get eng.runners > 0 then ring eng.drained
 
 let finish_task task outcome =
   let eng = task.eng in
@@ -366,50 +457,48 @@ let find_work eng w =
           | None -> if fired then Deque.pop w.wdeque else None))
 
 let spin_rounds = 16
-let max_park_ns = 1_000_000 (* 1 ms: bounds a timekeeper's slice *)
-
-let sleep_ns ns =
-  if ns > 0 then
-    try Unix.sleepf (float_of_int ns /. 1e9)
-    with Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
 (* Idle path, after [spin_rounds] empty [find_work] rounds.  Under
    [park_mu] the worker counts itself a sleeper, then re-checks every
    deque, the inject queue, the timers and [stop]; only then does it wait
-   ([wake_one] pairs with this).  While a timer is pending, one idle
-   worker, the timekeeper, sleeps instead, in a slice bounded by the next
-   deadline and [max_park_ns] (OCaml's [Condition] has no timed wait); the
-   others wait untimed.  A deadline earlier than the timekeeper's wake-up
-   makes the parker a second timekeeper, so a new short sleep is not held
-   to an older, longer slice.  Returns whether this worker kept time. *)
+   ([wake_one] pairs with this).  While a timer is pending and nobody
+   keeps time, the worker becomes the timekeeper: it waits in [select] on
+   the [keeper] pipe until the next deadline ([Condition] has no timed
+   wait), and [wake_one], an earlier [add_timer] or [shutdown] rings it.
+   The other idle workers wait on [park_cv], untimed.  Returns whether
+   this worker kept time. *)
 let park eng =
   Mutex.lock eng.park_mu;
   Atomic.incr eng.sleepers;
-  let slice =
+  let deadline =
     if
       Atomic.get eng.stop
       || Atomic.get eng.inj_len > 0
       || Array.exists (fun d -> not (Deque.is_empty d)) eng.deques
-    then Some 0
-    else
-      match next_deadline eng with
-      | Some d when d < Atomic.get eng.keeper_until ->
-          Some (Int.max 0 (Int.min max_park_ns (d - now eng)))
-      | _ -> None
+    then 0
+    else if Atomic.get eng.keeper_until = no_keeper then next_deadline eng
+    else max_int
   in
-  if Option.is_none slice then Condition.wait eng.park_cv eng.park_mu;
-  Atomic.decr eng.sleepers;
-  match slice with
-  | Some ns when ns > 0 ->
-      let until = now eng + ns in
-      Atomic.set eng.keeper_until until;
-      Mutex.unlock eng.park_mu;
-      sleep_ns ns;
-      ignore (Atomic.compare_and_set eng.keeper_until until max_int : bool);
-      true
-  | _ ->
-      Mutex.unlock eng.park_mu;
-      false
+  let left = deadline - now eng in
+  if deadline < max_int && left > 0 then begin
+    Atomic.set eng.keeper_until deadline;
+    Atomic.decr eng.sleepers;
+    Mutex.unlock eng.park_mu;
+    await eng.keeper left;
+    (* Drain and step down under [park_mu], where [ring_keeper] rings:
+       no byte is left over for the next timekeeper. *)
+    Mutex.lock eng.park_mu;
+    drain eng.keeper;
+    Atomic.set eng.keeper_until no_keeper;
+    Mutex.unlock eng.park_mu;
+    true
+  end
+  else begin
+    if deadline = max_int then Condition.wait eng.park_cv eng.park_mu;
+    Atomic.decr eng.sleepers;
+    Mutex.unlock eng.park_mu;
+    false
+  end
 
 let worker_loop eng wid () =
   let w =
@@ -426,7 +515,7 @@ let worker_loop eng wid () =
   in
   Domain.DLS.set worker_key (Some w);
   (* [idle] counts empty rounds since the last task; [kept] says this
-     worker came back from a timekeeper slice and has not run a task. *)
+     worker came back from keeping time and has not run a task. *)
   let rec loop idle kept =
     maybe_sample eng w;
     match find_work eng w with
@@ -485,7 +574,8 @@ let create ?pool () =
       park_mu = Mutex.create ();
       park_cv = Condition.create ();
       sleepers = Atomic.make 0;
-      keeper_until = Atomic.make max_int;
+      keeper_until = Atomic.make no_keeper;
+      keeper = pipe ();
       stop = Atomic.make false;
       live = Atomic.make 0;
       spawned = Atomic.make 0;
@@ -495,8 +585,8 @@ let create ?pool () =
       steals = Atomic.make 0;
       steal_attempts = Atomic.make 0;
       failure = Atomic.make None;
-      drain_mu = Mutex.create ();
-      drain_cv = Condition.create ();
+      runners = Atomic.make 0;
+      drained = pipe ();
       t0 = Calibrate.now_ns ();
     }
   in
@@ -539,21 +629,26 @@ let spawn eng ~name body =
 
 let run ?until eng =
   let completed0 = Atomic.get eng.completed in
-  (match until with
-  | None ->
-      Mutex.lock eng.drain_mu;
-      while Atomic.get eng.live > 0 && Atomic.get eng.failure = None do
-        Condition.wait eng.drain_cv eng.drain_mu
-      done;
-      Mutex.unlock eng.drain_mu
-  | Some deadline ->
-      (* With a deadline we poll at a few-ms grain, far below any horizon
-         callers use. *)
-      while
-        Atomic.get eng.live > 0 && Atomic.get eng.failure = None && now eng < deadline
-      do
-        sleep_ns 2_000_000
-      done);
+  let deadline = Option.value until ~default:max_int in
+  (* Wait on [drained] until the deadline; see [wake_drain].  After
+     [shutdown] the live tasks are abandoned and the pipe is closed. *)
+  Atomic.incr eng.runners;
+  let rec wait () =
+    if Atomic.get eng.live > 0 && Atomic.get eng.failure = None && not (Atomic.get eng.stop)
+    then begin
+      let t = now eng in
+      if t < deadline then begin
+        await eng.drained (deadline - t);
+        drain eng.drained;
+        wait ()
+      end
+    end
+  in
+  wait ();
+  (* Each ring ends every waiting [run]'s [select], but the first to drain
+     it can leave another between its check and its [select]: pass it on. *)
+  if Atomic.fetch_and_add eng.runners (-1) > 1 && not (Atomic.get eng.stop) then
+    ring eng.drained;
   let n = Atomic.get eng.completed - completed0 in
   match Atomic.get eng.failure with
   | Some (name, e) -> raise (Thread_failure (name, e))
@@ -565,12 +660,15 @@ let shutdown eng =
        condition or timer are abandoned (their continuations are simply
        dropped — no OS thread is stuck, so the domains always join).
        Parked workers re-check [stop] under [park_mu], so this broadcast
-       reaches every one of them. *)
+       reaches every one of them, and the ring a sleeping timekeeper. *)
     Mutex.lock eng.park_mu;
     Condition.broadcast eng.park_cv;
+    ring eng.keeper;
     Mutex.unlock eng.park_mu;
     List.iter Domain.join eng.domains;
-    eng.domains <- []
+    eng.domains <- [];
+    close_pipe eng.keeper;
+    close_pipe eng.drained
   end
 
 (* ------------------------------------------------------------------ *)
@@ -582,19 +680,30 @@ let shutdown eng =
    watchers) that the old systhread engine relied on the OS to preempt.
    [compute] is the natural preemption point — after [yield_quantum_ns] of
    unyielded spin the fiber reschedules itself through the FIFO injection
-   queue, bounding any runnable fiber's wait at roughly one quantum per
-   busy domain. *)
+   queue if another runnable is waiting, bounding any runnable fiber's wait
+   at roughly one quantum per busy domain.  With nothing waiting it keeps
+   its domain: a yield would only wake a parked worker to find nothing. *)
 let yield_quantum_ns = 200_000
+
+(* What a yield through [inject] hands worker [w]'s domain to: its own
+   deque, the injection queue, or a due timer's fiber.  Work on another
+   worker's deque is that worker's to pop, or an idle one's to steal. *)
+let runnable_waiting eng w =
+  (not (Deque.is_empty w.wdeque))
+  || Atomic.get eng.inj_len > 0
+  || next_deadline eng <= now eng
 
 let compute task n =
   if n > 0 then begin
     let dt = Calibrate.spin_ns n in
     task.busy_ns <- task.busy_ns + dt;
     task.unyielded_ns <- task.unyielded_ns + dt;
-    if task.unyielded_ns >= yield_quantum_ns && in_fiber () then begin
-      task.unyielded_ns <- 0;
-      Effect.perform Yield_fiber
-    end
+    if task.unyielded_ns >= yield_quantum_ns then
+      match Domain.DLS.get worker_key with
+      | Some ({ cur = Some _; _ } as w) ->
+          task.unyielded_ns <- 0;
+          if runnable_waiting task.eng w then Effect.perform Yield_fiber
+      | _ -> ()
   end
 
 let yield _eng = if in_fiber () then Effect.perform Yield_fiber else Domain.cpu_relax ()

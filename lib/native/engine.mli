@@ -9,7 +9,9 @@
     it pushes and pops its own work LIFO for locality, and when empty it
     steals the oldest task from a victim chosen in randomized order.  A
     worker that finds nothing for a few rounds parks on a condition until
-    a spawn, wake-up, yield or timer makes work available.  Blocking
+    a spawn, wake-up, yield or timer makes work available; while a timer
+    is pending, one of them waits for it in [select] on a pipe that new
+    work rings.  Blocking
     operations (condition wait, [sleep], [join]) suspend the fiber — the
     domain moves on to other work — and the wake-up may resume the fiber
     on a different domain.
@@ -49,19 +51,36 @@ val run : ?until:int -> t -> int
     {!Thread_failure}), or — when [until] is given — the engine clock
     passes [until].  Returns the number of tasks completed during the
     call.  On timeout, still-live tasks keep running; callers must make
-    them drain (stop flags, Eos) before {!shutdown}. *)
+    them drain (stop flags, Eos) before {!shutdown}.
+
+    The caller waits in [select] on a pipe that the last task's
+    completion or a failure rings, so it returns one OS wake-up after
+    the event, not at a poll, unless the engine was created in a process
+    already holding [FD_SETSIZE] descriptors, which [select] rejects: it
+    then polls every 1 ms.  Any [until] is fine, [max_int] included.
+    Several threads may wait at once.  After {!shutdown}, returns at
+    once. *)
 
 val shutdown : t -> unit
-(** Stop and join the pool domains.  Workers first drain every runnable
-    task; fibers blocked on a condition or timer at that point are
-    abandoned (their continuations are dropped — no OS thread leaks). *)
+(** Stop and join the pool domains, then close the engine's two wake
+    pipes.  Workers first drain every runnable task; fibers blocked on a
+    condition or timer at that point are abandoned (their continuations
+    are dropped — no OS thread leaks).  Call it after every {!run} on
+    the engine has returned: a [run] still waiting would [select] on a
+    closed pipe. *)
 
 (** {1 Task-context operations} *)
 
 val compute : task -> int -> unit
 (** Burn ~[n] ns of real CPU on the hosting domain; accounts the measured
     time into the task's [busy_ns].  Runs without any lock held, so up to
-    [pool] compute bursts proceed concurrently. *)
+    [pool] compute bursts proceed concurrently.
+
+    After 200 µs of compute without giving up its domain, a fiber yields
+    through the injection queue if another runnable is waiting for its
+    worker: work on the worker's own deque, in the injection queue, or a
+    due timer.  Otherwise it keeps the domain, and a parked worker stays
+    asleep. *)
 
 val now : t -> int
 (** Host monotonic ns since engine creation. *)
@@ -72,7 +91,11 @@ val yield : t -> unit
 
 val sleep : t -> int -> unit
 (** From a fiber: suspend on the engine's timer list; the domain runs
-    other work meanwhile.  From a system thread: a real [sleepf]. *)
+    other work meanwhile.  An idle worker, the timekeeper, waits in
+    [select] until the earliest deadline, so the fiber resumes one OS
+    wake-up after it.  With every worker busy, the first to reach a
+    [compute] quantum or a blocking point after the deadline fires it.
+    From a system thread: a real [sleepf]. *)
 
 val sleep_until : t -> int -> unit
 

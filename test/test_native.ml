@@ -596,6 +596,27 @@ let parked_pool pool =
   Thread.delay 0.02;
   eng
 
+(* Spawn a fiber that runs [first], then sleeps 2 ms; the answer holds
+   how long the sleep took, -1 until it resumes. *)
+let spawn_sleeper ?(first = ignore) eng =
+  let slept = Atomic.make (-1) in
+  ignore
+    (N.spawn eng ~name:"sleeper" (fun () ->
+         first ();
+         let t0 = N.now eng in
+         N.sleep eng (2 * ms);
+         Atomic.set slept (N.now eng - t0)));
+  slept
+
+let check_slept slept ~bound_ms =
+  let slept = Atomic.get slept in
+  check_bool
+    (Printf.sprintf "a 2 ms sleep resumed after %.1f ms (bound %d ms)"
+       (float_of_int slept /. float_of_int ms)
+       bound_ms)
+    true
+    (slept >= 2 * ms && slept < bound_ms * ms)
+
 (* The gap before hand-off [i]: 0 to 5 us in a scrambled order, so
    hand-offs land while the workers spin, as they go to park and after
    they have parked. *)
@@ -653,24 +674,15 @@ let test_idle_shutdown () =
    wake from [add_timer] lets it keep the timer. *)
 let test_idle_timer () =
   let eng = parked_pool 2 in
-  let slept = Atomic.make (-1) in
-  ignore
-    (N.spawn eng ~name:"sleeper" (fun () ->
-         ignore
-           (N.spawn eng ~name:"hog" (fun () -> ignore (Calibrate.spin_ns (100 * ms) : int)));
-         let t0 = N.now eng in
-         N.sleep eng (2 * ms);
-         Atomic.set slept (N.now eng - t0)));
+  let slept =
+    spawn_sleeper eng ~first:(fun () ->
+        ignore (N.spawn eng ~name:"hog" (fun () -> ignore (Calibrate.spin_ns (100 * ms) : int))))
+  in
   let deadline = Calibrate.now_ns () + (5_000 * ms) in
   if not (poll_until ~deadline (fun () -> Atomic.get slept >= 0)) then
     Alcotest.fail "the sleeping fiber never resumed";
   shutdown_within eng;
-  let slept = Atomic.get slept in
-  check_bool
-    (Printf.sprintf "a 2 ms sleep resumed after %.1f ms (bound 50 ms)"
-       (float_of_int slept /. float_of_int ms))
-    true
-    (slept >= 2 * ms && slept < 50 * ms)
+  check_slept slept ~bound_ms:50
 
 (* A fiber spawns four tasks onto its own deque, each holding its worker
    without yielding until the other domain has stolen or a shared 2 s
@@ -698,6 +710,225 @@ let test_idle_steal () =
   let steals = N.steal_count eng in
   shutdown_within eng;
   check_bool (Printf.sprintf "the parked domain stole (%d steals)" steals) true (steals > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Wake-ups on demand: [compute] yields only to waiting work, and the  *)
+(* timekeeper and [run] wait on pipes that their events ring.          *)
+(* ------------------------------------------------------------------ *)
+
+let median_us ns = Parcae_util.Stats.median (Array.map float_of_int ns) /. 1e3
+
+(* [n] chunks of [compute] of 250 us each: every chunk ends a quantum. *)
+let compute_chunks n () =
+  let self = Option.get (N.self_opt ()) in
+  for _ = 1 to n do
+    N.compute self 250_000
+  done
+
+let run_within eng = N.run ~until:(N.now eng + (5_000 * ms)) eng
+
+(* One fiber computes 25 ms on a parked 2-domain pool.  Nothing else can
+   run, so its quanta must not wake the parked worker: each futile wake
+   costs [spin_rounds] steal attempts before that worker parks again. *)
+let test_lone_compute () =
+  let eng = parked_pool 2 in
+  let before = N.steal_attempt_count eng in
+  ignore (N.spawn eng ~name:"computer" (compute_chunks 100));
+  check_int "the fiber finished" 1 (run_within eng);
+  Thread.delay 0.005;
+  let attempts = N.steal_attempt_count eng - before in
+  shutdown_within eng;
+  check_bool
+    (Printf.sprintf "%d steal attempts while one fiber computed (bound 50)" attempts)
+    true (attempts < 50)
+
+(* On one domain a fiber sleeps 2 ms while a sibling computes 50 ms: the
+   due timer alone must make the sibling yield. *)
+let test_sleep_beside_compute () =
+  let eng = parked_pool 1 in
+  let slept =
+    spawn_sleeper eng ~first:(fun () ->
+        ignore (N.spawn eng ~name:"computer" (compute_chunks 200)))
+  in
+  check_int "both fibers finished" 2 (run_within eng);
+  shutdown_within eng;
+  check_slept slept ~bound_ms:10
+
+(* Two siblings compute 10 ms each on one domain; the second must start
+   before the first finishes.  Spawned from a system thread they wait in
+   the injection queue, spawned from a fiber on its deque. *)
+let test_siblings_interleave () =
+  List.iter
+    (fun from_fiber ->
+      let eng = parked_pool 1 in
+      let started = Atomic.make 0 and finished = Atomic.make 0 in
+      let overlapped = Atomic.make false in
+      let sibling () =
+        Atomic.incr started;
+        compute_chunks 40 ();
+        if Atomic.fetch_and_add finished 1 = 0 then
+          Atomic.set overlapped (Atomic.get started = 2)
+      in
+      let spawn_both () =
+        ignore (N.spawn eng ~name:"a" sibling);
+        ignore (N.spawn eng ~name:"b" sibling)
+      in
+      if from_fiber then ignore (N.spawn eng ~name:"parent" spawn_both) else spawn_both ();
+      ignore (run_within eng);
+      shutdown_within eng;
+      check_int "both siblings finished" 2 (Atomic.get finished);
+      check_bool
+        (Printf.sprintf "spawned from a %s: the second started before the first finished"
+           (if from_fiber then "fiber" else "system thread"))
+        true (Atomic.get overlapped))
+    [ false; true ]
+
+(* [run ~until] returns when the last task finishes, not at a poll: over
+   60 runs of one task spinning 0.5 to 1.5 ms, the median gap from the
+   task's last instruction to [run]'s return stays under 500 us.  The task
+   spins only once this thread is about to call [run]: a host that runs
+   the woken worker in this thread's place would otherwise let the task
+   finish first. *)
+let test_run_returns_on_finish () =
+  let eng = parked_pool 2 in
+  let gaps =
+    Array.init 60 (fun i ->
+        let go = Atomic.make false and finished = Atomic.make 0 in
+        let spin = (500 + (i * 37 mod 1000)) * 1000 in
+        ignore
+          (N.spawn eng ~name:"last" (fun () ->
+               while not (Atomic.get go) do
+                 Domain.cpu_relax ()
+               done;
+               ignore (Calibrate.spin_ns spin : int);
+               Atomic.set finished (Calibrate.now_ns ())));
+        Atomic.set go true;
+        ignore (run_within eng);
+        if Atomic.get finished = 0 then Alcotest.failf "task %d never finished" i;
+        Calibrate.now_ns () - Atomic.get finished)
+  in
+  shutdown_within eng;
+  let m = median_us gaps in
+  check_bool
+    (Printf.sprintf "run returned a median %.0f us after the last task finished (bound 500 us)" m)
+    true (m < 500.)
+
+(* The engine's wake pipes are closed at [shutdown]. *)
+let test_run_fds () =
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let before = fds () in
+  for _ = 1 to 50 do
+    let eng = N.create ~pool:2 () in
+    ignore (N.spawn eng ~name:"task" ignore);
+    ignore (run_within eng);
+    N.shutdown eng
+  done;
+  check_int "open fds after 50 engines" before (fds ())
+
+(* The task spins only once the caller is about to call [run], so [run]
+   is waiting when it finishes: started earlier, it could finish before
+   [run] begins counting. *)
+let test_run_until_max_int () =
+  let eng = parked_pool 2 in
+  let go = Atomic.make false and n = Atomic.make (-1) in
+  ignore
+    (N.spawn eng ~name:"task" (fun () ->
+         while not (Atomic.get go) do
+           Domain.cpu_relax ()
+         done;
+         ignore (Calibrate.spin_ns (10 * ms) : int)));
+  within "run ~until:max_int" ~limit_ns:(5_000 * ms) (fun () ->
+      Atomic.set go true;
+      Atomic.set n (N.run ~until:max_int eng));
+  shutdown_within eng;
+  check_int "run counted the task" 1 (Atomic.get n)
+
+(* One worker keeps time for a fiber asleep on a 10 s timer, and a hog
+   that never yields holds the other: work from outside the pool can run
+   only if it ends the timekeeper's sleep. *)
+let keeper_and_hog () =
+  let eng = parked_pool 2 in
+  let release = Atomic.make false in
+  ignore (N.spawn eng ~name:"sleeper" (fun () -> N.sleep eng (10_000 * ms)));
+  Thread.delay 0.02;
+  ignore
+    (N.spawn eng ~name:"hog" (fun () ->
+         while not (Atomic.get release) do
+           Domain.cpu_relax ()
+         done));
+  Thread.delay 0.02;
+  (eng, release)
+
+(* Each hand-off is published after the timekeeper has gone back to
+   sleep: [poll_until] waits at least 500 us between them. *)
+let test_keeper_handoffs () =
+  let eng, release = keeper_and_hog () in
+  let deadline = Calibrate.now_ns () + (20_000 * ms) in
+  let waits =
+    Array.init 300 (fun i ->
+        let started = Atomic.make 0 in
+        let t0 = Calibrate.now_ns () in
+        ignore (N.spawn eng ~name:"handoff" (fun () -> Atomic.set started (Calibrate.now_ns ())));
+        if not (poll_until ~deadline (fun () -> Atomic.get started > 0)) then
+          Alcotest.failf "hand-off %d never ran" i;
+        Atomic.get started - t0)
+  in
+  Atomic.set release true;
+  shutdown_within eng;
+  let m = median_us waits in
+  check_bool
+    (Printf.sprintf "hand-offs started a median %.0f us after spawn (bound 200 us)" m)
+    true (m < 200.)
+
+let test_keeper_shutdown () =
+  let eng, release = keeper_and_hog () in
+  Atomic.set release true;
+  Thread.delay 0.02;
+  within "shutdown with a 10 s timer pending" ~limit_ns:(100 * ms) (fun () -> N.shutdown eng)
+
+(* Two system threads wait in [run] at once; one task's finish ends both
+   waits. *)
+let test_run_two_callers () =
+  let eng = parked_pool 2 in
+  let release = Atomic.make false and returned = Atomic.make 0 in
+  ignore
+    (N.spawn eng ~name:"task" (fun () ->
+         while not (Atomic.get release) do
+           Domain.cpu_relax ()
+         done));
+  let caller () =
+    ignore (N.run ~until:(N.now eng + (10_000 * ms)) eng);
+    Atomic.incr returned
+  in
+  let callers = List.init 2 (fun _ -> Thread.create caller ()) in
+  Thread.delay 0.02;
+  Atomic.set release true;
+  if not (poll_until ~deadline:(Calibrate.now_ns () + (1_000 * ms)) (fun () -> Atomic.get returned = 2))
+  then Alcotest.failf "%d of 2 callers returned within 1 s of the finish" (Atomic.get returned);
+  List.iter Thread.join callers;
+  shutdown_within eng
+
+(* In a process that already holds [FD_SETSIZE] (1 024) descriptors, the
+   engine's wake pipes are past what [select] takes: the timekeeper and
+   [run] poll instead, and a sleep and [run] still end. *)
+let test_pipes_past_fd_setsize () =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  let dups = ref [ null ] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close !dups)
+    (fun () ->
+      (try
+         for _ = 1 to 1_100 do
+           dups := Unix.dup ~cloexec:true null :: !dups
+         done
+       with Unix.Unix_error (Unix.EMFILE, _, _) -> Alcotest.skip ());
+      let eng = parked_pool 2 in
+      let slept = spawn_sleeper eng in
+      ignore (run_within eng);
+      check_int "run returned once the sleeper finished" 0 (N.live_threads eng);
+      shutdown_within eng;
+      check_slept slept ~bound_ms:50)
 
 (* ------------------------------------------------------------------ *)
 (* The lock contract, on the simulator and on a 2-domain pool.         *)
@@ -914,6 +1145,25 @@ let suite =
       test_idle_timer;
     Alcotest.test_case "idle: a parked domain wakes and steals queued work" `Quick
       test_idle_steal;
+    Alcotest.test_case "wake: a lone compute-bound fiber leaves the parked worker asleep" `Quick
+      test_lone_compute;
+    Alcotest.test_case "wake: a 2 ms sleep resumes on one domain beside a computing sibling"
+      `Quick test_sleep_beside_compute;
+    Alcotest.test_case "wake: two compute-bound siblings on one domain interleave" `Quick
+      test_siblings_interleave;
+    Alcotest.test_case "run: returns under 500 us after the last task finishes (median)" `Quick
+      test_run_returns_on_finish;
+    Alcotest.test_case "run: 50 engine cycles leave the open fds unchanged" `Quick test_run_fds;
+    Alcotest.test_case "run: ~until:max_int returns once the tasks are done" `Quick
+      test_run_until_max_int;
+    Alcotest.test_case "timekeeper: hand-offs end its sleep, median under 200 us" `Quick
+      test_keeper_handoffs;
+    Alcotest.test_case "timekeeper: shutdown with a 10 s timer pending takes under 100 ms"
+      `Quick test_keeper_shutdown;
+    Alcotest.test_case "run: two callers at once both return on the last finish" `Quick
+      test_run_two_callers;
+    Alcotest.test_case "wake pipes past FD_SETSIZE: a sleep and run still end" `Quick
+      test_pipes_past_fd_setsize;
     Alcotest.test_case "lock: mutual exclusion on the simulator and two domains" `Quick
       test_lock_exclusion;
     Alcotest.test_case "lock: acquisitions metric is exact on both backends" `Quick
