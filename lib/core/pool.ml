@@ -171,16 +171,33 @@ let publish_total c total =
   let cur = Metrics.counter_value c in
   if total > cur then Metrics.inc_by c (total - cur)
 
-(* Push pool hit/miss totals and the process's cumulative minor-word count
-   into the metrics registry.  Cold path: the dashboard refresher calls it
-   once per render. *)
+(* The registry the minor-word count belongs to, and [Gc.minor_words]
+   when it was first sampled.  Counting from there leaves out what the
+   process allocated before the session, start-up included, whose size
+   grows with the executable's path.  [Gc.minor_words] is exact (on OCaml
+   5.1 [Gc.quick_stat]'s count moves only at minor collections) and reads
+   the calling domain, which for the dashboard is the simulator's one. *)
+let alloc_base = ref (Metrics.null, 0.0)
+
+let session_minor_words () =
+  let reg = Metrics.current () and now = Gc.minor_words () in
+  let r, base = !alloc_base in
+  if r == reg then int_of_float (now -. base)
+  else begin
+    alloc_base := (reg, now);
+    0
+  end
+
+(* Push pool hit/miss totals and the session's minor-word count into the
+   metrics registry.  Cold path: the dashboard refresher calls it once per
+   render. *)
 let sample_allocs () =
   if Metrics.enabled () then begin
     let reg = Metrics.current () in
     publish_total
       (Metrics.counter reg "parcae_alloc_minor_words_total"
-         ~help:"Minor words allocated by this process (Gc.minor_words).")
-      (int_of_float (Gc.quick_stat ()).Gc.minor_words);
+         ~help:"Minor words allocated since this registry was first sampled (Gc.minor_words).")
+      (session_minor_words ());
     List.iter
       (fun s ->
         let labels = [ ("pool", s.st_name) ] in

@@ -45,8 +45,13 @@ val stats : unit -> stats list
 val total_hits : unit -> int
 val total_misses : unit -> int
 
+val session_minor_words : unit -> int
+(** Minor words the calling domain allocated since the installed registry
+    was first sampled: the first call under a registry takes the baseline
+    and returns 0.  Exact ([Gc.minor_words]). *)
+
 val sample_allocs : unit -> unit
-(** Push [parcae_alloc_minor_words_total], [parcae_pool_hits_total],
-    [parcae_pool_misses_total] and [parcae_pool_free] into the installed
-    metrics registry (no-op when none is).  Cold path — call at render
-    frequency, not per request. *)
+(** Push [parcae_alloc_minor_words_total] ({!session_minor_words}),
+    [parcae_pool_hits_total], [parcae_pool_misses_total] and
+    [parcae_pool_free] into the installed metrics registry (no-op when
+    none is).  Cold path — call at render frequency, not per request. *)

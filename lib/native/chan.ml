@@ -317,8 +317,11 @@ let send_batch ch vs =
           wake_recv ch ~all:(k > 1);
           if observed () then begin
             let self = Engine.self_opt () in
-            Chan_obs.trace Chan_obs.Send ~chan:ch.name ~now:(Engine.now ch.eng)
-              ~task:(task_of self) ~busy_ns:(busy_of self) ~seq:base k
+            let m =
+              Chan_obs.trace ch.obs Chan_obs.Send ~chan:ch.name ~now:(Engine.now ch.eng)
+                ~task:(task_of self) ~busy_ns:(busy_of self) ~seq:base k
+            in
+            if m != ch.obs then ch.obs <- m
           end;
           go rest
     in

@@ -3,12 +3,16 @@
 
    A channel's binding is benignly racy on native: two workers may bind
    concurrently, but the registry interns every (family, labels) pair
-   under its mutex, so both bindings resolve to the same series.  The
-   direct stores are plain writes, lossy under contention like every
-   native counter. *)
+   under its mutex and the sink every name under its own, so both
+   bindings resolve to the same series and the same name id.  A binding
+   is replaced whole, never updated in place, so a worker that reads a
+   binding reads its fields as they were made.  The direct stores are
+   plain writes, lossy under contention like every native counter. *)
 
 type t = {
   reg : Metrics.t;
+  sink : Sink.t;  (* the sink [chan_id] belongs to *)
+  chan_id : int;  (* the channel's name, interned in [sink] *)
   name : string;
   sends : Metrics.counter;
   recvs : Metrics.counter;
@@ -16,16 +20,18 @@ type t = {
   flushed : Metrics.counter;
   mutable send_block : Metrics.summary option;  (* created on the first block *)
   mutable recv_block : Metrics.summary option;
-  mutable epoch : int;  (* [Observed.epoch] when [reg] was last checked *)
+  mutable epoch : int;  (* [Observed.epoch] when [reg] and [sink] were last checked *)
 }
 
 type dir = Send | Recv
 
-let make reg name =
+let make reg sink name =
   let labels = [ ("chan", name) ] in
   let counter family help = Metrics.counter reg family ~labels ~help in
   {
     reg;
+    sink;
+    chan_id = Sink.intern sink name;
     name;
     sends = counter "parcae_chan_sends_total" "Items enqueued, per channel.";
     recvs = counter "parcae_chan_recvs_total" "Items dequeued, per channel.";
@@ -38,23 +44,32 @@ let make reg name =
     epoch = -1;
   }
 
-(* Bound to [Metrics.null], whose instruments are inert dummies; nothing
-   is stored while a channel holds it. *)
-let none = make Metrics.null ""
+(* Bound to [Metrics.null] and [Sink.null], whose instruments are inert
+   dummies; nothing is stored while a channel holds it. *)
+let none = make Metrics.null Sink.null ""
 
 let rebound m chan =
   let e = Atomic.get Observed.epoch in
-  let reg = Metrics.current () in
-  let m = if m.reg == reg then m else if Metrics.is_null reg then none else make reg chan in
+  let reg = Metrics.current () and sink = Atomic.get Trace.current in
+  let m =
+    if m.reg == reg && m.sink == sink then m
+    else if Metrics.is_null reg && Sink.is_null sink then none
+    else make reg sink chan
+  in
   if m != none then m.epoch <- e;
   m
 
-(* [m] itself unless another registry was installed since it was bound:
-   while no scope opened or closed since it was checked, one load says so. *)
+(* [m] itself unless another registry or sink was installed since it was
+   bound: while no scope opened or closed since it was checked, one load
+   says so. *)
 let[@inline] bound w m chan =
-  if w land Observed.metrics = 0 then none
+  if w land (Observed.metrics lor Observed.trace) = 0 then none
   else if m.epoch = Atomic.get Observed.epoch then m
   else rebound m chan
+
+(* Whether [m] holds a live registry's series: a channel bound for the
+   sink alone holds dummies. *)
+let[@inline] counted m = not (Metrics.is_null m.reg)
 
 let block_summary m dir =
   match (dir, m.send_block, m.recv_block) with
@@ -73,24 +88,26 @@ let block_summary m dir =
       (match dir with Send -> m.send_block <- Some s | Recv -> m.recv_block <- Some s);
       s
 
-let[@inline] trace_in w dir ~chan ~now ~task ~busy_ns ~seq k =
+let[@inline] trace_in w m dir ~now ~task ~busy_ns ~seq k =
   if w land Observed.trace <> 0 then
-    Sink.chan_items (Atomic.get Trace.current) ~recv:(dir = Recv) ~t:now ~chan ~seq ~k ~task
-      ~busy_ns
+    Sink.chan_items m.sink ~recv:(dir = Recv) ~t:now ~chan:m.chan_id ~seq ~k ~task ~busy_ns
 
-let trace dir ~chan ~now ~task ~busy_ns ~seq k =
-  trace_in (Atomic.get Observed.word) dir ~chan ~now ~task ~busy_ns ~seq k
+let trace m dir ~chan ~now ~task ~busy_ns ~seq k =
+  let w = Atomic.get Observed.word in
+  let m = bound w m chan in
+  trace_in w m dir ~now ~task ~busy_ns ~seq k;
+  m
 
 let op m dir ~chan ~now ~task ~busy_ns ~seq ~k ~depth =
   let w = Atomic.get Observed.word in
   let m = bound w m chan in
-  if m != none then begin
+  if counted m then begin
     (match dir with
     | Send -> m.sends.count <- m.sends.count + k
     | Recv -> m.recvs.count <- m.recvs.count + k);
     m.depth.level <- float_of_int depth
   end;
-  if seq >= 0 then trace_in w dir ~chan ~now ~task ~busy_ns ~seq k;
+  if seq >= 0 then trace_in w m dir ~now ~task ~busy_ns ~seq k;
   m
 
 (* A block explains its lane's time as Chan_wait.  On the sim the lane is
@@ -102,7 +119,7 @@ let op m dir ~chan ~now ~task ~busy_ns ~seq ~k ~depth =
 let blocked m dir ~chan ~wait_ns ~lane =
   let w = Atomic.get Observed.word in
   let m = bound w m chan in
-  if m != none then Hdr.observe (block_summary m dir) wait_ns;
+  if counted m then Hdr.observe (block_summary m dir) wait_ns;
   if w land Observed.timeline <> 0 then
     ignore (Timeline.record_attribute ~lane Timeline.Chan_wait wait_ns);
   m
@@ -111,7 +128,7 @@ let flush m ~chan ~now ~dropped ~depth =
   let w = Atomic.get Observed.word in
   if w land Observed.trace <> 0 then Trace.emit ~t:now (Event.Chan_flush { chan; dropped });
   let m = bound w m chan in
-  if m != none then begin
+  if counted m then begin
     m.flushed.count <- m.flushed.count + dropped;
     m.depth.level <- float_of_int depth
   end;

@@ -10,16 +10,19 @@
     {!op} once, after {!blocked} if it blocked; each call reads the word
     once and writes the items' events straight into the installed sink.
     The channel keeps the {!t} each call returns, starting from {!none}:
-    its handles for the installed registry, rebound when another is
-    installed, so an observed operation stores into the instruments
-    directly and creating a channel allocates nothing for its metrics.  A block-time summary (a ~57 KB {!Hdr}) is
+    its handles for the installed registry and its name's id in the
+    installed sink ({!Sink.intern}), rebound when another is installed,
+    so an observed operation stores into the instruments directly, its
+    events store ints only, and creating a channel allocates nothing for
+    its observation.  A block-time summary (a ~57 KB {!Hdr}) is
     created on the channel's first block: a wide PS-DSWP plan has
     thousands of channels, few of which ever block. *)
 
 type t
 
 val none : t
-(** Bound to {!Metrics.null}: what a channel starts with. *)
+(** Bound to {!Metrics.null} and {!Sink.null}: what a channel starts
+    with. *)
 
 type dir = Send | Recv
 
@@ -34,8 +37,8 @@ val blocked : t -> dir -> chan:string -> wait_ns:int -> lane:int -> t
 (** Before {!op}, for an operation that blocked for [wait_ns]: a wait
     charged to timeline lane [lane] (-1: none). *)
 
-val trace : dir -> chan:string -> now:int -> task:int -> busy_ns:int -> seq:int -> int -> unit
-(** [trace dir ~chan ~now ~task ~busy_ns ~seq k]: one event each for the
+val trace : t -> dir -> chan:string -> now:int -> task:int -> busy_ns:int -> seq:int -> int -> t
+(** [trace m dir ~chan ~now ~task ~busy_ns ~seq k]: one event each for the
     [k] items numbered from [seq]. *)
 
 val flush : t -> chan:string -> now:int -> dropped:int -> depth:int -> t

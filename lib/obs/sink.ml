@@ -16,22 +16,26 @@
    time (see [to_array]).
 
    Systhreads that share a domain share its ring.  They only switch at
-   allocations and poll points, and the slot claim, the column writes and
-   the publish contain neither: growth, which allocates, happens before the
-   claim.  So two such threads never interleave inside one write.
+   allocations and poll points, and the slot claim, the row writes and the
+   publish contain neither: a new chunk, which allocates, is added before
+   the claim.  So two such threads never interleave inside one write.
 
-   Storage is flat: one column per field, written in place, so recording
-   an event allocates nothing.  A boxed event would outlive the minor heap
-   (the ring holds it), be promoted, and then die in the major heap, once
-   per event.  A slot holds its time, a kind tag, up to three int payload
-   fields and one string (the channel, task or region name).  The kinds
-   whose payload does not fit that shape — a second string, a share list
-   or a float — keep the caller's [Event.kind] in one boxed column; they
-   are all control-plane events.  Events are decoded back to [Event.t]
-   only when read.
+   Storage is rows of ints, like OCaml's Runtime_events: a ring holds its
+   events in chunks of [chunk_events] rows, one [int array] per chunk, and
+   a row is five ints: the time; the kind's tag and its name's id, packed
+   into one int; then three int payload fields.  Recording an event stores
+   five ints and publishes, so it allocates nothing and makes no pointer
+   store.  A name (a channel, task or region) is interned once per sink:
+   its id stays valid for the sink's lifetime, so a channel looks its id
+   up once per installed sink and its events hash nothing.  The kinds
+   whose payload does not fit a row (a second string, a share list or a
+   float) keep the caller's [Event.kind] in a per-chunk array, allocated on
+   that chunk's first such event; they are all control-plane events.
+   Events are decoded back to [Event.t] only when read.
 
-   The columns start small and double up to [capacity], so a sink sized
-   for a long run costs little in a short one. *)
+   Chunks are allocated as the ring fills, never past [capacity], and never
+   copied: a sink sized for a long run costs little in a short one, and
+   filling one leaves no garbage behind. *)
 
 type tag =
   | Chan_send
@@ -48,23 +52,50 @@ type tag =
   | Cores_online
   | Trace_overflow
   | Span_overflow
-  | Boxed  (* the payload is the slot's [boxed] kind *)
+  | Boxed  (* the payload is the chunk's kept [Event.kind] *)
 
-(* A ring's columns, all of one length, replaced together when it grows. *)
-type cols = {
-  ts : int array;
-  tags : tag array;
-  names : string array;
-  a : int array;
-  b : int array;
-  c : int array;
-  boxed : Event.kind array;  (* meaningful only where the tag is [Boxed] *)
-}
+(* [tags.(code tag) = tag]. *)
+let tags =
+  [| Chan_send; Chan_recv; Hook_sample; Task_spawn; Task_done; Steal; Region_stop; Ctrl_state;
+     Pause; Chan_flush; Budget_grant; Cores_online; Trace_overflow; Span_overflow; Boxed |]
 
-(* Event [e] of a ring lives in slot [e mod capacity]. *)
+let code = function
+  | Chan_send -> 0
+  | Chan_recv -> 1
+  | Hook_sample -> 2
+  | Task_spawn -> 3
+  | Task_done -> 4
+  | Steal -> 5
+  | Region_stop -> 6
+  | Ctrl_state -> 7
+  | Pause -> 8
+  | Chan_flush -> 9
+  | Budget_grant -> 10
+  | Cores_online -> 11
+  | Trace_overflow -> 12
+  | Span_overflow -> 13
+  | Boxed -> 14
+
+(* A row's second int: the tag in the low [tag_bits], the name id above. *)
+let tag_bits = 4
+let tag_mask = (1 lsl tag_bits) - 1
+let pack tag id = code tag lor (id lsl tag_bits)
+let boxed_code = code Boxed
+
+let chunk_bits = 10
+let chunk_events = 1 lsl chunk_bits
+let chunk_mask = chunk_events - 1
+let row = 5  (* ints per event *)
+
+(* Event [e] of a ring lives in slot [e mod capacity], which is row
+   [slot land chunk_mask] of chunk [slot lsr chunk_bits]. *)
 type ring = {
   owner : int;  (* id of the writing domain *)
-  mutable cols : cols;  (* length 0 until the first write *)
+  chunks : int array array;  (* [||] until the ring's events reach it *)
+  mutable kinds : Event.kind array array;
+      (* per chunk, the boxed kinds by row, [||] until the chunk's first;
+         the table itself is [||] until the ring's first *)
+  mutable limit : int;  (* slots in the allocated chunks *)
   written : int Atomic.t;  (* events written; set after each write *)
   mutable next : int;  (* slot of the next event: [written mod capacity] *)
   mutable last_t : int;  (* high-water timestamp for the monotone clamp *)
@@ -73,13 +104,27 @@ type ring = {
   mutable drops_epoch : int;  (* [Observed.epoch] when [drops_reg] was last checked *)
 }
 
+module Names = Map.Make (String)
+
+(* The interned names: id [i] names [by_id.(i)], for [i] below [count].
+   Replaced whole when a name is added; [by_id] is shared by successive
+   tables until it is full. *)
+type names = { ids : int Names.t; by_id : string array; count : int }
+
 type t = {
   capacity : int;  (* 0 only for [null] *)
-  mu : Mutex.t;  (* serializes ring creation, growth and [clear] *)
+  mu : Mutex.t;  (* serializes ring creation, [clear] and new names *)
   rings : ring array Atomic.t;  (* in creation order *)
+  names : names Atomic.t;  (* id 0 is "" *)
 }
 
-let make capacity = { capacity; mu = Mutex.create (); rings = Atomic.make [||] }
+let make capacity =
+  {
+    capacity;
+    mu = Mutex.create ();
+    rings = Atomic.make [||];
+    names = Atomic.make { ids = Names.singleton "" 0; by_id = Array.make 16 ""; count = 1 };
+  }
 
 let null = make 0
 
@@ -91,18 +136,48 @@ let create ?(capacity = default_capacity) () =
 
 let is_null s = s == null
 
-(* Fills the boxed column where no boxed kind lives. *)
+(* Fills a chunk's kind array where no boxed kind lives. *)
 let no_kind = Event.Cores_online { cores = 0 }
-
-let empty_cols = { ts = [||]; tags = [||]; names = [||]; a = [||]; b = [||]; c = [||]; boxed = [||] }
 
 let clear s =
   (* Drop the rings: a cleared sink must release the memory of the events
      it retained, not just forget their indices.  A domain's next write
-     creates a new ring, exactly as on first use. *)
+     creates a new ring, exactly as on first use.  The names stay, so ids
+     bound before the clear remain valid. *)
   Mutex.lock s.mu;
   Atomic.set s.rings [||];
   Mutex.unlock s.mu
+
+let add_name s name =
+  Mutex.lock s.mu;
+  let ns = Atomic.get s.names in
+  let id =
+    match Names.find name ns.ids with
+    | id -> id
+    | exception Not_found ->
+        let id = ns.count in
+        let by_id =
+          if id < Array.length ns.by_id then ns.by_id
+          else begin
+            let a = Array.make (2 * id) "" in
+            Array.blit ns.by_id 0 a 0 id;
+            a
+          end
+        in
+        by_id.(id) <- name;
+        Atomic.set s.names { ids = Names.add name id ns.ids; by_id; count = id + 1 };
+        id
+  in
+  Mutex.unlock s.mu;
+  id
+
+(* Lock-free once [name] is known.  The null sink keeps no names. *)
+let intern s name =
+  match Names.find name (Atomic.get s.names).ids with
+  | id -> id
+  | exception Not_found -> if s.capacity = 0 then 0 else add_name s name
+
+let named s tag name = pack tag (intern s name)
 
 (* [Domain.self ()], called directly: the primitive neither allocates nor
    raises, and skipping the runtime's wrapper for allocating C calls takes
@@ -129,7 +204,8 @@ let ring_of s =
       if i >= 0 then rs.(i)
       else begin
         let r =
-          { owner = me; cols = empty_cols; written = Atomic.make 0; next = 0; last_t = min_int;
+          { owner = me; chunks = Array.make ((s.capacity + chunk_mask) lsr chunk_bits) [||];
+            kinds = [||]; limit = 0; written = Atomic.make 0; next = 0; last_t = min_int;
             drops_reg = Metrics.null; drops = { count = 0 }; drops_epoch = -1 }
         in
         Atomic.set s.rings (Array.append rs [| r |]);
@@ -140,58 +216,71 @@ let ring_of s =
     r
   end
 
-let initial_slots = 1024
+(* Allocate the chunk the next event falls in: a ring fills in slot order,
+   so it is the chunk at [limit].  Another systhread of the domain may add
+   it while this one allocates, so it is installed only if still missing;
+   nothing allocates between that check and the stores.  A reader finds
+   the chunk because it is stored before the count that covers its
+   events. *)
+let[@inline never] add_chunk s r =
+  let c = r.limit lsr chunk_bits in
+  let rows = Array.make (Int.min chunk_events (s.capacity - r.limit) * row) 0 in
+  if Array.length r.chunks.(c) = 0 then begin
+    r.chunks.(c) <- rows;
+    r.limit <- r.limit + (Array.length rows / row)
+  end
 
-(* Double a ring's columns (the first allocation is [initial_slots]), never
-   past [capacity], when the next event has no slot.  Growth happens only
-   while every written event still has its own slot, so a prefix copy
-   keeps them; readers holding the old columns still find every event
-   they were published with. *)
-let grow s r =
-  Mutex.lock s.mu;
-  let k = r.cols in
-  let n = Array.length k.ts in
-  if Atomic.get r.written = n && n < s.capacity then begin
-    let n' = Int.min s.capacity (if n = 0 then initial_slots else 2 * n) in
-    let extend col fill =
-      let col' = Array.make n' fill in
-      Array.blit col 0 col' 0 n;
-      col'
-    in
-    r.cols <-
-      { ts = extend k.ts 0; tags = extend k.tags Chan_send; names = extend k.names "";
-        a = extend k.a 0; b = extend k.b 0; c = extend k.c 0; boxed = extend k.boxed no_kind }
-  end;
-  Mutex.unlock s.mu
+(* Allocate chunk [c]'s kind array (and the table, on the ring's first
+   boxed event), before the claim for the same reason. *)
+let[@inline never] add_kinds r c =
+  let table = if Array.length r.kinds = 0 then Array.make (Array.length r.chunks) [||] else r.kinds in
+  let ks = Array.make (Array.length r.chunks.(c) / row) no_kind in
+  if Array.length r.kinds = 0 then r.kinds <- table;
+  if Array.length r.kinds.(c) = 0 then r.kinds.(c) <- ks
+
+let has_kinds r c = c < Array.length r.kinds && Array.length r.kinds.(c) > 0
+
+(* Slot [i]'s boxed kind: the event's own, or [no_kind] where a row event
+   overwrites a boxed one, so a stale slot keeps nothing alive. *)
+let[@inline never] keep_kind r i kind = r.kinds.(i lsr chunk_bits).(i land chunk_mask) <- kind
 
 (* Count one overwrite in the installed registry, through the counter
    the ring keeps bound to it (a dummy while none is installed); the
    binding is checked against the registry only when a scope opened or
    closed since it last was. *)
+let[@inline never] bind_drops r e =
+  let reg = Metrics.current () in
+  if reg != r.drops_reg then begin
+    r.drops <-
+      Metrics.counter reg "parcae_trace_dropped_total"
+        ~help:"Trace events overwritten by a full sink ring";
+    r.drops_reg <- reg
+  end;
+  r.drops_epoch <- e
+
 let count_drop r =
   let e = Atomic.get Observed.epoch in
-  if r.drops_epoch <> e then begin
-    let reg = Metrics.current () in
-    if reg != r.drops_reg then begin
-      r.drops <-
-        Metrics.counter reg "parcae_trace_dropped_total"
-          ~help:"Trace events overwritten by a full sink ring";
-      r.drops_reg <- reg
-    end;
-    r.drops_epoch <- e
-  end;
+  if r.drops_epoch <> e then bind_drops r e;
   r.drops.count <- r.drops.count + 1
 
-(* Write one event into [r], the calling domain's ring.  [kind] is the
-   event itself when [tag] is [Boxed], and [no_kind] otherwise.  When the
-   next event has no slot, the ring grows and the write starts over, so
-   from the claim to the publish nothing allocates.  An overwrite is
-   counted after the publish, through the handle the ring keeps bound to
-   the registry it was built for. *)
-let rec put_in s r ~t tag name a b c kind =
-  let k = r.cols in
-  let n = Atomic.get r.written in
-  if n < Array.length k.ts || Array.length k.ts = s.capacity then begin
+(* Write one event into [r], the calling domain's ring: the row [t], [p]
+   (a packed tag and name id), [a], [b], [c], and [kind] when the tag is
+   [Boxed] ([no_kind] otherwise).  When the next event's chunk, or its
+   kind array, is missing, it is added and the write starts over, so from
+   the claim to the publish nothing allocates.  An overwrite is counted
+   after the publish, through the handle the ring keeps bound to the
+   registry it was built for. *)
+let rec put_in s r ~t p a b c kind =
+  let i = r.next in
+  if i >= r.limit then begin
+    add_chunk s r;
+    put_in s r ~t p a b c kind
+  end
+  else if p land tag_mask = boxed_code && not (has_kinds r (i lsr chunk_bits)) then begin
+    add_kinds r (i lsr chunk_bits);
+    put_in s r ~t p a b c kind
+  end
+  else begin
     (* Monotone clamp: a domain's emitters can race its ring with
        timestamps taken a hair apart; the trace contract (and the oracle)
        requires non-decreasing time, so order-of-arrival wins and a late
@@ -199,74 +288,74 @@ let rec put_in s r ~t tag name a b c kind =
        and the clamp never fires. *)
     let t = if t < r.last_t then r.last_t else t in
     r.last_t <- t;
-    (* [i] is below [n] while the ring grows and below [capacity] once it
-       is full, so it indexes every column. *)
-    let i = r.next in
     r.next <- (if i + 1 = s.capacity then 0 else i + 1);
-    (* An overwritten boxed kind is released, not kept alive by a stale
-       slot. *)
-    if tag == Boxed || Array.unsafe_get k.tags i == Boxed then Array.unsafe_set k.boxed i kind;
-    Array.unsafe_set k.ts i t;
-    Array.unsafe_set k.tags i tag;
-    Array.unsafe_set k.names i name;
-    Array.unsafe_set k.a i a;
-    Array.unsafe_set k.b i b;
-    Array.unsafe_set k.c i c;
+    (* [i] is below [limit], so its chunk is allocated and holds row [j]. *)
+    let rows = Array.unsafe_get r.chunks (i lsr chunk_bits) and j = (i land chunk_mask) * row in
+    if p land tag_mask = boxed_code || Array.unsafe_get rows (j + 1) land tag_mask = boxed_code then
+      keep_kind r i kind;
+    Array.unsafe_set rows j t;
+    Array.unsafe_set rows (j + 1) p;
+    Array.unsafe_set rows (j + 2) a;
+    Array.unsafe_set rows (j + 3) b;
+    Array.unsafe_set rows (j + 4) c;
+    let n = Atomic.get r.written in
     Atomic.set r.written (n + 1);
     if n >= s.capacity then count_drop r
   end
-  else begin
-    grow s r;
-    put_in s r ~t tag name a b c kind
-  end
 
-let put s ~t tag name a b c kind = if s.capacity > 0 then put_in s (ring_of s) ~t tag name a b c kind
+let put s ~t p a b c = if s.capacity > 0 then put_in s (ring_of s) ~t p a b c no_kind
 
 (* One channel operation's [k] items, numbered from [seq]: the writer's
    ring is found once for all of them. *)
 let chan_items s ~recv ~t ~chan ~seq ~k ~task ~busy_ns =
   if s.capacity > 0 then begin
-    let r = ring_of s and tag = if recv then Chan_recv else Chan_send in
+    let r = ring_of s and p = pack (if recv then Chan_recv else Chan_send) chan in
     for seq = seq to seq + k - 1 do
-      put_in s r ~t tag chan seq task busy_ns no_kind
+      put_in s r ~t p seq task busy_ns no_kind
     done
   end
 
-let chan_send s ~t ~chan ~seq ~task ~busy_ns = put s ~t Chan_send chan seq task busy_ns no_kind
-let chan_recv s ~t ~chan ~seq ~task ~busy_ns = put s ~t Chan_recv chan seq task busy_ns no_kind
-let hook_sample s ~t ~task ~dt_ns = put s ~t Hook_sample "" task dt_ns 0 no_kind
-let task_spawn s ~t ~task ~parent ~name = put s ~t Task_spawn name task parent 0 no_kind
-let task_done s ~t ~task ~busy_ns = put s ~t Task_done "" task busy_ns 0 no_kind
-let steal s ~t ~task ~from_lane ~to_lane = put s ~t Steal "" task from_lane to_lane no_kind
+let hook_sample s ~t ~task ~dt_ns = put s ~t (code Hook_sample) task dt_ns 0
+let task_done s ~t ~task ~busy_ns = put s ~t (code Task_done) task busy_ns 0
+let steal s ~t ~task ~from_lane ~to_lane = put s ~t (code Steal) task from_lane to_lane
+
+let task_spawn s ~t ~task ~parent ~name =
+  if s.capacity > 0 then put s ~t (named s Task_spawn name) task parent 0
 
 let states = [| Event.Init; Event.Calibrate; Event.Optimize; Event.Monitor |]
 
 let record s ~t (kind : Event.kind) =
-  match kind with
-  | Chan_send_ev { chan; seq; task; busy_ns } -> chan_send s ~t ~chan ~seq ~task ~busy_ns
-  | Chan_recv_ev { chan; seq; task; busy_ns } -> chan_recv s ~t ~chan ~seq ~task ~busy_ns
-  | Hook_sample { task; dt_ns } -> hook_sample s ~t ~task ~dt_ns
-  | Task_spawn { task; parent; name } -> task_spawn s ~t ~task ~parent ~name
-  | Task_done { task; busy_ns } -> task_done s ~t ~task ~busy_ns
-  | Steal_ev { task; from_lane; to_lane } -> steal s ~t ~task ~from_lane ~to_lane
-  | Region_stop { region } -> put s ~t Region_stop region 0 0 0 no_kind
-  | Ctrl_state { region; state } ->
-      put s ~t Ctrl_state region (Event.ctrl_state_code state) 0 0 no_kind
-  | Pause { region } -> put s ~t Pause region 0 0 0 no_kind
-  | Chan_flush { chan; dropped } -> put s ~t Chan_flush chan dropped 0 0 no_kind
-  | Budget_grant { region; budget } -> put s ~t Budget_grant region budget 0 0 no_kind
-  | Cores_online { cores } -> put s ~t Cores_online "" cores 0 0 no_kind
-  | Trace_overflow { dropped } -> put s ~t Trace_overflow "" dropped 0 0 no_kind
-  | Span_overflow { dropped } -> put s ~t Span_overflow "" dropped 0 0 no_kind
-  | Region_start _ | Dop_change _ | Resume _ | Daemon_repartition _ | Feature_sample _ ->
-      put s ~t Boxed "" 0 0 0 kind
+  if s.capacity > 0 then
+    match kind with
+    | Chan_send_ev { chan; seq; task; busy_ns } -> put s ~t (named s Chan_send chan) seq task busy_ns
+    | Chan_recv_ev { chan; seq; task; busy_ns } -> put s ~t (named s Chan_recv chan) seq task busy_ns
+    | Hook_sample { task; dt_ns } -> hook_sample s ~t ~task ~dt_ns
+    | Task_spawn { task; parent; name } -> task_spawn s ~t ~task ~parent ~name
+    | Task_done { task; busy_ns } -> task_done s ~t ~task ~busy_ns
+    | Steal_ev { task; from_lane; to_lane } -> steal s ~t ~task ~from_lane ~to_lane
+    | Region_stop { region } -> put s ~t (named s Region_stop region) 0 0 0
+    | Ctrl_state { region; state } ->
+        put s ~t (named s Ctrl_state region) (Event.ctrl_state_code state) 0 0
+    | Pause { region } -> put s ~t (named s Pause region) 0 0 0
+    | Chan_flush { chan; dropped } -> put s ~t (named s Chan_flush chan) dropped 0 0
+    | Budget_grant { region; budget } -> put s ~t (named s Budget_grant region) budget 0 0
+    | Cores_online { cores } -> put s ~t (code Cores_online) cores 0 0
+    | Trace_overflow { dropped } -> put s ~t (code Trace_overflow) dropped 0 0
+    | Span_overflow { dropped } -> put s ~t (code Span_overflow) dropped 0 0
+    | Region_start _ | Dop_change _ | Resume _ | Daemon_repartition _ | Feature_sample _ ->
+        put_in s (ring_of s) ~t boxed_code 0 0 0 kind
 
 (* A slot read while its writer rewrites it mixes two events; [copy]
-   discards it, but decoding it must not fail, hence the masked index. *)
-let decode k i =
-  let name = k.names.(i) and a = k.a.(i) and b = k.b.(i) and c = k.c.(i) in
+   discards it, but decoding it must not fail: the tag, the name id and
+   the kind array are checked, not trusted. *)
+let decode names r slot =
+  let rows = r.chunks.(slot lsr chunk_bits) and o = slot land chunk_mask in
+  let j = o * row in
+  let p = rows.(j + 1) and a = rows.(j + 2) and b = rows.(j + 3) and c = rows.(j + 4) in
+  let id = p lsr tag_bits and code = p land tag_mask in
+  let name = if id < names.count then names.by_id.(id) else "" in
   let kind : Event.kind =
-    match k.tags.(i) with
+    match if code < Array.length tags then tags.(code) else Boxed with
     | Chan_send -> Chan_send_ev { chan = name; seq = a; task = b; busy_ns = c }
     | Chan_recv -> Chan_recv_ev { chan = name; seq = a; task = b; busy_ns = c }
     | Hook_sample -> Hook_sample { task = a; dt_ns = b }
@@ -281,9 +370,11 @@ let decode k i =
     | Cores_online -> Cores_online { cores = a }
     | Trace_overflow -> Trace_overflow { dropped = a }
     | Span_overflow -> Span_overflow { dropped = a }
-    | Boxed -> k.boxed.(i)
+    | Boxed ->
+        let c = slot lsr chunk_bits and ks = r.kinds in
+        if c < Array.length ks && o < Array.length ks.(c) then ks.(c).(o) else no_kind
   in
-  Event.make ~t:k.ts.(i) kind
+  Event.make ~t:rows.(j) kind
 
 (* Events a ring retains: its newest [capacity]. *)
 let retained s r = Int.min (Atomic.get r.written) s.capacity
@@ -294,8 +385,7 @@ let length s =
 let dropped s =
   Array.fold_left (fun n r -> n + Atomic.get r.written) 0 (Atomic.get s.rings) - length s
 
-let allocated_slots s =
-  Array.fold_left (fun n r -> n + Array.length r.cols.ts) 0 (Atomic.get s.rings)
+let allocated_slots s = Array.fold_left (fun n r -> n + r.limit) 0 (Atomic.get s.rings)
 
 (* A ring's retained events, oldest first.  Copy the published range, then
    re-read the count [n]: event [e]'s slot is rewritten by event
@@ -303,12 +393,14 @@ let allocated_slots s =
    while they were copied, and are discarded.  A ring written by another
    domain may also have event [n] in flight, rewriting the slot of event
    [n - capacity], which is discarded too.  The calling domain's own ring
-   has no write in flight: its writers never suspend inside one. *)
+   has no write in flight: its writers never suspend inside one.  Every
+   chunk and name a published event uses was stored before its count, so
+   the names are read after it. *)
 let copy s r =
   let n1 = Atomic.get r.written in
-  let k = r.cols in
+  let names = Atomic.get s.names in
   let lo = Int.max 0 (n1 - s.capacity) in
-  let evs = Array.init (n1 - lo) (fun j -> decode k ((lo + j) mod s.capacity)) in
+  let evs = Array.init (n1 - lo) (fun j -> decode names r ((lo + j) mod s.capacity)) in
   let n2 = Atomic.get r.written in
   let in_flight = if r.owner = domain_id () then 0 else 1 in
   let first = Int.min n1 (Int.max lo (n2 - s.capacity + in_flight)) in

@@ -9,9 +9,11 @@
     simulator run writes from one domain, so its sink is a single ring.
     [null] is a physical sentinel: installed, it leaves {!Trace.enabled}
     false, so disabled tracing costs one bit test per potential event.
-    Events are stored flat, one column per field, so recording allocates
-    nothing; they are decoded back to {!Event.t} only by the readers,
-    which merge the rings by time and keep the newest [capacity] events.
+    Events are stored as rows of five ints in chunks of 1024 events, with
+    names interned once per sink, so recording allocates nothing and
+    stores no pointer; they are decoded back to {!Event.t} only by the
+    readers, which merge the rings by time and keep the newest [capacity]
+    events.
 
     Reading is safe while native domains write: a reader copies the
     published range of each ring and discards any slot its writer
@@ -43,18 +45,24 @@ val record : t -> t:int -> Event.kind -> unit
     Each records the event of the same name exactly as {!record} would,
     from its fields, without allocating. *)
 
-val chan_send : t -> t:int -> chan:string -> seq:int -> task:int -> busy_ns:int -> unit
-val chan_recv : t -> t:int -> chan:string -> seq:int -> task:int -> busy_ns:int -> unit
+val intern : t -> string -> int
+(** The id of a name in this sink, added on its first use (under the
+    sink's mutex) and looked up without a lock after that.  Ids stay valid
+    for the sink's lifetime, across {!clear}; they mean nothing to another
+    sink.  {!null} keeps no names and answers 0. *)
 
 val chan_items :
-  t -> recv:bool -> t:int -> chan:string -> seq:int -> k:int -> task:int -> busy_ns:int -> unit
-(** One channel operation's [k] items, numbered from [seq]: [k]
+  t -> recv:bool -> t:int -> chan:int -> seq:int -> k:int -> task:int -> busy_ns:int -> unit
+(** One channel operation's [k] items, numbered from [seq], through the
+    channel whose name has id [chan] ({!intern}) in this sink: [k]
     [Chan_recv] events if [recv], else [k] [Chan_send] events, written
     into the calling domain's ring, which is looked up once for all of
-    them. *)
+    them.  Each event stores ints only. *)
 
 val hook_sample : t -> t:int -> task:int -> dt_ns:int -> unit
 val task_spawn : t -> t:int -> task:int -> parent:int -> name:string -> unit
+(** Interns [name] (see {!intern}). *)
+
 val task_done : t -> t:int -> task:int -> busy_ns:int -> unit
 val steal : t -> t:int -> task:int -> from_lane:int -> to_lane:int -> unit
 
@@ -70,14 +78,16 @@ val dropped : t -> int
 
 val clear : t -> unit
 (** Forget all retained events {e and} release the rings' backing storage;
-    a domain's next {!record} creates its ring again.  Events written
-    concurrently with a clear may be lost. *)
+    a domain's next {!record} creates its ring again.  Interned names are
+    kept.  Events written concurrently with a clear may be lost. *)
 
 val allocated_slots : t -> int
 (** Slots of storage currently allocated, summed over the rings: 0 before
-    the first event and after {!clear}.  A ring's first event allocates
-    [min capacity 1024] slots, and its storage doubles, never past
-    [capacity], each time its events fill it. *)
+    the first event and after {!clear}.  A ring's storage is chunks of
+    1024 slots, the last one cut short to end at [capacity].  Its first
+    event allocates the chunk table (one word per chunk) and the first
+    chunk, and each later chunk is allocated when the ring's events fill
+    the ones before it.  No chunk is ever copied. *)
 
 val to_array : t -> Event.t array
 (** Retained events, oldest first: the rings merged by time, ties in ring

@@ -20,12 +20,6 @@ let enabled () = Atomic.get Observed.word land Observed.trace <> 0
 
 let emit ~t kind = Sink.record (Atomic.get current) ~t kind
 
-let chan_send ~t ~chan ~seq ~task ~busy_ns =
-  Sink.chan_send (Atomic.get current) ~t ~chan ~seq ~task ~busy_ns
-
-let chan_recv ~t ~chan ~seq ~task ~busy_ns =
-  Sink.chan_recv (Atomic.get current) ~t ~chan ~seq ~task ~busy_ns
-
 let hook_sample ~t ~task ~dt_ns = Sink.hook_sample (Atomic.get current) ~t ~task ~dt_ns
 
 let task_spawn ~t ~task ~parent ~name =

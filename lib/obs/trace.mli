@@ -18,10 +18,10 @@ val emit : t:int -> Event.kind -> unit
 
     The per-operation kinds, recorded from their fields into the current
     sink without allocating: each is {!emit} of the {!Event.kind} of the
-    same name. *)
+    same name.  Channel events have none: a channel writes them with
+    {!Sink.chan_items} under the name id it bound in the installed sink
+    (see {!Chan_obs}). *)
 
-val chan_send : t:int -> chan:string -> seq:int -> task:int -> busy_ns:int -> unit
-val chan_recv : t:int -> chan:string -> seq:int -> task:int -> busy_ns:int -> unit
 val hook_sample : t:int -> task:int -> dt_ns:int -> unit
 val task_spawn : t:int -> task:int -> parent:int -> name:string -> unit
 val task_done : t:int -> task:int -> busy_ns:int -> unit

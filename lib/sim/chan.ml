@@ -169,11 +169,15 @@ let rec send_all ch t0 = function
       hb_send ch seq;
       (if observed () then
          let now = Engine.time ch.eng in
-         match Engine.current ch.eng with
-         | Some th ->
-             Chan_obs.trace Chan_obs.Send ~chan:ch.name ~now ~task:th.Engine.tid
-               ~busy_ns:th.Engine.busy_ns ~seq 1
-         | None -> Chan_obs.trace Chan_obs.Send ~chan:ch.name ~now ~task:(-1) ~busy_ns:0 ~seq 1);
+         let m =
+           match Engine.current ch.eng with
+           | Some th ->
+               Chan_obs.trace ch.obs Chan_obs.Send ~chan:ch.name ~now ~task:th.Engine.tid
+                 ~busy_ns:th.Engine.busy_ns ~seq 1
+           | None ->
+               Chan_obs.trace ch.obs Chan_obs.Send ~chan:ch.name ~now ~task:(-1) ~busy_ns:0 ~seq 1
+         in
+         if m != ch.obs then ch.obs <- m);
       Engine.signal ch.nonempty;
       send_all ch t0 tl
 

@@ -103,8 +103,9 @@ let latency_panel sc =
       Printf.sprintf "drops %d" (Span.drops sc) ];
   Table.render t
 
-(* The pool panel: freelist hit rates and the process's minor-word total,
-   one row per pool (DESIGN.md section 14).  Rendered only when at least
+(* The pool panel: freelist hit rates, one row per pool, and the minor
+   words allocated since the registry was first sampled (DESIGN.md
+   section 14).  Rendered only when at least
    one pool exists, so `top` on pool-free programs is unchanged. *)
 let pool_panel () =
   match Pool.stats () with
@@ -131,13 +132,7 @@ let pool_panel () =
             ])
         stats;
       Table.add_row t
-        [
-          "minor words (process)";
-          Printf.sprintf "%.0f" (Gc.quick_stat ()).Gc.minor_words;
-          "";
-          "";
-          "";
-        ];
+        [ "minor words (session)"; string_of_int (Pool.session_minor_words ()); ""; ""; "" ];
       Some (Table.render t)
 
 (* Render one registry snapshot as counter / gauge / summary tables.

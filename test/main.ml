@@ -17,6 +17,7 @@ let () =
       ("parser", Test_parser.suite);
       ("analysis", Test_analysis.suite);
       ("trace", Test_trace.suite);
+      ("sink", Test_sink.suite);
       ("trace-oracle", Test_trace_oracle.suite);
       ("metrics", Test_metrics.suite);
       ("flight", Test_flight.suite);

@@ -68,6 +68,41 @@ let prop_pool_model =
         ops;
       !ok && Pool.free_count p = List.length !model_free)
 
+(* ---- session minor words ---- *)
+
+module Metrics = Parcae_obs.Metrics
+
+(* [top]'s minor-word count starts at the registry's first sample: what
+   the process allocated before (here a million words, half before the
+   registry is installed and half before its first sample) is not
+   counted, and what the session allocates after is.  A sample's own
+   publication is counted too, hence the loose upper bound. *)
+let[@inline never] allocate_words n =
+  for _ = 1 to n / 101 do
+    ignore (Sys.opaque_identity (Array.make 100 0))
+  done
+
+let test_session_minor_words () =
+  let reg = Metrics.create () in
+  allocate_words 500_000;
+  Metrics.with_registry reg (fun () ->
+      allocate_words 500_000;
+      Pool.sample_allocs ();
+      let c = Metrics.counter reg "parcae_alloc_minor_words_total" in
+      check_int "the first sample counts nothing" 0 (Metrics.counter_value c);
+      allocate_words 3_030;
+      Pool.sample_allocs ();
+      let n = Metrics.counter_value c in
+      check_bool
+        (Printf.sprintf "the session's 3 030 words count, the million before do not (%d)" n)
+        true
+        (n >= 3_030 && n < 500_000);
+      check_bool "the dashboard row reads the same baseline" true
+        (let row = Pool.session_minor_words () in
+         row >= n && row < 500_000));
+  Metrics.with_registry (Metrics.create ()) (fun () ->
+      check_int "another registry starts again from 0" 0 (Pool.session_minor_words ()))
+
 (* ---- cross-stripe stealing ---- *)
 
 let test_pool_cross_stripe_steal () =
@@ -227,6 +262,8 @@ let test_batched_drain_reconfigure_native () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pool_model;
+    Alcotest.test_case "pool: minor words count from the session's first sample" `Quick
+      test_session_minor_words;
     Alcotest.test_case "pool: cross-stripe steal" `Quick test_pool_cross_stripe_steal;
     Alcotest.test_case "pool: no leak on task failure" `Quick test_pool_no_leak_on_task_failure;
     Alcotest.test_case "batched drain: reconfigure hammer (sim)" `Quick
