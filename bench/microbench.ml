@@ -5,7 +5,8 @@
    events, how expensive PDG construction and SCC formation are, the cost
    of the deterministic RNG and priority queue underneath everything, and
    the native backend's primitives (domain spawn, channel ops, and how
-   accurately the calibrated spin kernel converts ns to real work). *)
+   accurately the calibrated spin kernel converts ns to real work), and
+   a channel between two domains. *)
 
 open Bechamel
 open Toolkit
@@ -86,6 +87,72 @@ let test_native_chan_batch =
          NC.send_batch ch batch16;
          ignore (NC.recv_batch ~max:16 ch)))
 
+(* ---- Two-domain channel probe ---- *)
+
+(* The channel rows above time one thread against itself, which no
+   workload does.  This probe moves [probe_items] ints from a producer
+   fiber to a consumer fiber on a 2-domain native engine, singly or in
+   batches of 16, through an unbounded channel and one of capacity 64.
+   Each run is timed on the wall clock from the spawns to the engine's
+   return; the row is the median of [probe_runs] runs, in ns per item. *)
+let probe_items = 1_000_000
+let probe_runs = 5
+
+let probe_once ~capacity ~batch =
+  let module NE = Parcae_native.Engine in
+  let module NC = Parcae_native.Chan in
+  let eng = NE.create ~pool:2 () in
+  let ch = NC.create ~capacity eng "probe" in
+  let chunk = List.init batch Fun.id in
+  let t0 = Parcae_native.Calibrate.now_ns () in
+  ignore
+    (NE.spawn eng ~name:"producer" (fun () ->
+         if batch = 1 then
+           for i = 1 to probe_items do
+             NC.send ch i
+           done
+         else
+           for _ = 1 to probe_items / batch do
+             NC.send_batch ch chunk
+           done));
+  ignore
+    (NE.spawn eng ~name:"consumer" (fun () ->
+         let got = ref 0 in
+         while !got < probe_items do
+           if batch = 1 then begin
+             ignore (NC.recv ch : int);
+             incr got
+           end
+           else got := !got + List.length (NC.recv_batch ~max:batch ch)
+         done));
+  ignore (NE.run eng);
+  let ns = Parcae_native.Calibrate.now_ns () - t0 in
+  NE.shutdown eng;
+  float_of_int ns /. float_of_int probe_items
+
+let run_probe () =
+  let t =
+    Parcae_util.Table.create
+      ~title:
+        (Printf.sprintf "Two-domain channel probe (%d ints, ns/item, median of %d)" probe_items
+           probe_runs)
+      ~header:[ "case"; "median"; "min"; "max" ]
+  in
+  List.iter
+    (fun (name, capacity, batch) ->
+      let runs = List.init probe_runs (fun _ -> probe_once ~capacity ~batch) in
+      let sorted = Array.of_list (List.sort compare runs) in
+      let f = Printf.sprintf "%.1f" in
+      Parcae_util.Table.add_row t
+        [ name; f sorted.(probe_runs / 2); f sorted.(0); f sorted.(probe_runs - 1) ])
+    [
+      ("batches of 16, unbounded", 0, 16);
+      ("batches of 16, capacity 64", 64, 16);
+      ("single sends, capacity 64", 64, 1);
+      ("single sends, unbounded", 0, 1);
+    ];
+  Parcae_util.Table.print t
+
 (* Owner-side deque throughput: the fast path every worker iteration
    takes.  push+pop on an otherwise-empty deque, no contention. *)
 let test_deque_owner =
@@ -149,4 +216,5 @@ let run () =
     results;
   List.iter (fun (n, e) -> Parcae_util.Table.add_row t [ n; e ])
     (List.sort compare !rows);
-  Parcae_util.Table.print t
+  Parcae_util.Table.print t;
+  run_probe ()

@@ -131,6 +131,12 @@ module Monitor : sig
   (** Run [f] holding the monitor.  Reentrant: a no-op when the calling
       thread already holds it. *)
 
+  val lock : m -> unit
+  val unlock : m -> unit
+  (** Enter and leave without [locked]'s closure.  Not reentrant, and
+      nothing between the two may raise: an exception would leave the
+      monitor held.  Code that can raise takes {!locked}. *)
+
   val held : m -> bool
   val cond : m -> c
   val monitor_of : c -> m

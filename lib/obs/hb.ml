@@ -177,17 +177,13 @@ let on_acquire ~task ~key =
   | None -> ()
   | Some tr -> locked tr (fun () -> acquire_locked tr ~task ~key)
 
-let chan_key chan = "chan:" ^ chan
-
 let on_send ~task ~chan ~seq =
   match Atomic.get cell with
   | None -> ()
   | Some tr ->
       locked tr (fun () ->
           let st = task_state tr task in
-          let snap = snapshot_of task st in
-          if seq >= 0 then Hashtbl.replace tr.msgs (chan, seq) snap;
-          join_into (sync_table tr (chan_key chan)) snap;
+          Hashtbl.replace tr.msgs (chan, seq) (snapshot_of task st);
           st.clk <- st.clk + 1)
 
 let on_recv ~task ~chan ~seq =
@@ -196,11 +192,11 @@ let on_recv ~task ~chan ~seq =
   | Some tr ->
       locked tr (fun () ->
           let st = task_state tr task in
-          match if seq >= 0 then Hashtbl.find_opt tr.msgs (chan, seq) else None with
+          match Hashtbl.find_opt tr.msgs (chan, seq) with
           | Some snap ->
               Hashtbl.remove tr.msgs (chan, seq);
               join_into st.vc snap
-          | None -> acquire_locked tr ~task ~key:(chan_key chan))
+          | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Shadow-memory accesses.                                             *)

@@ -9,11 +9,12 @@
     same cell, at least one a write, with no happens-before path between
     them constitute a race.
 
-    The tracker is deliberately conservative in one direction only: every
-    reported edge is a real synchronization, so a reported race is a true
-    unordered pair under the recorded causal model; joins that
-    over-approximate (the native channels' cumulative per-channel clock)
-    can hide races but never invent them. *)
+    Every recorded edge is a real synchronization, and channels pair
+    exactly on both backends: a receive joins only the snapshot of the
+    send with its [(chan, seq)], never a per-channel summary of every
+    earlier send.  So a reported race is a true unordered pair under the
+    recorded causal model; synchronization the model does not record (a
+    send from outside any task) can add races to the report. *)
 
 type t
 
@@ -48,14 +49,14 @@ val on_acquire : task:int -> key:string -> unit
 (** Generic acquire: lock acquisition, region pause/await. *)
 
 val on_send : task:int -> chan:string -> seq:int -> unit
-(** Channel send.  [seq >= 0] snapshots the sender's clock under
-    [(chan, seq)] for exact FIFO pairing (the simulator); [seq < 0] joins
-    only the channel's cumulative clock (the native backend, where the
-    item becomes visible before its sequence number is known). *)
+(** Channel send of the item numbered [seq]: snapshot the sender's clock
+    under [(chan, seq)].  Both backends number an item before any
+    receiver can take it. *)
 
 val on_recv : task:int -> chan:string -> seq:int -> unit
-(** Channel receive: acquire the [(chan, seq)] snapshot when present,
-    falling back to the channel's cumulative clock. *)
+(** Channel receive of the item numbered [seq]: join the [(chan, seq)]
+    snapshot and drop it.  With no snapshot (the send came from outside
+    any task) the receive joins nothing. *)
 
 val on_access : task:int -> arr:string -> idx:int -> node:int -> write:bool -> unit
 (** A dynamic [load] ([write = false]) or [store] ([write = true]) of

@@ -387,7 +387,7 @@ let test_batch_overflows_capacity () =
     !got
 
 (* Concurrent multi-producer batches on an unbounded channel: each batch
-   is linked with a single CAS, so every batch must appear contiguously
+   is enqueued in one monitor entry, so every batch must appear contiguously
    and in order in the consumed stream, and nothing may be lost or
    duplicated across producers. *)
 let test_batch_multi_producer () =
@@ -436,8 +436,8 @@ let test_batch_multi_producer () =
         (List.init (per_batch * batches) (fun i -> (p * 1000) + i))
         sub)
     (List.init producers Fun.id);
-  (* Contiguity: on an unbounded channel each batch is one CAS, so the
-     stream must never interleave two producers inside one batch. *)
+  (* Contiguity: on an unbounded channel each batch is one monitor entry,
+     so the stream must never interleave two producers inside one batch. *)
   let rec check_contig = function
     | [] -> ()
     | v :: _ as stream ->
@@ -1114,6 +1114,131 @@ let test_native_doacross_advances () =
   Builder.live_out b crc;
   run_native_scheme (Builder.finish ~trip:(Parcae_ir.Loop.Count n) b) "DOACROSS" ~dop:3
 
+(* ------------------------------------------------------------------ *)
+(* Channels on two domains: exact pairing, FIFO across a flush, exact  *)
+(* capacity.                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Spin-yield until [flag] is set; the flag gives no happens-before edge. *)
+let await_flag eng flag =
+  while not (Atomic.get flag) do
+    N.yield eng
+  done
+
+(* Each send is paired with exactly the receive that takes its item.  A
+   stores x and sends; B, released by a plain flag (no edge), stores y and
+   sends; C, released after both sends, takes one item (A's) and stores x
+   and y.  So A's x is ordered before C's and B's y is not: a per-channel
+   clock joined by every receive would order both. *)
+let test_chan_exact_pairing () =
+  let tr = Obs.Hb.create () in
+  let eng = N.create ~pool:2 () in
+  let ch = NChan.create eng "pair" in
+  let a_sent = Atomic.make false and b_sent = Atomic.make false in
+  let got = ref (-1) in
+  let store arr node =
+    Obs.Hb.on_access ~task:(Engine.current_task_id ()) ~arr ~idx:0 ~node ~write:true
+  in
+  Obs.Hb.with_tracker tr (fun () ->
+      ignore
+        (N.spawn eng ~name:"A" (fun () ->
+             store "x" 1;
+             NChan.send ch 0;
+             Atomic.set a_sent true));
+      ignore
+        (N.spawn eng ~name:"B" (fun () ->
+             await_flag eng a_sent;
+             store "y" 2;
+             NChan.send ch 1;
+             Atomic.set b_sent true));
+      ignore
+        (N.spawn eng ~name:"C" (fun () ->
+             await_flag eng b_sent;
+             got := NChan.recv ch;
+             store "x" 3;
+             store "y" 4));
+      ignore (N.run ~until:(10_000 * ms) eng));
+  N.shutdown eng;
+  check_int "C took A's item" 0 !got;
+  let pair arr = List.find (fun p -> p.Obs.Hb.p_arr = arr) (Obs.Hb.pairs tr) in
+  check_int "A's store of x is ordered before C's" 0 (pair "x").Obs.Hb.p_raced;
+  check_int "B's store of y races with C's" 1 (pair "y").Obs.Hb.p_raced
+
+(* [filter] is atomic against a concurrent sender: a producer sends
+   0..n-1 while a flusher keeps every item, over and over, and the
+   consumer still receives them in order. *)
+let test_chan_fifo_across_flush () =
+  let n = 20_000 in
+  let eng = N.create ~pool:2 () in
+  let ch = NChan.create eng "flushed" in
+  let finished = Atomic.make false and flushes = ref 0 and disorder = ref 0 in
+  ignore
+    (N.spawn eng ~name:"producer" (fun () ->
+         for i = 0 to n - 1 do
+           NChan.send ch i
+         done));
+  ignore
+    (N.spawn eng ~name:"flusher" (fun () ->
+         while not (Atomic.get finished) do
+           ignore (NChan.filter ch (fun _ -> true) : int);
+           incr flushes;
+           N.yield eng
+         done));
+  ignore
+    (N.spawn eng ~name:"consumer" (fun () ->
+         let last = ref (-1) and k = ref 0 in
+         while !k < n do
+           List.iter
+             (fun v ->
+               if v <= !last then incr disorder;
+               last := v;
+               incr k)
+             (NChan.recv_batch ~max:64 ch)
+         done;
+         Atomic.set finished true));
+  ignore (N.run ~until:(30_000 * ms) eng);
+  N.shutdown eng;
+  check_bool "the consumer received every item" true (Atomic.get finished);
+  check_bool "the flusher ran" true (!flushes > 0);
+  check_int "items out of order" 0 !disorder
+
+(* Capacity is exact: four producers on two domains, two sending single
+   items and two batches of three, never fill a capacity-2 channel past
+   2, read after every send and receive. *)
+let test_chan_exact_capacity () =
+  let per = 3_000 and producers = 4 and cap = 2 in
+  let eng = N.create ~pool:2 () in
+  let ch = NChan.create ~capacity:cap eng "cap" in
+  let peak = Atomic.make 0 in
+  let rec note () =
+    let d = NChan.length ch and p = Atomic.get peak in
+    if d > p && not (Atomic.compare_and_set peak p d) then note ()
+  in
+  for p = 0 to producers - 1 do
+    ignore
+      (N.spawn eng ~name:(Printf.sprintf "prod%d" p) (fun () ->
+           let i = ref 0 in
+           while !i < per do
+             if p mod 2 = 0 then NChan.send ch !i
+             else NChan.send_batch ch (List.init (Int.min 3 (per - !i)) (fun j -> !i + j));
+             i := !i + if p mod 2 = 0 then 1 else 3;
+             note ()
+           done))
+  done;
+  let received = ref 0 in
+  ignore
+    (N.spawn eng ~name:"consumer" (fun () ->
+         while !received < producers * per do
+           ignore (NChan.recv ch : int);
+           incr received;
+           note ()
+         done));
+  ignore (N.run ~until:(30_000 * ms) eng);
+  N.shutdown eng;
+  check_int "every item received" (producers * per) !received;
+  check_bool (Printf.sprintf "peak occupancy %d within capacity %d" (Atomic.get peak) cap) true
+    (Atomic.get peak <= cap)
+
 let suite =
   [
     Alcotest.test_case "differential: sim and native agree, traces pass oracle" `Quick
@@ -1178,4 +1303,10 @@ let suite =
       test_native_doany_claims;
     Alcotest.test_case "flex: DOACROSS advances on two domains preserve semantics" `Quick
       test_native_doacross_advances;
+    Alcotest.test_case "chan: a receive joins only the send it took" `Quick
+      test_chan_exact_pairing;
+    Alcotest.test_case "chan: filter keeps FIFO order against a concurrent sender" `Quick
+      test_chan_fifo_across_flush;
+    Alcotest.test_case "chan: four producers never overfill a capacity-2 channel" `Quick
+      test_chan_exact_capacity;
   ]

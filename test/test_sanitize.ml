@@ -60,19 +60,6 @@ let test_hb_message_edge () =
       Hb.on_access ~task:3 ~arr:"a" ~idx:7 ~node:3 ~write:false);
   check_int "unrelated reader races with the write" 1 (List.length (Hb.races tr))
 
-(* The cumulative channel clock (seq = -1, the native over-approximation)
-   still orders a sender's accesses before a later receiver. *)
-let test_hb_cumulative_channel () =
-  let tr = Hb.create () in
-  Hb.with_tracker tr (fun () ->
-      Hb.on_spawn ~parent:0 ~child:1;
-      Hb.on_spawn ~parent:0 ~child:2;
-      Hb.on_access ~task:1 ~arr:"a" ~idx:0 ~node:1 ~write:true;
-      Hb.on_send ~task:1 ~chan:"c" ~seq:(-1);
-      Hb.on_recv ~task:2 ~chan:"c" ~seq:(-1);
-      Hb.on_access ~task:2 ~arr:"a" ~idx:0 ~node:2 ~write:true);
-  check_int "cumulative clock orders" 0 (List.length (Hb.races tr))
-
 (* Lock release/acquire and task-done/join edges order conflicting pairs. *)
 let test_hb_lock_and_join () =
   let tr = Hb.create () in
@@ -282,7 +269,6 @@ let suite =
     Alcotest.test_case "hb: unordered writes race" `Quick test_hb_unordered;
     Alcotest.test_case "hb: spawn edge orders" `Quick test_hb_spawn_edge;
     Alcotest.test_case "hb: message edge orders" `Quick test_hb_message_edge;
-    Alcotest.test_case "hb: cumulative channel clock" `Quick test_hb_cumulative_channel;
     Alcotest.test_case "hb: lock and join edges" `Quick test_hb_lock_and_join;
     Alcotest.test_case "hb: write resets read set" `Quick test_hb_write_reset;
     Alcotest.test_case "hb: tracker scopes nest" `Quick test_hb_nested_trackers;
